@@ -12,7 +12,6 @@ from .errors import (
     NotClosed,
     NotSimple,
     ParseError,
-    RepresentationOverflow,
     ThresholdViolation,
     Unrepresentable,
     Unsupported,

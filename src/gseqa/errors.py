@@ -23,10 +23,6 @@ class Unsupported(GseqaError):
     """
 
 
-class RepresentationOverflow(GseqaError):
-    """A computed ordinal fell outside the notation system (at or above w^w)."""
-
-
 class Unrepresentable(GseqaError):
     """A set or state component left the finite-or-cofinite representation."""
 

@@ -25,9 +25,10 @@ every non-membership symbol reference must carry a copy suffix `@0` or
 
 from __future__ import annotations
 
+import dataclasses
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import ArityMismatch, ParseError, Unsupported
 from .ordinals import OMEGA, OrdinalNotation
@@ -60,6 +61,8 @@ __all__ = [
     "quantifier_rank",
     "support_constants",
     "ordinal_literals",
+    "nodes",
+    "map_formula",
     "symbol_refs",
     "with_copy",
     "is_binary",
@@ -152,16 +155,13 @@ class Signature:
         return list(self._decls)
 
     def extras(self) -> list[SymbolDecl]:
-        """Declarations beyond the three distinguished symbols."""
+        """Declarations beyond the three distinguished symbols: the ones
+        that need a default value."""
         return [d for d in self._decls.values() if d.distinguished == "None"]
 
     def doubled_symbols(self) -> list[SymbolDecl]:
         """Everything except membership: the part that exists in two copies."""
         return [d for d in self._decls.values() if d.distinguished != "Membership"]
-
-    def defaulted_symbols(self) -> list[SymbolDecl]:
-        """Symbols needing a default value: everything but membership, In, Out."""
-        return [d for d in self._decls.values() if d.distinguished == "None"]
 
     def extend(self, decls: Iterable[SymbolDecl]) -> "Signature":
         return Signature(self.extras() + list(decls))
@@ -264,6 +264,9 @@ class Forall:
 
 Formula = Union[Apply, Equal, Truth, Not, And, Or, Implies, Iff, Exists, Forall]
 
+# Any node of the abstract syntax, as nodes and map_formula visit them.
+Node = Union[Formula, Term]
+
 # A binary formula is an ordinary Formula in which every non-membership
 # symbol reference carries a copy index; see is_binary.
 BinaryFormula = Formula
@@ -345,6 +348,49 @@ def fa(var: str, body: Formula) -> Formula:
 # measures and traversals
 
 
+def _children(node: Node) -> tuple:
+    if isinstance(node, (Apply, FuncApp)):
+        return node.args
+    if isinstance(node, (Equal, And, Or, Implies, Iff)):
+        return (node.left, node.right)
+    if isinstance(node, (Not, Exists, Forall)):
+        return (node.body,)
+    if isinstance(node, (Var, Const, OrdinalLiteral, Truth)):
+        return ()
+    raise TypeError(f"not a formula or term: {node!r}")
+
+
+def _with_children(node: Node, kids: tuple) -> Node:
+    if isinstance(node, (Apply, FuncApp)):
+        return type(node)(node.name, kids, node.copy)
+    if isinstance(node, (Exists, Forall)):
+        return type(node)(node.var, *kids)
+    return type(node)(*kids)
+
+
+def nodes(f: Node) -> Iterator[Node]:
+    """Every formula and term node, pre-order, left to right."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
+
+
+def map_formula(f: Node, fn: Callable[[Node], Node]) -> Node:
+    """Rebuild f bottom-up, passing every rebuilt formula and term node
+    through fn. Nodes fn returns are not visited again."""
+    kids = _children(f)
+    if kids:
+        f = _with_children(f, tuple(map_formula(k, fn) for k in kids))
+    return fn(f)
+
+
+# free_vars, quantifier_rank and ordinal_literals run on every successor
+# step (satisfaction re-derives them per witness), so they keep a direct
+# recursion instead of going through nodes().
+
+
 def _term_vars(t: Term) -> Iterator[str]:
     if isinstance(t, Var):
         yield t.name
@@ -381,43 +427,17 @@ def quantifier_rank(f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _term_refs(t: Term) -> Iterator[tuple[str, int | None]]:
-    if isinstance(t, Const):
-        yield (t.name, t.copy)
-    elif isinstance(t, FuncApp):
-        yield (t.name, t.copy)
-        for a in t.args:
-            yield from _term_refs(a)
-
-
 def symbol_refs(f: Formula) -> Iterator[tuple[str, int | None]]:
-    """Every (symbol, copy) reference in the formula, membership included."""
-    if isinstance(f, Apply):
-        yield (f.name, f.copy)
-        for t in f.args:
-            yield from _term_refs(t)
-    elif isinstance(f, Equal):
-        yield from _term_refs(f.left)
-        yield from _term_refs(f.right)
-    elif isinstance(f, Truth):
-        return
-    elif isinstance(f, Not):
-        yield from symbol_refs(f.body)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from symbol_refs(f.left)
-        yield from symbol_refs(f.right)
-    elif isinstance(f, (Exists, Forall)):
-        yield from symbol_refs(f.body)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+    """Every (symbol, copy) reference in the formula, membership included,
+    in pre-order."""
+    return (
+        (n.name, n.copy) for n in nodes(f) if isinstance(n, (Apply, Const, FuncApp))
+    )
 
 
 def support_constants(f: Formula) -> frozenset[tuple[str, int | None]]:
     """The constant symbols referenced by the formula."""
-    out = set()
-    for name, copy in symbol_refs(f):
-        out.add((name, copy))
-    return frozenset((n, c) for n, c in out if n != MEMBERSHIP)
+    return frozenset((n.name, n.copy) for n in nodes(f) if isinstance(n, Const))
 
 
 def ordinal_literals(f: Formula) -> frozenset[OrdinalNotation]:
@@ -488,30 +508,16 @@ def substitute(f: Formula, env: dict[str, Term]) -> Formula:
 def with_copy(f: Formula, copy: int) -> BinaryFormula:
     """Stamp every bare non-membership symbol reference with a copy index."""
 
-    def on_term(t: Term) -> Term:
-        if isinstance(t, Const):
-            return Const(t.name, t.copy if t.copy is not None else copy)
-        if isinstance(t, FuncApp):
-            c = t.copy if t.copy is not None else copy
-            return FuncApp(t.name, tuple(on_term(a) for a in t.args), c)
-        return t
+    def stamp(node: Node) -> Node:
+        if (
+            isinstance(node, (Apply, Const, FuncApp))
+            and node.copy is None
+            and node.name != MEMBERSHIP
+        ):
+            return dataclasses.replace(node, copy=copy)
+        return node
 
-    if isinstance(f, Apply):
-        c = f.copy
-        if f.name != MEMBERSHIP and c is None:
-            c = copy
-        return Apply(f.name, tuple(on_term(t) for t in f.args), c)
-    if isinstance(f, Equal):
-        return Equal(on_term(f.left), on_term(f.right))
-    if isinstance(f, Truth):
-        return f
-    if isinstance(f, Not):
-        return Not(with_copy(f.body, copy))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(with_copy(f.left, copy), with_copy(f.right, copy))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, with_copy(f.body, copy))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_formula(f, stamp)
 
 
 def is_binary(f: Formula) -> bool:

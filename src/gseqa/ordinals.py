@@ -3,8 +3,7 @@
 Notations are Cantor normal forms with natural exponents and coefficients,
 so the representable segment is exactly [0, w^w). That is enough for every
 machine handled at desk scale: universe bounds, run stamps, and lift targets
-all stay far below w^w, and anything that would escape raises
-RepresentationOverflow instead of silently wrapping.
+all stay far below w^w, and succ, add and next_limit never leave it.
 
 The ASCII syntax is `0`, `7`, `w`, `w*2+3`, `w^2`, `w^3*4+w+1`: terms in
 strictly decreasing exponent order joined by `+`. Subsets of the universe
@@ -19,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ParseError, RepresentationOverflow, Unsupported
+from .errors import ParseError, Unsupported
 
 __all__ = [
     "OrdinalNotation",
@@ -320,9 +319,3 @@ def format_ordinal_set(s: OrdinalSet) -> str:
     body = "{" + ",".join(str(e) for e in sorted(s.elements)) + "}"
     return body if s.is_finite else "co" + body
 
-
-def check_representable(o: OrdinalNotation, limit_exp: int = 8) -> OrdinalNotation:
-    """Guard against runaway notations; the system itself stops at w^w."""
-    if o.terms and o.terms[0][0] >= limit_exp:
-        raise RepresentationOverflow(f"{o} exceeds the supported segment")
-    return o

@@ -10,7 +10,7 @@ rather than skipped, so typos fail loudly.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import ArityMismatch, ParseError
 from .logic import Signature, SymbolDecl, format_formula, parse_formula
 from .ordinals import OrdinalNotation, parse_ordinal
 from .validator import GSEQA, GSEQAP, MachineSpec
@@ -116,8 +116,8 @@ def parse_machine(text: str) -> MachineSpec:
                 raise ParseError(f"line {lineno}: witness for undeclared symbol {name!r}")
             try:
                 parsed[kind][name] = parse_formula(body, sigma)
-            except ParseError as exc:
-                raise ParseError(f"line {lineno} ({name}): {exc}") from exc
+            except (ParseError, ArityMismatch) as exc:
+                raise type(exc)(f"line {lineno} ({name}): {exc}") from exc
 
     assert kappa is not None and flavor is not None
     return MachineSpec(

@@ -285,6 +285,12 @@ def format_state(s: State) -> str:
     return "\n".join(lines)
 
 
+def _natural(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"expected a natural number, got {text!r}")
+    return int(text)
+
+
 def _parse_tuple_set(text: str) -> frozenset[tuple[int, ...]]:
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"bad tuple set {text!r}")
@@ -295,7 +301,7 @@ def _parse_tuple_set(text: str) -> frozenset[tuple[int, ...]]:
     for chunk in body.replace("),(", ")|(").split("|"):
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise ParseError(f"bad tuple {chunk!r}")
-        tuples.append(tuple(int(x) for x in chunk[1:-1].split(",") if x))
+        tuples.append(tuple(_natural(x) for x in chunk[1:-1].split(",") if x))
     return frozenset(tuples)
 
 
@@ -305,6 +311,11 @@ def parse_state(text: str) -> State:
     constants: dict[str, int] = {}
     unary: dict[str, OrdinalSet] = {}
     nary: dict[str, frozenset[tuple[int, ...]]] = {}
+    readers = {
+        "constants": (constants, _natural),
+        "unary": (unary, parse_ordinal_set),
+        "nary": (nary, _parse_tuple_set),
+    }
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -312,20 +323,17 @@ def parse_state(text: str) -> State:
         if line.startswith("state"):
             _, _, rest = line.partition("kappa=")
             kappa = parse_ordinal(rest.strip())
-        elif line.startswith("constants:"):
-            for item in line[len("constants:"):].split():
-                k, _, val = item.partition("=")
-                constants[k] = int(val)
-        elif line.startswith("unary:"):
-            for item in line[len("unary:"):].split():
-                k, _, val = item.partition("=")
-                unary[k] = parse_ordinal_set(val)
-        elif line.startswith("nary:"):
-            for item in line[len("nary:"):].split():
-                k, _, val = item.partition("=")
-                nary[k] = _parse_tuple_set(val)
-        else:
+            continue
+        head, sep, rest = line.partition(":")
+        if not sep or head not in readers:
             raise ParseError(f"unrecognised snapshot line {line!r}")
+        table, read = readers[head]
+        for item in rest.split():
+            k, _, val = item.partition("=")
+            try:
+                table[k] = read(val)
+            except ParseError as exc:
+                raise ParseError(f"{head} item {item!r}: {exc}") from None
     if kappa is None:
         raise ParseError("snapshot missing the 'state kappa=...' header")
     return State.make(kappa, constants, unary, nary)

@@ -21,19 +21,16 @@ from dataclasses import dataclass
 
 from .errors import BadLift, KappaMismatch, MachineInvalid, ParseError, Unsupported
 from .logic import (
-    MEMBERSHIP,
     And,
     Apply,
     Const,
-    Equal,
     Exists,
     Forall,
     Formula,
     FuncApp,
     Iff,
     Implies,
-    Not,
-    Or,
+    Node,
     Signature,
     SymbolDecl,
     Term,
@@ -48,6 +45,8 @@ from .logic import (
     lnot,
     lor,
     lt,
+    map_formula,
+    nodes,
     rel,
     substitute,
     v,
@@ -60,7 +59,7 @@ from .validator import (
     _Part,
     _collect_default,
     _collect_tau,
-    _head_default,
+    _head,
 )
 
 __all__ = [
@@ -301,41 +300,31 @@ def _tm_state(t: TmSpec, tape: str, head: str, state: str) -> Formula:
 
 
 def _rename(f: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename relation, function, and constant symbols throughout."""
+    """Rename relation, function, and constant symbols throughout.
 
-    def on_term(t: Term) -> Term:
-        if isinstance(t, Const):
-            return Const(mapping.get(t.name, t.name), t.copy)
-        if isinstance(t, FuncApp):
-            args = tuple(on_term(a) for a in t.args)
-            return FuncApp(mapping.get(t.name, t.name), args, t.copy)
-        return t
+    The mapping's keys are declared extra symbols, so membership, which
+    is reserved, is never renamed.
+    """
 
-    if isinstance(f, Apply):
-        name = f.name if f.name == MEMBERSHIP else mapping.get(f.name, f.name)
-        return Apply(name, tuple(on_term(a) for a in f.args), f.copy)
-    if isinstance(f, Equal):
-        return Equal(on_term(f.left), on_term(f.right))
-    if isinstance(f, Not):
-        return Not(_rename(f.body, mapping))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_rename(f.left, mapping), _rename(f.right, mapping))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, _rename(f.body, mapping))
-    return f
+    def rename(node: Node) -> Node:
+        if isinstance(node, (Apply, Const, FuncApp)) and node.name in mapping:
+            return dataclasses.replace(node, name=mapping[node.name])
+        return node
+
+    return map_formula(f, rename)
 
 
 def _relativize(f: Formula, bound: Term) -> Formula:
     """Restrict every quantifier to values below the bound."""
-    if isinstance(f, Forall):
-        return Forall(f.var, Implies(lt(Var(f.var), bound), _relativize(f.body, bound)))
-    if isinstance(f, Exists):
-        return Exists(f.var, And(lt(Var(f.var), bound), _relativize(f.body, bound)))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_relativize(f.left, bound), _relativize(f.right, bound))
-    if isinstance(f, Not):
-        return Not(_relativize(f.body, bound))
-    return f
+
+    def restrict(node: Node) -> Node:
+        if isinstance(node, Forall):
+            return Forall(node.var, Implies(lt(Var(node.var), bound), node.body))
+        if isinstance(node, Exists):
+            return Exists(node.var, And(lt(Var(node.var), bound), node.body))
+        return node
+
+    return map_formula(f, restrict)
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -359,32 +348,13 @@ def _default_parts(spec: MachineSpec) -> dict[str, _Part]:
     return {p.decl.name: p for p in parts}
 
 
-def _keep(part: _Part) -> Formula:
-    """The witness that carries a symbol's interpretation over unchanged."""
-    return _head_default(part)
-
-
 def _formula_vars(f: Formula) -> set[str]:
     """Every variable name occurring in the formula, bound or free."""
-
-    def on_term(t: Term) -> set[str]:
-        if isinstance(t, Var):
-            return {t.name}
-        if isinstance(t, FuncApp):
-            return set().union(*(on_term(a) for a in t.args)) if t.args else set()
-        return set()
-
-    if isinstance(f, Apply):
-        return set().union(*(on_term(a) for a in f.args)) if f.args else set()
-    if isinstance(f, Equal):
-        return on_term(f.left) | on_term(f.right)
-    if isinstance(f, Not):
-        return _formula_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return _formula_vars(f.left) | _formula_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return {f.var} | _formula_vars(f.body)
-    return set()
+    return {
+        n.name if isinstance(n, Var) else n.var
+        for n in nodes(f)
+        if isinstance(n, (Var, Exists, Forall))
+    }
 
 
 def _stall(parts: list[_Part], rename: dict[str, str] | None = None) -> Formula:
@@ -413,7 +383,7 @@ def _stall(parts: list[_Part], rename: dict[str, str] | None = None) -> Formula:
         if rename:
             decl = dataclasses.replace(decl, name=rename.get(decl.name, decl.name))
             body = _rename(body, rename)
-        psi: Formula = Iff(_head_default(_Part(decl, fresh, body)), body)
+        psi: Formula = Iff(_head(_Part(decl, fresh, body), None), body)
         for var in reversed(fresh):
             psi = Forall(var, psi)
         psis.append(psi)
@@ -539,12 +509,12 @@ def compose(m1: MachineSpec, m2: MachineSpec) -> MachineSpec:
         if name in ("In", "Out"):
             continue
         tau[part.decl.name] = lor(
-            land(run1, part.body), land(lnot(run1), _keep(part))
+            land(run1, part.body), land(lnot(run1), _head(part, None))
         )
     for name, part in body2.items():
         if name in ("In", "Out"):
             continue
-        tau[part.decl.name] = lor(land(g1, part.body), land(lnot(g1), _keep(part)))
+        tau[part.decl.name] = lor(land(g1, part.body), land(lnot(g1), _head(part, None)))
     tau["g"] = lor(
         land(run1, eq(X, lit(0))),
         land(hand, eq(X, lit(1))),
@@ -603,7 +573,7 @@ def flip(m: MachineSpec) -> MachineSpec:
                 land(froze, rel("Out", X)),
             )
         else:
-            tau[name] = lor(land(run, part.body), land(lnot(run), _keep(part)))
+            tau[name] = lor(land(run, part.body), land(lnot(run), _head(part, None)))
     tau[flag] = lor(
         land(run, eq(X, lit(0))),
         land(hand, eq(X, lit(1))),
@@ -669,7 +639,7 @@ def lift(m: MachineSpec, kappa2: OrdinalNotation | int) -> MachineSpec:
         tau[name] = lor(
             land(boot, boot_val),
             land(run, inrange, below(part, part.body)),
-            land(run, lnot(inrange), _keep(part)),
+            land(run, lnot(inrange), _head(part, None)),
         )
     tau[d] = lor(land(boot, eq(X, lit(1))), land(run, eq(X, cst(d))))
     tau[c] = eq(X, cst(c))

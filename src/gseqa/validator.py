@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .errors import (
     ArityMismatch,
@@ -34,23 +34,18 @@ from .logic import (
     Apply,
     Const,
     Equal,
-    Exists,
     Forall,
     Formula,
     FuncApp,
     Iff,
-    Implies,
-    Not,
-    Or,
-    OrdinalLiteral,
     Signature,
     SymbolDecl,
     Term,
     Truth,
     Var,
-    format_formula,
     free_vars,
     land,
+    nodes,
     substitute,
     symbol_refs,
     with_copy,
@@ -156,62 +151,29 @@ class _Part:
 # witness normalization
 
 
-def _walk_terms(f: Formula) -> Iterator[Term]:
-    if isinstance(f, Apply):
-        yield from f.args
-    elif isinstance(f, Equal):
-        yield f.left
-        yield f.right
-    elif isinstance(f, Not):
-        yield from _walk_terms(f.body)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from _walk_terms(f.left)
-        yield from _walk_terms(f.right)
-    elif isinstance(f, (Exists, Forall)):
-        yield from _walk_terms(f.body)
-
-
-def _walk_applies(f: Formula) -> Iterator[Apply]:
-    if isinstance(f, Apply):
-        yield f
-    elif isinstance(f, Not):
-        yield from _walk_applies(f.body)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from _walk_applies(f.left)
-        yield from _walk_applies(f.right)
-    elif isinstance(f, (Exists, Forall)):
-        yield from _walk_applies(f.body)
-
-
-def _subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, FuncApp):
-        for a in t.args:
-            yield from _subterms(a)
-
-
 def _check_symbol_usage(formula: Formula, sigma: Signature) -> None:
     """Reject references to undeclared symbols and arity abuse."""
-    for app in _walk_applies(formula):
-        if app.name not in sigma:
-            raise ArityMismatch(f"undeclared relation {app.name!r}")
-        decl = sigma.decl(app.name)
-        if decl.kind != "Relation":
-            raise ArityMismatch(f"{app.name!r} is a {decl.kind.lower()}, not a relation")
-        if decl.arity != len(app.args):
-            raise ArityMismatch(
-                f"{app.name!r} has arity {decl.arity}, applied to {len(app.args)}"
-            )
-    for top in _walk_terms(formula):
-        for t in _subterms(top):
-            if isinstance(t, Const):
-                if t.name not in sigma or sigma.decl(t.name).kind != "Constant":
-                    raise ArityMismatch(f"{t.name!r} is not a declared constant")
-            elif isinstance(t, FuncApp):
-                if t.name not in sigma or sigma.decl(t.name).kind != "Function":
-                    raise ArityMismatch(f"{t.name!r} is not a declared function")
-                if sigma.decl(t.name).arity != len(t.args):
-                    raise ArityMismatch(f"wrong argument count for {t.name!r}")
+    for node in nodes(formula):
+        if isinstance(node, Apply):
+            if node.name not in sigma:
+                raise ArityMismatch(f"undeclared relation {node.name!r}")
+            decl = sigma.decl(node.name)
+            if decl.kind != "Relation":
+                raise ArityMismatch(
+                    f"{node.name!r} is a {decl.kind.lower()}, not a relation"
+                )
+            if decl.arity != len(node.args):
+                raise ArityMismatch(
+                    f"{node.name!r} has arity {decl.arity}, applied to {len(node.args)}"
+                )
+        elif isinstance(node, Const):
+            if node.name not in sigma or sigma.decl(node.name).kind != "Constant":
+                raise ArityMismatch(f"{node.name!r} is not a declared constant")
+        elif isinstance(node, FuncApp):
+            if node.name not in sigma or sigma.decl(node.name).kind != "Function":
+                raise ArityMismatch(f"{node.name!r} is not a declared function")
+            if sigma.decl(node.name).arity != len(node.args):
+                raise ArityMismatch(f"wrong argument count for {node.name!r}")
 
 
 def _fit_variables(
@@ -254,24 +216,17 @@ def _normalize_default(decl: SymbolDecl, formula: Formula, sigma: Signature) -> 
 # sentence assembly
 
 
-def _head_tau(part: _Part) -> Formula:
+def _head(part: _Part, copy: int | None) -> Formula:
+    """The symbol's own atom over the witness variables, at the given copy:
+    1 for the next state in phi_tau, None for a single state. At None it
+    is also the witness that carries the symbol over unchanged."""
     decl, variables = part.decl, part.variables
     if decl.kind == "Constant":
-        return Equal(Var(variables[0]), Const(decl.name, 1))
+        return Equal(Var(variables[0]), Const(decl.name, copy))
     if decl.kind == "Function":
         args = tuple(Var(v) for v in variables[:-1])
-        return Equal(FuncApp(decl.name, args, 1), Var(variables[-1]))
-    return Apply(decl.name, tuple(Var(v) for v in variables), 1)
-
-
-def _head_default(part: _Part) -> Formula:
-    decl, variables = part.decl, part.variables
-    if decl.kind == "Constant":
-        return Equal(Var(variables[0]), Const(decl.name, None))
-    if decl.kind == "Function":
-        args = tuple(Var(v) for v in variables[:-1])
-        return Equal(FuncApp(decl.name, args, None), Var(variables[-1]))
-    return Apply(decl.name, tuple(Var(v) for v in variables), None)
+        return Equal(FuncApp(decl.name, args, copy), Var(variables[-1]))
+    return Apply(decl.name, tuple(Var(v) for v in variables), copy)
 
 
 def _close(variables: tuple[str, ...], body: Formula) -> Formula:
@@ -280,8 +235,8 @@ def _close(variables: tuple[str, ...], body: Formula) -> Formula:
     return body
 
 
-def _assemble(parts: list[_Part], head: Callable[[_Part], Formula]) -> Formula:
-    psis = [_close(p.variables, Iff(head(p), p.body)) for p in parts]
+def _assemble(parts: list[_Part], copy: int | None) -> Formula:
+    psis = [_close(p.variables, Iff(_head(p, copy), p.body)) for p in parts]
     return land(*psis) if psis else Truth(True)
 
 
@@ -342,7 +297,7 @@ def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]
 def _collect_default(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]:
     parts: list[_Part] = []
     issues: list[ValidationIssue] = []
-    needed = {d.name for d in spec.sigma.defaulted_symbols()}
+    needed = {d.name for d in spec.sigma.extras()}
     for name in spec.defaultWitnesses:
         if name not in needed:
             issues.append(
@@ -352,7 +307,7 @@ def _collect_default(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIss
                     symbol=name,
                 )
             )
-    for decl in spec.sigma.defaulted_symbols():
+    for decl in spec.sigma.extras():
         formula = spec.defaultWitnesses.get(decl.name)
         if formula is None:
             issues.append(
@@ -381,7 +336,7 @@ def check_bounded(spec: MachineSpec) -> Formula:
         if first.kind == "ArityMismatch":
             raise ArityMismatch(str(first))
         raise NotBounded(first.symbol or "?", first.detail)
-    return _assemble(parts, _head_tau)
+    return _assemble(parts, 1)
 
 
 def check_simple(spec: MachineSpec) -> Formula:
@@ -392,7 +347,7 @@ def check_simple(spec: MachineSpec) -> Formula:
         if first.kind == "ArityMismatch":
             raise ArityMismatch(str(first))
         raise NotSimple(first.symbol or "?", first.detail)
-    return _assemble(parts, _head_default)
+    return _assemble(parts, None)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +658,8 @@ def check_machine(
     if issues:
         raise MachineInvalid(issues)
 
-    phi_tau = _assemble(tau_parts, _head_tau)
-    phi_default = _assemble(default_parts, _head_default)
+    phi_tau = _assemble(tau_parts, 1)
+    phi_default = _assemble(default_parts, None)
     schema = "GSeqAP" if spec.flavor == GSEQAP else "GSeqA"
     tci = Tci(spec.kappa, schema, tuple(sorted(spec.params.items())))
     return ValidatedMachine(spec, phi_tau, phi_default, tci, tuple(tau_parts))

@@ -41,6 +41,8 @@ from gseqa.logic import (
     lnot,
     lor,
     lt,
+    map_formula,
+    nodes,
     ordinal_literals,
     parse_formula,
     quantifier_rank,
@@ -68,7 +70,6 @@ def test_signature_distinguished_built_in():
     assert SIGMA.decl("in").distinguished == "Membership"
     assert SIGMA.decl("In").arity == 1
     assert {d.name for d in SIGMA.extras()} == {"h", "t", "R", "E", "f"}
-    assert {d.name for d in SIGMA.defaulted_symbols()} == {"h", "t", "R", "E", "f"}
     assert "in" not in {d.name for d in SIGMA.doubled_symbols()}
 
 
@@ -150,6 +151,31 @@ def test_support_and_literals():
     f = parse_formula("h = 3 & exists z. (z < t | z = 7)", SIGMA)
     assert support_constants(f) == {("h", None), ("t", None)}
     assert ordinal_literals(f) == {lit(3).value, lit(7).value}
+    # relation and membership symbols are not constants
+    g = parse_formula("R(h) & 3 < x", SIGMA)
+    assert support_constants(g) == {("h", None)}
+
+
+def test_nodes_is_pre_order_and_map_formula_bottom_up():
+    f = parse_formula("R(f(h)) & ~(exists y. y < 3)", SIGMA)
+    assert [type(n).__name__ for n in nodes(f)] == [
+        "And", "Apply", "FuncApp", "Const", "Not", "Exists", "Apply", "Var",
+        "OrdinalLiteral",
+    ]
+    seen = []
+
+    def record(n):
+        seen.append(type(n).__name__)
+        return n
+
+    assert map_formula(f, record) == f
+    assert seen == [
+        "Const", "FuncApp", "Apply", "Var", "OrdinalLiteral", "Apply", "Exists",
+        "Not", "And",
+    ]
+    # nodes keeps its own stack, so depth is no limit
+    deep = land(*[rel("R", lit(i)) for i in range(5000)])
+    assert sum(isinstance(n, Apply) for n in nodes(deep)) == 5000
 
 
 def test_substitute_basics():

@@ -3,7 +3,7 @@
 import pytest
 
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
-from gseqa.errors import MachineInvalid, ParseError
+from gseqa.errors import ArityMismatch, MachineInvalid, ParseError
 from gseqa.ordinals import OrdinalSet, parse_ordinal
 from gseqa.runtime import Budget, Terminated, run
 from gseqa.specfiles import format_machine, parse_machine
@@ -116,6 +116,12 @@ class TestRejections:
     def test_formula_errors_carry_the_line(self):
         with pytest.raises(ParseError, match="line 11"):
             parse_machine(HANDWRITTEN.replace("Out: In(x) & (exists y. (y < h))", "Out: In(x) &"))
+
+    def test_arity_errors_carry_the_line_and_keep_their_type(self):
+        text = HANDWRITTEN.replace("  h: Constant\n", "  h: Constant\n  R: Relation/1\n")
+        text = text.replace("Out: In(x) & (exists y. (y < h))", "Out: R(x, x)")
+        with pytest.raises(ArityMismatch, match=r"^line 12 \(Out\): R expects 1"):
+            parse_machine(text)
 
     def test_indented_line_outside_any_section(self):
         with pytest.raises(ParseError, match="outside a section"):

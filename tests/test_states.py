@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -166,3 +168,17 @@ def test_parse_state_rejects_junk():
         parse_state("constants: h=3")
     with pytest.raises(ParseError):
         parse_state("state kappa=w\nwhat: ever")
+
+
+@pytest.mark.parametrize(
+    "line, item",
+    [
+        ("constants: h=abc", "h=abc"),
+        ("constants: h=-1", "h=-1"),
+        ("nary: R={(1,x)}", "R={(1,x)}"),
+        ("unary: In={1,x}", "In={1,x}"),
+    ],
+)
+def test_parse_state_names_the_bad_item(line, item):
+    with pytest.raises(ParseError, match=re.escape(repr(item))):
+        parse_state(f"state kappa=w\n{line}")
