@@ -79,6 +79,8 @@ from .runtime import (
     unload,
 )
 from .transforms import (
+    Jump,
+    OracleRead,
     TmRule,
     TmSpec,
     compile_tm,
@@ -91,7 +93,6 @@ from .transforms import (
 )
 from .alpharef import (
     AlphaConfig,
-    AlphaMachineSpec,
     Crashed,
     Halted,
     NotHalted,
@@ -99,7 +100,6 @@ from .alpharef import (
     alpha_step,
     code_sets,
     decode_sets,
-    format_alpha_program,
     parse_alpha_program,
     run_alpha_machine,
     simulate_alpha_as_gseqap,

@@ -4,7 +4,8 @@ The machines here run classical tape dynamics over ordinal positions with
 an oracle set alongside the tape.  This release fixes the tape bound at w,
 where successor steps are all a halting run ever uses; the limit rule is
 still implemented so that diagnostic code can apply pointwise liminf to a
-sampled history and observe head overflow.
+sampled history and observe head overflow.  Programs are TmSpec values,
+the type plain tables have, with oracle-read and jump rows allowed.
 
 ``simulate_alpha_as_gseqap`` translates a program into a pinned-constant
 machine whose short terminating runs reproduce the simulator's verdicts.
@@ -12,11 +13,10 @@ machine whose short terminating runs reproduce the simulator's verdicts.
 
 from __future__ import annotations
 
-import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .errors import GseqaError, ParseError, Unsupported
+from .errors import GseqaError, Unsupported
 from .logic import (
     Formula,
     Signature,
@@ -43,23 +43,32 @@ from .ordinals import (
     next_limit,
 )
 from .runtime import classify_tail
-from .transforms import TmRule, TmSpec, _pred_floor, _succ_sticky
+from .transforms import (
+    OracleRead,
+    TmRule,
+    TmSpec,
+    _halted,
+    _succ_sticky,
+    _tm_head,
+    _tm_state,
+    _tm_tape,
+)
+
+# Oracle programs and plain tables share one type (TmSpec) and one text
+# format, so programs are read by parse_tm under this name.
+from .transforms import parse_tm as parse_alpha_program
 from .validator import GSEQAP, MachineSpec
 
 __all__ = [
     "ALPHA",
     "AlphaConfig",
-    "AlphaMachineSpec",
     "Crashed",
     "Halted",
-    "Jump",
     "NotHalted",
-    "OracleRead",
     "alpha_limit",
     "alpha_step",
     "code_sets",
     "decode_sets",
-    "format_alpha_program",
     "parse_alpha_program",
     "run_alpha_machine",
     "simulate_alpha_as_gseqap",
@@ -69,208 +78,6 @@ __all__ = [
 #: rather than taking it as an argument, so the few places that would
 #: generalise to larger bounds are easy to find later.
 ALPHA = OMEGA
-
-
-# ---------------------------------------------------------------------------
-# Programs
-
-
-@dataclass(frozen=True)
-class OracleRead:
-    """Branch on whether the oracle holds the current head position.
-
-    The tape and head stay put; only the state changes, to target_in
-    when the head position is in the oracle and to target_out otherwise.
-    """
-
-    state: int
-    read: int
-    target_in: int
-    target_out: int
-
-
-@dataclass(frozen=True)
-class Jump:
-    """Warp the head to an ordinal parameter and change state.
-
-    This is the construct that makes a program's parameter list matter:
-    rows can name positions that are not reachable by counting steps.
-    """
-
-    state: int
-    read: int
-    param: int
-    target: int
-
-
-AlphaRule = TmRule | OracleRead | Jump
-
-
-@dataclass(frozen=True)
-class AlphaMachineSpec:
-    """An oracle machine program over ordinal tape positions.
-
-    The table shares the plain-machine conventions: state 0 is initial,
-    the last state is final and has no rows, and every working state
-    must handle both bits.  Rows may be ordinary move rows, oracle
-    reads, or jumps to a parameter.
-    """
-
-    states: tuple[str, ...]
-    rules: tuple[AlphaRule, ...]
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        n = len(self.states)
-        if n < 1:
-            raise ValueError("a program needs at least a final state")
-        if len(set(self.states)) != n:
-            raise ValueError("state names must be distinct")
-        seen: set[tuple[int, int]] = set()
-        for r in self.rules:
-            if not 0 <= r.state < n - 1:
-                raise ValueError(f"rule for non-working state {r.state}")
-            if r.read not in (0, 1):
-                raise ValueError(f"rule reads {r.read}, want a bit")
-            targets = (
-                (r.target_in, r.target_out)
-                if isinstance(r, OracleRead)
-                else (r.target,)
-            )
-            for t in targets:
-                if not 0 <= t < n:
-                    raise ValueError(f"rule targets missing state {t}")
-            if isinstance(r, TmRule):
-                if r.write not in (0, 1):
-                    raise ValueError(f"rule writes {r.write}, want a bit")
-                if r.move not in ("L", "R"):
-                    raise ValueError(f"rule moves {r.move!r}, want L or R")
-            if isinstance(r, Jump) and not 0 <= r.param < len(self.params):
-                raise ValueError(f"jump names parameter {r.param}, have {len(self.params)}")
-            key = (r.state, r.read)
-            if key in seen:
-                raise ValueError(f"duplicate rule for state {r.state} reading {r.read}")
-            seen.add(key)
-        missing = {(q, b) for q in range(n - 1) for b in (0, 1)} - seen
-        if missing:
-            q, b = min(missing)
-            raise ValueError(f"no rule for state {q} reading {b}")
-        if any(p < 0 for p in self.params):
-            raise ValueError("parameters must be naturals at this tape bound")
-
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
-    def rule(self, state: int, read: int) -> AlphaRule:
-        for r in self.rules:
-            if r.state == state and r.read == read:
-                return r
-        raise KeyError((state, read))
-
-    @staticmethod
-    def from_table(t: TmSpec) -> "AlphaMachineSpec":
-        """Adopt a plain machine table as an oracle-free program."""
-        return AlphaMachineSpec(t.states, t.rules)
-
-
-_ORACLE_RE = re.compile(
-    r"^\(\s*(\w+)\s*,\s*([01])\s*\)\s*->\s*oracle-read\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)$"
-)
-_JUMP_RE = re.compile(
-    r"^\(\s*(\w+)\s*,\s*([01])\s*\)\s*->\s*jump\s*\(\s*(\d+)\s*,\s*(\w+)\s*\)$"
-)
-_MOVE_RE = re.compile(
-    r"^\(\s*(\w+)\s*,\s*([01])\s*\)\s*->\s*\(\s*(\w+)\s*,\s*([01])\s*,\s*([LR])\s*\)$"
-)
-
-
-def parse_alpha_program(text: str) -> AlphaMachineSpec:
-    """Parse a program listing with oracle-read, jump, and params rows."""
-    states: list[str] = []
-    initial: str | None = None
-    final: str | None = None
-    params: list[int] = []
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        lowered = line.lower()
-        if lowered.startswith("states:"):
-            states = line.split(":", 1)[1].split()
-            continue
-        if lowered.startswith("initial:"):
-            initial = line.split(":", 1)[1].strip()
-            continue
-        if lowered.startswith("final:"):
-            final = line.split(":", 1)[1].strip()
-            continue
-        if lowered.startswith("params:"):
-            tail = line.split(":", 1)[1].split()
-            try:
-                params = [int(p) for p in tail]
-            except ValueError:
-                raise ParseError(f"line {lineno}: parameters must be naturals")
-            continue
-        rows.append((lineno, line))
-    if not states:
-        raise ParseError("program has no states: line")
-    if initial is None or final is None:
-        raise ParseError("program needs initial: and final: lines")
-    for name in (initial, final):
-        if name not in states:
-            raise ParseError(f"marker {name!r} is not a listed state")
-    # Renumber so the initial state is 0 and the final state is last.
-    order = [initial] + [s for s in states if s not in (initial, final)] + [final]
-    index = {name: i for i, name in enumerate(order)}
-    rules: list[AlphaRule] = []
-    for lineno, line in rows:
-        if (m := _MOVE_RE.match(line)) is not None:
-            src, bit, tgt, wr, mv = m.groups()
-            named = (src, tgt)
-        elif (m := _ORACLE_RE.match(line)) is not None:
-            src, bit, yes, no = m.groups()
-            named = (src, yes, no)
-        elif (m := _JUMP_RE.match(line)) is not None:
-            src, bit, idx, tgt = m.groups()
-            named = (src, tgt)
-        else:
-            raise ParseError(f"line {lineno}: unrecognised row {line!r}")
-        for name in named:
-            if name not in index:
-                raise ParseError(f"line {lineno}: unknown state {name!r}")
-        if m.re is _MOVE_RE:
-            rules.append(TmRule(index[src], int(bit), index[tgt], int(wr), mv))
-        elif m.re is _ORACLE_RE:
-            rules.append(OracleRead(index[src], int(bit), index[yes], index[no]))
-        else:
-            rules.append(Jump(index[src], int(bit), int(idx), index[tgt]))
-    try:
-        return AlphaMachineSpec(tuple(order), tuple(rules), tuple(params))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def format_alpha_program(spec: AlphaMachineSpec) -> str:
-    """Render a program in the form parse_alpha_program reads back."""
-    lines = [
-        "states: " + " ".join(spec.states),
-        f"initial: {spec.states[0]}",
-        f"final: {spec.states[-1]}",
-    ]
-    if spec.params:
-        lines.append("params: " + " ".join(str(p) for p in spec.params))
-    for r in sorted(spec.rules, key=lambda r: (r.state, r.read)):
-        src = spec.states[r.state]
-        if isinstance(r, TmRule):
-            lines.append(f"({src}, {r.read}) -> ({spec.states[r.target]}, {r.write}, {r.move})")
-        elif isinstance(r, OracleRead):
-            yes, no = spec.states[r.target_in], spec.states[r.target_out]
-            lines.append(f"({src}, {r.read}) -> oracle-read({yes}, {no})")
-        else:
-            lines.append(f"({src}, {r.read}) -> jump({r.param}, {spec.states[r.target]})")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +159,28 @@ class Crashed:
     detail: str
 
 
+def _apply_row(
+    spec: TmSpec, state: int, head: int, tape: set[int], oracle: Callable[[int], bool]
+) -> tuple[int, int]:
+    """Apply the row for the state and the bit under the head.
+
+    Mutates the tape set in place and returns the new (head, state);
+    oracle answers whether the oracle holds a position.
+    """
+    r = spec.rule(state, 1 if head in tape else 0)
+    if isinstance(r, TmRule):
+        if r.write:
+            tape.add(head)
+        else:
+            tape.discard(head)
+        return (head + 1 if r.move == "R" else max(head - 1, 0)), r.target
+    if isinstance(r, OracleRead):
+        return head, (r.target_in if oracle(head) else r.target_out)
+    return spec.params[r.param], r.target
+
+
 def run_alpha_machine(
-    spec: AlphaMachineSpec, coded_input: OrdinalSet, budget: int = 10_000
+    spec: TmSpec, coded_input: OrdinalSet, budget: int = 10_000
 ) -> Halted | NotHalted:
     """Run a program on a coded (tape, oracle) input.
 
@@ -369,44 +196,18 @@ def run_alpha_machine(
     for step in range(budget + 1):
         if state == spec.n - 1:
             return Halted(OrdinalSet.finite(tape), OrdinalNotation.from_int(step))
-        r = spec.rule(state, 1 if head in tape else 0)
-        if isinstance(r, TmRule):
-            if r.write:
-                tape.add(head)
-            else:
-                tape.discard(head)
-            head = head + 1 if r.move == "R" else max(head - 1, 0)
-            state = r.target
-        elif isinstance(r, OracleRead):
-            state = r.target_in if head in oracle else r.target_out
-        else:
-            head = spec.params[r.param]
-            state = r.target
+        head, state = _apply_row(spec, state, head, tape, oracle.__contains__)
     return NotHalted(budget)
 
 
-def alpha_step(spec: AlphaMachineSpec, cfg: AlphaConfig) -> AlphaConfig:
+def alpha_step(spec: TmSpec, cfg: AlphaConfig) -> AlphaConfig:
     """Advance one configuration by a single successor step."""
     if cfg.state == spec.n - 1:
         raise GseqaError("the final state has no successor configuration")
-    head = cfg.head.to_int()
-    tape = set(cfg.tape.elements) if cfg.tape.is_finite else cfg.tape
-    if not isinstance(tape, set):
+    if not cfg.tape.is_finite:
         raise Unsupported("stepping a cofinite tape is not supported")
-    r = spec.rule(cfg.state, 1 if head in tape else 0)
-    state = cfg.state
-    if isinstance(r, TmRule):
-        if r.write:
-            tape.add(head)
-        else:
-            tape.discard(head)
-        head = head + 1 if r.move == "R" else max(head - 1, 0)
-        state = r.target
-    elif isinstance(r, OracleRead):
-        state = r.target_in if cfg.oracle.member(head) else r.target_out
-    else:
-        head = spec.params[r.param]
-        state = r.target
+    tape = set(cfg.tape.elements)
+    head, state = _apply_row(spec, cfg.state, cfg.head.to_int(), tape, cfg.oracle.member)
     return AlphaConfig(
         OrdinalNotation.from_int(head),
         state,
@@ -418,7 +219,7 @@ def alpha_step(spec: AlphaMachineSpec, cfg: AlphaConfig) -> AlphaConfig:
 
 
 def alpha_limit(
-    spec: AlphaMachineSpec, history: Sequence[AlphaConfig]
+    spec: TmSpec, history: Sequence[AlphaConfig]
 ) -> AlphaConfig | Crashed:
     """Apply the limit rule to a sampled history of configurations.
 
@@ -473,7 +274,7 @@ def _eq_succ(small: str, big: str) -> Formula:
     )
 
 
-def simulate_alpha_as_gseqap(spec: AlphaMachineSpec) -> MachineSpec:
+def simulate_alpha_as_gseqap(spec: TmSpec) -> MachineSpec:
     """Compile a program into a pinned-constant machine over the same bound.
 
     The built machine first decodes its input: a counter u walks through
@@ -486,8 +287,7 @@ def simulate_alpha_as_gseqap(spec: AlphaMachineSpec) -> MachineSpec:
     output relation shadows T throughout, so a halting run freezes with
     the final tape on Out and the whole computation stays short.
     """
-    n = spec.n
-    pnames = [f"p{i}" for i in range(len(spec.params))]
+    pnames = tuple(f"p{i}" for i in range(len(spec.params)))
     decls = [
         SymbolDecl("T", "Relation", 1),
         SymbolDecl("Q", "Relation", 1),
@@ -507,54 +307,16 @@ def simulate_alpha_as_gseqap(spec: AlphaMachineSpec) -> MachineSpec:
     done = lnot(ex("y", land(rel("In", y), lor(lt(cst("u"), y), eq(y, cst("u"))))))
     busy = land(decoding, lnot(done))
     switch = land(decoding, done)
-    halted = land(*(lnot(eq(cst("q"), lit(i))) for i in range(n - 1)))
+    halted = _halted(spec, "q")
 
     a_lt_b = lt(cst("a"), cst("b"))
     b_lt_a = lt(cst("b"), cst("a"))
     a_eq_b = eq(cst("a"), cst("b"))
     hit = land(rel("In", cst("u")), eq(_X, cst("a")))
 
-    def read(bit: int) -> Formula:
-        return rel("T", cst("h")) if bit else lnot(rel("T", cst("h")))
-
-    def guard(r: AlphaRule) -> Formula:
-        return land(eq(cst("q"), lit(r.state)), read(r.read))
-
-    moves = [r for r in spec.rules if isinstance(r, TmRule)]
-    reads = [r for r in spec.rules if isinstance(r, OracleRead)]
-    jumps = [r for r in spec.rules if isinstance(r, Jump)]
-
-    # The bit left under the head: move rows write theirs, the other two
-    # row kinds leave the cell as it was.
-    new_bit = lor(
-        *(guard(r) for r in moves if r.write),
-        *(land(guard(r), rel("T", cst("h"))) for r in (*reads, *jumps)),
-    )
-    tape_step = lor(
-        land(lnot(eq(_X, cst("h"))), rel("T", _X)),
-        land(eq(_X, cst("h")), new_bit),
-    )
-    head_step = lor(
-        *(
-            land(guard(r), _succ_sticky("h") if r.move == "R" else _pred_floor("h"))
-            for r in moves
-        ),
-        *(land(guard(r), eq(_X, cst("h"))) for r in reads),
-        *(land(guard(r), eq(_X, cst(pnames[r.param]))) for r in jumps),
-    )
-    state_step = lor(
-        *(land(guard(r), eq(_X, lit(r.target))) for r in (*moves, *jumps)),
-        *(
-            land(
-                guard(r),
-                lor(
-                    land(rel("Q", cst("h")), eq(_X, lit(r.target_in))),
-                    land(lnot(rel("Q", cst("h"))), eq(_X, lit(r.target_out))),
-                ),
-            )
-            for r in reads
-        ),
-    )
+    tape_step = _tm_tape(spec, "T", "h", "q")
+    head_step = _tm_head(spec, "T", "h", "q", params=pnames)
+    state_step = _tm_state(spec, "T", "h", "q", oracle="Q")
 
     keep = {name: eq(_X, cst(name)) for name in ("u", "a", "b", "h", "q", "m")}
     tau = {
@@ -626,5 +388,4 @@ def simulate_alpha_as_gseqap(spec: AlphaMachineSpec) -> MachineSpec:
         tauWitnesses=tau,
         defaultWitnesses=default,
         name=f"alpha[{','.join(spec.states)}]",
-        program=spec,
     )

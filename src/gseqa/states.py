@@ -67,9 +67,12 @@ class State:
         unary: Mapping[str, OrdinalSet] | None = None,
         nary: Mapping[str, Iterable[tuple[int, ...]]] | None = None,
     ) -> "State":
+        consts = tuple(sorted((k, int(v)) for k, v in (constants or {}).items()))
+        if any(v < 0 for _, v in consts):
+            raise ValueError("constants must hold naturals")
         return State(
             kappa,
-            tuple(sorted((k, int(v)) for k, v in (constants or {}).items())),
+            consts,
             tuple(sorted((unary or {}).items())),
             tuple(sorted((k, _freeze_tuples(v)) for k, v in (nary or {}).items())),
         )

@@ -1,7 +1,11 @@
-"""Constructions that build machines from tables and from other machines.
+"""Tape programs, and constructions that build machines from tables and
+from other machines.
 
-compile_tm turns a tape-machine rule table into a machine that copies its
-input to the output relation and then simulates the table in place.
+A tape program (TmSpec) has move rows, oracle-read rows and jump rows
+over a parameter list; a plain table is a program with only move rows
+and no parameters. compile_tm turns a plain table into a machine that
+copies its input to the output relation and then simulates the table in
+place.
 compose, flip, and lift rebuild machines around an existing one: running
 two machines in sequence, complementing the output, and re-basing a
 machine inside a larger universe with its old bound pinned as a
@@ -63,6 +67,8 @@ from .validator import (
 )
 
 __all__ = [
+    "Jump",
+    "OracleRead",
     "TmRule",
     "TmSpec",
     "parse_tm",
@@ -76,12 +82,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# tape-machine tables
+# tape programs
 
 
 @dataclass(frozen=True)
 class TmRule:
-    """One table row: in `state` reading `read`, write, move, enter `target`."""
+    """One move row: in `state` reading `read`, write, move, enter `target`."""
 
     state: int
     read: int
@@ -91,16 +97,50 @@ class TmRule:
 
 
 @dataclass(frozen=True)
+class OracleRead:
+    """Branch on whether the oracle holds the current head position.
+
+    The tape and head stay put; only the state changes, to target_in
+    when the head position is in the oracle and to target_out otherwise.
+    """
+
+    state: int
+    read: int
+    target_in: int
+    target_out: int
+
+
+@dataclass(frozen=True)
+class Jump:
+    """Warp the head to an ordinal parameter and change state.
+
+    This is the construct that makes a program's parameter list matter:
+    rows can name positions that are not reachable by counting steps.
+    """
+
+    state: int
+    read: int
+    param: int
+    target: int
+
+
+Rule = TmRule | OracleRead | Jump
+
+
+@dataclass(frozen=True)
 class TmSpec:
-    """A tape-machine table over the alphabet {0, 1}.
+    """A tape program over the alphabet {0, 1}.
 
     states lists the state names with the initial state first and the
-    single final state last. The table must cover every pair of a working
-    state and a read bit exactly once; the final state has no rules.
+    single final state last. The rows must cover every pair of a working
+    state and a read bit exactly once; the final state has no rows. Rows
+    are move rows, oracle reads, or jumps to one of params. A plain
+    table has only move rows and no params; compile_tm takes only those.
     """
 
     states: tuple[str, ...]
-    rules: tuple[TmRule, ...]
+    rules: tuple[Rule, ...]
+    params: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.states)
@@ -112,12 +152,20 @@ class TmSpec:
         for r in self.rules:
             if not 0 <= r.state < n - 1:
                 raise ValueError(f"rule for a state without successors: {r.state}")
-            if not 0 <= r.target < n:
-                raise ValueError(f"rule targets unknown state {r.target}")
-            if r.read not in (0, 1) or r.write not in (0, 1):
+            targets = (
+                (r.target_in, r.target_out) if isinstance(r, OracleRead) else (r.target,)
+            )
+            for target in targets:
+                if not 0 <= target < n:
+                    raise ValueError(f"rule targets unknown state {target}")
+            if r.read not in (0, 1) or (isinstance(r, TmRule) and r.write not in (0, 1)):
                 raise ValueError("tape alphabet is {0, 1}")
-            if r.move not in ("L", "R"):
+            if isinstance(r, TmRule) and r.move not in ("L", "R"):
                 raise ValueError(f"move must be L or R, got {r.move!r}")
+            if isinstance(r, Jump) and not 0 <= r.param < len(self.params):
+                raise ValueError(
+                    f"jump names parameter {r.param}, have {len(self.params)}"
+                )
             if (r.state, r.read) in seen:
                 raise ValueError(
                     f"duplicate rule for ({self.states[r.state]}, {r.read})"
@@ -127,12 +175,14 @@ class TmSpec:
             for b in (0, 1):
                 if (q, b) not in seen:
                     raise ValueError(f"no rule for ({self.states[q]}, {b})")
+        if any(p < 0 for p in self.params):
+            raise ValueError("parameters must be naturals at this tape bound")
 
     @property
     def n(self) -> int:
         return len(self.states)
 
-    def rule(self, state: int, read: int) -> TmRule:
+    def rule(self, state: int, read: int) -> Rule:
         for r in self.rules:
             if r.state == state and r.read == read:
                 return r
@@ -140,44 +190,54 @@ class TmSpec:
 
 
 _RULE_RE = re.compile(
-    r"\(\s*(\w+)\s*,\s*([01])\s*\)\s*->\s*"
-    r"\(\s*(\w+)\s*,\s*([01])\s*,\s*([LR])\s*\)\s*$"
+    r"\(\s*(?P<src>\w+)\s*,\s*(?P<bit>[01])\s*\)\s*->\s*(?:"
+    r"\(\s*(?P<target>\w+)\s*,\s*(?P<write>[01])\s*,\s*(?P<move>[LR])\s*\)"
+    r"|oracle-read\s*\(\s*(?P<yes>\w+)\s*,\s*(?P<no>\w+)\s*\)"
+    r"|jump\s*\(\s*(?P<param>\d+)\s*,\s*(?P<jump>\w+)\s*\)"
+    r")\s*$"
 )
 
 
 def parse_tm(text: str) -> TmSpec:
-    """Read a rule table from its text form.
+    """Read a tape program from its text form.
 
     The format is a `states:` line naming the states, optional `initial:`
     and `final:` markers (defaulting to the first and last listed name),
-    and one `(state, bit) -> (state, bit, L|R)` row per transition.
-    States are renumbered so the initial state is index 0 and the final
-    state the last index.
+    an optional `params:` line of naturals, and one row per transition:
+    `(state, bit) -> (state, bit, L|R)`, `(state, bit) -> oracle-read(yes,
+    no)` or `(state, bit) -> jump(i, state)`. Header keys are read
+    case-insensitively. States are renumbered so the initial state is
+    index 0 and the final state the last index.
     """
     names: list[str] = []
     initial: str | None = None
     final: str | None = None
-    raw: list[tuple[str, int, str, int, str, int]] = []
+    params: list[int] = []
+    raw: list[tuple[int, re.Match[str]]] = []
     for ln, content in enumerate(text.splitlines(), start=1):
         line = content.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("states:"):
-            names = line[len("states:") :].split()
-            continue
-        if line.startswith("initial:"):
-            initial = line[len("initial:") :].strip()
-            continue
-        if line.startswith("final:"):
-            final = line[len("final:") :].strip()
-            continue
-        m = _RULE_RE.match(line)
-        if m is None:
+        key, colon, value = line.partition(":")
+        key = key.lower()
+        if colon and key == "states":
+            names = value.split()
+        elif colon and key == "initial":
+            initial = value.strip()
+        elif colon and key == "final":
+            final = value.strip()
+        elif colon and key == "params":
+            try:
+                params = [int(p) for p in value.split()]
+            except ValueError:
+                raise ParseError(f"line {ln}: parameters must be naturals") from None
+        elif (m := _RULE_RE.match(line)) is not None:
+            raw.append((ln, m))
+        else:
             raise ParseError(
                 f"line {ln}: expected '(state, bit) -> (state, bit, L|R)', "
-                f"got {line!r}"
+                f"'-> oracle-read(state, state)' or '-> jump(i, state)', got {line!r}"
             )
-        raw.append((m[1], int(m[2]), m[3], int(m[4]), m[5], ln))
     if not names:
         raise ParseError("missing 'states:' line")
     initial = names[0] if initial is None else initial
@@ -192,29 +252,41 @@ def parse_tm(text: str) -> TmSpec:
     if final != initial:
         order.append(final)
     index = {s: i for i, s in enumerate(order)}
-    rules = []
-    for q, b, target, w, mv, ln in raw:
-        for s in (q, target):
-            if s not in index:
+    rules: list[Rule] = []
+    for ln, m in raw:
+        for s in (m["src"], m["target"], m["yes"], m["no"], m["jump"]):
+            if s is not None and s not in index:
                 raise ParseError(f"line {ln}: unknown state {s!r}")
-        rules.append(TmRule(index[q], b, index[target], w, mv))
+        q, b = index[m["src"]], int(m["bit"])
+        if m["target"] is not None:
+            rules.append(TmRule(q, b, index[m["target"]], int(m["write"]), m["move"]))
+        elif m["yes"] is not None:
+            rules.append(OracleRead(q, b, index[m["yes"]], index[m["no"]]))
+        else:
+            rules.append(Jump(q, b, int(m["param"]), index[m["jump"]]))
     try:
-        return TmSpec(tuple(order), tuple(rules))
+        return TmSpec(tuple(order), tuple(rules), tuple(params))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def format_tm(t: TmSpec) -> str:
+    """Render a program in the form parse_tm reads back."""
     lines = [
         f"states: {' '.join(t.states)}",
         f"initial: {t.states[0]}",
         f"final: {t.states[-1]}",
     ]
+    if t.params:
+        lines.append(f"params: {' '.join(str(p) for p in t.params)}")
     for r in sorted(t.rules, key=lambda r: (r.state, r.read)):
-        lines.append(
-            f"({t.states[r.state]}, {r.read}) -> "
-            f"({t.states[r.target]}, {r.write}, {r.move})"
-        )
+        if isinstance(r, TmRule):
+            row = f"({t.states[r.target]}, {r.write}, {r.move})"
+        elif isinstance(r, OracleRead):
+            row = f"oracle-read({t.states[r.target_in]}, {t.states[r.target_out]})"
+        else:
+            row = f"jump({r.param}, {t.states[r.target]})"
+        lines.append(f"({t.states[r.state]}, {r.read}) -> {row}")
     return "\n".join(lines) + "\n"
 
 
@@ -249,53 +321,80 @@ def _pred_floor(sym: str) -> Formula:
     return lor(pred, land(eq(s, lit(0)), eq(X, lit(0))))
 
 
-def _read(tape: str, head: str, bit: int) -> Formula:
+def _rows(t: TmSpec, kind: type) -> list:
+    return [r for r in t.rules if isinstance(r, kind)]
+
+
+def _guard(r: Rule, tape: str, head: str, state: str) -> Formula:
+    """The row applies: the state matches and the head reads its bit."""
     atom = rel(tape, cst(head))
-    return atom if bit else lnot(atom)
+    return land(eq(cst(state), lit(r.state)), atom if r.read else lnot(atom))
 
 
 def _halted(t: TmSpec, state: str) -> Formula:
-    """No working state matches: the table is done, or the value is junk."""
+    """No working state matches: the program is done, or the value is junk."""
     return land(*[lnot(eq(cst(state), lit(q))) for q in range(t.n - 1)])
 
 
 def _tm_tape(t: TmSpec, tape: str, head: str, state: str) -> Formula:
-    """Next tape contents under one table step: cells away from the head
-    persist, the head cell takes the written bit."""
+    """Next tape contents under one program step: cells away from the head
+    persist; the head cell takes the bit a move row writes, and keeps its
+    bit under an oracle read or a jump."""
+    here = rel(tape, cst(head))
     write_one = lor(
+        *[_guard(r, tape, head, state) for r in _rows(t, TmRule) if r.write == 1],
         *[
-            land(eq(cst(state), lit(r.state)), _read(tape, head, r.read))
-            for r in t.rules
-            if r.write == 1
-        ]
+            land(_guard(r, tape, head, state), here)
+            for r in (*_rows(t, OracleRead), *_rows(t, Jump))
+        ],
     )
     keep = land(lnot(eq(X, cst(head))), rel(tape, X))
     return lor(keep, land(eq(X, cst(head)), write_one))
 
 
-def _tm_head(t: TmSpec, tape: str, head: str, state: str) -> Formula:
+def _tm_head(
+    t: TmSpec, tape: str, head: str, state: str, params: tuple[str, ...] = ()
+) -> Formula:
+    """Next head position: a move row steps, an oracle read stays, and a
+    jump goes to the constant that params names for its parameter."""
     return lor(
         *[
             land(
-                eq(cst(state), lit(r.state)),
-                _read(tape, head, r.read),
+                _guard(r, tape, head, state),
                 _succ_sticky(head) if r.move == "R" else _pred_floor(head),
             )
-            for r in t.rules
-        ]
+            for r in _rows(t, TmRule)
+        ],
+        *[
+            land(_guard(r, tape, head, state), eq(X, cst(head)))
+            for r in _rows(t, OracleRead)
+        ],
+        *[
+            land(_guard(r, tape, head, state), eq(X, cst(params[r.param])))
+            for r in _rows(t, Jump)
+        ],
     )
 
 
-def _tm_state(t: TmSpec, tape: str, head: str, state: str) -> Formula:
+def _tm_state(t: TmSpec, tape: str, head: str, state: str, oracle: str = "") -> Formula:
+    """Next state: move rows and jumps name theirs; an oracle read asks the
+    unary relation `oracle` about the head position."""
+    asked = rel(oracle, cst(head))
     return lor(
         *[
+            land(_guard(r, tape, head, state), eq(X, lit(r.target)))
+            for r in (*_rows(t, TmRule), *_rows(t, Jump))
+        ],
+        *[
             land(
-                eq(cst(state), lit(r.state)),
-                _read(tape, head, r.read),
-                eq(X, lit(r.target)),
+                _guard(r, tape, head, state),
+                lor(
+                    land(asked, eq(X, lit(r.target_in))),
+                    land(lnot(asked), eq(X, lit(r.target_out))),
+                ),
             )
-            for r in t.rules
-        ]
+            for r in _rows(t, OracleRead)
+        ],
     )
 
 
@@ -402,7 +501,13 @@ def compile_tm(t: TmSpec) -> MachineSpec:
     In to Out and raises the flag; afterwards Out serves as the tape and
     each step applies one table row. Entering the final state freezes the
     whole state, so the run terminates exactly when the table halts.
+    Programs with oracle reads, jumps or parameters have no input coding
+    here; simulate_alpha_as_gseqap compiles those.
     """
+    if t.params or len(_rows(t, TmRule)) != len(t.rules):
+        raise Unsupported(
+            "compile_tm takes a plain table: move rows only, no parameters"
+        )
     sigma = Signature(
         [
             SymbolDecl("h", "Constant"),

@@ -263,6 +263,13 @@ def _split_psi(psi: Formula) -> tuple[str, Formula]:
     raise GseqaError("unrecognized witness head shape")
 
 
+def _too_deep(name: str) -> ValidationIssue:
+    """The witness outgrew the recursion limit of the formula analyses."""
+    return ValidationIssue(
+        "Unsupported", "witness is nested too deeply to analyse", symbol=name
+    )
+
+
 def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]:
     parts: list[_Part] = []
     issues: list[ValidationIssue] = []
@@ -291,6 +298,8 @@ def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]
             issues.append(
                 ValidationIssue(type(exc).__name__, str(exc), symbol=decl.name)
             )
+        except RecursionError:
+            issues.append(_too_deep(decl.name))
     return parts, issues
 
 
@@ -320,6 +329,8 @@ def _collect_default(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIss
             issues.append(
                 ValidationIssue(type(exc).__name__, str(exc), symbol=decl.name)
             )
+        except RecursionError:
+            issues.append(_too_deep(decl.name))
     return parts, issues
 
 
@@ -374,11 +385,16 @@ def _singleton(s: OrdinalSet) -> int | None:
     return None
 
 
-def _step_parts(
+def _evaluate_parts(
     parts: tuple[_Part, ...] | list[_Part],
     state: State,
     domain: EvalDomain,
-) -> State:
+) -> tuple[dict[str, int], dict[str, OrdinalSet], dict[str, frozenset[tuple[int, ...]]]]:
+    """The value each witness defines over the state, split by symbol kind.
+
+    Raises D6Violation when a constant's witness fails to pin exactly one
+    value or a function's witness is not a total graph.
+    """
     constants: dict[str, int] = {}
     unary: dict[str, OrdinalSet] = {}
     nary: dict[str, frozenset[tuple[int, ...]]] = {}
@@ -406,8 +422,16 @@ def _step_parts(
                 )
                 nary[name] = _check_graph(name, graph, part.decl.arity, state, domain)
         except Unrepresentable as exc:
-            raise Unrepresentable(f"next value of {name!r}: {exc}") from exc
-    return State.make(state.kappa, constants, unary, nary)
+            raise Unrepresentable(f"value of {name!r}: {exc}") from exc
+    return constants, unary, nary
+
+
+def _step_parts(
+    parts: tuple[_Part, ...] | list[_Part],
+    state: State,
+    domain: EvalDomain,
+) -> State:
+    return State.make(state.kappa, *_evaluate_parts(parts, state, domain))
 
 
 def _describe(s: OrdinalSet) -> str:
@@ -501,30 +525,7 @@ def default_values(
     domain = domain_for(spec.kappa)
     if domain is None:
         raise Unsupported(f"no evaluation domain for kappa = {spec.kappa}")
-    blank = _blank_state(spec)
-    constants: dict[str, int] = {}
-    unary: dict[str, OrdinalSet] = {}
-    nary: dict[str, frozenset[tuple[int, ...]]] = {}
-    for part in parts:
-        name = part.decl.name
-        if part.decl.kind == "Constant":
-            values = defined_set(part.body, blank, domain, var=part.variables[0])
-            value = _singleton(values)
-            if value is None:
-                raise D6Violation(
-                    blank, name, f"default defines {_describe(values)}"
-                )
-            constants[name] = value
-        elif part.decl.kind == "Relation" and part.decl.arity == 1:
-            unary[name] = defined_set(part.body, blank, domain, var=part.variables[0])
-        elif part.decl.kind == "Relation":
-            nary[name] = defined_relation(
-                part.body, blank, domain, variables=part.variables
-            )
-        else:
-            graph = defined_relation(part.body, blank, domain, variables=part.variables)
-            nary[name] = _check_graph(name, graph, part.decl.arity, blank, domain)
-    return constants, unary, nary
+    return _evaluate_parts(parts, _blank_state(spec), domain)
 
 
 def sample_states(

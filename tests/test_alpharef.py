@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 
 from gseqa.alpharef import (
     AlphaConfig,
-    AlphaMachineSpec,
     Crashed,
     Halted,
-    Jump,
     NotHalted,
-    OracleRead,
     alpha_limit,
     alpha_step,
     code_sets,
     decode_sets,
-    format_alpha_program,
     parse_alpha_program,
     run_alpha_machine,
     simulate_alpha_as_gseqap,
@@ -26,7 +22,7 @@ from gseqa.alpharef import (
 from gseqa.errors import GseqaError, ParseError, Unsupported
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet, godel_pair
 from gseqa.runtime import Budget, Terminated, run
-from gseqa.transforms import TmRule
+from gseqa.transforms import TmRule, TmSpec, dovetail, format_tm
 from gseqa.validator import GSEQA, check_machine
 from tm_tools import generated_halting_tms, simulate_tm
 
@@ -153,10 +149,9 @@ class TestSimulator:
 
     def test_agrees_with_plain_simulator_on_oracle_free_programs(self):
         for t in generated_halting_tms():
-            prog = AlphaMachineSpec.from_table(t)
             for k in range(16):
                 halted, tape = simulate_tm(t, {k})
-                out = run_alpha_machine(prog, code_sets({k}, ()), budget=2000)
+                out = run_alpha_machine(t, code_sets({k}, ()), budget=2000)
                 assert isinstance(out, Halted) == halted
                 if halted:
                     assert members(out.output) == tape
@@ -165,7 +160,7 @@ class TestSimulator:
 class TestProgramText:
     def test_round_trips(self):
         for prog in (PARITY, RUNNER, ASK3, STAMPER):
-            assert parse_alpha_program(format_alpha_program(prog)) == prog
+            assert parse_alpha_program(format_tm(prog)) == prog
 
     def test_markers_renumber(self):
         prog = parse_alpha_program(
@@ -260,7 +255,7 @@ class TestConfigsAndLimits:
                     size=4,
                 )
             )
-        verdict = alpha_limit(AlphaMachineSpec(("a", "b", "c", "z"), tuple(
+        verdict = alpha_limit(TmSpec(("a", "b", "c", "z"), tuple(
             TmRule(q, b, q, b, "R") for q in range(3) for b in (0, 1)
         )), history)
         assert isinstance(verdict, AlphaConfig)
@@ -319,6 +314,12 @@ class TestBridge:
     def test_jump_bridge_agrees(self):
         for coded in (OrdinalSet.finite(), OrdinalSet.finite({0, 6}), OrdinalSet.finite({30})):
             self.crosscheck(STAMPER, coded)
+
+    def test_bridge_cannot_be_dovetailed(self):
+        # The bridge reads a coded (tape, oracle) input, not the plain
+        # input a dovetailer feeds its table, so it carries no table.
+        with pytest.raises(Unsupported, match="table"):
+            dovetail(simulate_alpha_as_gseqap(PARITY))
 
     def test_divergent_run_is_not_short(self):
         vm = check_machine(simulate_alpha_as_gseqap(PARITY))

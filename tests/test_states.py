@@ -163,6 +163,14 @@ def test_snapshot_roundtrip_random(consts, unaries):
     assert parse_state(format_state(s)) == s
 
 
+def test_make_rejects_negative_entries():
+    # Such a state would print as a snapshot parse_state refuses.
+    with pytest.raises(ValueError, match="naturals"):
+        State.make(OMEGA, {"h": -1})
+    with pytest.raises(ValueError, match="naturals"):
+        State.make(OMEGA, nary={"E": {(1, -2)}})
+
+
 def test_parse_state_rejects_junk():
     with pytest.raises(ParseError):
         parse_state("constants: h=3")

@@ -21,6 +21,8 @@ from gseqa.logic import Apply, Var
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet, parse_ordinal
 from gseqa.runtime import Budget, OutOfBudget, Terminated, run, unload
 from gseqa.transforms import (
+    Jump,
+    OracleRead,
     TmRule,
     TmSpec,
     compile_tm,
@@ -120,18 +122,33 @@ class TestTableFormat:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_on_random_tables(self, data):
         n = data.draw(st.integers(min_value=1, max_value=4))
-        rules = tuple(
-            TmRule(
+        params = tuple(
+            data.draw(st.lists(st.integers(min_value=0, max_value=50), max_size=3))
+        )
+        state = st.integers(min_value=0, max_value=n - 1)
+        kinds = ("move", "read", "jump") if params else ("move", "read")
+
+        def row(q: int, b: int):
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "move":
+                return TmRule(
+                    q,
+                    b,
+                    data.draw(state),
+                    data.draw(st.integers(min_value=0, max_value=1)),
+                    data.draw(st.sampled_from("LR")),
+                )
+            if kind == "read":
+                return OracleRead(q, b, data.draw(state), data.draw(state))
+            return Jump(
                 q,
                 b,
-                data.draw(st.integers(min_value=0, max_value=n - 1)),
-                data.draw(st.integers(min_value=0, max_value=1)),
-                data.draw(st.sampled_from("LR")),
+                data.draw(st.integers(min_value=0, max_value=len(params) - 1)),
+                data.draw(state),
             )
-            for q in range(n - 1)
-            for b in (0, 1)
-        )
-        t = TmSpec(tuple(f"q{i}" for i in range(n)), rules)
+
+        rules = tuple(row(q, b) for q in range(n - 1) for b in (0, 1))
+        t = TmSpec(tuple(f"q{i}" for i in range(n)), rules, params)
         assert parse_tm(format_tm(t)) == t
 
 
@@ -174,6 +191,14 @@ class TestCompileTm:
 
     def test_carries_its_table(self):
         assert compile_tm(WRITER).program == WRITER
+
+    def test_takes_only_plain_tables(self):
+        reads = TmSpec(("a", "z"), (OracleRead(0, 0, 1, 1), TmRule(0, 1, 1, 1, "R")))
+        jumps = TmSpec(("a", "z"), (Jump(0, 0, 0, 1), TmRule(0, 1, 1, 1, "R")), (3,))
+        params = TmSpec(WRITER.states, WRITER.rules, (3,))
+        for program in (reads, jumps, params):
+            with pytest.raises(Unsupported, match="plain table"):
+                compile_tm(program)
 
 
 # ---------------------------------------------------------------------------

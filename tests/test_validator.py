@@ -271,6 +271,20 @@ def test_default_must_match_pin():
     assert any(i.kind == "BadConstraint" for i in info.value.issues)
 
 
+def test_too_deep_witness_is_reported_by_symbol():
+    # 1 500 flat conjuncts parse fine but overflow the recursive analyses.
+    sigma = BASE.extend([SymbolDecl("h", "Constant")])
+    spec = machine(
+        sigma,
+        tau={"In": "In(x)", "Out": " & ".join(["In(x)"] * 1500), "h": "x = h"},
+        defaults={"h": " & ".join(["x = 0"] * 1500)},
+    )
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec)
+    issues = [(i.kind, i.symbol) for i in info.value.issues]
+    assert issues == [("Unsupported", "Out"), ("Unsupported", "h")]
+
+
 def test_issue_reports_are_deterministic():
     spec = machine(tau={"In": "In@1(x)"})
     grab = lambda: [str(i) for i in pytest.raises(MachineInvalid, check_machine, spec).value.issues]
