@@ -42,6 +42,15 @@ def _default_budget() -> int:
     return value
 
 
+def _steps(budget: int | None) -> int:
+    """Successor steps per segment: --budget when given, else the default."""
+    if budget is None:
+        return _default_budget()
+    if budget <= 0:
+        raise GseqaError(f"--budget must be a positive integer, got {budget}")
+    return budget
+
+
 def _load_machine(path: str, allow_finite: bool):
     with open(path, encoding="utf-8") as fh:
         spec = parse_machine(fh.read())
@@ -71,8 +80,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ParseError, MachineInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.limit_jumps <= 0:
+        raise GseqaError(f"--limit-jumps must be a positive integer, got {args.limit_jumps}")
     budget = Budget(
-        maxSuccessorStepsPerSegment=args.budget or _default_budget(),
+        maxSuccessorStepsPerSegment=_steps(args.budget),
         maxLimitJumps=args.limit_jumps,
     )
     trace = run(vm, A, budget, mode=args.mode)
@@ -140,7 +151,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     except (GseqaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    steps = args.budget or _default_budget()
+    steps = _steps(args.budget)
     vm = check_machine(simulate_alpha_as_gseqap(prog))
     budget = Budget(maxSuccessorStepsPerSegment=steps, maxLimitJumps=1)
     disagreements = 0
@@ -216,7 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except GseqaError as exc:
+    except (GseqaError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

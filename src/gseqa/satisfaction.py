@@ -28,7 +28,7 @@ matters once the run engine starts asking for thousands of defined sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -71,7 +71,6 @@ __all__ = [
     "defined_relation",
     "threshold_bound",
     "evaluate_with_views",
-    "defined_set_views",
 ]
 
 
@@ -101,8 +100,33 @@ class EvalDomain:
         return self.kind == "Omega"
 
 
-def _state_anchor_max(state: State) -> int:
-    return max(state.support_bound() - 1, 0)
+def _margin(rank: int) -> int:
+    """How far beyond its anchors a quantifier whose body has the given
+    rank may probe: 2^rank, plus room for one far representative."""
+    return 2**rank + 2
+
+
+def _slack(rank: int) -> int:
+    """Room above the largest candidate for every probe that a formula of
+    the given rank makes, one margin per level of quantifier nesting."""
+    return sum(_margin(i) for i in range(rank + 1))
+
+
+def _anchor_max(formula: Formula, states: Iterable[State]) -> int:
+    """The largest anchor: the top of each state's support and each finite
+    literal of the formula (0 when there is neither)."""
+    m = 0
+    for s in states:
+        m = max(m, s.support_bound() - 1)
+    for o in ordinal_literals(formula):
+        if o.is_finite:
+            m = max(m, o.to_int())
+    return m
+
+
+def _bound(anchor_max: int, rank: int) -> int:
+    """B for the given anchor maximum and quantifier rank; see threshold_bound."""
+    return anchor_max + 2 ** (rank + 1) + 1
 
 
 def threshold_bound(formula: Formula, state: State, *states: State) -> int:
@@ -114,13 +138,7 @@ def threshold_bound(formula: Formula, state: State, *states: State) -> int:
     + 2^(rank+1) + 1 bounds every probe the Omega evaluator will make at
     the outermost level.
     """
-    anchors = [0, _state_anchor_max(state)]
-    for s in states:
-        anchors.append(_state_anchor_max(s))
-    for o in ordinal_literals(formula):
-        if o.is_finite:
-            anchors.append(o.to_int())
-    return max(anchors) + 2 ** (quantifier_rank(formula) + 1) + 1
+    return _bound(_anchor_max(formula, (state, *states)), quantifier_rank(formula))
 
 
 class _View:
@@ -332,7 +350,7 @@ class _Evaluator:
                 [-1 if j == i else 1 for j in range(len(axes))]
             )
             per_cell = np.maximum(per_cell, coord)
-        margin = 2**body_rank + 2
+        margin = _margin(body_rank)
         var_idx = axes.index(var)
         var_coord = self.quant_values.reshape(
             [-1 if j == var_idx else 1 for j in range(len(axes))]
@@ -344,22 +362,6 @@ def _drop(axes: tuple[str, ...], var: str) -> tuple[str, ...]:
     return tuple(a for a in axes if a != var)
 
 
-def _anchor_max(formula: Formula, views: Mapping[int | None, State]) -> int:
-    m = 0
-    for s in views.values():
-        m = max(m, _state_anchor_max(s))
-    for o in ordinal_literals(formula):
-        if o.is_finite:
-            m = max(m, o.to_int())
-    return m
-
-
-def _quant_upper(formula: Formula, anchor_max: int, candidate_max: int = 0) -> int:
-    q = quantifier_rank(formula)
-    slack = sum(2**i + 2 for i in range(q)) + 2**q + 2
-    return max(anchor_max, candidate_max) + slack
-
-
 def _check_omega_ok(views: Mapping[int | None, State]) -> None:
     for s in views.values():
         if s.kappa.is_finite:
@@ -369,17 +371,60 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
             )
 
 
+def _truth_table(
+    formula: Formula,
+    views: Mapping[int | None, State],
+    domain: EvalDomain,
+    variables: tuple[str, ...] = (),
+    reps: int = 0,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The formula's truth table and the candidates its axes range over.
+
+    The table has one axis per requested variable, in the order given; a
+    variable the formula ignores is broadcast across the candidates. A
+    surrogate's candidates are its whole universe. At w they are [0, B]
+    followed by reps far representatives, each 2^rank + 2 beyond the one
+    before. With no variables the table is a single truth value and the
+    candidates are None.
+    """
+    anchor_max = _anchor_max(formula, views.values())
+    candidates = None
+    if domain.is_omega:
+        _check_omega_ok(views)
+        rank = quantifier_rank(formula)
+        top = anchor_max
+        if variables:
+            bound = _bound(anchor_max, rank)
+            far = bound + _margin(rank) * np.arange(1, reps + 1, dtype=np.int64)
+            candidates = np.concatenate([np.arange(bound + 1, dtype=np.int64), far])
+            top = int(candidates[-1])
+        ev = _Evaluator(views, domain, anchor_max, top + _slack(rank))
+    else:
+        ev = _Evaluator(views, domain, anchor_max, 0)
+        if variables:
+            candidates = ev.quant_values
+    for x in variables:
+        ev.axis_values[x] = candidates
+    table = ev.eval(formula)
+    arr = table.array
+    if table.axes != variables:
+        axes = table.axes + tuple(x for x in variables if x not in table.axes)
+        arr = np.asarray(arr).reshape(np.shape(arr) + (1,) * (len(axes) - len(table.axes)))
+        arr = np.broadcast_to(
+            arr.transpose([axes.index(x) for x in variables]),
+            (len(candidates),) * len(variables),
+        )
+    return arr, candidates
+
+
 def evaluate_with_views(
     formula: Formula, views: Mapping[int | None, State], domain: EvalDomain
 ) -> bool:
     """Sentence evaluation with explicit copy-to-state views."""
-    if free_vars(formula):
-        raise NotClosed(f"free variables {sorted(free_vars(formula))} in sentence")
-    anchor_max = _anchor_max(formula, views)
-    if domain.is_omega:
-        _check_omega_ok(views)
-    ev = _Evaluator(views, domain, anchor_max, _quant_upper(formula, anchor_max))
-    return bool(ev.eval(formula).array)
+    fv = free_vars(formula)
+    if fv:
+        raise NotClosed(f"free variables {sorted(fv)} in sentence")
+    return bool(_truth_table(formula, views, domain)[0])
 
 
 def sat(formula: Formula, state: State, domain: EvalDomain) -> bool:
@@ -399,71 +444,6 @@ def sat2(
     return evaluate_with_views(formula, {0: s1, 1: s2}, domain)
 
 
-def _single_free_var(formula: Formula, var: str | None) -> str:
-    fv = free_vars(formula)
-    if var is not None:
-        if fv - {var}:
-            raise NotClosed(f"extra free variables {sorted(fv - {var})}")
-        return var
-    if len(fv) != 1:
-        raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
-    return next(iter(fv))
-
-
-def defined_set_views(
-    formula: Formula,
-    views: Mapping[int | None, State],
-    domain: EvalDomain,
-    var: str | None = None,
-) -> OrdinalSet:
-    """The set defined by a one-free-variable formula, with explicit views."""
-    x = _single_free_var(formula, var)
-    anchor_max = _anchor_max(formula, views)
-    rank = quantifier_rank(formula)
-
-    if not domain.is_omega:
-        ev = _Evaluator(views, domain, anchor_max, 0)
-        ev.axis_values[x] = ev.quant_values
-        table = ev.eval(formula)
-        if x not in table.axes:
-            truth = bool(np.asarray(table.array).all())
-            members = range(domain.size) if truth else ()
-            return OrdinalSet.finite(members)
-        hits = np.where(table.array)[0] if table.axes == (x,) else None
-        if hits is None:
-            raise AssertionError("unexpected leftover axes")
-        return OrdinalSet.finite(int(v) for v in ev.quant_values[hits])
-
-    _check_omega_ok(views)
-    bound = anchor_max + 2 ** (rank + 1) + 1
-    gap = 2**rank + 2
-    reps = [bound + gap, bound + 2 * gap, bound + 3 * gap]
-    candidates = np.concatenate(
-        [np.arange(bound + 1, dtype=np.int64), np.array(reps, dtype=np.int64)]
-    )
-    upper = _quant_upper(formula, anchor_max, candidate_max=int(candidates[-1]))
-    ev = _Evaluator(views, domain, anchor_max, upper)
-    ev.axis_values[x] = candidates
-    table = ev.eval(formula)
-    if x not in table.axes:
-        truth = bool(np.asarray(table.array).all())
-        return OrdinalSet.cofinite() if truth else OrdinalSet.finite()
-    vals = table.array
-    rep_vals = vals[-3:]
-    if not (bool(rep_vals.all()) or not bool(rep_vals.any())):
-        raise ThresholdViolation(
-            f"tail representatives at {reps} disagree for {formula!r}; "
-            "the evaluation bound did not stabilise this formula"
-        )
-    tail = bool(rep_vals[0])
-    head = vals[:-3]
-    if tail:
-        exceptions = [int(candidates[i]) for i in range(len(head)) if not head[i]]
-        return OrdinalSet.cofinite(exceptions)
-    members = [int(candidates[i]) for i in range(len(head)) if head[i]]
-    return OrdinalSet.finite(members)
-
-
 def defined_set(
     formula: Formula, state: State, domain: EvalDomain, var: str | None = None
 ) -> OrdinalSet:
@@ -474,7 +454,26 @@ def defined_set(
     must agree; if they do not, the bound was not actually stable and
     ThresholdViolation is raised rather than returning a guess.
     """
-    return defined_set_views(formula, {None: state, 0: state}, domain, var)
+    fv = free_vars(formula)
+    if var is None:
+        if len(fv) != 1:
+            raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
+        var = next(iter(fv))
+    elif fv - {var}:
+        raise NotClosed(f"extra free variables {sorted(fv - {var})}")
+    vals, candidates = _truth_table(formula, {None: state, 0: state}, domain, (var,), 3)
+    if not domain.is_omega:
+        return OrdinalSet.finite(candidates[vals].tolist())
+    tail = vals[-3:]
+    if tail.any() and not tail.all():
+        raise ThresholdViolation(
+            f"tail representatives at {candidates[-3:].tolist()} disagree for "
+            f"{formula!r}; the evaluation bound did not stabilise this formula"
+        )
+    head = vals[:-3]
+    if tail[0]:
+        return OrdinalSet.cofinite(candidates[:-3][~head].tolist())
+    return OrdinalSet.finite(candidates[:-3][head].tolist())
 
 
 def defined_relation(
@@ -498,68 +497,14 @@ def defined_relation(
         )
     if not variables:
         raise NotClosed("defined_relation needs at least one variable")
-    views: Mapping[int | None, State] = {None: state, 0: state}
-    anchor_max = _anchor_max(formula, views)
-    rank = quantifier_rank(formula)
-
-    if not domain.is_omega:
-        ev = _Evaluator(views, domain, anchor_max, 0)
-        for x in variables:
-            ev.axis_values[x] = ev.quant_values
-        table = ev.eval(formula)
-        # a variable the formula ignores still ranges over the whole
-        # (finite) surrogate, so give it an explicit axis
-        for x in variables:
-            if x not in table.axes:
-                n = len(ev.quant_values)
-                arr = np.broadcast_to(
-                    np.asarray(table.array)[..., None],
-                    np.asarray(table.array).shape + (n,),
-                ).copy()
-                table = _Table(arr, table.axes + (x,))
-        return _collect_tuples(table, variables, ev)
-
-    _check_omega_ok(views)
-    bound = anchor_max + 2 ** (rank + 1) + 1
-    rep = bound + 2**rank + 2
-    candidates = np.concatenate(
-        [np.arange(bound + 1, dtype=np.int64), np.array([rep], dtype=np.int64)]
+    arr, candidates = _truth_table(
+        formula, {None: state, 0: state}, domain, tuple(variables), 1
     )
-    upper = _quant_upper(formula, anchor_max, candidate_max=rep)
-    ev = _Evaluator(views, domain, anchor_max, upper)
-    for x in variables:
-        ev.axis_values[x] = candidates
-    table = ev.eval(formula)
-    arr, axes = table.array, table.axes
-    for x in variables:
-        if x not in axes:
-            continue
-        idx = axes.index(x)
-        far = np.take(arr, -1, axis=idx)
-        if bool(np.asarray(far).any()):
-            raise Unrepresentable(
-                f"formula defines an infinite relation (true at {x} = {rep})"
-            )
-        arr = np.take(arr, range(len(candidates) - 1), axis=idx)
-    return _collect_tuples(_Table(arr, axes), variables, ev)
-
-
-def _collect_tuples(
-    table: _Table, variables: tuple[str, ...], ev: _Evaluator
-) -> frozenset[tuple[int, ...]]:
-    arr, axes = table.array, table.axes
-    if not axes:
-        if bool(np.asarray(arr)):
-            raise Unrepresentable("formula is constantly true over all tuples")
-        return frozenset()
-    missing = [x for x in variables if x not in axes]
-    if missing and bool(np.asarray(arr).any()):
-        raise Unrepresentable(
-            f"formula ignores {missing} and would define an infinite relation"
-        )
-    out = set()
-    coords = {a: ev.axis_values[a] for a in axes}
-    for idx in np.argwhere(arr):
-        point = {a: int(coords[a][idx[i]]) for i, a in enumerate(axes)}
-        out.add(tuple(point[x] for x in variables))
-    return frozenset(out)
+    if domain.is_omega:
+        for i, x in enumerate(variables):
+            if np.take(arr, -1, axis=i).any():
+                raise Unrepresentable(
+                    f"formula defines an infinite relation (true at {x} = {candidates[-1]})"
+                )
+        arr = arr[(slice(-1),) * len(variables)]
+    return frozenset(map(tuple, candidates[np.argwhere(arr)].tolist()))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 from .errors import (
     ArityMismatch,
@@ -270,6 +270,31 @@ def _too_deep(name: str) -> ValidationIssue:
     )
 
 
+def _issue(exc: NotBounded | NotSimple | ArityMismatch, name: str) -> ValidationIssue:
+    """The issue for a witness that failed normalisation. It keeps only the
+    detail, so that raising it again does not repeat the prefix."""
+    detail = exc.detail if isinstance(exc, (NotBounded, NotSimple)) else str(exc)
+    return ValidationIssue(type(exc).__name__, detail, symbol=name)
+
+
+_ISSUE_TYPES = {
+    "ArityMismatch": ArityMismatch,
+    "NotBounded": NotBounded,
+    "NotSimple": NotSimple,
+    "Unsupported": Unsupported,
+}
+
+
+def _raise_first(issues: list[ValidationIssue], fallback: type[GseqaError]) -> NoReturn:
+    """Raise the first issue under its own type; a kind with no type of its
+    own (MissingDistinguished) is raised as the fallback."""
+    first = issues[0]
+    cls = _ISSUE_TYPES.get(first.kind, fallback)
+    if cls in (NotBounded, NotSimple):
+        raise cls(first.symbol or "?", first.detail)
+    raise cls(str(first))
+
+
 def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]:
     parts: list[_Part] = []
     issues: list[ValidationIssue] = []
@@ -295,9 +320,7 @@ def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]
         try:
             parts.append(_normalize_tau(decl, formula, spec.sigma))
         except (NotBounded, ArityMismatch) as exc:
-            issues.append(
-                ValidationIssue(type(exc).__name__, str(exc), symbol=decl.name)
-            )
+            issues.append(_issue(exc, decl.name))
         except RecursionError:
             issues.append(_too_deep(decl.name))
     return parts, issues
@@ -326,9 +349,7 @@ def _collect_default(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIss
         try:
             parts.append(_normalize_default(decl, formula, spec.sigma))
         except (NotSimple, ArityMismatch) as exc:
-            issues.append(
-                ValidationIssue(type(exc).__name__, str(exc), symbol=decl.name)
-            )
+            issues.append(_issue(exc, decl.name))
         except RecursionError:
             issues.append(_too_deep(decl.name))
     return parts, issues
@@ -343,10 +364,7 @@ def check_bounded(spec: MachineSpec) -> Formula:
     """
     parts, issues = _collect_tau(spec)
     if issues:
-        first = issues[0]
-        if first.kind == "ArityMismatch":
-            raise ArityMismatch(str(first))
-        raise NotBounded(first.symbol or "?", first.detail)
+        _raise_first(issues, NotBounded)
     return _assemble(parts, 1)
 
 
@@ -354,10 +372,7 @@ def check_simple(spec: MachineSpec) -> Formula:
     """Assemble the default sentence, or raise why it cannot be built."""
     parts, issues = _collect_default(spec)
     if issues:
-        first = issues[0]
-        if first.kind == "ArityMismatch":
-            raise ArityMismatch(str(first))
-        raise NotSimple(first.symbol or "?", first.detail)
+        _raise_first(issues, NotSimple)
     return _assemble(parts, None)
 
 
@@ -521,7 +536,7 @@ def default_values(
     if parts is None:
         parts, issues = _collect_default(spec)
         if issues:
-            raise NotSimple(issues[0].symbol or "?", issues[0].detail)
+            _raise_first(issues, NotSimple)
     domain = domain_for(spec.kappa)
     if domain is None:
         raise Unsupported(f"no evaluation domain for kappa = {spec.kappa}")
@@ -651,23 +666,25 @@ def check_machine(
     issues.extend(tau_issues)
     issues.extend(default_issues)
 
-    domain = domain_for(spec.kappa)
-    if not issues and domain is not None:
-        issues.extend(_semantic_issues(spec, tau_parts, default_parts, domain,
-                                       sample_size, seed))
+    if not issues:
+        schema = "GSeqAP" if spec.flavor == GSEQAP else "GSeqA"
+        tci = Tci(spec.kappa, schema, tuple(sorted(spec.params.items())))
+        domain = domain_for(spec.kappa)
+        if domain is not None:
+            issues = _semantic_issues(spec, tci, tau_parts, default_parts, domain,
+                                      sample_size, seed)
 
     if issues:
         raise MachineInvalid(issues)
 
     phi_tau = _assemble(tau_parts, 1)
     phi_default = _assemble(default_parts, None)
-    schema = "GSeqAP" if spec.flavor == GSEQAP else "GSeqA"
-    tci = Tci(spec.kappa, schema, tuple(sorted(spec.params.items())))
     return ValidatedMachine(spec, phi_tau, phi_default, tci, tuple(tau_parts))
 
 
 def _semantic_issues(
     spec: MachineSpec,
+    tci: Tci,
     tau_parts: list[_Part],
     default_parts: list[_Part],
     domain: EvalDomain,
@@ -697,11 +714,7 @@ def _semantic_issues(
 
     rng = random.Random(seed)
     for state in sample_states(spec, rng, count=sample_size):
-        if not models_tci(state, spec.sigma, Tci(
-            spec.kappa,
-            "GSeqAP" if spec.flavor == GSEQAP else "GSeqA",
-            tuple(sorted(spec.params.items())) if spec.flavor == GSEQAP else (),
-        )).ok:
+        if not models_tci(state, spec.sigma, tci).ok:
             continue
         try:
             _step_parts(tau_parts, state, domain)

@@ -75,6 +75,15 @@ class TestValidate:
         assert main(["validate", str(small)]) == 1
         assert main(["validate", str(small), "--allow-finite-kappa"]) == 0
 
+    def test_unreadable_file_is_an_error(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path / "nope.gsa")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.gsa" in err
+        binary = tmp_path / "binary.gsa"
+        binary.write_bytes(b"kappa: \xff\n")
+        assert main(["validate", str(binary)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRun:
     def test_terminating_run(self, machine, capsys):
@@ -114,6 +123,24 @@ class TestRun:
         monkeypatch.setenv("GSEQA_BUDGET", "a lot")
         assert main(["run", str(machine), "--input", "{3}"]) == 1
         assert "GSEQA_BUDGET" in capsys.readouterr().err
+
+    def test_missing_file_is_an_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "nope.gsa"), "--input", "{1}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.gsa" in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--budget", "-5"], "--budget"),
+            (["--budget", "0"], "--budget"),
+            (["--limit-jumps", "0"], "--limit-jumps"),
+        ],
+    )
+    def test_bad_budget_is_an_error(self, machine, flags, named, capsys):
+        assert main(["run", str(machine), "--input", "{2}", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be a positive integer")
 
 
 class TestTransform:
@@ -167,6 +194,10 @@ class TestCrosscheck:
     def test_bad_range_is_an_error(self, program, capsys):
         assert main(["crosscheck", str(program), "--inputs", "nope"]) == 1
         assert main(["crosscheck", str(program), "--inputs", "5..5"]) == 1
+
+    def test_zero_budget_is_an_error(self, program, capsys):
+        assert main(["crosscheck", str(program), "--inputs", "3", "--budget", "0"]) == 1
+        assert "error: --budget must be a positive integer" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -16,7 +16,7 @@ from corpus_tools import (
 )
 from gseqa import OMEGA, OrdinalSet
 from gseqa.errors import NotClosed, Unrepresentable, Unsupported
-from gseqa.logic import parse_formula, with_copy
+from gseqa.logic import free_vars, parse_formula, with_copy
 from gseqa.satisfaction import (
     EvalDomain,
     defined_relation,
@@ -229,6 +229,26 @@ def test_defined_set_agrees_with_pointwise_oracle_on_random_corpus():
         got = defined_set(f, state, EvalDomain.surrogate(10), var="x")
         want = {a for a in range(10) if brute_sat(f, {None: state, 0: state}, 10, {"x": a})}
         assert set(got.members_below(10)) == want, f
+
+
+def test_defined_relation_agrees_with_pointwise_oracle_on_random_corpus():
+    rng = random.Random(4242)
+    ignoring = 0
+    for _ in range(150):
+        state = random_state(rng)
+        views = {None: state, 0: state}
+        f = random_formula(rng, rank=2, guarded=False, scope=["x", "y"], depth=3)
+        variables = rng.choice([("x", "y"), ("y", "x")])
+        ignoring += free_vars(f) != {"x", "y"}
+        got = defined_relation(f, state, EvalDomain.surrogate(8), variables)
+        want = {
+            (a, b)
+            for a in range(8)
+            for b in range(8)
+            if brute_sat(f, views, 8, dict(zip(variables, (a, b))))
+        }
+        assert got == want, (variables, f)
+    assert ignoring > 0
 
 
 def test_defined_relation_finite():

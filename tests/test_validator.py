@@ -17,6 +17,7 @@ from gseqa import (
     Signature,
     State,
     SymbolDecl,
+    Unsupported,
     apply_transition,
     check_bounded,
     check_machine,
@@ -82,6 +83,7 @@ def test_copy1_witness_is_not_bounded():
     with pytest.raises(NotBounded) as info:
         check_bounded(spec)
     assert info.value.symbol == "In"
+    assert str(info.value) == "witness for 'In' is not bounded: references In@1"
 
 
 def test_missing_witness_is_not_bounded():
@@ -283,6 +285,13 @@ def test_too_deep_witness_is_reported_by_symbol():
         check_machine(spec)
     issues = [(i.kind, i.symbol) for i in info.value.issues]
     assert issues == [("Unsupported", "Out"), ("Unsupported", "h")]
+    # the witnesses are bounded and simple, only too deep to analyse
+    with pytest.raises(Unsupported, match="symbol=Out: witness is nested too deeply"):
+        check_bounded(spec)
+    with pytest.raises(Unsupported, match="symbol=h: witness is nested too deeply"):
+        check_simple(spec)
+    with pytest.raises(Unsupported, match="symbol=h"):
+        default_values(spec)
 
 
 def test_issue_reports_are_deterministic():
