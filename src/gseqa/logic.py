@@ -57,6 +57,7 @@ __all__ = [
     "parse_formula",
     "format_formula",
     "free_vars",
+    "static_facts",
     "substitute",
     "quantifier_rank",
     "support_constants",
@@ -386,45 +387,59 @@ def map_formula(f: Node, fn: Callable[[Node], Node]) -> Node:
     return fn(f)
 
 
-# free_vars, quantifier_rank and ordinal_literals run on every successor
-# step (satisfaction re-derives them per witness), so they keep a direct
-# recursion instead of going through nodes().
+# What static_facts returns: free variables, quantifier rank, ordinal literals.
+StaticFacts = tuple[frozenset[str], int, frozenset[OrdinalNotation]]
 
 
-def _term_vars(t: Term) -> Iterator[str]:
-    if isinstance(t, Var):
-        yield t.name
-    elif isinstance(t, FuncApp):
-        for a in t.args:
-            yield from _term_vars(a)
+def static_facts(f: Formula) -> StaticFacts:
+    """The free variables, the quantifier rank and the ordinal literals of
+    f, from one walk."""
+    bound: list[str] = []
+    free: set[str] = set()
+    literals: set[OrdinalNotation] = set()
+
+    def walk(g: Formula | FuncApp) -> int:
+        if isinstance(g, (And, Or, Implies, Iff)):
+            return max(walk(g.left), walk(g.right))
+        if isinstance(g, Not):
+            return walk(g.body)
+        if isinstance(g, (Exists, Forall)):
+            bound.append(g.var)
+            rank = walk(g.body)
+            bound.pop()
+            return rank + 1
+        if isinstance(g, Equal):
+            args: tuple[Term, ...] = (g.left, g.right)
+        elif isinstance(g, (Apply, FuncApp)):
+            args = g.args
+        elif isinstance(g, Truth):
+            return 0
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        for t in args:
+            if isinstance(t, Var):
+                if t.name not in bound:
+                    free.add(t.name)
+            elif isinstance(t, OrdinalLiteral):
+                literals.add(t.value)
+            elif isinstance(t, FuncApp):
+                walk(t)
+        return 0
+
+    rank = walk(f)
+    return frozenset(free), rank, frozenset(literals)
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Apply):
-        return frozenset(x for t in f.args for x in _term_vars(t))
-    if isinstance(f, Equal):
-        return frozenset(_term_vars(f.left)) | frozenset(_term_vars(f.right))
-    if isinstance(f, Truth):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return static_facts(f)[0]
 
 
 def quantifier_rank(f: Formula) -> int:
-    if isinstance(f, (Apply, Equal, Truth)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_rank(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return max(quantifier_rank(f.left), quantifier_rank(f.right))
-    if isinstance(f, (Exists, Forall)):
-        return 1 + quantifier_rank(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return static_facts(f)[1]
+
+
+def ordinal_literals(f: Formula) -> frozenset[OrdinalNotation]:
+    return static_facts(f)[2]
 
 
 def symbol_refs(f: Formula) -> Iterator[tuple[str, int | None]]:
@@ -438,37 +453,6 @@ def symbol_refs(f: Formula) -> Iterator[tuple[str, int | None]]:
 def support_constants(f: Formula) -> frozenset[tuple[str, int | None]]:
     """The constant symbols referenced by the formula."""
     return frozenset((n.name, n.copy) for n in nodes(f) if isinstance(n, Const))
-
-
-def ordinal_literals(f: Formula) -> frozenset[OrdinalNotation]:
-    found: set[OrdinalNotation] = set()
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, OrdinalLiteral):
-            found.add(t.value)
-        elif isinstance(t, FuncApp):
-            for a in t.args:
-                walk_term(a)
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Apply):
-            for t in g.args:
-                walk_term(t)
-        elif isinstance(g, Equal):
-            walk_term(g.left)
-            walk_term(g.right)
-        elif isinstance(g, Truth):
-            pass
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or, Implies, Iff)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body)
-
-    walk(f)
-    return frozenset(found)
 
 
 def _subst_term(t: Term, env: dict[str, Term]) -> Term:
@@ -499,7 +483,7 @@ def substitute(f: Formula, env: dict[str, Term]) -> Formula:
     if isinstance(f, (Exists, Forall)):
         inner = {k: t for k, t in env.items() if k != f.var}
         for t in inner.values():
-            if f.var in _term_vars(t):
+            if Var(f.var) in nodes(t):
                 raise Unsupported(f"substitution would capture {f.var!r}")
         return type(f)(f.var, substitute(f.body, inner))
     raise TypeError(f"not a formula: {f!r}")

@@ -162,7 +162,10 @@ def _as_int(x: "OrdinalNotation | int", what: str) -> int:
         if not x.is_finite:
             raise Unsupported(f"{what} is only defined for finite ordinals, got {x}")
         return x.to_int()
-    return int(x)
+    n = int(x)
+    if n < 0:
+        raise ValueError(f"{what} needs a natural number, got {n}")
+    return n
 
 
 def godel_pair(a: "OrdinalNotation | int", b: "OrdinalNotation | int") -> int:
@@ -182,8 +185,6 @@ def godel_pair(a: "OrdinalNotation | int", b: "OrdinalNotation | int") -> int:
 def godel_unpair(n: "OrdinalNotation | int") -> tuple[int, int]:
     """Inverse of godel_pair on naturals."""
     m = _as_int(n, "godel_unpair")
-    if m < 0:
-        raise ValueError("godel_unpair needs a natural number")
     root = math.isqrt(m)
     rest = m - root * root
     if rest < root:

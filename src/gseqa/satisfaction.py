@@ -53,14 +53,14 @@ from .logic import (
     Not,
     Or,
     OrdinalLiteral,
+    StaticFacts,
     Term,
     Truth,
     Var,
-    free_vars,
-    ordinal_literals,
     quantifier_rank,
+    static_facts,
 )
-from .ordinals import OrdinalSet
+from .ordinals import OrdinalNotation, OrdinalSet
 from .states import State
 
 __all__ = [
@@ -112,13 +112,13 @@ def _slack(rank: int) -> int:
     return sum(_margin(i) for i in range(rank + 1))
 
 
-def _anchor_max(formula: Formula, states: Iterable[State]) -> int:
+def _anchor_max(literals: Iterable[OrdinalNotation], states: Iterable[State]) -> int:
     """The largest anchor: the top of each state's support and each finite
-    literal of the formula (0 when there is neither)."""
+    literal (0 when there is neither)."""
     m = 0
     for s in states:
         m = max(m, s.support_bound() - 1)
-    for o in ordinal_literals(formula):
+    for o in literals:
         if o.is_finite:
             m = max(m, o.to_int())
     return m
@@ -138,7 +138,8 @@ def threshold_bound(formula: Formula, state: State, *states: State) -> int:
     + 2^(rank+1) + 1 bounds every probe the Omega evaluator will make at
     the outermost level.
     """
-    return _bound(_anchor_max(formula, (state, *states)), quantifier_rank(formula))
+    _, rank, literals = static_facts(formula)
+    return _bound(_anchor_max(literals, (state, *states)), rank)
 
 
 class _View:
@@ -373,6 +374,7 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
 
 def _truth_table(
     formula: Formula,
+    facts: StaticFacts,
     views: Mapping[int | None, State],
     domain: EvalDomain,
     variables: tuple[str, ...] = (),
@@ -385,13 +387,13 @@ def _truth_table(
     surrogate's candidates are its whole universe. At w they are [0, B]
     followed by reps far representatives, each 2^rank + 2 beyond the one
     before. With no variables the table is a single truth value and the
-    candidates are None.
+    candidates are None. facts is static_facts(formula).
     """
-    anchor_max = _anchor_max(formula, views.values())
+    _, rank, literals = facts
+    anchor_max = _anchor_max(literals, views.values())
     candidates = None
     if domain.is_omega:
         _check_omega_ok(views)
-        rank = quantifier_rank(formula)
         top = anchor_max
         if variables:
             bound = _bound(anchor_max, rank)
@@ -421,10 +423,10 @@ def evaluate_with_views(
     formula: Formula, views: Mapping[int | None, State], domain: EvalDomain
 ) -> bool:
     """Sentence evaluation with explicit copy-to-state views."""
-    fv = free_vars(formula)
-    if fv:
-        raise NotClosed(f"free variables {sorted(fv)} in sentence")
-    return bool(_truth_table(formula, views, domain)[0])
+    facts = static_facts(formula)
+    if facts[0]:
+        raise NotClosed(f"free variables {sorted(facts[0])} in sentence")
+    return bool(_truth_table(formula, facts, views, domain)[0])
 
 
 def sat(formula: Formula, state: State, domain: EvalDomain) -> bool:
@@ -454,14 +456,17 @@ def defined_set(
     must agree; if they do not, the bound was not actually stable and
     ThresholdViolation is raised rather than returning a guess.
     """
-    fv = free_vars(formula)
+    facts = static_facts(formula)
+    fv = facts[0]
     if var is None:
         if len(fv) != 1:
             raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
         var = next(iter(fv))
     elif fv - {var}:
         raise NotClosed(f"extra free variables {sorted(fv - {var})}")
-    vals, candidates = _truth_table(formula, {None: state, 0: state}, domain, (var,), 3)
+    vals, candidates = _truth_table(
+        formula, facts, {None: state, 0: state}, domain, (var,), 3
+    )
     if not domain.is_omega:
         return OrdinalSet.finite(candidates[vals].tolist())
     tail = vals[-3:]
@@ -488,7 +493,8 @@ def defined_relation(
     omitted). A definable relation that meets the far representatives,
     and so would be infinite, raises Unrepresentable.
     """
-    fv = free_vars(formula)
+    facts = static_facts(formula)
+    fv = facts[0]
     if variables is None:
         variables = tuple(sorted(fv))
     if not fv <= set(variables):
@@ -498,7 +504,7 @@ def defined_relation(
     if not variables:
         raise NotClosed("defined_relation needs at least one variable")
     arr, candidates = _truth_table(
-        formula, {None: state, 0: state}, domain, tuple(variables), 1
+        formula, facts, {None: state, 0: state}, domain, tuple(variables), 1
     )
     if domain.is_omega:
         for i, x in enumerate(variables):

@@ -169,9 +169,9 @@ class TciVerdict:
 def models_tci(state: State, sigma: Signature, tci: Tci) -> TciVerdict:
     """Does the state satisfy the typing constraint over this signature?
 
-    Checks the universe bound, that every interpreted symbol is declared
-    and within range, and that pinned parameter constants hold exactly
-    their pinned value (reported as ParameterMismatch).
+    Checks the universe bound, that every interpreted symbol is declared,
+    within range and (for tuples) of its arity, and that pinned parameter
+    constants hold exactly their pinned value (reported as ParameterMismatch).
     """
     reasons: list[str] = []
     if state.kappa != tci.kappa:
@@ -199,6 +199,10 @@ def models_tci(state: State, sigma: Signature, tci: Tci) -> TciVerdict:
         if d is None or d.kind == "Constant":
             reasons.append(f"BadConstraint: {name!r} is not a declared relation")
             continue
+        # a function is stored as its graph: arguments, then the value
+        width = d.arity + (d.kind == "Function")
+        for t in sorted(t for t in ts if len(t) != width):
+            reasons.append(f"arity: {name} holds {t}, which is not a {width}-tuple")
         if bound is not None and any(x >= bound for t in ts for x in t):
             reasons.append(f"range: {name} mentions elements at or above {state.kappa}")
 

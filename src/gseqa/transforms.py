@@ -456,13 +456,18 @@ def _formula_vars(f: Formula) -> set[str]:
     }
 
 
-def _stall(parts: list[_Part], rename: dict[str, str] | None = None) -> Formula:
-    """The sentence holding exactly when the next state would repeat the
-    current one: each symbol already satisfies its own transition witness.
+def _phases(
+    flag: str, parts: list[_Part], rename: dict[str, str] | None = None
+) -> tuple[Formula, Formula, Formula]:
+    """Guards for a machine that steps like parts while the flag constant
+    is 0: the flag test, run (the step would change the state) and hand
+    (it would not).
 
-    Bound variables get a prefix chosen fresh against everything in the
-    witness bodies, so the sentence can sit inside another witness
-    without shadowing or capturing anything.
+    The stall sentence holds exactly when the next state would repeat the
+    current one: each symbol already satisfies its own transition witness.
+    Its bound variables get a prefix chosen fresh against everything in
+    the witness bodies, so it can sit inside another witness without
+    shadowing or capturing anything.
     """
     used: set[str] = set()
     for part in parts:
@@ -486,7 +491,14 @@ def _stall(parts: list[_Part], rename: dict[str, str] | None = None) -> Formula:
         for var in reversed(fresh):
             psi = Forall(var, psi)
         psis.append(psi)
-    return land(*psis)
+    zero = eq(cst(flag), lit(0))
+    stall = land(*psis)
+    return zero, land(zero, lnot(stall)), land(zero, stall)
+
+
+def _step_or_keep(guard: Formula, part: _Part) -> Formula:
+    """The part's step where guard holds; elsewhere the symbol keeps its value."""
+    return lor(land(guard, part.body), land(lnot(guard), _head(part, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +594,8 @@ def compose(m1: MachineSpec, m2: MachineSpec) -> MachineSpec:
     parts1 = _tau_parts(m1)
     parts2 = _tau_parts(m2)
 
-    g0 = eq(cst("g"), lit(0))
+    g0, run1, hand = _phases("g", parts1, ren1)
     g1 = eq(cst("g"), lit(1))
-    stall1 = _stall(parts1, ren1)
-    run1 = land(g0, lnot(stall1))
-    hand = land(g0, stall1)
     idle = lnot(lor(g0, g1))
 
     def renamed(part: _Part, ren: dict[str, str]) -> _Part:
@@ -610,16 +619,10 @@ def compose(m1: MachineSpec, m2: MachineSpec) -> MachineSpec:
         land(g1, body2["Out"].body),
         land(idle, rel("Out", X)),
     )
-    for name, part in body1.items():
-        if name in ("In", "Out"):
-            continue
-        tau[part.decl.name] = lor(
-            land(run1, part.body), land(lnot(run1), _head(part, None))
-        )
-    for name, part in body2.items():
-        if name in ("In", "Out"):
-            continue
-        tau[part.decl.name] = lor(land(g1, part.body), land(lnot(g1), _head(part, None)))
+    for guard, body in ((run1, body1), (g1, body2)):
+        for name, part in body.items():
+            if name not in ("In", "Out"):
+                tau[part.decl.name] = _step_or_keep(guard, part)
     tau["g"] = lor(
         land(run1, eq(X, lit(0))),
         land(hand, eq(X, lit(1))),
@@ -662,10 +665,7 @@ def flip(m: MachineSpec) -> MachineSpec:
     """
     flag = _fresh("f", set(m.sigma.names()))
     parts = _tau_parts(m)
-    stall = _stall(parts)
-    f0 = eq(cst(flag), lit(0))
-    run = land(f0, lnot(stall))
-    hand = land(f0, stall)
+    f0, run, hand = _phases(flag, parts)
     froze = lnot(f0)
 
     tau: dict[str, Formula] = {}
@@ -678,7 +678,7 @@ def flip(m: MachineSpec) -> MachineSpec:
                 land(froze, rel("Out", X)),
             )
         else:
-            tau[name] = lor(land(run, part.body), land(lnot(run), _head(part, None)))
+            tau[name] = _step_or_keep(run, part)
     tau[flag] = lor(
         land(run, eq(X, lit(0))),
         land(hand, eq(X, lit(1))),

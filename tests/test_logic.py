@@ -47,6 +47,7 @@ from gseqa.logic import (
     parse_formula,
     quantifier_rank,
     rel,
+    static_facts,
     substitute,
     support_constants,
     symbol_refs,
@@ -268,3 +269,40 @@ def test_rank_never_negative_and_subformula_monotone(f):
     assert quantifier_rank(f) >= 0
     assert quantifier_rank(Not(f)) == quantifier_rank(f)
     assert quantifier_rank(Exists("x", f)) == quantifier_rank(f) + 1
+
+
+def reference_free_vars(f, bound=frozenset()):
+    """Variables occurring outside the scope of a binder of the same name."""
+    if isinstance(f, Var):
+        return set() if f.name in bound else {f.name}
+    if isinstance(f, (Exists, Forall)):
+        return reference_free_vars(f.body, bound | {f.var})
+    if isinstance(f, (Apply, FuncApp)):
+        kids = f.args
+    elif isinstance(f, Not):
+        kids = (f.body,)
+    elif isinstance(f, (Equal, And, Or, Implies, Iff)):
+        kids = (f.left, f.right)
+    else:
+        kids = ()
+    return set().union(*(reference_free_vars(k, bound) for k in kids))
+
+
+def reference_rank(f):
+    """Deepest nesting of quantifiers."""
+    if isinstance(f, (Exists, Forall)):
+        return 1 + reference_rank(f.body)
+    if isinstance(f, Not):
+        return reference_rank(f.body)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return max(reference_rank(f.left), reference_rank(f.right))
+    return 0
+
+
+@given(formulas)
+@settings(max_examples=300)
+def test_static_facts_agree_with_references(f):
+    literals = {n.value for n in nodes(f) if isinstance(n, OrdinalLiteral)}
+    expected = (reference_free_vars(f), reference_rank(f), literals)
+    assert static_facts(f) == expected
+    assert (free_vars(f), quantifier_rank(f), ordinal_literals(f)) == expected

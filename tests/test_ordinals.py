@@ -68,6 +68,21 @@ def test_pair_then_unpair(a, b):
     assert godel_unpair(godel_pair(a, b)) == (a, b)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: godel_pair(-1, 0),
+        lambda: godel_pair(0, -3),
+        lambda: godel_unpair(-1),
+        lambda: set_member(-1, OrdinalSet.cofinite()),
+    ],
+    ids=["pair-left", "pair-right", "unpair", "member"],
+)
+def test_negative_integers_are_rejected(call):
+    with pytest.raises(ValueError, match="needs a natural number"):
+        call()
+
+
 def cnf(*terms: tuple[int, int]) -> OrdinalNotation:
     return OrdinalNotation(tuple(terms))
 

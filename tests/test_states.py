@@ -107,6 +107,18 @@ def test_models_tci_undeclared_symbol():
     assert any("BadConstraint" in r for r in verdict.reasons)
 
 
+def test_models_tci_rejects_tuples_of_the_wrong_arity():
+    sigma = SIGMA.extend([SymbolDecl("g", "Function", 1)])
+    s = parse_state("state kappa=w\nnary: E={(1),(2,3),(4,5,6)} g={(1,2),(3)}")
+    verdict = models_tci(s, sigma, Tci(OMEGA, "GSeqA"))
+    assert not verdict.ok
+    assert verdict.reasons == (
+        "arity: E holds (1,), which is not a 2-tuple",
+        "arity: E holds (4, 5, 6), which is not a 2-tuple",
+        "arity: g holds (3,), which is not a 2-tuple",
+    )
+
+
 def test_gseqa_schema_cannot_pin():
     with pytest.raises(ValueError):
         Tci(OMEGA, "GSeqA", (("h", OrdinalNotation.from_int(3)),))
