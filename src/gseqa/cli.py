@@ -23,6 +23,7 @@ from .errors import GseqaError, MachineInvalid, ParseError
 from .ordinals import format_ordinal_set, parse_ordinal, parse_ordinal_set
 from .runtime import Budget, OutOfBudget, Terminated, dump_trace, run
 from .specfiles import format_machine, parse_machine
+from .states import format_state
 from .transforms import compile_tm, compose, dovetail, flip, lift, parse_tm
 from .validator import check_machine
 
@@ -66,6 +67,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except MachineInvalid as exc:
         for issue in exc.issues:
             print(issue, file=sys.stderr)
+            if issue.state is not None:
+                print("counterexample state:", file=sys.stderr)
+                print(format_state(issue.state), file=sys.stderr)
         return 1
     spec = vm.spec
     extras = ", ".join(d.name for d in spec.sigma.extras()) or "none"

@@ -23,6 +23,16 @@ Evaluation is table-driven: each subformula becomes a boolean numpy array
 with one axis per free variable, and quantifiers reduce their axis under
 a per-cell bound mask. That keeps the cost of the tight loops in C, which
 matters once the run engine starts asking for thousands of defined sets.
+
+Every entry evaluates through an EvalContext: one view per state and the
+top of the states' support, worked out once. A raw formula is analysed
+on each call and evaluated directly; this is what sat, sat2,
+defined_set and defined_relation do. A machine's transition is compiled
+once, at admission: its witness bodies are interned into one table
+(Interned), so structurally equal subformulas are one object that keeps
+its static facts. A step then evaluates every witness under one context
+for the state, which computes each closed node once, however many
+witnesses share it, and reads quantifier ranks from the facts.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .logic import (
     Iff,
     Implies,
     MEMBERSHIP,
+    Node,
     Not,
     Or,
     OrdinalLiteral,
@@ -57,6 +68,7 @@ from .logic import (
     Term,
     Truth,
     Var,
+    map_formula,
     quantifier_rank,
     static_facts,
 )
@@ -71,6 +83,8 @@ __all__ = [
     "defined_relation",
     "threshold_bound",
     "evaluate_with_views",
+    "Interned",
+    "EvalContext",
 ]
 
 
@@ -112,12 +126,14 @@ def _slack(rank: int) -> int:
     return sum(_margin(i) for i in range(rank + 1))
 
 
-def _anchor_max(literals: Iterable[OrdinalNotation], states: Iterable[State]) -> int:
-    """The largest anchor: the top of each state's support and each finite
-    literal (0 when there is neither)."""
-    m = 0
-    for s in states:
-        m = max(m, s.support_bound() - 1)
+def _support_max(states: Iterable[State]) -> int:
+    """The top of the states' support (0 when they have none)."""
+    return max([0] + [s.support_bound() - 1 for s in states])
+
+
+def _anchor_max(literals: Iterable[OrdinalNotation], support_max: int) -> int:
+    """The largest anchor: the top of the support and each finite literal."""
+    m = support_max
     for o in literals:
         if o.is_finite:
             m = max(m, o.to_int())
@@ -139,7 +155,7 @@ def threshold_bound(formula: Formula, state: State, *states: State) -> int:
     the outermost level.
     """
     _, rank, literals = static_facts(formula)
-    return _bound(_anchor_max(literals, (state, *states)), rank)
+    return _bound(_anchor_max(literals, _support_max((state, *states))), rank)
 
 
 class _View:
@@ -147,6 +163,7 @@ class _View:
 
     def __init__(self, state: State):
         self.state = state
+        self._tuples: dict[str, frozenset[tuple[int, ...]]] = {}
         self._graphs: dict[str, dict[tuple[int, ...], int]] = {}
 
     def constant(self, name: str) -> int:
@@ -158,15 +175,27 @@ class _View:
         hit = np.isin(values, elems)
         return hit if s.is_finite else ~hit
 
+    def tuples(self, name: str, width: int) -> frozenset[tuple[int, ...]]:
+        """The symbol's stored tuples, checked once to have the given width."""
+        ts = self._tuples.get(name)
+        if ts is None:
+            ts = self.state.tuples(name)
+            for t in ts:
+                if len(t) != width:
+                    raise Unrepresentable(
+                        f"{name!r} holds {t}, which is not a {width}-tuple"
+                    )
+            self._tuples[name] = ts
+        return ts
+
     def tuple_codes(self, name: str, radix: int, arity: int) -> np.ndarray:
-        ts = self.state.tuples(name)
-        codes = [sum(t[i] * radix**i for i in range(arity)) for t in ts]
+        codes = [sum(t[i] * radix**i for i in range(arity)) for t in self.tuples(name, arity)]
         return np.array(sorted(codes), dtype=np.int64)
 
-    def graph(self, name: str) -> dict[tuple[int, ...], int]:
+    def graph(self, name: str, arity: int) -> dict[tuple[int, ...], int]:
         if name not in self._graphs:
             g: dict[tuple[int, ...], int] = {}
-            for t in self.state.tuples(name):
+            for t in self.tuples(name, arity + 1):
                 g[t[:-1]] = t[-1]
             self._graphs[name] = g
         return self._graphs[name]
@@ -181,12 +210,12 @@ class _Table:
 class _Evaluator:
     def __init__(
         self,
-        views: Mapping[int | None, State],
+        views: Mapping[int | None, _View],
         domain: EvalDomain,
         anchor_max: int,
         quant_upper: int,
     ):
-        self.views = {k: _View(s) for k, s in views.items()}
+        self.views = views
         self.domain = domain
         self.anchor_max = anchor_max
         if domain.is_omega:
@@ -244,7 +273,7 @@ class _Evaluator:
                 raise NotClosed(f"free variable {t.name!r} in a closed context")
             return _Table(self.axis_values[t.name].copy(), (t.name,))
         if isinstance(t, FuncApp):
-            graph = self.view(t.copy).graph(t.name)
+            graph = self.view(t.copy).graph(t.name, len(t.args))
             args = [self._term(a) for a in t.args]
             arrays, axes = self._align(*args)
             stacked = np.broadcast_arrays(*arrays)
@@ -328,7 +357,7 @@ class _Evaluator:
             idx = body.axes.index(var)
             arr = body.array
             if self.domain.is_omega:
-                allowed = self._bound_mask(body.axes, var, quantifier_rank(f.body))
+                allowed = self._bound_mask(body.axes, var, self._body_rank(f))
                 if isinstance(f, Exists):
                     return _Table((arr & allowed).any(axis=idx), _drop(body.axes, var))
                 return _Table((arr | ~allowed).all(axis=idx), _drop(body.axes, var))
@@ -337,6 +366,9 @@ class _Evaluator:
             return _Table(arr.all(axis=idx), _drop(body.axes, var))
         finally:
             del self.axis_values[var]
+
+    def _body_rank(self, f: "Exists | Forall") -> int:
+        return quantifier_rank(f.body)
 
     def _bound_mask(self, axes: tuple[str, ...], var: str, body_rank: int) -> np.ndarray:
         """Per-cell candidate bound: anchors and enclosing values plus the
@@ -359,6 +391,37 @@ class _Evaluator:
         return var_coord <= per_cell + margin
 
 
+class _MemoEvaluator(_Evaluator):
+    """An evaluator over interned formulas that computes each closed node
+    once per context and reads every quantifier's body rank from the
+    node's facts.
+
+    A closed quantifier-free node depends on the state alone. A closed
+    quantified node also depends on the anchor maximum and the candidate
+    count, which fix the probe bounds, and on the variables bound around
+    it, which decide whether it rebinds one; those are part of its key.
+    """
+
+    def __init__(self, ctx: "EvalContext", anchor_max: int, quant_upper: int):
+        super().__init__(ctx.views, ctx.domain, anchor_max, quant_upper)
+        self.facts = ctx.interned.facts
+        self.memo = ctx.memo
+        self.scope = (anchor_max, len(self.quant_values))
+
+    def eval(self, f: Formula) -> _Table:
+        free, rank, _ = self.facts[id(f)]
+        if free:
+            return super().eval(f)
+        key = (id(f), self.scope, tuple(self.axis_values)) if rank else id(f)
+        table = self.memo.get(key)
+        if table is None:
+            table = self.memo[key] = super().eval(f)
+        return table
+
+    def _body_rank(self, f: "Exists | Forall") -> int:
+        return self.facts[id(f.body)][1]
+
+
 def _drop(axes: tuple[str, ...], var: str) -> tuple[str, ...]:
     return tuple(a for a in axes if a != var)
 
@@ -372,61 +435,172 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
             )
 
 
-def _truth_table(
-    formula: Formula,
-    facts: StaticFacts,
-    views: Mapping[int | None, State],
-    domain: EvalDomain,
-    variables: tuple[str, ...] = (),
-    reps: int = 0,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The formula's truth table and the candidates its axes range over.
+class Interned:
+    """Formulas hash-consed into one table: structurally equal subformulas
+    become one object, and each formula node keeps its static facts, keyed
+    by identity (Filliatre & Conchon, "Type-safe modular hash-consing",
+    ML Workshop 2006). An EvalContext built with the table evaluates the
+    formulas it returned, and only those."""
 
-    The table has one axis per requested variable, in the order given; a
-    variable the formula ignores is broadcast across the candidates. A
-    surrogate's candidates are its whole universe. At w they are [0, B]
-    followed by reps far representatives, each 2^rank + 2 beyond the one
-    before. With no variables the table is a single truth value and the
-    candidates are None. facts is static_facts(formula).
-    """
-    _, rank, literals = facts
-    anchor_max = _anchor_max(literals, views.values())
-    candidates = None
-    if domain.is_omega:
-        _check_omega_ok(views)
-        top = anchor_max
-        if variables:
-            bound = _bound(anchor_max, rank)
-            far = bound + _margin(rank) * np.arange(1, reps + 1, dtype=np.int64)
-            candidates = np.concatenate([np.arange(bound + 1, dtype=np.int64), far])
-            top = int(candidates[-1])
-        ev = _Evaluator(views, domain, anchor_max, top + _slack(rank))
-    else:
-        ev = _Evaluator(views, domain, anchor_max, 0)
-        if variables:
+    def __init__(self) -> None:
+        self._nodes: dict[Node, Node] = {}
+        self.facts: dict[int, StaticFacts] = {}
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def add(self, formula: Formula) -> Formula:
+        """The interned copy of the formula."""
+        return map_formula(formula, self._intern)
+
+    def _intern(self, node: Node) -> Node:
+        shared = self._nodes.setdefault(node, node)
+        if shared is node and not isinstance(node, (Var, Const, FuncApp, OrdinalLiteral)):
+            self.facts[id(node)] = static_facts(node)
+        return shared
+
+
+class EvalContext:
+    """Evaluation over fixed states in one domain: one view per state, the
+    top of their support, and, over interned formulas, every closed node
+    already evaluated. Build one per state; it answers every formula asked
+    of that state."""
+
+    def __init__(
+        self,
+        views: Mapping[int | None, State],
+        domain: EvalDomain,
+        interned: Interned | None = None,
+    ):
+        made: dict[int, _View] = {}
+        self.views = {k: made.setdefault(id(s), _View(s)) for k, s in views.items()}
+        self.states = views
+        self.domain = domain
+        self.support_max = _support_max(v.state for v in made.values())
+        self.interned = interned
+        self.memo: dict[object, _Table] = {}
+
+    @staticmethod
+    def single(
+        state: State, domain: EvalDomain, interned: Interned | None = None
+    ) -> "EvalContext":
+        """A context for one state, read by bare and copy-0 references."""
+        return EvalContext({None: state, 0: state}, domain, interned)
+
+    def _facts(self, formula: Formula) -> StaticFacts:
+        if self.interned is None:
+            return static_facts(formula)
+        return self.interned.facts[id(formula)]
+
+    def _truth_table(
+        self,
+        formula: Formula,
+        facts: StaticFacts,
+        variables: tuple[str, ...] = (),
+        reps: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The formula's truth table and the candidates its axes range over.
+
+        The table has one axis per requested variable, in the order given; a
+        variable the formula ignores is broadcast across the candidates. A
+        surrogate's candidates are its whole universe. At w they are [0, B]
+        followed by reps far representatives, each 2^rank + 2 beyond the one
+        before. With no variables the table is a single truth value and the
+        candidates are None.
+        """
+        _, rank, literals = facts
+        anchor_max = _anchor_max(literals, self.support_max)
+        candidates = None
+        quant_upper = 0
+        if self.domain.is_omega:
+            _check_omega_ok(self.states)
+            top = anchor_max
+            if variables:
+                bound = _bound(anchor_max, rank)
+                far = bound + _margin(rank) * np.arange(1, reps + 1, dtype=np.int64)
+                candidates = np.concatenate([np.arange(bound + 1, dtype=np.int64), far])
+                top = int(candidates[-1])
+            quant_upper = top + _slack(rank)
+        if self.interned is None:
+            ev = _Evaluator(self.views, self.domain, anchor_max, quant_upper)
+        else:
+            ev = _MemoEvaluator(self, anchor_max, quant_upper)
+        if variables and not self.domain.is_omega:
             candidates = ev.quant_values
-    for x in variables:
-        ev.axis_values[x] = candidates
-    table = ev.eval(formula)
-    arr = table.array
-    if table.axes != variables:
-        axes = table.axes + tuple(x for x in variables if x not in table.axes)
-        arr = np.asarray(arr).reshape(np.shape(arr) + (1,) * (len(axes) - len(table.axes)))
-        arr = np.broadcast_to(
-            arr.transpose([axes.index(x) for x in variables]),
-            (len(candidates),) * len(variables),
-        )
-    return arr, candidates
+        for x in variables:
+            ev.axis_values[x] = candidates
+        table = ev.eval(formula)
+        arr = table.array
+        if table.axes != variables:
+            axes = table.axes + tuple(x for x in variables if x not in table.axes)
+            arr = np.asarray(arr).reshape(np.shape(arr) + (1,) * (len(axes) - len(table.axes)))
+            arr = np.broadcast_to(
+                arr.transpose([axes.index(x) for x in variables]),
+                (len(candidates),) * len(variables),
+            )
+        return arr, candidates
+
+    def sentence(self, formula: Formula) -> bool:
+        """Truth of a sentence."""
+        facts = self._facts(formula)
+        if facts[0]:
+            raise NotClosed(f"free variables {sorted(facts[0])} in sentence")
+        return bool(self._truth_table(formula, facts)[0])
+
+    def defined_set(self, formula: Formula, var: str | None = None) -> OrdinalSet:
+        """The set a one-free-variable formula defines; see defined_set."""
+        facts = self._facts(formula)
+        fv = facts[0]
+        if var is None:
+            if len(fv) != 1:
+                raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
+            var = next(iter(fv))
+        elif fv - {var}:
+            raise NotClosed(f"extra free variables {sorted(fv - {var})}")
+        vals, candidates = self._truth_table(formula, facts, (var,), 3)
+        if not self.domain.is_omega:
+            return OrdinalSet.finite(candidates[vals].tolist())
+        tail = vals[-3:]
+        if tail.any() and not tail.all():
+            raise ThresholdViolation(
+                f"tail representatives at {candidates[-3:].tolist()} disagree for "
+                f"{formula!r}; the evaluation bound did not stabilise this formula"
+            )
+        head = vals[:-3]
+        if tail[0]:
+            return OrdinalSet.cofinite(candidates[:-3][~head].tolist())
+        return OrdinalSet.finite(candidates[:-3][head].tolist())
+
+    def defined_relation(
+        self, formula: Formula, variables: tuple[str, ...] | None = None
+    ) -> frozenset[tuple[int, ...]]:
+        """The finite relation a formula defines; see defined_relation."""
+        facts = self._facts(formula)
+        fv = facts[0]
+        if variables is None:
+            variables = tuple(sorted(fv))
+        if not fv <= set(variables):
+            raise NotClosed(
+                f"variable list {variables} misses free variables {sorted(fv - set(variables))}"
+            )
+        if not variables:
+            raise NotClosed("defined_relation needs at least one variable")
+        arr, candidates = self._truth_table(formula, facts, tuple(variables), 1)
+        if self.domain.is_omega:
+            for i, x in enumerate(variables):
+                if np.take(arr, -1, axis=i).any():
+                    raise Unrepresentable(
+                        f"formula defines an infinite relation (true at {x} = {candidates[-1]})"
+                    )
+            arr = arr[(slice(-1),) * len(variables)]
+        return frozenset(map(tuple, candidates[np.argwhere(arr)].tolist()))
 
 
 def evaluate_with_views(
     formula: Formula, views: Mapping[int | None, State], domain: EvalDomain
 ) -> bool:
     """Sentence evaluation with explicit copy-to-state views."""
-    facts = static_facts(formula)
-    if facts[0]:
-        raise NotClosed(f"free variables {sorted(facts[0])} in sentence")
-    return bool(_truth_table(formula, facts, views, domain)[0])
+    return EvalContext(views, domain).sentence(formula)
 
 
 def sat(formula: Formula, state: State, domain: EvalDomain) -> bool:
@@ -435,7 +609,7 @@ def sat(formula: Formula, state: State, domain: EvalDomain) -> bool:
     Copy-0 references are allowed and read the same state, so transition
     witnesses can be tested directly; copy-1 references are rejected.
     """
-    return evaluate_with_views(formula, {None: state, 0: state}, domain)
+    return EvalContext.single(state, domain).sentence(formula)
 
 
 def sat2(
@@ -443,7 +617,7 @@ def sat2(
 ) -> bool:
     """Truth of a binary sentence over a pair of states (copy 0, copy 1)."""
     s1, s2 = states
-    return evaluate_with_views(formula, {0: s1, 1: s2}, domain)
+    return EvalContext({0: s1, 1: s2}, domain).sentence(formula)
 
 
 def defined_set(
@@ -456,29 +630,7 @@ def defined_set(
     must agree; if they do not, the bound was not actually stable and
     ThresholdViolation is raised rather than returning a guess.
     """
-    facts = static_facts(formula)
-    fv = facts[0]
-    if var is None:
-        if len(fv) != 1:
-            raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
-        var = next(iter(fv))
-    elif fv - {var}:
-        raise NotClosed(f"extra free variables {sorted(fv - {var})}")
-    vals, candidates = _truth_table(
-        formula, facts, {None: state, 0: state}, domain, (var,), 3
-    )
-    if not domain.is_omega:
-        return OrdinalSet.finite(candidates[vals].tolist())
-    tail = vals[-3:]
-    if tail.any() and not tail.all():
-        raise ThresholdViolation(
-            f"tail representatives at {candidates[-3:].tolist()} disagree for "
-            f"{formula!r}; the evaluation bound did not stabilise this formula"
-        )
-    head = vals[:-3]
-    if tail[0]:
-        return OrdinalSet.cofinite(candidates[:-3][~head].tolist())
-    return OrdinalSet.finite(candidates[:-3][head].tolist())
+    return EvalContext.single(state, domain).defined_set(formula, var)
 
 
 def defined_relation(
@@ -493,24 +645,4 @@ def defined_relation(
     omitted). A definable relation that meets the far representatives,
     and so would be infinite, raises Unrepresentable.
     """
-    facts = static_facts(formula)
-    fv = facts[0]
-    if variables is None:
-        variables = tuple(sorted(fv))
-    if not fv <= set(variables):
-        raise NotClosed(
-            f"variable list {variables} misses free variables {sorted(fv - set(variables))}"
-        )
-    if not variables:
-        raise NotClosed("defined_relation needs at least one variable")
-    arr, candidates = _truth_table(
-        formula, facts, {None: state, 0: state}, domain, tuple(variables), 1
-    )
-    if domain.is_omega:
-        for i, x in enumerate(variables):
-            if np.take(arr, -1, axis=i).any():
-                raise Unrepresentable(
-                    f"formula defines an infinite relation (true at {x} = {candidates[-1]})"
-                )
-        arr = arr[(slice(-1),) * len(variables)]
-    return frozenset(map(tuple, candidates[np.argwhere(arr)].tolist()))
+    return EvalContext.single(state, domain).defined_relation(formula, variables)

@@ -51,7 +51,7 @@ from .logic import (
     with_copy,
 )
 from .ordinals import OMEGA, OrdinalNotation, OrdinalSet
-from .satisfaction import EvalDomain, defined_relation, defined_set, sat2
+from .satisfaction import EvalContext, EvalDomain, Interned, sat2
 from .states import State, Tci, models_tci, state_delta
 
 GSEQA = "gseqa"
@@ -115,7 +115,7 @@ class ValidatedMachine:
     phi_tau: Formula
     phi_default: Formula
     tci: Tci
-    _tau_parts: tuple["_Part", ...] = field(compare=False, repr=False)
+    _transition: "_Transition" = field(compare=False, repr=False)
 
     @property
     def kappa(self) -> OrdinalNotation:
@@ -145,6 +145,24 @@ class _Part:
     decl: SymbolDecl
     variables: tuple[str, ...]
     body: Formula
+
+
+@dataclass(frozen=True)
+class _Transition:
+    """The transition compiled once at admission: the witness parts with
+    their bodies interned into one table, so that a step evaluates each
+    closed subformula the witnesses share once per state."""
+
+    parts: tuple[_Part, ...]
+    interned: Interned
+
+
+def _compile(parts: list[_Part]) -> _Transition:
+    interned = Interned()
+    return _Transition(
+        tuple(_Part(p.decl, p.variables, interned.add(p.body)) for p in parts),
+        interned,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +422,15 @@ def _evaluate_parts(
     parts: tuple[_Part, ...] | list[_Part],
     state: State,
     domain: EvalDomain,
+    interned: Interned | None = None,
 ) -> tuple[dict[str, int], dict[str, OrdinalSet], dict[str, frozenset[tuple[int, ...]]]]:
     """The value each witness defines over the state, split by symbol kind.
 
-    Raises D6Violation when a constant's witness fails to pin exactly one
-    value or a function's witness is not a total graph.
+    interned is the table the part bodies come from, if they were
+    compiled. Raises D6Violation when a constant's witness fails to pin
+    exactly one value or a function's witness is not a total graph.
     """
+    ctx = EvalContext.single(state, domain, interned)
     constants: dict[str, int] = {}
     unary: dict[str, OrdinalSet] = {}
     nary: dict[str, frozenset[tuple[int, ...]]] = {}
@@ -417,7 +438,7 @@ def _evaluate_parts(
         name = part.decl.name
         try:
             if part.decl.kind == "Constant":
-                values = defined_set(part.body, state, domain, var=part.variables[0])
+                values = ctx.defined_set(part.body, part.variables[0])
                 value = _singleton(values)
                 if value is None:
                     raise D6Violation(
@@ -426,27 +447,20 @@ def _evaluate_parts(
                     )
                 constants[name] = value
             elif part.decl.kind == "Relation" and part.decl.arity == 1:
-                unary[name] = defined_set(part.body, state, domain, var=part.variables[0])
+                unary[name] = ctx.defined_set(part.body, part.variables[0])
             elif part.decl.kind == "Relation":
-                nary[name] = defined_relation(
-                    part.body, state, domain, variables=part.variables
-                )
+                nary[name] = ctx.defined_relation(part.body, part.variables)
             else:
-                graph = defined_relation(
-                    part.body, state, domain, variables=part.variables
-                )
+                graph = ctx.defined_relation(part.body, part.variables)
                 nary[name] = _check_graph(name, graph, part.decl.arity, state, domain)
         except Unrepresentable as exc:
             raise Unrepresentable(f"value of {name!r}: {exc}") from exc
     return constants, unary, nary
 
 
-def _step_parts(
-    parts: tuple[_Part, ...] | list[_Part],
-    state: State,
-    domain: EvalDomain,
-) -> State:
-    return State.make(state.kappa, *_evaluate_parts(parts, state, domain))
+def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
+    values = _evaluate_parts(transition.parts, state, domain, transition.interned)
+    return State.make(state.kappa, *values)
 
 
 def _describe(s: OrdinalSet) -> str:
@@ -496,7 +510,7 @@ def apply_transition(
         domain = domain_for(vm.kappa)
         if domain is None:
             raise Unsupported(f"no evaluation domain for kappa = {vm.kappa}")
-    nxt = _step_parts(vm._tau_parts, state, domain)
+    nxt = _step(vm._transition, state, domain)
     if debug and not sat2(vm.phi_tau, (state, nxt), domain):
         raise GseqaError(
             "step kernel disagrees with the assembled transition sentence"
@@ -669,9 +683,10 @@ def check_machine(
     if not issues:
         schema = "GSeqAP" if spec.flavor == GSEQAP else "GSeqA"
         tci = Tci(spec.kappa, schema, tuple(sorted(spec.params.items())))
+        transition = _compile(tau_parts)
         domain = domain_for(spec.kappa)
         if domain is not None:
-            issues = _semantic_issues(spec, tci, tau_parts, default_parts, domain,
+            issues = _semantic_issues(spec, tci, transition, default_parts, domain,
                                       sample_size, seed)
 
     if issues:
@@ -679,13 +694,13 @@ def check_machine(
 
     phi_tau = _assemble(tau_parts, 1)
     phi_default = _assemble(default_parts, None)
-    return ValidatedMachine(spec, phi_tau, phi_default, tci, tuple(tau_parts))
+    return ValidatedMachine(spec, phi_tau, phi_default, tci, transition)
 
 
 def _semantic_issues(
     spec: MachineSpec,
     tci: Tci,
-    tau_parts: list[_Part],
+    transition: _Transition,
     default_parts: list[_Part],
     domain: EvalDomain,
     sample_size: int,
@@ -717,7 +732,7 @@ def _semantic_issues(
         if not models_tci(state, spec.sigma, tci).ok:
             continue
         try:
-            _step_parts(tau_parts, state, domain)
+            _step(transition, state, domain)
         except D6Violation as exc:
             issues.append(
                 ValidationIssue(
@@ -840,7 +855,7 @@ def diagnose_bep(
 
     rows = []
     for s in states:
-        delta = _canon_delta(state_delta(s, _step_parts(vm._tau_parts, s, domain)))
+        delta = _canon_delta(state_delta(s, _step(vm._transition, s, domain)))
         vector = tuple(fn(s) for _, fn in probes)
         rows.append((s, vector, delta))
 

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from gseqa.cli import main
+from gseqa.ordinals import OMEGA
+from gseqa.states import parse_state
 
 EVEN_TM = """\
 states: q0 q1 q2
@@ -62,6 +64,15 @@ class TestValidate:
         bad.write_text(machine.read_text().replace("In: In(x)", "In: In@1(x)"))
         assert main(["validate", str(bad)]) == 1
         assert "In" in capsys.readouterr().err
+
+    def test_sampled_counterexample_state_is_printed(self, tmp_path, machine, capsys):
+        bad = tmp_path / "bad.gsa"
+        bad.write_text(machine.read_text().replace("e: x = 1", "e: x = 1 | x = 2"))
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("D6Violation: symbol=e: witness defines a set of size 2")
+        printed = err.split("counterexample state:\n", 1)[1]
+        assert parse_state(printed).kappa == OMEGA
 
     def test_parse_error_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "typo.gsa"

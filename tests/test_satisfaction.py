@@ -16,7 +16,7 @@ from corpus_tools import (
 )
 from gseqa import OMEGA, OrdinalSet
 from gseqa.errors import NotClosed, Unrepresentable, Unsupported
-from gseqa.logic import free_vars, parse_formula, with_copy
+from gseqa.logic import Signature, SymbolDecl, free_vars, parse_formula, with_copy
 from gseqa.satisfaction import (
     EvalDomain,
     defined_relation,
@@ -26,7 +26,7 @@ from gseqa.satisfaction import (
     sat2,
     threshold_bound,
 )
-from gseqa.states import State
+from gseqa.states import State, parse_state
 
 
 def P(text: str, doubled: bool = False):
@@ -283,3 +283,20 @@ def test_threshold_bound_shape():
     assert threshold_bound(f2, s) > threshold_bound(f0, s)
     lit = P("x = 40")
     assert threshold_bound(lit, s) >= 40
+
+
+FUNCTION_SIGMA = Signature([SymbolDecl("f", "Function", 1)])
+
+
+@pytest.mark.parametrize(
+    "stored, sigma, sentence, message",
+    [
+        ("E={(1),(2,3)}", CORPUS_SIGMA, "exists x. exists y. E(x, y)", r"'E' holds \(1,\)"),
+        ("E={(1,2,3)}", CORPUS_SIGMA, "exists x. exists y. E(x, y)", r"'E' holds \(1, 2, 3\)"),
+        ("f={(0,1),(1,)}", FUNCTION_SIGMA, "f(0) = 1", r"'f' holds \(1,\)"),
+    ],
+)
+def test_tuples_of_the_wrong_width_are_unrepresentable(stored, sigma, sentence, message):
+    state = parse_state(f"state kappa=w\nnary: {stored}")
+    with pytest.raises(Unrepresentable, match=message + ", which is not a"):
+        sat(parse_formula(sentence, sigma), state, EvalDomain.omega())
