@@ -6,6 +6,8 @@ machine files, and cross-check an ordinal-machine program against its
 compiled bridge.  Exit codes are part of the interface: validate and
 transform report 0/1, run reports 0 on termination, 2 on an exhausted
 budget, and 1 otherwise, and crosscheck reports 3 on a disagreement.
+run also prints to stderr each warning of the trace and each limit whose
+record rests on unverified cells.
 
 The default step budget comes from the GSEQA_BUDGET environment
 variable when set; --budget always wins.
@@ -94,6 +96,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(dump_trace(trace))
+    for warning in trace.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    for record in trace.limitRecords:
+        if not record.verified:
+            unverified = sum(not c.verified for c in record.cells)
+            print(
+                f"warning: the limit at {record.stamp} rests on "
+                f"{unverified} unverified cell(s)",
+                file=sys.stderr,
+            )
     outcome = trace.outcome
     if isinstance(outcome, Terminated):
         print(f"terminated at {trace.final_stamp} (run length {trace.length})")

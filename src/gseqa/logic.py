@@ -63,6 +63,7 @@ __all__ = [
     "support_constants",
     "ordinal_literals",
     "nodes",
+    "children",
     "map_formula",
     "symbol_refs",
     "with_copy",
@@ -349,7 +350,8 @@ def fa(var: str, body: Formula) -> Formula:
 # measures and traversals
 
 
-def _children(node: Node) -> tuple:
+def children(node: Node) -> tuple:
+    """The node's direct subformulas and argument terms, left to right."""
     if isinstance(node, (Apply, FuncApp)):
         return node.args
     if isinstance(node, (Equal, And, Or, Implies, Iff)):
@@ -375,13 +377,13 @@ def nodes(f: Node) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(_children(node)))
+        stack.extend(reversed(children(node)))
 
 
 def map_formula(f: Node, fn: Callable[[Node], Node]) -> Node:
     """Rebuild f bottom-up, passing every rebuilt formula and term node
     through fn. Nodes fn returns are not visited again."""
-    kids = _children(f)
+    kids = children(f)
     if kids:
         f = _with_children(f, tuple(map_formula(k, fn) for k in kids))
     return fn(f)

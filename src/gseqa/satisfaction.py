@@ -19,26 +19,34 @@ Two evaluation domains are supported:
   "every element has a strict successor" come out true here while they
   are false in every finite surrogate.
 
-Evaluation is table-driven: each subformula becomes a boolean numpy array
-with one axis per free variable, and quantifiers reduce their axis under
-a per-cell bound mask. That keeps the cost of the tight loops in C, which
-matters once the run engine starts asking for thousands of defined sets.
+Evaluation is table-driven: each open subformula becomes a boolean numpy
+array with one axis per free variable, and quantifiers reduce their axis
+under a per-cell bound mask. That keeps the cost of the tight loops in C,
+which matters once the run engine starts asking for thousands of defined
+sets. Closed terms and closed subformulas are plain Python ints and
+bools, with no array around them.
 
-Every entry evaluates through an EvalContext: one view per state and the
-top of the states' support, worked out once. A raw formula is analysed
-on each call and evaluated directly; this is what sat, sat2,
-defined_set and defined_relation do. A machine's transition is compiled
-once, at admission: its witness bodies are interned into one table
-(Interned), so structurally equal subformulas are one object that keeps
-its static facts. A step then evaluates every witness under one context
-for the state, which computes each closed node once, however many
-witnesses share it, and reads quantifier ranks from the facts.
+Every entry evaluates through an EvalContext: one view per state, the top
+of the states' support, and one evaluator and candidate array per probe
+set-up, each worked out once. Each node kind's semantics is written once,
+as a method of the evaluator, and two dispatchers reach it:
+
+* A raw formula is analysed on each call and interpreted node by node;
+  this is what sat, sat2, defined_set and defined_relation do, because a
+  fresh formula is seen once and compiling it would cost more than it
+  saves.
+* A machine's transition is compiled once, at admission: its witness
+  bodies are interned into one table (Interned), so structurally equal
+  subformulas are one object, with static facts and a closure built from
+  its children's. A step runs every witness's closures under one context
+  for the state, which computes each closed node once, however many
+  witnesses share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -68,6 +76,7 @@ from .logic import (
     Term,
     Truth,
     Var,
+    children,
     map_formula,
     quantifier_rank,
     static_facts,
@@ -163,15 +172,24 @@ class _View:
 
     def __init__(self, state: State):
         self.state = state
+        self._relations: dict[str, tuple[OrdinalSet, np.ndarray]] = {}
         self._tuples: dict[str, frozenset[tuple[int, ...]]] = {}
         self._graphs: dict[str, dict[tuple[int, ...], int]] = {}
 
     def constant(self, name: str) -> int:
         return self.state.constant(name)
 
+    def relation(self, name: str) -> tuple[OrdinalSet, np.ndarray]:
+        """The unary symbol's set and its element array, built once."""
+        entry = self._relations.get(name)
+        if entry is None:
+            s = self.state.relation(name)
+            elems = np.fromiter(s.elements, dtype=np.int64, count=len(s.elements))
+            entry = self._relations[name] = (s, elems)
+        return entry
+
     def unary_mask(self, name: str, values: np.ndarray) -> np.ndarray:
-        s = self.state.relation(name)
-        elems = np.fromiter(s.elements, dtype=np.int64, count=len(s.elements))
+        s, elems = self.relation(name)
         hit = np.isin(values, elems)
         return hit if s.is_finite else ~hit
 
@@ -201,13 +219,24 @@ class _View:
         return self._graphs[name]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Table:
-    array: np.ndarray
+    """A node's value: an array with one axis per free variable, named in
+    axes, or, for a closed node, a plain int or bool."""
+
+    array: Any
     axes: tuple[str, ...]
 
 
+_TRUE = _Table(True, ())
+
+
 class _Evaluator:
+    """The semantics of each node kind over tables, and an interpreter
+    that runs them on a raw formula by dispatching on its node kinds.
+    Interned formulas run the same semantics through closures instead
+    (see Interned)."""
+
     def __init__(
         self,
         views: Mapping[int | None, _View],
@@ -242,7 +271,16 @@ class _Evaluator:
                 f"copy index @{copy} has no state here; use the two-state entry point"
             ) from None
 
-    def _align(self, *tables: _Table) -> tuple[list[np.ndarray], tuple[str, ...]]:
+    def _align(self, *tables: _Table) -> tuple[list, tuple[str, ...]]:
+        shared: tuple[str, ...] = ()
+        for t in tables:
+            if t.axes and t.axes != shared:
+                if shared:
+                    break
+                shared = t.axes
+        else:
+            # the operands share their axes or are closed: nothing to move
+            return [t.array for t in tables], shared
         axes: list[str] = []
         for t in tables:
             for a in t.axes:
@@ -261,114 +299,131 @@ class _Evaluator:
             out.append(arr)
         return out, tuple(axes)
 
-    def _term(self, t: Term) -> _Table:
-        if isinstance(t, OrdinalLiteral):
-            if not t.value.is_finite:
-                raise Unsupported(f"cannot evaluate the infinite literal {t.value}")
-            return _Table(np.int64(t.value.to_int()), ())
-        if isinstance(t, Const):
-            return _Table(np.int64(self.view(t.copy).constant(t.name)), ())
-        if isinstance(t, Var):
-            if t.name not in self.axis_values:
-                raise NotClosed(f"free variable {t.name!r} in a closed context")
-            return _Table(self.axis_values[t.name].copy(), (t.name,))
-        if isinstance(t, FuncApp):
-            graph = self.view(t.copy).graph(t.name, len(t.args))
-            args = [self._term(a) for a in t.args]
-            arrays, axes = self._align(*args)
-            stacked = np.broadcast_arrays(*arrays)
-            flat = np.stack([a.reshape(-1) for a in stacked], axis=-1)
-            vals = np.empty(flat.shape[0], dtype=np.int64)
-            for i, row in enumerate(flat):
-                key = tuple(int(x) for x in row)
-                if key not in graph:
-                    raise Unrepresentable(
-                        f"function {t.name!r} has no graph entry for {key}"
-                    )
-                vals[i] = graph[key]
-            shape = stacked[0].shape if stacked else ()
-            return _Table(vals.reshape(shape), axes)
-        raise TypeError(f"not a term: {t!r}")
+    # -- the semantics of terms --------------------------------------------
 
-    # -- formulas ----------------------------------------------------------
+    def literal(self, value: OrdinalNotation) -> _Table:
+        if not value.is_finite:
+            raise Unsupported(f"cannot evaluate the infinite literal {value}")
+        return _Table(value.to_int(), ())
 
-    def eval(self, f: Formula) -> _Table:
-        if isinstance(f, Truth):
-            return _Table(np.bool_(f.value), ())
-        if isinstance(f, Equal):
-            (a, b), axes = self._align(self._term(f.left), self._term(f.right))
-            return _Table(a == b, axes)
-        if isinstance(f, Apply):
-            return self._apply(f)
-        if isinstance(f, Not):
-            t = self.eval(f.body)
-            return _Table(~t.array, t.axes)
-        if isinstance(f, (And, Or, Implies, Iff)):
-            left = self.eval(f.left)
-            if not left.axes and not isinstance(f, Iff):
-                # Closed left operand: short-circuit so only the live arm of
-                # a guard cascade pays its evaluation cost.
-                if isinstance(f, And):
-                    return self.eval(f.right) if bool(left.array) else left
-                if isinstance(f, Or):
-                    return left if bool(left.array) else self.eval(f.right)
-                if bool(left.array):
-                    return self.eval(f.right)
-                return _Table(np.bool_(True), ())
-            (a, b), axes = self._align(left, self.eval(f.right))
-            if isinstance(f, And):
-                return _Table(a & b, axes)
-            if isinstance(f, Or):
-                return _Table(a | b, axes)
-            if isinstance(f, Implies):
-                return _Table(~a | b, axes)
-            return _Table(a == b, axes)
-        if isinstance(f, (Exists, Forall)):
-            return self._quant(f)
-        raise TypeError(f"not a formula: {f!r}")
+    def constant(self, name: str, copy: int | None) -> _Table:
+        return _Table(self.view(copy).constant(name), ())
 
-    def _apply(self, f: Apply) -> _Table:
-        if f.name == MEMBERSHIP:
-            (a, b), axes = self._align(self._term(f.args[0]), self._term(f.args[1]))
-            return _Table(a < b, axes)
-        view = self.view(f.copy)
-        if len(f.args) == 1:
-            t = self._term(f.args[0])
-            vals = np.asarray(t.array)
-            return _Table(view.unary_mask(f.name, vals), t.axes)
-        args = [self._term(a) for a in f.args]
+    def var(self, name: str) -> _Table:
+        try:
+            return _Table(self.axis_values[name], (name,))
+        except KeyError:
+            raise NotClosed(f"free variable {name!r} in a closed context") from None
+
+    def func_app(
+        self, name: str, graph: dict[tuple[int, ...], int], args: list[_Table]
+    ) -> _Table:
         arrays, axes = self._align(*args)
+        if axes:
+            stacked = np.broadcast_arrays(*arrays)
+            keys = zip(*(a.reshape(-1).tolist() for a in stacked))
+        else:
+            keys = [tuple(arrays)]
+        vals = []
+        for key in keys:
+            if key not in graph:
+                raise Unrepresentable(f"function {name!r} has no graph entry for {key}")
+            vals.append(graph[key])
+        if not axes:
+            return _Table(vals[0], ())
+        return _Table(np.array(vals, dtype=np.int64).reshape(stacked[0].shape), axes)
+
+    # -- the semantics of formulas -----------------------------------------
+
+    def equal(self, left: _Table, right: _Table) -> _Table:
+        (a, b), axes = self._align(left, right)
+        return _Table(a == b, axes)
+
+    def less(self, left: _Table, right: _Table) -> _Table:
+        """A membership atom: on the naturals, x in y is x < y."""
+        (a, b), axes = self._align(left, right)
+        return _Table(a < b, axes)
+
+    def unary(self, view: _View, name: str, arg: _Table) -> _Table:
+        if not arg.axes:
+            return _Table(view.relation(name)[0].member(arg.array), ())
+        return _Table(view.unary_mask(name, arg.array), arg.axes)
+
+    def nary(self, view: _View, name: str, args: list[_Table]) -> _Table:
+        arrays, axes = self._align(*args)
+        if not axes:
+            return _Table(tuple(arrays) in view.tuples(name, len(arrays)), ())
         arrays = np.broadcast_arrays(*arrays)
-        code = np.zeros(arrays[0].shape if arrays else (), dtype=np.int64)
+        code = np.zeros(arrays[0].shape, dtype=np.int64)
         for i, a in enumerate(arrays):
             code = code + a * (self.radix**i)
-        member = np.isin(code, view.tuple_codes(f.name, self.radix, len(f.args)))
+        member = np.isin(code, view.tuple_codes(name, self.radix, len(arrays)))
         return _Table(member, axes)
 
-    def _quant(self, f: "Exists | Forall") -> _Table:
+    def negate(self, body: _Table) -> _Table:
+        # not ~: on a Python bool, ~True is -2
+        if not body.axes:
+            return _Table(not body.array, ())
+        return _Table(~body.array, body.axes)
+
+    def settle(self, kind: type, left: _Table) -> _Table | None:
+        """left (And, Or, Implies or Iff) right, when the left operand alone
+        decides it, else None. Only a closed left operand can; settling on
+        it means only the live arm of a guard cascade pays its cost."""
+        if left.axes or kind is Iff:
+            return None
+        if kind is And:
+            return None if left.array else left
+        if kind is Or:
+            return left if left.array else None
+        return None if left.array else _TRUE
+
+    def combine(self, kind: type, left: _Table, right: _Table) -> _Table:
+        """left (And, Or, Implies or Iff) right, where settle found the
+        right operand needed."""
+        if not left.axes and kind is not Iff:
+            # a closed left operand that did not settle passes the right one on
+            return right
+        (a, b), axes = self._align(left, right)
+        if kind is And:
+            return _Table(a & b, axes)
+        if kind is Or:
+            return _Table(a | b, axes)
+        if kind is Implies:
+            return _Table(~a | b, axes)
+        return _Table(a == b, axes)
+
+    def quantify(
+        self,
+        f: "Exists | Forall",
+        body_rank: int | None,
+        body: Callable[[Any], _Table],
+        arg: Any,
+    ) -> _Table:
+        """f's quantifier over the candidates, where body(arg) evaluates
+        f's body with f.var bound. A body_rank of None is read off f.body
+        when the probe bound needs it."""
         var = f.var
         if var in self.axis_values:
             raise Unsupported(f"rebinding of {var!r} inside its own scope")
         self.axis_values[var] = self.quant_values
         try:
-            body = self.eval(f.body)
-            if var not in body.axes:
-                return body
-            idx = body.axes.index(var)
-            arr = body.array
+            table = body(arg)
+            if var not in table.axes:
+                return table
+            idx = table.axes.index(var)
+            axes = _drop(table.axes, var)
+            arr = table.array
+            exists = isinstance(f, Exists)
             if self.domain.is_omega:
-                allowed = self._bound_mask(body.axes, var, self._body_rank(f))
-                if isinstance(f, Exists):
-                    return _Table((arr & allowed).any(axis=idx), _drop(body.axes, var))
-                return _Table((arr | ~allowed).all(axis=idx), _drop(body.axes, var))
-            if isinstance(f, Exists):
-                return _Table(arr.any(axis=idx), _drop(body.axes, var))
-            return _Table(arr.all(axis=idx), _drop(body.axes, var))
+                if body_rank is None:
+                    body_rank = quantifier_rank(f.body)
+                allowed = self._bound_mask(table.axes, var, body_rank)
+                arr = arr & allowed if exists else arr | ~allowed
+            out = arr.any(axis=idx) if exists else arr.all(axis=idx)
+            return _Table(out if axes else bool(out), axes)
         finally:
             del self.axis_values[var]
-
-    def _body_rank(self, f: "Exists | Forall") -> int:
-        return quantifier_rank(f.body)
 
     def _bound_mask(self, axes: tuple[str, ...], var: str, body_rank: int) -> np.ndarray:
         """Per-cell candidate bound: anchors and enclosing values plus the
@@ -390,36 +445,59 @@ class _Evaluator:
         )
         return var_coord <= per_cell + margin
 
+    # -- the interpreter ---------------------------------------------------
+
+    def eval(self, f: Formula) -> _Table:
+        if isinstance(f, Apply):
+            if f.name == MEMBERSHIP:
+                return self.less(self.term(f.args[0]), self.term(f.args[1]))
+            view = self.view(f.copy)
+            args = [self.term(a) for a in f.args]
+            if len(args) == 1:
+                return self.unary(view, f.name, args[0])
+            return self.nary(view, f.name, args)
+        if isinstance(f, Equal):
+            return self.equal(self.term(f.left), self.term(f.right))
+        if isinstance(f, Truth):
+            return _Table(f.value, ())
+        if isinstance(f, Not):
+            return self.negate(self.eval(f.body))
+        if isinstance(f, (And, Or, Implies, Iff)):
+            kind, left = type(f), self.eval(f.left)
+            settled = self.settle(kind, left)
+            if settled is not None:
+                return settled
+            return self.combine(kind, left, self.eval(f.right))
+        if isinstance(f, (Exists, Forall)):
+            return self.quantify(f, None, self.eval, f.body)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def term(self, t: Term) -> _Table:
+        if isinstance(t, Var):
+            return self.var(t.name)
+        if isinstance(t, Const):
+            return self.constant(t.name, t.copy)
+        if isinstance(t, OrdinalLiteral):
+            return self.literal(t.value)
+        if isinstance(t, FuncApp):
+            graph = self.view(t.copy).graph(t.name, len(t.args))
+            return self.func_app(t.name, graph, [self.term(a) for a in t.args])
+        raise TypeError(f"not a term: {t!r}")
+
 
 class _MemoEvaluator(_Evaluator):
-    """An evaluator over interned formulas that computes each closed node
-    once per context and reads every quantifier's body rank from the
-    node's facts.
-
-    A closed quantifier-free node depends on the state alone. A closed
-    quantified node also depends on the anchor maximum and the candidate
-    count, which fix the probe bounds, and on the variables bound around
-    it, which decide whether it rebinds one; those are part of its key.
-    """
+    """An evaluator that runs interned formulas through their closures,
+    which compute each closed node once per context (see
+    Interned._compile)."""
 
     def __init__(self, ctx: "EvalContext", anchor_max: int, quant_upper: int):
         super().__init__(ctx.views, ctx.domain, anchor_max, quant_upper)
-        self.facts = ctx.interned.facts
+        self.closures = ctx.interned.closures
         self.memo = ctx.memo
         self.scope = (anchor_max, len(self.quant_values))
 
     def eval(self, f: Formula) -> _Table:
-        free, rank, _ = self.facts[id(f)]
-        if free:
-            return super().eval(f)
-        key = (id(f), self.scope, tuple(self.axis_values)) if rank else id(f)
-        table = self.memo.get(key)
-        if table is None:
-            table = self.memo[key] = super().eval(f)
-        return table
-
-    def _body_rank(self, f: "Exists | Forall") -> int:
-        return self.facts[id(f.body)][1]
+        return self.closures[id(f)](self)
 
 
 def _drop(axes: tuple[str, ...], var: str) -> tuple[str, ...]:
@@ -435,16 +513,47 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
             )
 
 
+_NONE: frozenset = frozenset()
+
+# A node's closure: its value under a _MemoEvaluator.
+_Closure = Callable[[_MemoEvaluator], _Table]
+
+
+def _union(sets: list[frozenset]) -> frozenset:
+    """The union of the sets, which is one of them whenever one holds the
+    rest, so that a node's facts mostly share its children's sets."""
+    out = sets[0]
+    for s in sets[1:]:
+        if not s <= out:
+            out = s if out <= s else out | s
+    return out
+
+
+def _shallow_key(node: Node) -> object:
+    """Equal for structurally equal nodes whose children are interned: the
+    node's kind, its own fields and its children's identities. A leaf is
+    its own key. Either way the key hashes without walking the subtree."""
+    if isinstance(node, (Apply, FuncApp)):
+        return (type(node), node.name, node.copy, *map(id, node.args))
+    if isinstance(node, (Exists, Forall)):
+        return (type(node), node.var, id(node.body))
+    kids = children(node)
+    return (type(node), *map(id, kids)) if kids else node
+
+
 class Interned:
     """Formulas hash-consed into one table: structurally equal subformulas
-    become one object, and each formula node keeps its static facts, keyed
-    by identity (Filliatre & Conchon, "Type-safe modular hash-consing",
-    ML Workshop 2006). An EvalContext built with the table evaluates the
+    become one object (Filliatre & Conchon, "Type-safe modular
+    hash-consing", ML Workshop 2006). Each node keeps, keyed by identity,
+    its static facts, combined from its children's, and a closure built
+    from its children's closures, so that interning is linear in the size
+    of the formula. An EvalContext built with the table evaluates the
     formulas it returned, and only those."""
 
     def __init__(self) -> None:
-        self._nodes: dict[Node, Node] = {}
+        self._nodes: dict[object, Node] = {}
         self.facts: dict[int, StaticFacts] = {}
+        self.closures: dict[int, _Closure] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -454,17 +563,105 @@ class Interned:
         return map_formula(formula, self._intern)
 
     def _intern(self, node: Node) -> Node:
-        shared = self._nodes.setdefault(node, node)
-        if shared is node and not isinstance(node, (Var, Const, FuncApp, OrdinalLiteral)):
-            self.facts[id(node)] = static_facts(node)
+        key = _shallow_key(node)
+        shared = self._nodes.get(key)
+        if shared is None:
+            shared = self._nodes[key] = node
+            self.facts[id(node)] = self._facts_of(node)
+            self.closures[id(node)] = self._compile(node)
         return shared
+
+    def _facts_of(self, node: Node) -> StaticFacts:
+        if isinstance(node, Var):
+            return frozenset((node.name,)), 0, _NONE
+        if isinstance(node, OrdinalLiteral):
+            return _NONE, 0, frozenset((node.value,))
+        kids = [self.facts[id(k)] for k in children(node)]
+        if isinstance(node, (Exists, Forall)):
+            free, rank, literals = kids[0]
+            return free - {node.var}, rank + 1, literals
+        if len(kids) == 1:
+            return kids[0]
+        if not kids:
+            return _NONE, 0, _NONE
+        return (
+            _union([k[0] for k in kids]),
+            max(k[1] for k in kids),
+            _union([k[2] for k in kids]),
+        )
+
+    def _compile(self, node: Node) -> _Closure:
+        """The node's closure. A closed formula node's closure computes it
+        once per context, keyed by the node's identity and, when it holds
+        a quantifier, also by the anchor maximum and candidate count,
+        which fix the probe bounds, and by the variables bound around it,
+        which decide whether it rebinds one."""
+        c = [self.closures[id(k)] for k in children(node)]
+        if isinstance(node, Var):
+            name = node.name
+            return lambda ev: ev.var(name)
+        if isinstance(node, Const):
+            name, copy = node.name, node.copy
+            return lambda ev: ev.constant(name, copy)
+        if isinstance(node, OrdinalLiteral):
+            value = node.value
+            return lambda ev: ev.literal(value)
+        if isinstance(node, FuncApp):
+            name, copy, arity = node.name, node.copy, len(c)
+            return lambda ev: ev.func_app(
+                name, ev.view(copy).graph(name, arity), [a(ev) for a in c]
+            )
+        if isinstance(node, Truth):
+            table = _Table(node.value, ())
+            return lambda ev: table
+        fn: _Closure
+        if isinstance(node, Apply):
+            name, copy = node.name, node.copy
+            if name == MEMBERSHIP:
+                a, b = c
+                fn = lambda ev: ev.less(a(ev), b(ev))
+            elif len(c) == 1:
+                (a,) = c
+                fn = lambda ev: ev.unary(ev.view(copy), name, a(ev))
+            else:
+                fn = lambda ev: ev.nary(ev.view(copy), name, [a(ev) for a in c])
+        elif isinstance(node, Equal):
+            a, b = c
+            fn = lambda ev: ev.equal(a(ev), b(ev))
+        elif isinstance(node, Not):
+            (a,) = c
+            fn = lambda ev: ev.negate(a(ev))
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            kind, (a, b) = type(node), c
+
+            def fn(ev: _MemoEvaluator) -> _Table:
+                left = a(ev)
+                settled = ev.settle(kind, left)
+                return ev.combine(kind, left, b(ev)) if settled is None else settled
+
+        else:
+            (a,), body_rank = c, self.facts[id(node.body)][1]
+            fn = lambda ev: ev.quantify(node, body_rank, a, ev)
+        free, rank, _ = self.facts[id(node)]
+        if free:
+            return fn
+        nid = id(node)
+
+        def memo(ev: _MemoEvaluator) -> _Table:
+            key = (nid, ev.scope, tuple(ev.axis_values)) if rank else nid
+            table = ev.memo.get(key)
+            if table is None:
+                table = ev.memo[key] = fn(ev)
+            return table
+
+        return memo
 
 
 class EvalContext:
     """Evaluation over fixed states in one domain: one view per state, the
-    top of their support, and, over interned formulas, every closed node
-    already evaluated. Build one per state; it answers every formula asked
-    of that state."""
+    top of their support, one evaluator per probe set-up and, over
+    interned formulas, every closed node already evaluated. Build one per
+    state; it answers every formula asked of that state."""
 
     def __init__(
         self,
@@ -479,6 +676,7 @@ class EvalContext:
         self.support_max = _support_max(v.state for v in made.values())
         self.interned = interned
         self.memo: dict[object, _Table] = {}
+        self._setups: dict[tuple[int, int, int], tuple[_Evaluator, np.ndarray | None]] = {}
 
     @staticmethod
     def single(
@@ -492,30 +690,27 @@ class EvalContext:
             return static_facts(formula)
         return self.interned.facts[id(formula)]
 
-    def _truth_table(
-        self,
-        formula: Formula,
-        facts: StaticFacts,
-        variables: tuple[str, ...] = (),
-        reps: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The formula's truth table and the candidates its axes range over.
+    def _setup(
+        self, anchor_max: int, rank: int, reps: int
+    ) -> tuple[_Evaluator, np.ndarray | None]:
+        """The evaluator and the candidates for one anchor maximum, rank
+        and number of far representatives, built once per context.
 
-        The table has one axis per requested variable, in the order given; a
-        variable the formula ignores is broadcast across the candidates. A
-        surrogate's candidates are its whole universe. At w they are [0, B]
-        followed by reps far representatives, each 2^rank + 2 beyond the one
-        before. With no variables the table is a single truth value and the
-        candidates are None.
+        A surrogate's candidates are its whole universe. At w they are
+        [0, B] followed by reps far representatives, each 2^rank + 2
+        beyond the one before. A sentence asks for no representatives and
+        gets no candidates.
         """
-        _, rank, literals = facts
-        anchor_max = _anchor_max(literals, self.support_max)
+        key = (anchor_max, rank, reps)
+        setup = self._setups.get(key)
+        if setup is not None:
+            return setup
         candidates = None
         quant_upper = 0
         if self.domain.is_omega:
             _check_omega_ok(self.states)
             top = anchor_max
-            if variables:
+            if reps:
                 bound = _bound(anchor_max, rank)
                 far = bound + _margin(rank) * np.arange(1, reps + 1, dtype=np.int64)
                 candidates = np.concatenate([np.arange(bound + 1, dtype=np.int64), far])
@@ -525,11 +720,35 @@ class EvalContext:
             ev = _Evaluator(self.views, self.domain, anchor_max, quant_upper)
         else:
             ev = _MemoEvaluator(self, anchor_max, quant_upper)
-        if variables and not self.domain.is_omega:
+        if reps and not self.domain.is_omega:
             candidates = ev.quant_values
+        setup = self._setups[key] = (ev, candidates)
+        return setup
+
+    def _truth_table(
+        self,
+        formula: Formula,
+        facts: StaticFacts,
+        variables: tuple[str, ...] = (),
+        reps: int = 0,
+    ) -> tuple[np.ndarray | bool, np.ndarray | None]:
+        """The formula's truth table and the candidates its axes range over.
+
+        The table has one axis per requested variable, in the order given; a
+        variable the formula ignores is broadcast across the candidates.
+        Variables come with reps > 0 far representatives (see _setup); with
+        no variables the table is a single truth value and the candidates
+        are None.
+        """
+        _, rank, literals = facts
+        ev, candidates = self._setup(_anchor_max(literals, self.support_max), rank, reps)
         for x in variables:
             ev.axis_values[x] = candidates
-        table = ev.eval(formula)
+        try:
+            table = ev.eval(formula)
+        finally:
+            for x in variables:
+                ev.axis_values.pop(x, None)
         arr = table.array
         if table.axes != variables:
             axes = table.axes + tuple(x for x in variables if x not in table.axes)

@@ -2,12 +2,17 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gseqa
 from gseqa.cli import main
+from gseqa.logic import Signature, SymbolDecl, parse_formula
 from gseqa.ordinals import OMEGA
+from gseqa.specfiles import format_machine
 from gseqa.states import parse_state
+from gseqa.validator import GSEQA, MachineSpec
 
 EVEN_TM = """\
 states: q0 q1 q2
@@ -140,6 +145,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nope.gsa" in err
 
+    def test_warnings_and_unverified_limits_are_printed(self, tmp_path, capsys):
+        # In flips forever, so a later limit repeats an earlier stage; h
+        # climbs to 90 and stays there while g keeps climbing, so the
+        # limit's value for h rests on a trailing window only.
+        sigma = Signature([SymbolDecl("h", "Constant"), SymbolDecl("g", "Constant")])
+        climb = "in({c}, x) & (forall y. (in(y, x) -> (in(y, {c}) | y = {c})))"
+        tau = {
+            "In": "~In(x)",
+            "Out": "Out(x)",
+            "h": f"(in(h, 90) & {climb.format(c='h')}) | (~in(h, 90) & x = h)",
+            "g": climb.format(c="g"),
+        }
+        spec = MachineSpec(
+            kappa=OMEGA,
+            sigma=sigma,
+            flavor=GSEQA,
+            tauWitnesses={k: parse_formula(v, sigma) for k, v in tau.items()},
+            defaultWitnesses={k: parse_formula("x = 0", sigma) for k in ("h", "g")},
+        )
+        path = tmp_path / "stall.gsa"
+        path.write_text(format_machine(spec))
+        code = main(
+            ["run", str(path), "--input", "{1}", "--budget", "164", "--limit-jumps", "3"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("warning: ") and "not injective" in line for line in err)
+        assert "warning: the limit at w rests on 1 unverified cell(s)" in err
+
     @pytest.mark.parametrize(
         "flags, named",
         [
@@ -212,11 +246,14 @@ class TestCrosscheck:
 
 
 def test_console_entry_point():
+    # run from the directory that holds the imported package, so the
+    # child finds the same gseqa without relying on PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "gseqa.cli", "--help"],
         capture_output=True,
         text=True,
         timeout=60,
+        cwd=Path(gseqa.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     for word in ("validate", "run", "transform", "crosscheck"):

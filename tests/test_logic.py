@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gseqa import logic, satisfaction
 from gseqa.errors import ArityMismatch, ParseError, Unsupported
 from gseqa.logic import (
     And,
@@ -54,6 +55,7 @@ from gseqa.logic import (
     v,
     with_copy,
 )
+from gseqa.satisfaction import Interned
 
 SIGMA = Signature(
     [
@@ -306,3 +308,34 @@ def test_static_facts_agree_with_references(f):
     expected = (reference_free_vars(f), reference_rank(f), literals)
     assert static_facts(f) == expected
     assert (free_vars(f), quantifier_rank(f), ordinal_literals(f)) == expected
+
+
+# interning --------------------------------------------------------------------
+
+
+@given(st.lists(formulas, min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_interned_facts_agree_with_static_facts(fs):
+    table = Interned()
+    shared = {}
+    for f in fs:
+        g = table.add(f)
+        assert g == f
+        for node in nodes(g):
+            assert shared.setdefault(node, node) is node
+            if not isinstance(node, (Var, Const, FuncApp, OrdinalLiteral)):
+                assert table.facts[id(node)] == static_facts(node)
+
+
+def test_interning_a_long_chain_makes_no_static_walk(monkeypatch):
+    def refuse(f):
+        raise AssertionError("static_facts called while interning")
+
+    monkeypatch.setattr(logic, "static_facts", refuse)
+    monkeypatch.setattr(satisfaction, "static_facts", refuse)
+    chain = land(*(rel("In", v("x")) for _ in range(400)))
+    table = Interned()
+    table.add(chain)
+    assert table.facts[id(table.add(chain))] == (frozenset({"x"}), 0, frozenset())
+    # x, In(x) and the 399 conjunctions
+    assert len(table) == 401

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_tools import (
     CORPUS_SIGMA,
@@ -16,9 +18,28 @@ from corpus_tools import (
 )
 from gseqa import OMEGA, OrdinalSet
 from gseqa.errors import NotClosed, Unrepresentable, Unsupported
-from gseqa.logic import Signature, SymbolDecl, free_vars, parse_formula, with_copy
+from gseqa.logic import (
+    MEMBERSHIP,
+    And,
+    Apply,
+    Const,
+    Equal,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    OrdinalLiteral,
+    Signature,
+    SymbolDecl,
+    Truth,
+    free_vars,
+    parse_formula,
+    with_copy,
+)
 from gseqa.satisfaction import (
+    EvalContext,
     EvalDomain,
+    Interned,
     defined_relation,
     defined_set,
     evaluate_with_views,
@@ -114,6 +135,16 @@ def test_omega_finite_kappa_state_is_rejected():
     )
     with pytest.raises(Unsupported):
         sat(P("forall x. exists y. x < y"), fin, EvalDomain.omega())
+
+
+def test_long_right_nested_chains_evaluate():
+    # implication chains parse right-nested; the evaluator must not take
+    # more than one Python frame per level to reach the right operand
+    f = P(" -> ".join(["In(1)"] * 600))
+    assert sat(f, base_state(), EvalDomain.omega())
+    assert defined_set(P(" -> ".join(["In(x)"] * 600)), base_state(), EvalDomain.omega()) == (
+        OrdinalSet.cofinite()
+    )
 
 
 def test_closedness_is_enforced():
@@ -300,3 +331,45 @@ def test_tuples_of_the_wrong_width_are_unrepresentable(stored, sigma, sentence, 
     state = parse_state(f"state kappa=w\nnary: {stored}")
     with pytest.raises(Unrepresentable, match=message + ", which is not a"):
         sat(parse_formula(sentence, sigma), state, EvalDomain.omega())
+
+
+# -- closed sentences, which evaluate to plain ints and bools --------------
+
+closed_terms = st.one_of(
+    st.sampled_from([Const("h"), Const("t")]),
+    st.integers(min_value=0, max_value=13).map(lambda n: OrdinalLiteral(n)),
+)
+
+closed_atoms = st.one_of(
+    st.builds(lambda a: Apply("R", (a,), None), closed_terms),
+    st.builds(lambda a: Apply("Out", (a,), None), closed_terms),
+    st.builds(lambda a, b: Apply("E", (a, b), None), closed_terms, closed_terms),
+    st.builds(lambda a, b: Apply(MEMBERSHIP, (a, b), None), closed_terms, closed_terms),
+    st.builds(Equal, closed_terms, closed_terms),
+    st.sampled_from([Truth(True), Truth(False)]),
+)
+
+closed_sentences = st.recursive(
+    closed_atoms,
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(Implies, inner, inner),
+        st.builds(Iff, inner, inner),
+        st.builds(And, inner, inner),
+        st.builds(Or, inner, inner),
+    ),
+    max_leaves=10,
+)
+
+
+@given(closed_sentences, st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=300)
+def test_closed_sentences_agree_with_brute_oracle(f, seed):
+    state = random_state(random.Random(seed))
+    views = {None: state, 0: state}
+    want = brute_sat(f, views, 1)
+    table = Interned()
+    compiled = table.add(f)
+    for domain in (EvalDomain.omega(), EvalDomain.surrogate(3), EvalDomain.surrogate(16)):
+        assert sat(f, state, domain) is want
+        assert EvalContext.single(state, domain, table).sentence(compiled) is want

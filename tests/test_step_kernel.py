@@ -36,6 +36,26 @@ from tm_tools import EVEN_HALTING, WRITER
 PARITY = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "parity.apg"
 
 
+# Out holds the members of In that leave room for three elements between
+# them and some y. That y lies beyond every anchor, so the outer probe
+# reaches it only because its body has rank 3.
+ROOM = (
+    "In(x) & (exists y. (x < y & (exists a. (x < a & a < y & "
+    "(exists b. (a < b & b < y & (exists c. (b < c & c < y))))))))"
+)
+
+
+def _nested():
+    sigma = Signature()
+    return MachineSpec(
+        kappa=OMEGA,
+        sigma=sigma,
+        flavor=GSEQA,
+        tauWitnesses={"In": parse_formula("In(x)", sigma), "Out": parse_formula(ROOM, sigma)},
+        defaultWitnesses={},
+    )
+
+
 def _specs():
     even = compile_tm(EVEN_HALTING)
     writer = compile_tm(WRITER)
@@ -47,6 +67,7 @@ def _specs():
         "lift": lift(writer6, 12),
         "dovetail": dovetail(even),
         "bridge": simulate_alpha_as_gseqap(parse_alpha_program(PARITY.read_text())),
+        "nested": _nested(),
     }
 
 
@@ -93,6 +114,7 @@ def test_compiled_step_matches_public_entries(machines, name):
         ("lift", {1, 4}),
         ("dovetail", set()),
         ("bridge", {2}),
+        ("nested", {1, 3}),
     ],
 )
 def test_short_debug_run_agrees_with_phi_tau(machines, name, elements):
