@@ -735,7 +735,10 @@ def parse_formula(text: str, sigma: Signature, doubled: bool = False) -> Formula
     doubled signature.
     """
     p = _Parser(text, sigma, doubled)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise p.error("formula is nested too deeply") from None
     if p.i != len(p.tokens):
         raise p.error("trailing input")
     return f

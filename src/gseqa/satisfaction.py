@@ -24,7 +24,10 @@ array with one axis per free variable, and quantifiers reduce their axis
 under a per-cell bound mask. That keeps the cost of the tight loops in C,
 which matters once the run engine starts asking for thousands of defined
 sets. Closed terms and closed subformulas are plain Python ints and
-bools, with no array around them.
+bools, with no array around them. Every value an evaluator meets lies
+below its radix, so a unary atom indexes one boolean mask over
+[0, radix) per symbol, and an n-ary atom looks its mixed-radix codes up
+in the symbol's sorted codes.
 
 Every entry evaluates through an EvalContext: one view per state, the top
 of the states' support, and one evaluator and candidate array per probe
@@ -40,12 +43,15 @@ as a method of the evaluator, and two dispatchers reach it:
   subformulas are one object, with static facts and a closure built from
   its children's. A step runs every witness's closures under one context
   for the state, which computes each closed node once, however many
-  witnesses share it.
+  witnesses share it. An open left-deep chain of connectives is one
+  closure, a loop over its links, and quantifier bound masks are kept
+  per evaluation set-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
@@ -140,13 +146,9 @@ def _support_max(states: Iterable[State]) -> int:
     return max([0] + [s.support_bound() - 1 for s in states])
 
 
-def _anchor_max(literals: Iterable[OrdinalNotation], support_max: int) -> int:
-    """The largest anchor: the top of the support and each finite literal."""
-    m = support_max
-    for o in literals:
-        if o.is_finite:
-            m = max(m, o.to_int())
-    return m
+def _literal_max(literals: Iterable[OrdinalNotation]) -> int:
+    """The largest finite literal, or 0 when there is none."""
+    return max([0] + [o.to_int() for o in literals if o.is_finite])
 
 
 def _bound(anchor_max: int, rank: int) -> int:
@@ -164,7 +166,7 @@ def threshold_bound(formula: Formula, state: State, *states: State) -> int:
     the outermost level.
     """
     _, rank, literals = static_facts(formula)
-    return _bound(_anchor_max(literals, _support_max((state, *states))), rank)
+    return _bound(max(_literal_max(literals), _support_max((state, *states))), rank)
 
 
 class _View:
@@ -172,26 +174,24 @@ class _View:
 
     def __init__(self, state: State):
         self.state = state
-        self._relations: dict[str, tuple[OrdinalSet, np.ndarray]] = {}
+        self._constants = dict(state.constants)
+        self._relations: dict[str, OrdinalSet] = {}
         self._tuples: dict[str, frozenset[tuple[int, ...]]] = {}
+        self._codes: dict[tuple[str, int], np.ndarray] = {}
         self._graphs: dict[str, dict[tuple[int, ...], int]] = {}
 
     def constant(self, name: str) -> int:
-        return self.state.constant(name)
+        try:
+            return self._constants[name]
+        except KeyError:
+            return self.state.constant(name)  # raises the state's own error
 
-    def relation(self, name: str) -> tuple[OrdinalSet, np.ndarray]:
-        """The unary symbol's set and its element array, built once."""
-        entry = self._relations.get(name)
-        if entry is None:
-            s = self.state.relation(name)
-            elems = np.fromiter(s.elements, dtype=np.int64, count=len(s.elements))
-            entry = self._relations[name] = (s, elems)
-        return entry
-
-    def unary_mask(self, name: str, values: np.ndarray) -> np.ndarray:
-        s, elems = self.relation(name)
-        hit = np.isin(values, elems)
-        return hit if s.is_finite else ~hit
+    def relation(self, name: str) -> OrdinalSet:
+        """The unary symbol's set, looked up once."""
+        s = self._relations.get(name)
+        if s is None:
+            s = self._relations[name] = self.state.relation(name)
+        return s
 
     def tuples(self, name: str, width: int) -> frozenset[tuple[int, ...]]:
         """The symbol's stored tuples, checked once to have the given width."""
@@ -207,8 +207,16 @@ class _View:
         return ts
 
     def tuple_codes(self, name: str, radix: int, arity: int) -> np.ndarray:
-        codes = [sum(t[i] * radix**i for i in range(arity)) for t in self.tuples(name, arity)]
-        return np.array(sorted(codes), dtype=np.int64)
+        """The sorted mixed-radix codes of the symbol's tuples, built once
+        per radix, then radix^arity, which no code of values below radix
+        reaches, so that a lookup past the last code stays in bounds."""
+        codes = self._codes.get((name, radix))
+        if codes is None:
+            ts = self.tuples(name, arity)
+            codes = sorted(sum(t[i] * radix**i for i in range(arity)) for t in ts)
+            codes.append(radix**arity)
+            codes = self._codes[name, radix] = np.array(codes, dtype=np.int64)
+        return codes
 
     def graph(self, name: str, arity: int) -> dict[tuple[int, ...], int]:
         if name not in self._graphs:
@@ -252,6 +260,7 @@ class _Evaluator:
         else:
             self.quant_values = np.arange(domain.size, dtype=np.int64)
         self.axis_values: dict[str, np.ndarray] = {}
+        self.masks: dict[tuple[_View, str], np.ndarray] = {}
         # the mixed-radix tuple encoding must be collision-free for every
         # value reachable as an argument or stored as a tuple component
         self.radix = int(max(self.quant_values.max(initial=0), anchor_max) + 1)
@@ -346,19 +355,25 @@ class _Evaluator:
 
     def unary(self, view: _View, name: str, arg: _Table) -> _Table:
         if not arg.axes:
-            return _Table(view.relation(name)[0].member(arg.array), ())
-        return _Table(view.unary_mask(name, arg.array), arg.axes)
+            return _Table(view.relation(name).member(arg.array), ())
+        mask = self.masks.get((view, name))
+        if mask is None:
+            # membership of every value below radix, which bounds them all
+            s = view.relation(name)
+            mask = np.full(self.radix, not s.is_finite)
+            mask[list(s.elements)] = s.is_finite
+            self.masks[view, name] = mask
+        return _Table(mask[arg.array], arg.axes)
 
     def nary(self, view: _View, name: str, args: list[_Table]) -> _Table:
         arrays, axes = self._align(*args)
         if not axes:
             return _Table(tuple(arrays) in view.tuples(name, len(arrays)), ())
-        arrays = np.broadcast_arrays(*arrays)
-        code = np.zeros(arrays[0].shape, dtype=np.int64)
-        for i, a in enumerate(arrays):
-            code = code + a * (self.radix**i)
-        member = np.isin(code, view.tuple_codes(name, self.radix, len(arrays)))
-        return _Table(member, axes)
+        code = arrays[0]
+        for i in range(1, len(arrays)):
+            code = code + arrays[i] * self.radix**i
+        codes = view.tuple_codes(name, self.radix, len(arrays))
+        return _Table(codes[np.searchsorted(codes, code)] == code, axes)
 
     def negate(self, body: _Table) -> _Table:
         # not ~: on a Python bool, ~True is -2
@@ -495,9 +510,20 @@ class _MemoEvaluator(_Evaluator):
         self.closures = ctx.interned.closures
         self.memo = ctx.memo
         self.scope = (anchor_max, len(self.quant_values))
+        self.bounds: dict[tuple, np.ndarray] = {}
 
     def eval(self, f: Formula) -> _Table:
         return self.closures[id(f)](self)
+
+    def _bound_mask(self, axes: tuple[str, ...], var: str, body_rank: int) -> np.ndarray:
+        """The mask, built once per evaluator for the axes, the variable,
+        the rank and the arrays bound to the axes. Only the compiled path
+        keeps them: a raw formula is seen once."""
+        key = (axes, var, body_rank, *[id(self.axis_values[a]) for a in axes])
+        mask = self.bounds.get(key)
+        if mask is None:
+            mask = self.bounds[key] = super()._bound_mask(axes, var, body_rank)
+        return mask
 
 
 def _drop(axes: tuple[str, ...], var: str) -> tuple[str, ...]:
@@ -517,6 +543,9 @@ _NONE: frozenset = frozenset()
 
 # A node's closure: its value under a _MemoEvaluator.
 _Closure = Callable[[_MemoEvaluator], _Table]
+
+# A formula's free variables, quantifier rank and largest finite literal.
+_Entry = tuple[frozenset[str], int, int]
 
 
 def _union(sets: list[frozenset]) -> frozenset:
@@ -554,13 +583,20 @@ class Interned:
         self._nodes: dict[object, Node] = {}
         self.facts: dict[int, StaticFacts] = {}
         self.closures: dict[int, _Closure] = {}
+        # per open connective: the first item and the links of its spine
+        self._spines: dict[int, tuple[_Closure, list, int]] = {}
+        # per formula add returned: what an evaluation set-up needs of it
+        self.entries: dict[int, _Entry] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def add(self, formula: Formula) -> Formula:
         """The interned copy of the formula."""
-        return map_formula(formula, self._intern)
+        shared = map_formula(formula, self._intern)
+        free, rank, literals = self.facts[id(shared)]
+        self.entries[id(shared)] = free, rank, _literal_max(literals)
+        return shared
 
     def _intern(self, node: Node) -> Node:
         key = _shallow_key(node)
@@ -605,7 +641,10 @@ class Interned:
             return lambda ev: ev.constant(name, copy)
         if isinstance(node, OrdinalLiteral):
             value = node.value
-            return lambda ev: ev.literal(value)
+            if not value.is_finite:
+                return lambda ev: ev.literal(value)
+            literal = _Table(value.to_int(), ())
+            return lambda ev: literal
         if isinstance(node, FuncApp):
             name, copy, arity = node.name, node.copy, len(c)
             return lambda ev: ev.func_app(
@@ -632,13 +671,7 @@ class Interned:
             (a,) = c
             fn = lambda ev: ev.negate(a(ev))
         elif isinstance(node, (And, Or, Implies, Iff)):
-            kind, (a, b) = type(node), c
-
-            def fn(ev: _MemoEvaluator) -> _Table:
-                left = a(ev)
-                settled = ev.settle(kind, left)
-                return ev.combine(kind, left, b(ev)) if settled is None else settled
-
+            fn = self._spine(node, *c)
         else:
             (a,), body_rank = c, self.facts[id(node.body)][1]
             fn = lambda ev: ev.quantify(node, body_rank, a, ev)
@@ -655,6 +688,44 @@ class Interned:
             return table
 
         return memo
+
+    def _spine(self, node: Node, first: _Closure, right: _Closure) -> _Closure:
+        """A connective's closure. Over an open connective it extends that
+        operand's spine and runs as one loop down it: from the first item,
+        the innermost left operand that is not an open connective (a
+        closed one through its memo), it settles and combines link by
+        link as each link's own closure would. Any other connective is a
+        single link. A right operand is never flattened, since that would
+        change which arms run.
+
+        A spine's links are one list shared with the spines it extends,
+        each with a count of its own, so that a chain is built in linear
+        time; the list is copied only when another node already extended
+        the left operand's spine."""
+        links, n = [], 0
+        if id(node.left) in self._spines:
+            first, links, n = self._spines[id(node.left)]
+            if len(links) > n:
+                links = links[:n]
+        kind = type(node)
+        links.append((kind, right))
+        n += 1
+        if self.facts[id(node)][0]:
+            self._spines[id(node)] = first, links, n
+
+        def link(ev: _MemoEvaluator) -> _Table:
+            left = first(ev)
+            settled = ev.settle(kind, left)
+            return ev.combine(kind, left, right(ev)) if settled is None else settled
+
+        def spine(ev: _MemoEvaluator) -> _Table:
+            left = first(ev)
+            for kind, arm in islice(links, n):
+                settled = ev.settle(kind, left)
+                left = ev.combine(kind, left, arm(ev)) if settled is None else settled
+            return left
+
+        return link if n == 1 else spine
 
 
 class EvalContext:
@@ -685,10 +756,11 @@ class EvalContext:
         """A context for one state, read by bare and copy-0 references."""
         return EvalContext({None: state, 0: state}, domain, interned)
 
-    def _facts(self, formula: Formula) -> StaticFacts:
+    def _facts(self, formula: Formula) -> _Entry:
         if self.interned is None:
-            return static_facts(formula)
-        return self.interned.facts[id(formula)]
+            free, rank, literals = static_facts(formula)
+            return free, rank, _literal_max(literals)
+        return self.interned.entries[id(formula)]
 
     def _setup(
         self, anchor_max: int, rank: int, reps: int
@@ -728,7 +800,7 @@ class EvalContext:
     def _truth_table(
         self,
         formula: Formula,
-        facts: StaticFacts,
+        facts: _Entry,
         variables: tuple[str, ...] = (),
         reps: int = 0,
     ) -> tuple[np.ndarray | bool, np.ndarray | None]:
@@ -740,8 +812,8 @@ class EvalContext:
         no variables the table is a single truth value and the candidates
         are None.
         """
-        _, rank, literals = facts
-        ev, candidates = self._setup(_anchor_max(literals, self.support_max), rank, reps)
+        _, rank, literal_max = facts
+        ev, candidates = self._setup(max(literal_max, self.support_max), rank, reps)
         for x in variables:
             ev.axis_values[x] = candidates
         try:

@@ -85,6 +85,15 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_deep_nesting_is_a_parse_error_on_its_line(self, tmp_path, machine, capsys):
+        text = machine.read_text()
+        lineno = text.splitlines().index("  In: In(x)") + 1
+        deep = tmp_path / "deep.gsa"
+        deep.write_text(text.replace("In: In(x)", "In: " + "(" * 150 + "In(x)" + ")" * 150))
+        assert main(["validate", str(deep)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: line {lineno} (In): formula is nested too deeply at position" in err
+
     def test_finite_kappa_needs_the_gate(self, tmp_path, machine, capsys):
         small = tmp_path / "small.gsa"
         small.write_text(machine.read_text().replace("kappa: w", "kappa: 6"))

@@ -129,6 +129,19 @@ def test_parse_errors():
         parse_formula("", SIGMA)
 
 
+DEEP = {
+    "150 parentheses": "(" * 150 + "In(x)" + ")" * 150,
+    "3000 parentheses": "(" * 3000 + "In(x)" + ")" * 3000,
+    "3000 negations": "~" * 3000 + "In(x)",
+}
+
+
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+def test_deep_nesting_is_a_parse_error_with_its_position(text):
+    with pytest.raises(ParseError, match=r"^formula is nested too deeply at position \d+ in"):
+        parse_formula(text, SIGMA)
+
+
 def test_doubled_mode_requires_copies():
     f = parse_formula("In@1(x) <-> ~Out@0(x)", SIGMA, doubled=True)
     assert is_binary(f)

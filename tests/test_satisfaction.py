@@ -32,6 +32,7 @@ from gseqa.logic import (
     Signature,
     SymbolDecl,
     Truth,
+    Var,
     free_vars,
     parse_formula,
     with_copy,
@@ -373,3 +374,172 @@ def test_closed_sentences_agree_with_brute_oracle(f, seed):
     for domain in (EvalDomain.omega(), EvalDomain.surrogate(3), EvalDomain.surrogate(16)):
         assert sat(f, state, domain) is want
         assert EvalContext.single(state, domain, table).sentence(compiled) is want
+
+
+# -- membership atoms against the oracle, pointwise --------------------------
+
+# The states' support lies below K; literals reach past it, and surrogate
+# sizes run from below the largest anchor to past it, so the largest value
+# an evaluator indexes by (radix - 1) is both a candidate and an argument.
+K = 6
+
+
+@st.composite
+def membership_states(draw):
+    def unary():
+        elements = draw(st.frozensets(st.integers(0, K - 1), max_size=4))
+        return OrdinalSet.cofinite(elements) if draw(st.booleans()) else OrdinalSet.finite(elements)
+
+    def tuples(width):
+        row = st.tuples(*[st.integers(0, K - 1)] * width)
+        return draw(st.frozensets(row, max_size=5))
+
+    return State.make(
+        OMEGA,
+        constants={"h": draw(st.integers(0, K - 1)), "t": draw(st.integers(0, K - 1))},
+        unary={"In": unary(), "Out": unary()},
+        nary={"E": tuples(2), "T": tuples(3)},
+    )
+
+
+def membership_formulas(variables):
+    """Quantifier-free formulas over unary, binary and ternary atoms."""
+    terms = st.one_of(
+        st.sampled_from([Var(x) for x in variables] + [Const("h"), Const("t")]),
+        st.integers(0, K + 2).map(OrdinalLiteral),
+    )
+    atoms = st.one_of(
+        st.builds(lambda a: Apply("In", (a,), None), terms),
+        st.builds(lambda a: Apply("Out", (a,), None), terms),
+        st.builds(lambda a, b: Apply("E", (a, b), None), terms, terms),
+        st.builds(lambda a, b, c: Apply("T", (a, b, c), None), terms, terms, terms),
+        st.builds(lambda a, b: Apply(MEMBERSHIP, (a, b), None), terms, terms),
+        st.builds(Equal, terms, terms),
+    )
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.builds(Not, inner),
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+            st.builds(Implies, inner, inner),
+            st.builds(Iff, inner, inner),
+        ),
+        max_leaves=6,
+    )
+
+
+def _set_and_relation_paths(fx, fxy, state, domain):
+    """(defined set, defined relation or its error type) on the raw path,
+    then on the interned one."""
+    table = Interned()
+    gx, gxy = table.add(fx), table.add(fxy)
+    ctx = EvalContext.single(state, domain, table)
+    for set_of, relation_of in (
+        (lambda: defined_set(fx, state, domain, "x"), lambda: defined_relation(fxy, state, domain, ("x", "y"))),
+        (lambda: ctx.defined_set(gx, "x"), lambda: ctx.defined_relation(gxy, ("x", "y"))),
+    ):
+        try:
+            relation = relation_of()
+        except Unrepresentable:
+            relation = Unrepresentable
+        yield set_of(), relation
+
+
+@given(
+    membership_formulas(("x",)),
+    membership_formulas(("x", "y")),
+    membership_states(),
+    st.integers(1, K + 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_membership_agrees_with_brute_oracle_at_every_candidate(fx, fxy, state, n):
+    views = {None: state, 0: state}
+
+    def holds(f, **env):
+        return brute_sat(f, views, 1, env)
+
+    for domain in (EvalDomain.omega(), EvalDomain.surrogate(n)):
+        if domain.is_omega:
+            # [0, B], then the far representatives: B + 3, 6 and 9 for a
+            # set, B + 3 for a relation
+            set_candidates = range(threshold_bound(fx, state) + 10)
+            pair_candidates = range(threshold_bound(fxy, state) + 4)
+        else:
+            set_candidates = pair_candidates = range(n)
+        for got_set, got_relation in _set_and_relation_paths(fx, fxy, state, domain):
+            for a in set_candidates:
+                assert got_set.member(a) == holds(fx, x=a), (a, fx)
+            pairs = [(a, b) for a in pair_candidates for b in pair_candidates]
+            if got_relation is Unrepresentable:
+                far = pair_candidates[-1]
+                assert domain.is_omega and any(
+                    holds(fxy, x=a, y=b) for a, b in pairs if far in (a, b)
+                ), fxy
+            else:
+                for a, b in pairs:
+                    assert ((a, b) in got_relation) == holds(fxy, x=a, y=b), (a, b, fxy)
+
+
+# -- connective spines: compiled closures against the interpreter ------------
+
+spine_operands = st.sampled_from(
+    [P(text) for text in ("true", "false", "In(h)", "R(h)", "In(x)", "Out(x)", "h = w")]
+)
+spine_nested = st.recursive(
+    spine_operands,
+    lambda inner: st.builds(And, inner, inner) | st.builds(Or, inner, inner),
+    max_leaves=4,
+)
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except Unsupported as exc:
+        return type(exc)
+
+
+def _raw_and_compiled(f):
+    s, omega = base_state(), EvalDomain.omega()
+    table = Interned()
+    g = table.add(f)
+    raw = _outcome(lambda: defined_set(f, s, omega, "x"))
+    compiled = _outcome(lambda: EvalContext.single(s, omega, table).defined_set(g, "x"))
+    return raw, compiled
+
+
+@pytest.mark.parametrize(
+    "text, raises",
+    [
+        ("(In(x) | true) | h = w", True),
+        ("In(x) | (true | h = w)", False),
+        ("(In(x) & false) & h = w", True),
+        ("In(x) & (false & h = w)", False),
+        ("((true | h = w) & In(x)) | Out(x)", False),
+    ],
+)
+def test_spines_settle_and_raise_as_the_interpreter_does(text, raises):
+    raw, compiled = _raw_and_compiled(P(text))
+    assert raw == compiled
+    assert (compiled is Unsupported) == raises
+
+
+@given(st.lists(st.tuples(st.sampled_from([And, Or]), spine_nested), min_size=1, max_size=6), spine_nested)
+@settings(max_examples=300)
+def test_left_deep_chains_agree_with_the_interpreter(links, first):
+    f = first
+    for kind, operand in links:
+        f = kind(f, operand)
+    raw, compiled = _raw_and_compiled(f)
+    assert raw == compiled, f
+
+
+def test_a_left_deep_chain_is_one_spine():
+    # each link extends its left operand's list of links in place, which
+    # keeps interning a chain linear
+    table = Interned()
+    chain = table.add(P(" & ".join(["In(x)", "Out(x)"] * 200)))
+    assert len({id(links) for _, links, _ in table._spines.values()}) == 1
+    ctx = EvalContext.single(base_state(), EvalDomain.omega(), table)
+    assert ctx.defined_set(chain, "x") == OrdinalSet.finite({1, 3})

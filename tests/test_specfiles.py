@@ -123,6 +123,15 @@ class TestRejections:
         with pytest.raises(ArityMismatch, match=r"^line 12 \(Out\): R expects 1"):
             parse_machine(text)
 
+    @pytest.mark.parametrize(
+        "deep",
+        ["(" * 150 + "In(x)" + ")" * 150, "(" * 3000 + "In(x)" + ")" * 3000, "~" * 3000 + "In(x)"],
+        ids=["150 parentheses", "3000 parentheses", "3000 negations"],
+    )
+    def test_deep_nesting_carries_the_line(self, deep):
+        with pytest.raises(ParseError, match=r"^line 10 \(In\): formula is nested too deeply"):
+            parse_machine(HANDWRITTEN.replace("In: In(x)", f"In: {deep}"))
+
     def test_indented_line_outside_any_section(self):
         with pytest.raises(ParseError, match="outside a section"):
             parse_machine("  h: Constant\n" + HANDWRITTEN)

@@ -56,6 +56,28 @@ def _nested():
     )
 
 
+# E collects ordered pairs of inputs below 5, and Out holds the inputs
+# with an E-predecessor. Both witnesses read E under open variables, from
+# set-ups with different radixes (E's relation has rank 0, Out's set
+# rank 1) over the one view of the state.
+RELATION = {
+    "In": "In(x)",
+    "E": "E(x1, x2) | (In(x1) & x1 < x2 & In(x2) & x2 < 5)",
+    "Out": "In(x) & (exists y. (E(y, x) & y < x))",
+}
+
+
+def _relation():
+    sigma = Signature([SymbolDecl("E", "Relation", 2)])
+    return MachineSpec(
+        kappa=OMEGA,
+        sigma=sigma,
+        flavor=GSEQA,
+        tauWitnesses={k: parse_formula(v, sigma) for k, v in RELATION.items()},
+        defaultWitnesses={"E": parse_formula("false", sigma)},
+    )
+
+
 def _specs():
     even = compile_tm(EVEN_HALTING)
     writer = compile_tm(WRITER)
@@ -68,6 +90,7 @@ def _specs():
         "dovetail": dovetail(even),
         "bridge": simulate_alpha_as_gseqap(parse_alpha_program(PARITY.read_text())),
         "nested": _nested(),
+        "relation": _relation(),
     }
 
 
@@ -115,6 +138,7 @@ def test_compiled_step_matches_public_entries(machines, name):
         ("dovetail", set()),
         ("bridge", {2}),
         ("nested", {1, 3}),
+        ("relation", {1, 3, 4}),
     ],
 )
 def test_short_debug_run_agrees_with_phi_tau(machines, name, elements):
