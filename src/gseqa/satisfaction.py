@@ -43,15 +43,12 @@ as a method of the evaluator, and two dispatchers reach it:
   subformulas are one object, with static facts and a closure built from
   its children's. A step runs every witness's closures under one context
   for the state, which computes each closed node once, however many
-  witnesses share it. An open left-deep chain of connectives is one
-  closure, a loop over its links, and quantifier bound masks are kept
-  per evaluation set-up.
+  witnesses share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
@@ -146,9 +143,13 @@ def _support_max(states: Iterable[State]) -> int:
     return max([0] + [s.support_bound() - 1 for s in states])
 
 
-def _literal_max(literals: Iterable[OrdinalNotation]) -> int:
-    """The largest finite literal, or 0 when there is none."""
-    return max([0] + [o.to_int() for o in literals if o.is_finite])
+def _anchor_max(literals: Iterable[OrdinalNotation], support_max: int) -> int:
+    """The largest anchor: the top of the support and each finite literal."""
+    m = support_max
+    for o in literals:
+        if o.is_finite:
+            m = max(m, o.to_int())
+    return m
 
 
 def _bound(anchor_max: int, rank: int) -> int:
@@ -166,7 +167,7 @@ def threshold_bound(formula: Formula, state: State, *states: State) -> int:
     the outermost level.
     """
     _, rank, literals = static_facts(formula)
-    return _bound(max(_literal_max(literals), _support_max((state, *states))), rank)
+    return _bound(_anchor_max(literals, _support_max((state, *states))), rank)
 
 
 class _View:
@@ -510,20 +511,9 @@ class _MemoEvaluator(_Evaluator):
         self.closures = ctx.interned.closures
         self.memo = ctx.memo
         self.scope = (anchor_max, len(self.quant_values))
-        self.bounds: dict[tuple, np.ndarray] = {}
 
     def eval(self, f: Formula) -> _Table:
         return self.closures[id(f)](self)
-
-    def _bound_mask(self, axes: tuple[str, ...], var: str, body_rank: int) -> np.ndarray:
-        """The mask, built once per evaluator for the axes, the variable,
-        the rank and the arrays bound to the axes. Only the compiled path
-        keeps them: a raw formula is seen once."""
-        key = (axes, var, body_rank, *[id(self.axis_values[a]) for a in axes])
-        mask = self.bounds.get(key)
-        if mask is None:
-            mask = self.bounds[key] = super()._bound_mask(axes, var, body_rank)
-        return mask
 
 
 def _drop(axes: tuple[str, ...], var: str) -> tuple[str, ...]:
@@ -543,9 +533,6 @@ _NONE: frozenset = frozenset()
 
 # A node's closure: its value under a _MemoEvaluator.
 _Closure = Callable[[_MemoEvaluator], _Table]
-
-# A formula's free variables, quantifier rank and largest finite literal.
-_Entry = tuple[frozenset[str], int, int]
 
 
 def _union(sets: list[frozenset]) -> frozenset:
@@ -583,20 +570,13 @@ class Interned:
         self._nodes: dict[object, Node] = {}
         self.facts: dict[int, StaticFacts] = {}
         self.closures: dict[int, _Closure] = {}
-        # per open connective: the first item and the links of its spine
-        self._spines: dict[int, tuple[_Closure, list, int]] = {}
-        # per formula add returned: what an evaluation set-up needs of it
-        self.entries: dict[int, _Entry] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def add(self, formula: Formula) -> Formula:
         """The interned copy of the formula."""
-        shared = map_formula(formula, self._intern)
-        free, rank, literals = self.facts[id(shared)]
-        self.entries[id(shared)] = free, rank, _literal_max(literals)
-        return shared
+        return map_formula(formula, self._intern)
 
     def _intern(self, node: Node) -> Node:
         key = _shallow_key(node)
@@ -641,10 +621,7 @@ class Interned:
             return lambda ev: ev.constant(name, copy)
         if isinstance(node, OrdinalLiteral):
             value = node.value
-            if not value.is_finite:
-                return lambda ev: ev.literal(value)
-            literal = _Table(value.to_int(), ())
-            return lambda ev: literal
+            return lambda ev: ev.literal(value)
         if isinstance(node, FuncApp):
             name, copy, arity = node.name, node.copy, len(c)
             return lambda ev: ev.func_app(
@@ -671,7 +648,13 @@ class Interned:
             (a,) = c
             fn = lambda ev: ev.negate(a(ev))
         elif isinstance(node, (And, Or, Implies, Iff)):
-            fn = self._spine(node, *c)
+            kind, (a, b) = type(node), c
+
+            def fn(ev: _MemoEvaluator) -> _Table:
+                left = a(ev)
+                settled = ev.settle(kind, left)
+                return ev.combine(kind, left, b(ev)) if settled is None else settled
+
         else:
             (a,), body_rank = c, self.facts[id(node.body)][1]
             fn = lambda ev: ev.quantify(node, body_rank, a, ev)
@@ -688,44 +671,6 @@ class Interned:
             return table
 
         return memo
-
-    def _spine(self, node: Node, first: _Closure, right: _Closure) -> _Closure:
-        """A connective's closure. Over an open connective it extends that
-        operand's spine and runs as one loop down it: from the first item,
-        the innermost left operand that is not an open connective (a
-        closed one through its memo), it settles and combines link by
-        link as each link's own closure would. Any other connective is a
-        single link. A right operand is never flattened, since that would
-        change which arms run.
-
-        A spine's links are one list shared with the spines it extends,
-        each with a count of its own, so that a chain is built in linear
-        time; the list is copied only when another node already extended
-        the left operand's spine."""
-        links, n = [], 0
-        if id(node.left) in self._spines:
-            first, links, n = self._spines[id(node.left)]
-            if len(links) > n:
-                links = links[:n]
-        kind = type(node)
-        links.append((kind, right))
-        n += 1
-        if self.facts[id(node)][0]:
-            self._spines[id(node)] = first, links, n
-
-        def link(ev: _MemoEvaluator) -> _Table:
-            left = first(ev)
-            settled = ev.settle(kind, left)
-            return ev.combine(kind, left, right(ev)) if settled is None else settled
-
-        def spine(ev: _MemoEvaluator) -> _Table:
-            left = first(ev)
-            for kind, arm in islice(links, n):
-                settled = ev.settle(kind, left)
-                left = ev.combine(kind, left, arm(ev)) if settled is None else settled
-            return left
-
-        return link if n == 1 else spine
 
 
 class EvalContext:
@@ -756,11 +701,10 @@ class EvalContext:
         """A context for one state, read by bare and copy-0 references."""
         return EvalContext({None: state, 0: state}, domain, interned)
 
-    def _facts(self, formula: Formula) -> _Entry:
+    def _facts(self, formula: Formula) -> StaticFacts:
         if self.interned is None:
-            free, rank, literals = static_facts(formula)
-            return free, rank, _literal_max(literals)
-        return self.interned.entries[id(formula)]
+            return static_facts(formula)
+        return self.interned.facts[id(formula)]
 
     def _setup(
         self, anchor_max: int, rank: int, reps: int
@@ -800,7 +744,7 @@ class EvalContext:
     def _truth_table(
         self,
         formula: Formula,
-        facts: _Entry,
+        facts: StaticFacts,
         variables: tuple[str, ...] = (),
         reps: int = 0,
     ) -> tuple[np.ndarray | bool, np.ndarray | None]:
@@ -812,8 +756,8 @@ class EvalContext:
         no variables the table is a single truth value and the candidates
         are None.
         """
-        _, rank, literal_max = facts
-        ev, candidates = self._setup(max(literal_max, self.support_max), rank, reps)
+        _, rank, literals = facts
+        ev, candidates = self._setup(_anchor_max(literals, self.support_max), rank, reps)
         for x in variables:
             ev.axis_values[x] = candidates
         try:

@@ -481,13 +481,13 @@ def test_membership_agrees_with_brute_oracle_at_every_candidate(fx, fxy, state, 
                     assert ((a, b) in got_relation) == holds(fxy, x=a, y=b), (a, b, fxy)
 
 
-# -- connective spines: compiled closures against the interpreter ------------
+# -- connective order: compiled closures against the interpreter -------------
 
-spine_operands = st.sampled_from(
+chain_operands = st.sampled_from(
     [P(text) for text in ("true", "false", "In(h)", "R(h)", "In(x)", "Out(x)", "h = w")]
 )
-spine_nested = st.recursive(
-    spine_operands,
+chain_nested = st.recursive(
+    chain_operands,
     lambda inner: st.builds(And, inner, inner) | st.builds(Or, inner, inner),
     max_leaves=4,
 )
@@ -519,13 +519,13 @@ def _raw_and_compiled(f):
         ("((true | h = w) & In(x)) | Out(x)", False),
     ],
 )
-def test_spines_settle_and_raise_as_the_interpreter_does(text, raises):
+def test_connectives_settle_and_raise_as_the_interpreter_does(text, raises):
     raw, compiled = _raw_and_compiled(P(text))
     assert raw == compiled
     assert (compiled is Unsupported) == raises
 
 
-@given(st.lists(st.tuples(st.sampled_from([And, Or]), spine_nested), min_size=1, max_size=6), spine_nested)
+@given(st.lists(st.tuples(st.sampled_from([And, Or]), chain_nested), min_size=1, max_size=6), chain_nested)
 @settings(max_examples=300)
 def test_left_deep_chains_agree_with_the_interpreter(links, first):
     f = first
@@ -533,13 +533,3 @@ def test_left_deep_chains_agree_with_the_interpreter(links, first):
         f = kind(f, operand)
     raw, compiled = _raw_and_compiled(f)
     assert raw == compiled, f
-
-
-def test_a_left_deep_chain_is_one_spine():
-    # each link extends its left operand's list of links in place, which
-    # keeps interning a chain linear
-    table = Interned()
-    chain = table.add(P(" & ".join(["In(x)", "Out(x)"] * 200)))
-    assert len({id(links) for _, links, _ in table._spines.values()}) == 1
-    ctx = EvalContext.single(base_state(), EvalDomain.omega(), table)
-    assert ctx.defined_set(chain, "x") == OrdinalSet.finite({1, 3})
