@@ -42,7 +42,7 @@ from .logic import (
     quantifier_rank,
     with_copy,
 )
-from .states import State, Tci, models_tci, state_delta
+from .states import State, Tci, models_tci
 from .satisfaction import (
     EvalDomain,
     defined_relation,
@@ -52,14 +52,12 @@ from .satisfaction import (
     threshold_bound,
 )
 from .validator import (
-    BepReport,
     MachineSpec,
     ValidatedMachine,
     apply_transition,
     check_bounded,
     check_machine,
     check_simple,
-    diagnose_bep,
     sample_states,
     witness_variables,
 )
@@ -92,12 +90,8 @@ from .transforms import (
     parse_tm,
 )
 from .alpharef import (
-    AlphaConfig,
-    Crashed,
     Halted,
     NotHalted,
-    alpha_limit,
-    alpha_step,
     code_sets,
     decode_sets,
     parse_alpha_program,

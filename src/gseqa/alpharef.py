@@ -2,10 +2,9 @@
 
 The machines here run classical tape dynamics over ordinal positions with
 an oracle set alongside the tape.  This release fixes the tape bound at w,
-where successor steps are all a halting run ever uses; the limit rule is
-still implemented so that diagnostic code can apply pointwise liminf to a
-sampled history and observe head overflow.  Programs are TmSpec values,
-the type plain tables have, with oracle-read and jump rows allowed.
+where successor steps are all a halting run ever uses, so no run here
+reaches a limit stage.  Programs are TmSpec values, the type plain tables
+have, with oracle-read and jump rows allowed.
 
 ``simulate_alpha_as_gseqap`` translates a program into a pinned-constant
 machine whose short terminating runs reproduce the simulator's verdicts.
@@ -13,10 +12,10 @@ machine whose short terminating runs reproduce the simulator's verdicts.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
-from .errors import GseqaError, Unsupported
+from .errors import Unsupported
 from .logic import (
     Formula,
     Signature,
@@ -40,9 +39,7 @@ from .ordinals import (
     OrdinalSet,
     godel_pair,
     godel_unpair,
-    next_limit,
 )
-from .runtime import classify_tail
 from .transforms import (
     OracleRead,
     TmRule,
@@ -60,24 +57,14 @@ from .transforms import parse_tm as parse_alpha_program
 from .validator import GSEQAP, MachineSpec
 
 __all__ = [
-    "ALPHA",
-    "AlphaConfig",
-    "Crashed",
     "Halted",
     "NotHalted",
-    "alpha_limit",
-    "alpha_step",
     "code_sets",
     "decode_sets",
     "parse_alpha_program",
     "run_alpha_machine",
     "simulate_alpha_as_gseqap",
 ]
-
-#: Tape bound for this release.  Everything below accepts it as given
-#: rather than taking it as an argument, so the few places that would
-#: generalise to larger bounds are easy to find later.
-ALPHA = OMEGA
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +103,7 @@ def decode_sets(coded: OrdinalSet) -> tuple[frozenset[int], frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Configurations and outcomes
-
-
-@dataclass(frozen=True)
-class AlphaConfig:
-    """One machine configuration: head, state, tape, oracle, clock."""
-
-    head: OrdinalNotation
-    state: int
-    tape: OrdinalSet
-    oracle: OrdinalSet
-    clock: OrdinalNotation
-    size: int = field(default=0, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.head.is_finite:
-            raise ValueError("head must stay below the tape bound")
-        if self.size and not 0 <= self.state < self.size:
-            raise ValueError(f"state {self.state} outside a {self.size}-state program")
+# Outcomes
 
 
 @dataclass(frozen=True)
@@ -150,13 +119,6 @@ class NotHalted:
     """No final state within the step budget."""
 
     budget: int
-
-
-@dataclass(frozen=True)
-class Crashed:
-    """A limit stage had no admissible continuation."""
-
-    detail: str
 
 
 def _apply_row(
@@ -198,65 +160,6 @@ def run_alpha_machine(
             return Halted(OrdinalSet.finite(tape), OrdinalNotation.from_int(step))
         head, state = _apply_row(spec, state, head, tape, oracle.__contains__)
     return NotHalted(budget)
-
-
-def alpha_step(spec: TmSpec, cfg: AlphaConfig) -> AlphaConfig:
-    """Advance one configuration by a single successor step."""
-    if cfg.state == spec.n - 1:
-        raise GseqaError("the final state has no successor configuration")
-    if not cfg.tape.is_finite:
-        raise Unsupported("stepping a cofinite tape is not supported")
-    tape = set(cfg.tape.elements)
-    head, state = _apply_row(spec, cfg.state, cfg.head.to_int(), tape, cfg.oracle.member)
-    return AlphaConfig(
-        OrdinalNotation.from_int(head),
-        state,
-        OrdinalSet.finite(tape),
-        cfg.oracle,
-        cfg.clock.succ(),
-        spec.n,
-    )
-
-
-def alpha_limit(
-    spec: TmSpec, history: Sequence[AlphaConfig]
-) -> AlphaConfig | Crashed:
-    """Apply the limit rule to a sampled history of configurations.
-
-    Head, state, and every touched tape cell take their limits inferior;
-    a head whose sampled values grow without recurrence has liminf at or
-    beyond the tape bound, and the verdict is then Crashed rather than a
-    configuration.  With the bound at w no budgeted run reaches a limit,
-    so this entry point exists for diagnostics over synthetic histories.
-    """
-    if not history:
-        raise GseqaError("cannot take a limit of an empty history")
-    heads = [cfg.head.to_int() for cfg in history]
-    head_class = classify_tail(heads)
-    if head_class.kind == "Unbounded":
-        return Crashed("head liminf reached the tape bound")
-    if head_class.value is None:
-        raise GseqaError("head history is too irregular to classify")
-    state_class = classify_tail([cfg.state for cfg in history])
-    if state_class.value is None:
-        raise GseqaError("state history is too irregular to classify")
-    touched = set().union(*(cfg.tape.elements for cfg in history))
-    cells = set()
-    for cell in touched:
-        bits = [1 if cfg.tape.member(cell) else 0 for cfg in history]
-        tc = classify_tail(bits)
-        if tc.value is None:
-            raise GseqaError(f"tape cell {cell} is too irregular to classify")
-        if tc.value:
-            cells.add(cell)
-    return AlphaConfig(
-        OrdinalNotation.from_int(head_class.value),
-        state_class.value,
-        OrdinalSet.finite(cells),
-        history[-1].oracle,
-        next_limit(history[-1].clock),
-        spec.n,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +284,7 @@ def simulate_alpha_as_gseqap(spec: TmSpec) -> MachineSpec:
         **{p: eq(_X, lit(spec.params[i])) for i, p in enumerate(pnames)},
     }
     return MachineSpec(
-        kappa=ALPHA,
+        kappa=OMEGA,
         sigma=sigma,
         flavor=GSEQAP,
         params={p: OrdinalNotation.from_int(spec.params[i]) for i, p in enumerate(pnames)},

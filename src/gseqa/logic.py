@@ -60,7 +60,6 @@ __all__ = [
     "static_facts",
     "substitute",
     "quantifier_rank",
-    "support_constants",
     "ordinal_literals",
     "nodes",
     "children",
@@ -452,11 +451,6 @@ def symbol_refs(f: Formula) -> Iterator[tuple[str, int | None]]:
     )
 
 
-def support_constants(f: Formula) -> frozenset[tuple[str, int | None]]:
-    """The constant symbols referenced by the formula."""
-    return frozenset((n.name, n.copy) for n in nodes(f) if isinstance(n, Const))
-
-
 def _subst_term(t: Term, env: dict[str, Term]) -> Term:
     if isinstance(t, Var):
         return env.get(t.name, t)
@@ -551,8 +545,15 @@ class _Parser:
         self.bound: list[str] = []
 
     def error(self, msg: str) -> ParseError:
+        """A ParseError at the current token. A text over 80 characters is
+        quoted 30 characters either side of it, with ... for each cut end."""
         where = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
-        return ParseError(f"{msg} at position {where} in {self.text!r}")
+        start, end = max(where - 30, 0), where + 30
+        if len(self.text) <= 80:
+            start, end = 0, len(self.text)
+        head = "..." if start > 0 else ""
+        tail = "..." if end < len(self.text) else ""
+        return ParseError(f"{msg} at position {where} in {head}{self.text[start:end]!r}{tail}")
 
     def peek(self) -> tuple[str, str] | None:
         if self.i < len(self.tokens):

@@ -18,7 +18,6 @@ from typing import Sequence, Union
 
 from .errors import GseqaError, Unrepresentable, Unsupported
 from .ordinals import OrdinalNotation, OrdinalSet, ZERO, next_limit
-from .satisfaction import EvalDomain
 from .states import State
 from .validator import ValidatedMachine, apply_transition, default_values, domain_for
 

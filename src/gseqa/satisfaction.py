@@ -48,6 +48,7 @@ as a method of the evaluator, and two dispatchers reach it:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
@@ -673,6 +674,20 @@ class Interned:
         return memo
 
 
+def _depth_checked(method: Callable) -> Callable:
+    """Report a formula too deep for the recursive walks as Unsupported,
+    not as a bare RecursionError."""
+
+    @functools.wraps(method)
+    def checked(*args: Any, **kwargs: Any) -> Any:
+        try:
+            return method(*args, **kwargs)
+        except RecursionError:
+            raise Unsupported("formula is nested too deeply to evaluate") from None
+
+    return checked
+
+
 class EvalContext:
     """Evaluation over fixed states in one domain: one view per state, the
     top of their support, one evaluator per probe set-up and, over
@@ -775,6 +790,7 @@ class EvalContext:
             )
         return arr, candidates
 
+    @_depth_checked
     def sentence(self, formula: Formula) -> bool:
         """Truth of a sentence."""
         facts = self._facts(formula)
@@ -782,6 +798,7 @@ class EvalContext:
             raise NotClosed(f"free variables {sorted(facts[0])} in sentence")
         return bool(self._truth_table(formula, facts)[0])
 
+    @_depth_checked
     def defined_set(self, formula: Formula, var: str | None = None) -> OrdinalSet:
         """The set a one-free-variable formula defines; see defined_set."""
         facts = self._facts(formula)
@@ -806,6 +823,7 @@ class EvalContext:
             return OrdinalSet.cofinite(candidates[:-3][~head].tolist())
         return OrdinalSet.finite(candidates[:-3][head].tolist())
 
+    @_depth_checked
     def defined_relation(
         self, formula: Formula, variables: tuple[str, ...] | None = None
     ) -> frozenset[tuple[int, ...]]:

@@ -1,4 +1,4 @@
-"""Machine states, typing constraints, and state differences.
+"""Machine states, typing constraints, and snapshot text.
 
 A state interprets a signature over an initial segment of the ordinals:
 constants as naturals below the universe bound, unary relations as finite
@@ -12,10 +12,10 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import KappaMismatch, ParseError, Unrepresentable
+from .errors import ParseError
 from .ordinals import (
     OrdinalNotation,
     OrdinalSet,
@@ -30,7 +30,6 @@ __all__ = [
     "Tci",
     "TciVerdict",
     "models_tci",
-    "state_delta",
     "format_state",
     "parse_state",
 ]
@@ -224,51 +223,6 @@ def models_tci(state: State, sigma: Signature, tci: Tci) -> TciVerdict:
                 f"ParameterMismatch: {name} = {actual}, pinned to {alpha}"
             )
     return TciVerdict(not reasons, tuple(reasons))
-
-
-FULL = OrdinalSet.cofinite()
-
-
-def state_delta(s1: State, s2: State) -> dict[str, object]:
-    """Where the two states differ, symbol by symbol.
-
-    Unary relations map to their symmetric difference (closed under the
-    finite-or-cofinite representation), higher-arity relations to a tuple
-    symmetric difference, and constants to the empty set when equal or
-    the full universe when not, matching the all-or-nothing character of
-    a constant changing.
-    """
-    if s1.kappa != s2.kappa:
-        raise KappaMismatch(f"states live under {s1.kappa} vs {s2.kappa}")
-    names = {k for k, _ in s1.constants} | {k for k, _ in s2.constants}
-    names |= {k for k, _ in s1.unary} | {k for k, _ in s2.unary}
-    names |= {k for k, _ in s1.nary} | {k for k, _ in s2.nary}
-
-    def lookup(s: State, name: str):
-        for k, val in s.constants:
-            if k == name:
-                return ("const", val)
-        for k, val in s.unary:
-            if k == name:
-                return ("unary", val)
-        for k, val in s.nary:
-            if k == name:
-                return ("nary", val)
-        return None
-
-    delta: dict[str, object] = {}
-    for name in sorted(names):
-        a, b = lookup(s1, name), lookup(s2, name)
-        if a is None or b is None or a[0] != b[0]:
-            raise Unrepresentable(f"states disagree on the shape of {name!r}")
-        kind = a[0]
-        if kind == "const":
-            delta[name] = OrdinalSet.finite() if a[1] == b[1] else FULL
-        elif kind == "unary":
-            delta[name] = a[1].symmetric_difference(b[1])
-        else:
-            delta[name] = a[1] ^ b[1]
-    return delta
 
 
 # ---------------------------------------------------------------------------

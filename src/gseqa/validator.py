@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NoReturn
+from typing import Iterator, NoReturn
 
 from .errors import (
     ArityMismatch,
@@ -40,7 +40,6 @@ from .logic import (
     Iff,
     Signature,
     SymbolDecl,
-    Term,
     Truth,
     Var,
     free_vars,
@@ -52,7 +51,7 @@ from .logic import (
 )
 from .ordinals import OMEGA, OrdinalNotation, OrdinalSet
 from .satisfaction import EvalContext, EvalDomain, Interned, sat2
-from .states import State, Tci, models_tci, state_delta
+from .states import State, Tci, models_tci
 
 GSEQA = "gseqa"
 GSEQAP = "gseqap"
@@ -744,166 +743,3 @@ def _semantic_issues(
             issues.append(ValidationIssue("Unrepresentable", str(exc), state=state))
             break
     return issues
-
-
-# ---------------------------------------------------------------------------
-# bounded-exploration diagnostic
-
-
-@dataclass(frozen=True)
-class BepReport:
-    """Outcome of the bounded-exploration probe.
-
-    found means a finite set of ground probes determined the per-symbol
-    disagreement map on the whole sample; terms lists a smallest such
-    set (empty when the map is constant). When no set of probes works,
-    counterexample holds two states agreeing on every probe whose
-    disagreement maps differ.
-    """
-
-    found: bool
-    terms: tuple[str, ...]
-    counterexample: tuple[State, State] | None
-    detail: str
-
-
-def _ground_terms(vm: ValidatedMachine, depth: int) -> list[tuple[str, Term]]:
-    consts = [
-        (d.name, Const(d.name, None))
-        for d in vm.sigma
-        if d.kind == "Constant"
-    ]
-    funcs = [d for d in vm.sigma if d.kind == "Function"]
-    layers: list[list[tuple[str, Term]]] = [consts]
-    for _ in range(depth - 1):
-        prev = [t for layer in layers for t in layer]
-        new: list[tuple[str, Term]] = []
-        for f in funcs:
-            for combo in itertools.product(prev, repeat=f.arity):
-                label = f"{f.name}({', '.join(c[0] for c in combo)})"
-                new.append((label, FuncApp(f.name, tuple(c[1] for c in combo), None)))
-        if not new:
-            break
-        layers.append(new)
-    return [t for layer in layers for t in layer]
-
-
-def _term_value(state: State, term: Term) -> int | None:
-    if isinstance(term, Const):
-        try:
-            return state.constant(term.name)
-        except KeyError:
-            return None
-    if isinstance(term, FuncApp):
-        args = tuple(_term_value(state, a) for a in term.args)
-        if any(a is None for a in args):
-            return None
-        graph = state.tuples(term.name)
-        for row in graph:
-            if row[: len(args)] == args:
-                return row[len(args)]
-        return None
-    raise GseqaError("not a ground term")
-
-
-def _canon_delta(delta: dict[str, object]) -> tuple[tuple[str, object], ...]:
-    return tuple(sorted(delta.items(), key=lambda kv: kv[0]))
-
-
-def diagnose_bep(
-    vm: ValidatedMachine,
-    states: list[State],
-    depth: int = 3,
-) -> BepReport:
-    """Search for ground probes witnessing bounded exploration on a sample.
-
-    Probes are the values of ground terms (constants, then function
-    applications nested up to the given depth) together with relation
-    atoms over those terms. The report says whether states agreeing on
-    all probes always showed the same state-to-successor disagreement
-    map. Purely diagnostic: a negative answer on a finite sample proves
-    nothing about the machine, it just exhibits the offending pair.
-    """
-    if not states:
-        return BepReport(True, (), None, "vacuous: empty state sample")
-    domain = domain_for(vm.kappa)
-    if domain is None:
-        raise Unsupported(f"no evaluation domain for kappa = {vm.kappa}")
-
-    terms = _ground_terms(vm, depth)
-    probes: list[tuple[str, Callable[[State], object]]] = []
-    for label, term in terms:
-        probes.append((label, lambda s, t=term: _term_value(s, t)))
-    relations = [
-        d for d in vm.sigma
-        if d.kind == "Relation" and d.distinguished != "Membership"
-    ]
-    for decl in relations:
-        for combo in itertools.product(terms, repeat=decl.arity):
-            label = f"{decl.name}({', '.join(c[0] for c in combo)})"
-            arg_terms = tuple(c[1] for c in combo)
-
-            def atom(s: State, name=decl.name, ats=arg_terms) -> object:
-                values = tuple(_term_value(s, t) for t in ats)
-                if any(v is None for v in values):
-                    return None
-                if len(values) == 1:
-                    return s.relation(name).member(values[0])
-                return values in s.tuples(name)
-
-            probes.append((label, atom))
-
-    rows = []
-    for s in states:
-        delta = _canon_delta(state_delta(s, _step(vm._transition, s, domain)))
-        vector = tuple(fn(s) for _, fn in probes)
-        rows.append((s, vector, delta))
-
-    groups: dict[tuple, dict] = {}
-    for s, vector, delta in rows:
-        groups.setdefault(vector, {}).setdefault(delta, s)
-    for bucket in groups.values():
-        if len(bucket) > 1:
-            first, second = list(bucket.values())[:2]
-            return BepReport(
-                False,
-                (),
-                (first, second),
-                "states agreeing on every ground probe disagree in their "
-                "successor deltas; no witness set exists at this depth",
-            )
-
-    # A witness set exists; shrink it. Columns with identical value
-    # vectors across the sample are interchangeable, so dedupe first.
-    deltas = [delta for _, _, delta in rows]
-    if len(set(deltas)) == 1:
-        return BepReport(
-            True, (), None,
-            "trivially satisfied: the disagreement map is constant on the sample",
-        )
-    columns: dict[tuple, str] = {}
-    for idx, (label, _) in enumerate(probes):
-        col = tuple(vector[idx] for _, vector, _ in rows)
-        columns.setdefault(col, label)
-    col_items = list(columns.items())
-    for size in range(1, min(len(col_items), 4) + 1):
-        for subset in itertools.combinations(range(len(col_items)), size):
-            ok = True
-            seen: dict[tuple, tuple] = {}
-            for row_idx in range(len(rows)):
-                key = tuple(col_items[i][0][row_idx] for i in subset)
-                if key in seen and seen[key] != deltas[row_idx]:
-                    ok = False
-                    break
-                seen.setdefault(key, deltas[row_idx])
-            if ok:
-                labels = tuple(col_items[i][1] for i in subset)
-                return BepReport(
-                    True, labels, None,
-                    f"{size} probe(s) determine the disagreement map on the sample",
-                )
-    labels = tuple(label for _, label in col_items)
-    return BepReport(
-        True, labels, None,
-        "the full probe set determines the disagreement map; no small subset does",
-    )

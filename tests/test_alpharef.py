@@ -7,22 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gseqa.alpharef import (
-    AlphaConfig,
-    Crashed,
     Halted,
     NotHalted,
-    alpha_limit,
-    alpha_step,
     code_sets,
     decode_sets,
     parse_alpha_program,
     run_alpha_machine,
     simulate_alpha_as_gseqap,
 )
-from gseqa.errors import GseqaError, ParseError, Unsupported
-from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet, godel_pair
+from gseqa.errors import ParseError, Unsupported
+from gseqa.ordinals import OrdinalNotation, OrdinalSet, godel_pair
 from gseqa.runtime import Budget, Terminated, run
-from gseqa.transforms import TmRule, TmSpec, dovetail, format_tm
+from gseqa.transforms import dovetail, format_tm
 from gseqa.validator import GSEQA, check_machine
 from tm_tools import generated_halting_tms, simulate_tm
 
@@ -193,76 +189,6 @@ class TestProgramText:
         text = "states: a z\ninitial: a\nfinal: z\n(a, 0) -> (z, 0, R)\n"
         with pytest.raises(ParseError, match="no rule"):
             parse_alpha_program(text)
-
-
-class TestConfigsAndLimits:
-    def fresh(self, spec, coded):
-        tape, oracle = decode_sets(coded)
-        return AlphaConfig(
-            OrdinalNotation.from_int(0),
-            0,
-            OrdinalSet.finite(tape),
-            OrdinalSet.finite(oracle),
-            OrdinalNotation.from_int(0),
-            spec.n,
-        )
-
-    def test_config_invariants(self):
-        with pytest.raises(ValueError, match="head"):
-            AlphaConfig(OMEGA, 0, OrdinalSet.finite(), OrdinalSet.finite(), OMEGA)
-        with pytest.raises(ValueError, match="state"):
-            AlphaConfig(
-                OrdinalNotation.from_int(0),
-                9,
-                OrdinalSet.finite(),
-                OrdinalSet.finite(),
-                OrdinalNotation.from_int(0),
-                size=4,
-            )
-
-    def test_stepping_reaches_the_simulator_verdict(self):
-        cfg = self.fresh(PARITY, code_sets({4}, ()))
-        for _ in range(5):
-            cfg = alpha_step(PARITY, cfg)
-        assert cfg.state == PARITY.n - 1
-        assert members(cfg.tape) == {4}
-        assert cfg.clock == OrdinalNotation.from_int(5)
-        with pytest.raises(GseqaError, match="final state"):
-            alpha_step(PARITY, cfg)
-
-    def test_runaway_head_crashes_at_the_limit(self):
-        cfg = self.fresh(RUNNER, code_sets((), ()))
-        history = []
-        for _ in range(200):
-            history.append(cfg)
-            cfg = alpha_step(RUNNER, cfg)
-        verdict = alpha_limit(RUNNER, history)
-        assert isinstance(verdict, Crashed)
-        assert "head" in verdict.detail
-
-    def test_recurring_head_survives_the_limit(self):
-        # A synthetic eventually-periodic history: the head bounces
-        # between 1 and 2 while cell 0 stays marked.
-        history = []
-        for i in range(120):
-            history.append(
-                AlphaConfig(
-                    OrdinalNotation.from_int(1 + i % 2),
-                    i % 2,
-                    OrdinalSet.finite({0} | ({5} if i % 2 else set())),
-                    OrdinalSet.finite(),
-                    OrdinalNotation.from_int(i),
-                    size=4,
-                )
-            )
-        verdict = alpha_limit(TmSpec(("a", "b", "c", "z"), tuple(
-            TmRule(q, b, q, b, "R") for q in range(3) for b in (0, 1)
-        )), history)
-        assert isinstance(verdict, AlphaConfig)
-        assert verdict.head == OrdinalNotation.from_int(1)
-        assert verdict.state == 0
-        assert members(verdict.tape) == {0}
-        assert verdict.clock == OMEGA
 
 
 class TestBridge:

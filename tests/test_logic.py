@@ -7,6 +7,8 @@ over a small machine-flavoured signature.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,7 +52,6 @@ from gseqa.logic import (
     rel,
     static_facts,
     substitute,
-    support_constants,
     symbol_refs,
     v,
     with_copy,
@@ -142,6 +143,19 @@ def test_deep_nesting_is_a_parse_error_with_its_position(text):
         parse_formula(text, SIGMA)
 
 
+def test_parse_errors_quote_an_excerpt_of_a_long_text():
+    with pytest.raises(ParseError) as short:
+        parse_formula("In(x) &", SIGMA)
+    assert str(short.value) == "expected a formula at position 7 in 'In(x) &'"
+    text = "(" * 3000 + "In(x)" + ")" * 3000
+    with pytest.raises(ParseError) as deep:
+        parse_formula(text, SIGMA)
+    message = str(deep.value)
+    assert len(message) < 200
+    where = int(re.search(r"at position (\d+) in \.\.\.'", message).group(1))
+    assert message.endswith(f"{text[where - 30:where + 30]!r}...")
+
+
 def test_doubled_mode_requires_copies():
     f = parse_formula("In@1(x) <-> ~Out@0(x)", SIGMA, doubled=True)
     assert is_binary(f)
@@ -165,11 +179,7 @@ def test_free_vars_and_rank():
 
 def test_support_and_literals():
     f = parse_formula("h = 3 & exists z. (z < t | z = 7)", SIGMA)
-    assert support_constants(f) == {("h", None), ("t", None)}
     assert ordinal_literals(f) == {lit(3).value, lit(7).value}
-    # relation and membership symbols are not constants
-    g = parse_formula("R(h) & 3 < x", SIGMA)
-    assert support_constants(g) == {("h", None)}
 
 
 def test_nodes_is_pre_order_and_map_formula_bottom_up():

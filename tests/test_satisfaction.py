@@ -148,6 +148,15 @@ def test_long_right_nested_chains_evaluate():
     )
 
 
+def test_too_deep_a_chain_is_unsupported_not_a_recursion_error():
+    # the parser takes a flat chain of any length; the recursive walks
+    # behind evaluation do not, and must say so with a GseqaError
+    with pytest.raises(Unsupported, match="nested too deeply to evaluate"):
+        sat(P(" & ".join(["In(1)"] * 1200)), base_state(), EvalDomain.omega())
+    with pytest.raises(Unsupported, match="nested too deeply to evaluate"):
+        defined_set(P(" & ".join(["In(x)"] * 1200)), base_state(), EvalDomain.omega())
+
+
 def test_closedness_is_enforced():
     with pytest.raises(NotClosed):
         sat(P("In(x)"), base_state(), EvalDomain.omega())

@@ -1,4 +1,4 @@
-"""State representation, typing constraints, and delta tests."""
+"""State representation, typing constraints, and snapshot tests."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gseqa import OMEGA, OrdinalNotation, OrdinalSet, parse_ordinal
-from gseqa.errors import KappaMismatch, ParseError, Unrepresentable
+from gseqa.errors import ParseError
 from gseqa.logic import Signature, SymbolDecl
 from gseqa.states import (
     State,
@@ -17,7 +17,6 @@ from gseqa.states import (
     format_state,
     models_tci,
     parse_state,
-    state_delta,
 )
 
 SIGMA = Signature(
@@ -122,34 +121,6 @@ def test_models_tci_rejects_tuples_of_the_wrong_arity():
 def test_gseqa_schema_cannot_pin():
     with pytest.raises(ValueError):
         Tci(OMEGA, "GSeqA", (("h", OrdinalNotation.from_int(3)),))
-
-
-def test_state_delta_shapes():
-    s = sample_state()
-    t = s.with_updates(
-        constants={"h": 4},
-        unary={"In": OrdinalSet.finite({1})},
-        nary={"E": {(0, 1)}},
-    )
-    d = state_delta(s, t)
-    assert d["h"] == OrdinalSet.cofinite()
-    assert d["In"] == OrdinalSet.finite({3})
-    assert d["E"] == frozenset({(2, 2)})
-    assert d["Out"] == OrdinalSet.finite()
-    same = state_delta(s, s)
-    assert all(
-        (v == OrdinalSet.finite() or v == frozenset()) for v in same.values()
-    )
-
-
-def test_state_delta_guards():
-    s = sample_state()
-    other = State.make(parse_ordinal("w*2"), constants={"h": 3})
-    with pytest.raises(KappaMismatch):
-        state_delta(s, other)
-    shape = State.make(OMEGA, unary={"h": OrdinalSet.finite()})
-    with pytest.raises(Unrepresentable):
-        state_delta(s, shape)
 
 
 def test_snapshot_roundtrip_exact():

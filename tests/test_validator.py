@@ -1,4 +1,4 @@
-"""Machine admission, witness assembly, and the exploration diagnostic."""
+"""Machine admission and witness assembly."""
 
 import random
 
@@ -22,7 +22,6 @@ from gseqa import (
     check_bounded,
     check_machine,
     check_simple,
-    diagnose_bep,
     parse_formula,
     sample_states,
 )
@@ -354,49 +353,3 @@ def test_sampled_states_fit_finite_universe():
     for s in sample_states(spec, random.Random(7), count=20):
         assert s.relation("In").kind == "finite"
         assert all(e < 5 for e in s.relation("In").elements)
-
-
-# --- bounded-exploration diagnostic ------------------------------------------
-
-
-def sample_for(spec, count=24, seed=11):
-    return sample_states(spec, random.Random(seed), count=count)
-
-
-def test_bitflip_explores_nothing():
-    vm = check_machine(bitflip())
-    report = diagnose_bep(vm, sample_for(bitflip()))
-    assert report.found
-    assert report.terms == ()
-    assert "constant" in report.detail
-
-
-def test_erasure_defeats_every_probe_set():
-    vm = check_machine(erasure())
-    report = diagnose_bep(vm, sample_for(erasure()))
-    assert not report.found
-    s1, s2 = report.counterexample
-    assert s1.relation("In") != s2.relation("In")
-
-
-def test_moded_update_is_explained_by_one_constant():
-    sigma = BASE.extend([SymbolDecl("e", "Constant")])
-    spec = machine(
-        sigma,
-        tau={
-            "In": "(e = 0 & In(x)) | (~(e = 0) & ~In(x))",
-            "Out": "Out(x)",
-            "e": "x = e",
-        },
-        defaults={"e": "x = 0"},
-    )
-    vm = check_machine(spec)
-    report = diagnose_bep(vm, sample_for(spec))
-    assert report.found
-    assert report.terms == ("e",)
-
-
-def test_empty_sample_is_vacuous():
-    vm = check_machine(bitflip())
-    report = diagnose_bep(vm, [])
-    assert report.found and "vacuous" in report.detail
