@@ -29,8 +29,6 @@ from .ordinals import (
     ord_compare,
     parse_ordinal,
     parse_ordinal_set,
-    set_complement,
-    set_member,
 )
 from .logic import (
     MEMBERSHIP,

@@ -8,15 +8,11 @@ transform report 0/1, run reports 0 on termination, 2 on an exhausted
 budget, and 1 otherwise, and crosscheck reports 3 on a disagreement.
 run also prints to stderr each warning of the trace and each limit whose
 record rests on unverified cells.
-
-The default step budget comes from the GSEQA_BUDGET environment
-variable when set; --budget always wins.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections.abc import Sequence
 
@@ -32,23 +28,8 @@ from .validator import check_machine
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_transform", "cmd_crosscheck"]
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("GSEQA_BUDGET")
-    if raw is None:
-        return 10_000
-    try:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError
-    except ValueError:
-        raise GseqaError(f"GSEQA_BUDGET must be a positive integer, got {raw!r}")
-    return value
-
-
-def _steps(budget: int | None) -> int:
-    """Successor steps per segment: --budget when given, else the default."""
-    if budget is None:
-        return _default_budget()
+def _steps(budget: int) -> int:
+    """Successor steps per segment, from --budget."""
     if budget <= 0:
         raise GseqaError(f"--budget must be a positive integer, got {budget}")
     return budget
@@ -210,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--input", required=True, metavar="SET",
                    help="input set, e.g. '{1,4}' or 'co{0}'")
-    p.add_argument("--budget", type=int, default=None, metavar="N",
-                   help="successor steps per segment (default from GSEQA_BUDGET or 10000)")
+    p.add_argument("--budget", type=int, default=10_000, metavar="N",
+                   help="successor steps per segment (default 10000)")
     p.add_argument("--limit-jumps", type=int, default=8, metavar="K")
     p.add_argument("--mode", choices=("full", "short"), default="full")
     p.add_argument("--trace", metavar="FILE", help="write a step trace here")
@@ -230,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program", help="ordinal-machine program file")
     p.add_argument("--inputs", required=True, metavar="RANGE",
                    help="singleton inputs {k} for k in N or A..B")
-    p.add_argument("--budget", type=int, default=None, metavar="N")
+    p.add_argument("--budget", type=int, default=10_000, metavar="N")
     p.set_defaults(func=cmd_crosscheck)
     return parser
 

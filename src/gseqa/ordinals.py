@@ -30,8 +30,6 @@ __all__ = [
     "next_limit",
     "godel_pair",
     "godel_unpair",
-    "set_complement",
-    "set_member",
     "parse_ordinal",
     "parse_ordinal_set",
     "format_ordinal_set",
@@ -259,14 +257,6 @@ class OrdinalSet:
 
     def __str__(self) -> str:
         return format_ordinal_set(self)
-
-
-def set_complement(s: OrdinalSet) -> OrdinalSet:
-    return s.complement()
-
-
-def set_member(x: "OrdinalNotation | int", s: OrdinalSet) -> bool:
-    return s.member(_as_int(x, "set_member"))
 
 
 _TERM_RE = re.compile(

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 from .errors import GseqaError, Unrepresentable, Unsupported
 from .ordinals import OrdinalNotation, OrdinalSet, ZERO, next_limit
 from .states import State
-from .validator import ValidatedMachine, apply_transition, default_values, domain_for
+from .validator import ValidatedMachine, apply_transition, domain_for
 
 # How many trailing values the fallback classifier may trust when the
 # full history shows no certified pattern.
@@ -156,15 +156,15 @@ class RunTrace:
 
 
 def load(vm: ValidatedMachine, A: OrdinalSet) -> State:
-    """The initial state for input A: In = A, Out empty, defaults elsewhere."""
+    """The initial state for input A: the start state fixed at admission,
+    with In = A."""
     if vm.kappa.is_finite:
         n = vm.kappa.to_int()
         if A.kind == "finite" and any(x >= n for x in A.elements):
             raise Unrepresentable(f"input reaches beyond the universe bound {n}")
-    constants, unary, nary = default_values(vm.spec)
-    unary["In"] = A
-    unary["Out"] = OrdinalSet.finite()
-    return State.make(vm.kappa, constants, unary, nary)
+    if vm.start is None:
+        raise Unsupported(f"no evaluation domain for kappa = {vm.kappa}")
+    return vm.start.with_updates(unary={"In": A})
 
 
 def unload(state: State) -> OrdinalSet:

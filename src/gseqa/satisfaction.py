@@ -25,25 +25,30 @@ under a per-cell bound mask. That keeps the cost of the tight loops in C,
 which matters once the run engine starts asking for thousands of defined
 sets. Closed terms and closed subformulas are plain Python ints and
 bools, with no array around them. Every value an evaluator meets lies
-below its radix, so a unary atom indexes one boolean mask over
-[0, radix) per symbol, and an n-ary atom looks its mixed-radix codes up
-in the symbol's sorted codes.
+below its radix, so a unary atom indexes a boolean mask over [0, radix)
+that it builds from the symbol's set, and an n-ary atom looks its
+mixed-radix codes up in the symbol's sorted codes.
 
 Every entry evaluates through an EvalContext: one view per state, the top
 of the states' support, and one evaluator and candidate array per probe
 set-up, each worked out once. Each node kind's semantics is written once,
-as a method of the evaluator, and two dispatchers reach it:
+as a method of the one evaluator class, and two dispatchers reach it:
 
 * A raw formula is analysed on each call and interpreted node by node;
   this is what sat, sat2, defined_set and defined_relation do, because a
   fresh formula is seen once and compiling it would cost more than it
-  saves.
+  saves: interning every sentence of the benchmark's differential
+  workload walks 112 200 nodes, where the interpreter, which skips the
+  arms that a settled connective does not need, reaches 51 220, and the
+  workload took almost three times as long.
 * A machine's transition is compiled once, at admission: its witness
   bodies are interned into one table (Interned), so structurally equal
   subformulas are one object, with static facts and a closure built from
   its children's. A step runs every witness's closures under one context
   for the state, which computes each closed node once, however many
-  witnesses share it.
+  witnesses share it. Running the interned bodies through the
+  interpreter with the same memo made the benchmark's bridge and
+  constructions workloads 10-20% slower.
 """
 
 from __future__ import annotations
@@ -95,7 +100,6 @@ __all__ = [
     "defined_set",
     "defined_relation",
     "threshold_bound",
-    "evaluate_with_views",
     "Interned",
     "EvalContext",
 ]
@@ -177,7 +181,6 @@ class _View:
     def __init__(self, state: State):
         self.state = state
         self._constants = dict(state.constants)
-        self._relations: dict[str, OrdinalSet] = {}
         self._tuples: dict[str, frozenset[tuple[int, ...]]] = {}
         self._codes: dict[tuple[str, int], np.ndarray] = {}
         self._graphs: dict[str, dict[tuple[int, ...], int]] = {}
@@ -187,13 +190,6 @@ class _View:
             return self._constants[name]
         except KeyError:
             return self.state.constant(name)  # raises the state's own error
-
-    def relation(self, name: str) -> OrdinalSet:
-        """The unary symbol's set, looked up once."""
-        s = self._relations.get(name)
-        if s is None:
-            s = self._relations[name] = self.state.relation(name)
-        return s
 
     def tuples(self, name: str, width: int) -> frozenset[tuple[int, ...]]:
         """The symbol's stored tuples, checked once to have the given width."""
@@ -242,27 +238,25 @@ _TRUE = _Table(True, ())
 
 
 class _Evaluator:
-    """The semantics of each node kind over tables, and an interpreter
-    that runs them on a raw formula by dispatching on its node kinds.
-    Interned formulas run the same semantics through closures instead
-    (see Interned)."""
+    """The semantics of each node kind over tables for one probe set-up.
+    Two dispatchers reach them: eval interprets a raw formula node by
+    node, and an interned formula's closures (see Interned._compile) call
+    them directly and keep each closed node's table in the context's
+    memo. Each dispatcher is the faster one for its traffic; see the
+    module docstring."""
 
-    def __init__(
-        self,
-        views: Mapping[int | None, _View],
-        domain: EvalDomain,
-        anchor_max: int,
-        quant_upper: int,
-    ):
-        self.views = views
-        self.domain = domain
+    def __init__(self, ctx: "EvalContext", anchor_max: int, quant_upper: int):
+        self.views = ctx.views
+        self.domain = ctx.domain
+        self.memo = ctx.memo
         self.anchor_max = anchor_max
-        if domain.is_omega:
+        if self.domain.is_omega:
             self.quant_values = np.arange(quant_upper + 1, dtype=np.int64)
         else:
-            self.quant_values = np.arange(domain.size, dtype=np.int64)
+            self.quant_values = np.arange(self.domain.size, dtype=np.int64)
+        # the probe set-up, which with a node's identity keys its memo entry
+        self.scope = (anchor_max, len(self.quant_values))
         self.axis_values: dict[str, np.ndarray] = {}
-        self.masks: dict[tuple[_View, str], np.ndarray] = {}
         # the mixed-radix tuple encoding must be collision-free for every
         # value reachable as an argument or stored as a tuple component
         self.radix = int(max(self.quant_values.max(initial=0), anchor_max) + 1)
@@ -356,15 +350,12 @@ class _Evaluator:
         return _Table(a < b, axes)
 
     def unary(self, view: _View, name: str, arg: _Table) -> _Table:
+        s = view.state.relation(name)
         if not arg.axes:
-            return _Table(view.relation(name).member(arg.array), ())
-        mask = self.masks.get((view, name))
-        if mask is None:
-            # membership of every value below radix, which bounds them all
-            s = view.relation(name)
-            mask = np.full(self.radix, not s.is_finite)
-            mask[list(s.elements)] = s.is_finite
-            self.masks[view, name] = mask
+            return _Table(s.member(arg.array), ())
+        # membership of every value below radix, which bounds them all
+        mask = np.full(self.radix, not s.is_finite)
+        mask[list(s.elements)] = s.is_finite
         return _Table(mask[arg.array], arg.axes)
 
     def nary(self, view: _View, name: str, args: list[_Table]) -> _Table:
@@ -502,21 +493,6 @@ class _Evaluator:
         raise TypeError(f"not a term: {t!r}")
 
 
-class _MemoEvaluator(_Evaluator):
-    """An evaluator that runs interned formulas through their closures,
-    which compute each closed node once per context (see
-    Interned._compile)."""
-
-    def __init__(self, ctx: "EvalContext", anchor_max: int, quant_upper: int):
-        super().__init__(ctx.views, ctx.domain, anchor_max, quant_upper)
-        self.closures = ctx.interned.closures
-        self.memo = ctx.memo
-        self.scope = (anchor_max, len(self.quant_values))
-
-    def eval(self, f: Formula) -> _Table:
-        return self.closures[id(f)](self)
-
-
 def _drop(axes: tuple[str, ...], var: str) -> tuple[str, ...]:
     return tuple(a for a in axes if a != var)
 
@@ -532,8 +508,8 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
 
 _NONE: frozenset = frozenset()
 
-# A node's closure: its value under a _MemoEvaluator.
-_Closure = Callable[[_MemoEvaluator], _Table]
+# A node's closure: its value under an evaluator.
+_Closure = Callable[[_Evaluator], _Table]
 
 
 def _union(sets: list[frozenset]) -> frozenset:
@@ -651,7 +627,7 @@ class Interned:
         elif isinstance(node, (And, Or, Implies, Iff)):
             kind, (a, b) = type(node), c
 
-            def fn(ev: _MemoEvaluator) -> _Table:
+            def fn(ev: _Evaluator) -> _Table:
                 left = a(ev)
                 settled = ev.settle(kind, left)
                 return ev.combine(kind, left, b(ev)) if settled is None else settled
@@ -664,7 +640,7 @@ class Interned:
             return fn
         nid = id(node)
 
-        def memo(ev: _MemoEvaluator) -> _Table:
+        def memo(ev: _Evaluator) -> _Table:
             key = (nid, ev.scope, tuple(ev.axis_values)) if rank else nid
             table = ev.memo.get(key)
             if table is None:
@@ -747,10 +723,7 @@ class EvalContext:
                 candidates = np.concatenate([np.arange(bound + 1, dtype=np.int64), far])
                 top = int(candidates[-1])
             quant_upper = top + _slack(rank)
-        if self.interned is None:
-            ev = _Evaluator(self.views, self.domain, anchor_max, quant_upper)
-        else:
-            ev = _MemoEvaluator(self, anchor_max, quant_upper)
+        ev = _Evaluator(self, anchor_max, quant_upper)
         if reps and not self.domain.is_omega:
             candidates = ev.quant_values
         setup = self._setups[key] = (ev, candidates)
@@ -776,7 +749,10 @@ class EvalContext:
         for x in variables:
             ev.axis_values[x] = candidates
         try:
-            table = ev.eval(formula)
+            if self.interned is None:
+                table = ev.eval(formula)
+            else:
+                table = self.interned.closures[id(formula)](ev)
         finally:
             for x in variables:
                 ev.axis_values.pop(x, None)
@@ -847,13 +823,6 @@ class EvalContext:
                     )
             arr = arr[(slice(-1),) * len(variables)]
         return frozenset(map(tuple, candidates[np.argwhere(arr)].tolist()))
-
-
-def evaluate_with_views(
-    formula: Formula, views: Mapping[int | None, State], domain: EvalDomain
-) -> bool:
-    """Sentence evaluation with explicit copy-to-state views."""
-    return EvalContext(views, domain).sentence(formula)
 
 
 def sat(formula: Formula, state: State, domain: EvalDomain) -> bool:

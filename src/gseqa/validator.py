@@ -108,6 +108,9 @@ class ValidatedMachine:
     phi_tau is the conjunction of per-symbol biconditionals over the
     doubled signature; phi_default the analogous single-state sentence
     for initial values; tci the derived interpretation constraint.
+    start is the state every run begins from before its input is
+    installed: each default's value over the bare order, with In and Out
+    empty. It is None when kappa has no evaluation domain.
     """
 
     spec: MachineSpec
@@ -115,6 +118,7 @@ class ValidatedMachine:
     phi_default: Formula
     tci: Tci
     _transition: "_Transition" = field(compare=False, repr=False)
+    start: State | None = field(compare=False, repr=False)
 
     @property
     def kappa(self) -> OrdinalNotation:
@@ -537,25 +541,6 @@ def _blank_state(spec: MachineSpec) -> State:
     return State.make(spec.kappa, constants, unary, nary)
 
 
-def default_values(
-    spec: MachineSpec, parts: list[_Part] | None = None
-) -> tuple[dict[str, int], dict[str, OrdinalSet], dict[str, frozenset[tuple[int, ...]]]]:
-    """Initial values of the non-distinguished symbols, from their defaults.
-
-    Evaluated over the bare order structure, so the blank state's
-    contents never leak in. Raises when a constant's default fails to
-    pin exactly one value.
-    """
-    if parts is None:
-        parts, issues = _collect_default(spec)
-        if issues:
-            _raise_first(issues, NotSimple)
-    domain = domain_for(spec.kappa)
-    if domain is None:
-        raise Unsupported(f"no evaluation domain for kappa = {spec.kappa}")
-    return _evaluate_parts(parts, _blank_state(spec), domain)
-
-
 def sample_states(
     spec: MachineSpec,
     rng: random.Random,
@@ -621,8 +606,9 @@ def check_machine(
     """Admit a machine specification or raise MachineInvalid with every defect.
 
     Structural checks cover the universe bound, the flavor and pinning
-    discipline, and witness assembly. Semantic checks evaluate constant
-    defaults for uniqueness and run the step kernel over a seeded sample
+    discipline, and witness assembly. Semantic checks evaluate the
+    defaults, which fixes the start state and checks that each constant
+    gets one value, and run the step kernel over a seeded sample
     of random states, so non-functional witnesses surface here rather
     than mid-run; the runtime repeats the same checks lazily at every
     state it actually visits.
@@ -683,17 +669,18 @@ def check_machine(
         schema = "GSeqAP" if spec.flavor == GSEQAP else "GSeqA"
         tci = Tci(spec.kappa, schema, tuple(sorted(spec.params.items())))
         transition = _compile(tau_parts)
+        start = None
         domain = domain_for(spec.kappa)
         if domain is not None:
-            issues = _semantic_issues(spec, tci, transition, default_parts, domain,
-                                      sample_size, seed)
+            issues, start = _semantic_issues(spec, tci, transition, default_parts,
+                                             domain, sample_size, seed)
 
     if issues:
         raise MachineInvalid(issues)
 
     phi_tau = _assemble(tau_parts, 1)
     phi_default = _assemble(default_parts, None)
-    return ValidatedMachine(spec, phi_tau, phi_default, tci, transition)
+    return ValidatedMachine(spec, phi_tau, phi_default, tci, transition, start)
 
 
 def _semantic_issues(
@@ -704,18 +691,25 @@ def _semantic_issues(
     domain: EvalDomain,
     sample_size: int,
     seed: int,
-) -> list[ValidationIssue]:
+) -> tuple[list[ValidationIssue], State | None]:
+    """The defects that evaluation finds, and the start state: the
+    defaults evaluated over the bare order, so that the blank state's
+    contents never leak in (None when a default fails)."""
     issues: list[ValidationIssue] = []
+    blank = _blank_state(spec)
+    start = None
+    constants: dict[str, int] = {}
     try:
-        constants, _, _ = default_values(spec, default_parts)
+        values = _evaluate_parts(default_parts, blank, domain)
     except D6Violation as exc:
         issues.append(
             ValidationIssue("BadConstraint", exc.detail, symbol=exc.symbol)
         )
-        constants = {}
     except (Unrepresentable, ThresholdViolation, Unsupported) as exc:
         issues.append(ValidationIssue("Unrepresentable", str(exc)))
-        constants = {}
+    else:
+        start = blank.with_updates(*values)
+        constants = values[0]
     for name, value in spec.params.items():
         if name in constants and value.is_finite and constants[name] != value.to_int():
             issues.append(
@@ -742,4 +736,4 @@ def _semantic_issues(
         except (Unrepresentable, ThresholdViolation, Unsupported) as exc:
             issues.append(ValidationIssue("Unrepresentable", str(exc), state=state))
             break
-    return issues
+    return issues, start

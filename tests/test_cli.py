@@ -141,14 +141,6 @@ class TestRun:
         assert text.startswith("trace\t")
         assert "snapshot" in text
 
-    def test_budget_env_var(self, machine, monkeypatch, capsys):
-        monkeypatch.setenv("GSEQA_BUDGET", "120")
-        code = main(["run", str(machine), "--input", "{3}", "--limit-jumps", "1"])
-        assert code == 2
-        monkeypatch.setenv("GSEQA_BUDGET", "a lot")
-        assert main(["run", str(machine), "--input", "{3}"]) == 1
-        assert "GSEQA_BUDGET" in capsys.readouterr().err
-
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.gsa"), "--input", "{1}"]) == 1
         err = capsys.readouterr().err

@@ -32,3 +32,25 @@ def test_package_exposes_every_name_it_imports():
     ]
     assert imported
     assert [n for n in imported if not hasattr(gseqa, n)] == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    """Behaviour comes from arguments, never from environment variables."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ENVIRONMENT_READS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(a.name in ENVIRONMENT_READS for a in node.names)
+            ):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []

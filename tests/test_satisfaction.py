@@ -43,7 +43,6 @@ from gseqa.satisfaction import (
     Interned,
     defined_relation,
     defined_set,
-    evaluate_with_views,
     sat,
     sat2,
     threshold_bound,
@@ -79,7 +78,7 @@ def test_surrogate_agrees_with_brute_oracle_on_random_corpus():
         f = random_formula(rng, rank=3, guarded=False)
         views = {None: state, 0: state}
         for n in (3, 7, 12):
-            got = evaluate_with_views(f, views, EvalDomain.surrogate(n))
+            got = sat(f, state, EvalDomain.surrogate(n))
             want = brute_sat(f, views, n)
             assert got == want, (trial, n, f)
 

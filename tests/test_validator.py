@@ -22,11 +22,15 @@ from gseqa import (
     check_bounded,
     check_machine,
     check_simple,
+    lift,
+    load,
     parse_formula,
+    parse_ordinal,
     sample_states,
 )
 from gseqa.logic import with_copy
-from gseqa.validator import GSEQA, GSEQAP, MachineSpec, default_values
+from gseqa import validator
+from gseqa.validator import GSEQA, GSEQAP, MachineSpec
 
 W = OMEGA
 BASE = Signature()
@@ -289,8 +293,6 @@ def test_too_deep_witness_is_reported_by_symbol():
         check_bounded(spec)
     with pytest.raises(Unsupported, match="symbol=h: witness is nested too deeply"):
         check_simple(spec)
-    with pytest.raises(Unsupported, match="symbol=h"):
-        default_values(spec)
 
 
 def test_issue_reports_are_deterministic():
@@ -318,16 +320,45 @@ def test_apply_transition_surrogate_matches_complement():
     assert nxt.relation("In") == OrdinalSet.finite({1, 3, 4})
 
 
-def test_default_values_use_bare_order_only():
+def defaults_machine() -> MachineSpec:
     sigma = BASE.extend([SymbolDecl("h", "Constant"), SymbolDecl("R", "Relation", 1)])
-    spec = machine(
+    return machine(
         sigma,
         tau={"In": "In(x)", "Out": "Out(x)", "h": "x = h", "R": "R(x)"},
         defaults={"h": "x = 0", "R": "in(x, 3)"},
     )
-    constants, unary, _ = default_values(spec)
-    assert constants == {"h": 0}
-    assert unary == {"R": OrdinalSet.finite({0, 1, 2})}
+
+
+def test_default_values_use_bare_order_only():
+    # the input {7} does not reach the defaults, which see the bare order
+    state = load(check_machine(defaults_machine()), OrdinalSet.finite({7}))
+    assert state.constant_map() == {"h": 0}
+    assert state.unary_map() == {
+        "In": OrdinalSet.finite({7}),
+        "Out": OrdinalSet.finite(),
+        "R": OrdinalSet.finite({0, 1, 2}),
+    }
+
+
+def test_load_evaluates_no_default(monkeypatch):
+    vm = check_machine(defaults_machine())
+    A = OrdinalSet.cofinite({2})
+    before = load(vm, A)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("defaults evaluated after admission")
+
+    monkeypatch.setattr(validator, "_evaluate_parts", refuse)
+    monkeypatch.setattr(validator, "_collect_default", refuse)
+    assert load(vm, A) == before
+
+
+def test_load_without_an_evaluation_domain_is_unsupported():
+    tall = parse_ordinal("w*2")
+    vm = check_machine(lift(bitflip(), tall))
+    assert vm.start is None
+    with pytest.raises(Unsupported, match=r"kappa = w\*2"):
+        load(vm, OrdinalSet.finite({1}))
 
 
 # --- sampling ----------------------------------------------------------------
