@@ -53,7 +53,6 @@ __all__ = [
     "Forall",
     "Truth",
     "Formula",
-    "BinaryFormula",
     "parse_formula",
     "format_formula",
     "free_vars",
@@ -77,7 +76,6 @@ __all__ = [
     "lor",
     "lnot",
     "limp",
-    "liff",
     "ex",
     "fa",
     "TRUE",
@@ -268,10 +266,6 @@ Formula = Union[Apply, Equal, Truth, Not, And, Or, Implies, Iff, Exists, Forall]
 # Any node of the abstract syntax, as nodes and map_formula visit them.
 Node = Union[Formula, Term]
 
-# A binary formula is an ordinary Formula in which every non-membership
-# symbol reference carries a copy index; see is_binary.
-BinaryFormula = Formula
-
 
 # ---------------------------------------------------------------------------
 # small construction helpers, used heavily by the transformations
@@ -331,10 +325,6 @@ def lnot(f: Formula) -> Formula:
 
 def limp(a: Formula, b: Formula) -> Formula:
     return Implies(a, b)
-
-
-def liff(a: Formula, b: Formula) -> Formula:
-    return Iff(a, b)
 
 
 def ex(var: str, body: Formula) -> Formula:
@@ -485,7 +475,7 @@ def substitute(f: Formula, env: dict[str, Term]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def with_copy(f: Formula, copy: int) -> BinaryFormula:
+def with_copy(f: Formula, copy: int) -> Formula:
     """Stamp every bare non-membership symbol reference with a copy index."""
 
     def stamp(node: Node) -> Node:

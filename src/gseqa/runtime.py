@@ -19,7 +19,7 @@ from typing import Sequence, Union
 from .errors import GseqaError, Unrepresentable, Unsupported
 from .ordinals import OrdinalNotation, OrdinalSet, ZERO, next_limit
 from .states import State
-from .validator import ValidatedMachine, apply_transition, domain_for
+from .validator import ValidatedMachine, _memoised, apply_transition, domain_for
 
 # How many trailing values the fallback classifier may trust when the
 # full history shows no certified pattern.
@@ -387,7 +387,8 @@ def run(
     mode "short" demands the run finish below the universe bound and
     fails with NotShort the moment the clock would reach it. The trace
     carries every cell change, the snapshots the policy asked for, one
-    record per limit crossing, and the outcome.
+    record per limit crossing, and the outcome. Within the run a part
+    whose footprint and anchor repeat reuses its value (see validator).
     """
     if mode not in ("full", "short"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -402,6 +403,9 @@ def run(
         trace.outcome = Failed(f"{type(exc).__name__}: {exc}")
         return trace
 
+    # this run's footprint memo rides on a copy of the machine, so it
+    # dies with the run
+    stepper = _memoised(vm)
     base = ZERO
     offset = 0
     jumps = 0
@@ -417,7 +421,7 @@ def run(
 
         for _ in range(budget.maxSuccessorStepsPerSegment):
             try:
-                nxt = apply_transition(vm, state, domain, debug=debug)
+                nxt = apply_transition(stepper, state, domain, debug=debug)
             except GseqaError as exc:
                 trace.outcome = Failed(f"{type(exc).__name__}: {exc}")
                 _final_snapshot(trace, base.add(OrdinalNotation.from_int(offset)), state)
@@ -498,7 +502,9 @@ class ReductionCertificate:
 
     ok means the run terminated with exactly the expected output; the
     full trace rides along either way, and actual carries the output the
-    run really produced when there was one.
+    run really produced when there was one. verified says whether every
+    limit the run crossed was certified rather than extrapolated from a
+    window (true when it crossed none); ok does not look at it.
     """
 
     ok: bool
@@ -506,6 +512,10 @@ class ReductionCertificate:
     expected: OrdinalSet
     actual: OrdinalSet | None
     trace: RunTrace
+
+    @property
+    def verified(self) -> bool:
+        return all(r.verified for r in self.trace.limitRecords)
 
 
 def certify_reduction(

@@ -12,7 +12,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import ParseError
@@ -58,6 +58,7 @@ class State:
     constants: tuple[tuple[str, int], ...] = ()
     unary: tuple[tuple[str, OrdinalSet], ...] = ()
     nary: tuple[tuple[str, frozenset[tuple[int, ...]]], ...] = ()
+    _support_bound: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(
@@ -120,7 +121,14 @@ class State:
 
     def support_bound(self) -> int:
         """Least n such that every stored item lives below n (sets modulo
-        their cofinite tail)."""
+        their cofinite tail).
+
+        Worked out once per state and kept in a field that takes no part
+        in equality: a run's step reads it for its memo keys and again
+        for its evaluation's probe bounds.
+        """
+        if self._support_bound is not None:
+            return self._support_bound
         bound = 0
         for _, val in self.constants:
             bound = max(bound, val + 1)
@@ -129,6 +137,7 @@ class State:
         for _, ts in self.nary:
             for t in ts:
                 bound = max(bound, max(t, default=-1) + 1)
+        object.__setattr__(self, "_support_bound", bound)
         return bound
 
     def __str__(self) -> str:

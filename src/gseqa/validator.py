@@ -7,13 +7,28 @@ membership relation alone. This module normalizes and assembles those
 witnesses into the transition sentence and the default sentence, checks
 the structural and semantic admission conditions, and houses the single
 step kernel that the runtime drives.
+
+Admission also records each transition part's footprint: the symbols,
+membership aside, that its body reads. A step is fixed by a bounded set
+of terms (Gurevich's bounded-exploration postulate), and here that set
+is small: evaluating a part reads only its footprint symbols' values,
+the evaluation domain and the anchor maximum, which at w is the larger
+of the state's support top and the body's own literals. A run therefore
+keys each part's value by (part, support bound at w or None on a
+surrogate, footprint values) and looks the key up before evaluating,
+which is the memo by dependencies of self-adjusting computation (Acar,
+Blelloch and Harper, "Adaptive functional programming", POPL 2002). A hit
+returns what evaluation would have returned, and since only values are
+stored, every check that can raise still runs once per distinct key.
+Dropping the support from the key would lift the hit rate but skip the
+tail-representative check at a new anchor, which could have failed.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NoReturn
 
 from .errors import (
@@ -38,10 +53,12 @@ from .logic import (
     Formula,
     FuncApp,
     Iff,
+    Node,
     Signature,
     SymbolDecl,
     Truth,
     Var,
+    children,
     free_vars,
     land,
     nodes,
@@ -154,18 +171,60 @@ class _Part:
 class _Transition:
     """The transition compiled once at admission: the witness parts with
     their bodies interned into one table, so that a step evaluates each
-    closed subformula the witnesses share once per state."""
+    closed subformula the witnesses share once per state.
+
+    footprints[i] is the footprint of parts[i]: the sorted names of the
+    non-membership symbols its body reads. Evaluating the part reads
+    nothing of a state but those symbols' values and, at w, the anchor
+    maximum, which is the top of the state's support or one of the
+    body's own literals. So (i, support bound, footprint values) fixes
+    the part's value at w, and (i, None, footprint values) on a
+    surrogate, where the support only sizes the membership encodings.
+    memo, when set, maps such keys to the values computed so far; run
+    gives each call its own (see _memoised), and admission steps with
+    none. Only values are stored, so every check that can raise runs
+    once per distinct key.
+    """
 
     parts: tuple[_Part, ...]
     interned: Interned
+    footprints: tuple[tuple[str, ...], ...]
+    memo: dict[tuple, object] | None = None
 
 
 def _compile(parts: list[_Part]) -> _Transition:
     interned = Interned()
+    bodies = [interned.add(p.body) for p in parts]
     return _Transition(
-        tuple(_Part(p.decl, p.variables, interned.add(p.body)) for p in parts),
+        tuple(_Part(p.decl, p.variables, body) for p, body in zip(parts, bodies)),
         interned,
+        tuple(map(_footprint, bodies)),
     )
+
+
+def _footprint(body: Formula) -> tuple[str, ...]:
+    """The sorted names of the non-membership symbols an interned body
+    reads. Interning shares equal subformulas, so the walk visits each
+    shared node once rather than once per occurrence."""
+    names: set[str] = set()
+    seen: set[int] = set()
+    stack: list[Node] = [body]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, (Apply, Const, FuncApp)) and node.name != MEMBERSHIP:
+            names.add(node.name)
+        stack.extend(children(node))
+    return tuple(sorted(names))
+
+
+def _memoised(vm: ValidatedMachine) -> ValidatedMachine:
+    """A copy of the machine whose steps look each part up in a fresh
+    footprint memo before evaluating it. run steps one per call, so the
+    memo dies with the run and no later run starts warm."""
+    return replace(vm, _transition=replace(vm._transition, memo={}))
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +520,43 @@ def _evaluate_parts(
     return constants, unary, nary
 
 
+def _slot(decl: SymbolDecl) -> int:
+    """Where _evaluate_parts puts the symbol's value: 0 for a constant, 1
+    for a unary relation, 2 for a wider relation or a function."""
+    if decl.kind == "Constant":
+        return 0
+    return 1 if decl.kind == "Relation" and decl.arity == 1 else 2
+
+
 def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
-    values = _evaluate_parts(transition.parts, state, domain, transition.interned)
-    return State.make(state.kappa, *values)
+    """The successor state. With a memo, each part is first looked up by
+    its key (see _Transition), and only the parts that miss are
+    evaluated, under one context."""
+    memo = transition.memo
+    if memo is None:
+        values = _evaluate_parts(transition.parts, state, domain, transition.interned)
+        return State.make(state.kappa, *values)
+    anchor = state.support_bound() if domain.is_omega else None
+    current = dict(state.constants)
+    current.update(state.unary)
+    current.update(state.nary)
+    found: tuple[dict, dict, dict] = ({}, {}, {})
+    missed = []
+    for i, (part, footprint) in enumerate(zip(transition.parts, transition.footprints)):
+        key = (i, anchor, *map(current.get, footprint))
+        value = memo.get(key)
+        if value is None:
+            missed.append((part, key))
+        else:
+            found[_slot(part.decl)][part.decl.name] = value
+    if missed:
+        fresh = _evaluate_parts(
+            [part for part, _ in missed], state, domain, transition.interned
+        )
+        for part, key in missed:
+            slot, name = _slot(part.decl), part.decl.name
+            found[slot][name] = memo[key] = fresh[slot][name]
+    return State.make(state.kappa, *found)
 
 
 def _describe(s: OrdinalSet) -> str:

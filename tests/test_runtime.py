@@ -1,5 +1,7 @@
 """Transfinite runs: segments, limit jumps, traces, certificates."""
 
+from pathlib import Path
+
 import pytest
 
 from gseqa import (
@@ -28,8 +30,10 @@ from gseqa.runtime import (
     run,
     unload,
 )
+from gseqa.transforms import compile_tm, dovetail, parse_tm
 from gseqa.validator import GSEQA, MachineSpec
 
+EVEN_HALTING_TM = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "even_halting.tm"
 W = OMEGA
 BASE = Signature()
 
@@ -334,6 +338,18 @@ def test_certificate_for_correct_output():
     cert = certify_reduction(copier(), A, A)
     assert isinstance(cert, ReductionCertificate)
     assert cert.ok and cert.short and cert.actual == A
+    assert cert.verified and not cert.trace.limitRecords
+
+
+def test_certificate_says_when_a_limit_was_only_extrapolated():
+    # the dovetailed table reaches w+1 within 600 steps a segment, but two
+    # R cells are Stable only on a trailing window at w
+    vm = check_machine(dovetail(compile_tm(parse_tm(EVEN_HALTING_TM.read_text()))))
+    trace = run(vm, OrdinalSet.finite(), Budget(600, 2))
+    cert = certify_reduction(vm, OrdinalSet.finite(), trace.outcome.output, Budget(600, 2))
+    assert cert.ok and not cert.verified
+    (record,) = cert.trace.limitRecords
+    assert {(c.symbol, c.cell) for c in record.cells if not c.verified} == {("R", 8), ("R", 10)}
 
 
 def test_certificate_refusal_attaches_actual_output():

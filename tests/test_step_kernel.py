@@ -5,7 +5,9 @@ evaluates each closed subformula once per state. These tests rebuild
 each successor state part by part from the witnesses recovered from
 phi_tau, through defined_set and defined_relation, which share no memo
 with the step, and run every construction once with the step checked
-against phi_tau.
+against phi_tau. A run also looks each part up in its footprint memo
+before evaluating it; the last tests check that the memo changes no
+trace byte, lives on the run and keys on the support at w.
 """
 
 import dataclasses
@@ -14,17 +16,19 @@ from pathlib import Path
 
 import pytest
 
+from gseqa import runtime
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
-from gseqa.errors import MachineInvalid
+from gseqa.errors import GseqaError, MachineInvalid
 from gseqa.logic import And, Signature, SymbolDecl, nodes, parse_formula
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet
-from gseqa.runtime import Budget, Failed, run
-from gseqa.satisfaction import EvalDomain, defined_relation, defined_set
+from gseqa.runtime import Budget, Failed, dump_trace, run
+from gseqa.satisfaction import EvalContext, EvalDomain, defined_relation, defined_set
 from gseqa.states import State
 from gseqa.transforms import compile_tm, compose, dovetail, flip, lift
 from gseqa.validator import (
     GSEQA,
     MachineSpec,
+    _memoised,
     apply_transition,
     check_machine,
     domain_for,
@@ -187,3 +191,170 @@ def test_shared_closed_node_still_refuses_to_rebind_a_variable():
     )
     with pytest.raises(MachineInvalid, match="rebinding of 'x3'"):
         check_machine(spec, sample_size=4)
+
+
+# --- the footprint memo ---------------------------------------------------
+
+# c counts up from 0. Each witness below breaks once c reaches 3, so a run
+# fails there, after steps in which the In part hits the memo.
+SUCC_C = "c < x & ~(exists y. (c < y & y < x))"
+BREAKS = {
+    "d6": {"c": f"(c < 3 & {SUCC_C}) | (c = 3 & x < 2)", "E": "E(x1, x2)"},
+    "unrepresentable": {"c": SUCC_C, "E": "E(x1, x2) | (c = 3 & x1 < x2)"},
+}
+FAILURES = {
+    "d6": "D6Violation: transition does not determine 'c'",
+    "unrepresentable": "Unrepresentable: value of 'E': formula defines an infinite relation",
+}
+
+
+def _breaking(kind):
+    sigma = Signature([SymbolDecl("c", "Constant"), SymbolDecl("E", "Relation", 2)])
+    tau = {"In": "In(x)", "Out": "In(x) & c < x", **BREAKS[kind]}
+    spec = MachineSpec(
+        kappa=OMEGA,
+        sigma=sigma,
+        flavor=GSEQA,
+        tauWitnesses={k: parse_formula(v, sigma) for k, v in tau.items()},
+        defaultWitnesses={"c": parse_formula("x = 0", sigma), "E": parse_formula("false", sigma)},
+    )
+    # no sampled states: a sampled c = 3 would refuse admission
+    return check_machine(spec, sample_size=0)
+
+
+def _count_evaluations(monkeypatch):
+    """A one-element list that counts the parts evaluated from now on."""
+    count = [0]
+    for name in ("defined_set", "defined_relation"):
+        entry = getattr(EvalContext, name)
+
+        def counted(self, *args, _entry=entry, **kwargs):
+            count[0] += 1
+            return _entry(self, *args, **kwargs)
+
+        monkeypatch.setattr(EvalContext, name, counted)
+    return count
+
+
+@pytest.fixture(scope="module")
+def memo_machines(machines):
+    ask3 = PARITY.with_name("ask3.apg").read_text()
+    return {
+        **machines,
+        "ask3": check_machine(simulate_alpha_as_gseqap(parse_alpha_program(ask3))),
+        "d6": _breaking("d6"),
+        "unrepresentable": _breaking("unrepresentable"),
+    }
+
+
+MEMO_RUNS = [
+    ("compile", [{2}, {3}]),
+    ("compose", [{1}, {2}]),
+    ("flip", [{2}, set()]),
+    ("lift", [{1, 4}, {3}]),
+    ("dovetail", [set()]),
+    ("bridge", [{2}, {5}, {8}]),
+    ("ask3", [{3}, {6}, {11}]),
+    ("nested", [{1, 3}, {0, 2, 9}]),
+    ("relation", [{1, 3, 4}]),
+    ("d6", [{1, 3}]),
+    ("unrepresentable", [{1, 3}]),
+]
+
+
+@pytest.mark.parametrize("name, inputs", MEMO_RUNS)
+def test_memoised_run_writes_the_reference_trace(memo_machines, monkeypatch, name, inputs):
+    vm = memo_machines[name]
+    # the dovetail needs 600 steps a segment to reach w + 1
+    steps = 600 if name == "dovetail" else 60
+    budget = Budget(steps, 2, snapshotPolicy="all")
+    count = _count_evaluations(monkeypatch)
+    memoised = [dump_trace(run(vm, OrdinalSet.finite(A), budget)) for A in inputs]
+    evaluated = count[0]
+    # the reference steps the machine itself, whose transition has no memo
+    monkeypatch.setattr(runtime, "_memoised", lambda vm: vm)
+    reference = [dump_trace(run(vm, OrdinalSet.finite(A), budget)) for A in inputs]
+    assert memoised == reference
+    assert evaluated <= count[0] - evaluated
+    if name in FAILURES:
+        assert reference[0].splitlines()[-1].startswith(f"outcome\tFailed\t{FAILURES[name]}")
+
+
+def _values(state):
+    return {**dict(state.constants), **dict(state.unary), **dict(state.nary)}
+
+
+def _with_value(state, name, value):
+    """The state with one symbol's value replaced."""
+    kind = next(k for k in ("constants", "unary", "nary") if name in dict(getattr(state, k)))
+    return state.with_updates(**{kind: {name: value}})
+
+
+def _step_or_error(vm, state, domain):
+    try:
+        return apply_transition(vm, state, domain)
+    except GseqaError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name, inputs", MEMO_RUNS)
+def test_a_hit_needs_every_footprint_value(memo_machines, name, inputs):
+    # Step a state, then the same state with one symbol's value replaced,
+    # under one memo: a part whose footprint missed that symbol would hit
+    # and return the first state's value. The states are those of a run;
+    # the values are those the symbol takes in the run and in a few
+    # sampled states. A surrogate keys on no anchor, so the support
+    # cannot tell the two states apart either.
+    vm = memo_machines[name]
+    domain = domain_for(vm.kappa) if vm.kappa.is_finite else EvalDomain.surrogate(16)
+    trace = run(vm, OrdinalSet.finite(inputs[0]), Budget(12, 1, snapshotPolicy="all"))
+    states = [state for _, state in trace.snapshots]
+    sampled = sample_states(vm.spec, random.Random(11), count=3)
+    pool = {}
+    for state in states + sampled:
+        for symbol, value in _values(state).items():
+            pool.setdefault(symbol, set()).add(value)
+    for state in states:
+        for symbol, value in _values(state).items():
+            for other in pool[symbol] - {value}:
+                changed = _with_value(state, symbol, other)
+                stepper = _memoised(vm)
+                _step_or_error(stepper, state, domain)
+                got = _step_or_error(stepper, changed, domain)
+                assert got == _step_or_error(vm, changed, domain), symbol
+
+
+def test_the_memo_lives_on_the_run(monkeypatch):
+    # a machine no other test has run, so that a memo kept on it would
+    # make the second run below cheaper than the first
+    vm = check_machine(_specs()["bridge"], sample_size=8)
+    count = _count_evaluations(monkeypatch)
+    evaluated = []
+    for memo in (True, True, False):
+        if not memo:
+            monkeypatch.setattr(runtime, "_memoised", lambda vm: vm)
+        before = count[0]
+        run(vm, OrdinalSet.finite({2}), Budget(60, 1))
+        evaluated.append(count[0] - before)
+    # the second run starts as cold as the first, and both reused values
+    assert evaluated[0] == evaluated[1] < evaluated[2]
+    assert vm._transition.memo is None
+
+
+def test_the_support_is_in_the_key_at_omega(machines, monkeypatch):
+    # Neither witness of the nested machine reads Out, so states that
+    # differ only in Out share every footprint value. Out = {9} raises the
+    # support top from 3 to 9, which moves the probe bounds; Out = {2}
+    # leaves it.
+    stepper = _memoised(machines["nested"])
+    count = _count_evaluations(monkeypatch)
+    domain = EvalDomain.omega()
+    evaluated = []
+    for out in (set(), {9}, {2}):
+        state = State.make(
+            OMEGA, {}, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite(out)}
+        )
+        before = count[0]
+        apply_transition(stepper, state, domain)
+        evaluated.append(count[0] - before)
+    assert evaluated == [2, 2, 0]
