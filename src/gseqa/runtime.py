@@ -1,14 +1,14 @@
 """Transfinite execution of validated machines.
 
-A run walks successor stages by the step kernel until the state either
-reaches a fixed point (termination) or the segment ends, at which point
-the clock jumps to the next limit ordinal and every cell takes the limit
-inferior of its previous values, or 0 when that inferior would reach the
-universe bound. Within a segment an exact state repetition proves the
-tail periodic, making the limit computable outright; a segment that
-exhausts its step budget first is classified cell by cell from the
-recorded history instead, and each cell's record says whether the
-classification was certified or merely extrapolated.
+A run walks successor stages by the step kernel until the state reaches a
+fixed point (termination) or the segment ends; the clock then jumps to the
+next limit ordinal and every cell takes the limit inferior of its previous
+values, or 0 when that inferior would reach the universe bound. An exact
+repetition within a segment proves its tail periodic and the limit exact;
+otherwise each cell is classified from the segment's history, and its
+record says whether that was certified or extrapolated. The outcome and
+final snapshot are written at the loop's one exit, the repeat warning at
+stage entry, and each classify_tail verdict in _limit_cell.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class TailClass:
     kind: str  # Stable | Periodic | Unbounded | RecurrentMin | Unknown
     value: int | None
     verified: bool
-    period: int | None = None
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def classify_tail(values: Sequence[int], *, period: int | None = None) -> TailCl
         cycle = list(values[n - period:])
         if all(v == cycle[0] for v in cycle):
             return TailClass("Stable", cycle[0], True)
-        return TailClass("Periodic", min(cycle), True, period=period)
+        return TailClass("Periodic", min(cycle), True)
 
     first = values[0]
     if all(v == first for v in values):
@@ -230,19 +229,6 @@ def classify_tail(values: Sequence[int], *, period: int | None = None) -> TailCl
     return TailClass("Unknown", None, False)
 
 
-def _liminf_value(tc: TailClass) -> int | None:
-    """The cell value installed at the limit, or None when unknown.
-
-    An unbounded tail has no limit inferior below the universe bound, so
-    the rule's fallback sends the cell to 0.
-    """
-    if tc.kind == "Unknown":
-        return None
-    if tc.kind == "Unbounded":
-        return 0
-    return tc.value
-
-
 def limit_state(
     history: Sequence[State],
     gamma: OrdinalNotation,
@@ -259,92 +245,75 @@ def limit_state(
     if not history:
         raise ValueError("empty history at a limit stage")
     cells: list[CellClass] = []
-    constants: dict[str, int] = {}
-    unary: dict[str, OrdinalSet] = {}
-    nary: dict[str, frozenset[tuple[int, ...]]] = {}
-    unresolved = False
-
+    constants: dict[str, int | None] = {}
     for name in history[0].constant_map():
         seq = [s.constant(name) for s in history]
-        tc = classify_tail(seq, period=period)
-        value = _liminf_value(tc)
-        cells.append(CellClass(name, None, tc.kind, value, tc.verified))
-        if value is None:
-            unresolved = True
-        else:
-            constants[name] = value
+        constants[name] = _limit_cell(cells, name, None, seq, period)
 
+    unary: dict[str, OrdinalSet] = {}
     for name in history[0].unary_map():
-        sets = [s.relation(name) for s in history]
-        value, symbol_cells, ok = _limit_set(name, sets, period)
-        cells.extend(symbol_cells)
-        if not ok:
-            unresolved = True
-        else:
-            unary[name] = value
+        unary[name] = _limit_set(cells, name, [s.relation(name) for s in history], period)
 
+    nary: dict[str, frozenset[tuple[int, ...]]] = {}
     for name in history[0].nary_map():
         rels = [s.tuples(name) for s in history]
-        touched = sorted(set().union(*rels))
         rows = []
-        ok = True
-        for t in touched:
+        for t in sorted(set().union(*rels)):
             bits = [1 if t in r else 0 for r in rels]
-            tc = classify_tail(bits, period=period)
-            value = _liminf_value(tc)
-            cells.append(CellClass(name, t, tc.kind, value, tc.verified))
-            if value is None:
-                ok = False
-            elif value:
+            if _limit_cell(cells, name, t, bits, period):
                 rows.append(t)
-        if ok:
-            nary[name] = frozenset(rows)
-        else:
-            unresolved = True
+        nary[name] = frozenset(rows)
 
     record = LimitRecord(gamma, tuple(cells), all(c.verified for c in cells))
-    if unresolved:
+    if any(c.value is None for c in cells):
         return None, record
     return State.make(kappa, constants, unary, nary), record
 
 
+def _limit_cell(
+    cells: list[CellClass], symbol: str, cell: object, values: list[int], period: int | None = None
+) -> int | None:
+    """Classify one cell's history, append its record to cells and
+    return the value installed at the limit: None when the tail is
+    Unknown, and 0 when it is Unbounded, because such a tail has no limit
+    inferior below the universe bound and the rule's fallback applies.
+    """
+    tc = classify_tail(values, period=period)
+    if tc.kind == "Unknown":
+        value = None
+    elif tc.kind == "Unbounded":
+        value = 0
+    else:
+        value = tc.value
+    cells.append(CellClass(symbol, cell, tc.kind, value, tc.verified))
+    return value
+
+
 def _limit_set(
-    name: str, sets: list[OrdinalSet], period: int | None
-) -> tuple[OrdinalSet, list[CellClass], bool]:
+    cells: list[CellClass], name: str, sets: list[OrdinalSet], period: int | None
+) -> OrdinalSet:
+    """The limit of one unary relation, with its cells appended to cells;
+    when a cell is unresolved the returned set is meaningless."""
     if period is not None:
         cycle = sets[len(sets) - period:]
         value = cycle[0]
         for s in cycle[1:]:
             value = value.intersection(s)
         kind = "Stable" if all(s == cycle[0] for s in cycle) else "Periodic"
-        return value, [CellClass(name, None, kind, value, True)], True
+        cells.append(CellClass(name, None, kind, value, True))
+        return value
 
-    cells: list[CellClass] = []
     polarity = [1 if s.kind == "cofinite" else 0 for s in sets]
-    pol = classify_tail(polarity)
-    pol_value = _liminf_value(pol)
-    if any(polarity):
-        cells.append(CellClass(name, "polarity", pol.kind, pol_value, pol.verified))
-    if pol_value is None:
-        return OrdinalSet.finite(), cells, False
-
-    touched = sorted(set().union(*(s.elements for s in sets)))
-    ok = True
+    # a relation that was never cofinite gets no polarity record
+    cofinite = _limit_cell(cells if any(polarity) else [], name, "polarity", polarity)
+    if cofinite is None:
+        return OrdinalSet.finite()
     flipped: list[int] = []
-    for x in touched:
+    for x in sorted(set().union(*(s.elements for s in sets))):
         bits = [1 if s.member(x) else 0 for s in sets]
-        tc = classify_tail(bits)
-        value = _liminf_value(tc)
-        cells.append(CellClass(name, x, tc.kind, value, tc.verified))
-        if value is None:
-            ok = False
-        elif value != pol_value:
+        if _limit_cell(cells, name, x, bits) != cofinite:
             flipped.append(x)
-    if not ok:
-        return OrdinalSet.finite(), cells, False
-    if pol_value:
-        return OrdinalSet.cofinite(flipped), cells, True
-    return OrdinalSet.finite(flipped), cells, True
+    return OrdinalSet.cofinite(flipped) if cofinite else OrdinalSet.finite(flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +353,12 @@ def run(
 ) -> RunTrace:
     """Execute a machine on an input set under a budget.
 
+    Each pass of the loop takes one stage: a successor step while the
+    segment is open, else the limit stage above it. A segment closes
+    when a state repeats within it or after maxSuccessorStepsPerSegment
+    steps. The pass that sets the outcome ends the run, which then takes
+    the final snapshot unless the policy already has.
+
     mode "short" demands the run finish below the universe bound and
     fails with NotShort the moment the clock would reach it. The trace
     carries every cell change, the snapshots the policy asked for, one
@@ -397,99 +372,84 @@ def run(
         raise Unsupported(f"no evaluation domain for kappa = {vm.kappa}")
 
     trace = RunTrace(machine=vm.spec.name, input=A)
-    try:
-        state = load(vm, A)
-    except GseqaError as exc:
-        trace.outcome = Failed(f"{type(exc).__name__}: {exc}")
-        return trace
-
     # this run's footprint memo rides on a copy of the machine, so it
     # dies with the run
     stepper = _memoised(vm)
-    base = ZERO
-    offset = 0
-    jumps = 0
     snap_all = budget.snapshotPolicy == "all"
-    trace.snapshots.append((ZERO, state))
-    seen_run: dict[State, OrdinalNotation] = {state: ZERO}
+    seen_run: dict[State, OrdinalNotation] = {}
+    # the open segment's states in stage order, each with its position
+    segment: dict[State, int] = {}
+    period = None
+    stamp = ZERO
+    jumps = 0
+    state = None
+    outcome: Outcome | None = None
 
-    while True:
-        segment = [state]
-        seen_segment = {state: 0}
-        period = None
-        finished = False
+    def enter(stamp: OrdinalNotation, state: State) -> None:
+        """Add a stage's new state to the open segment and note the stage
+        at which the run first reached it, warning once per run when a
+        stage reaches a state that an earlier segment reached."""
+        if state in seen_run and not trace.warnings:
+            trace.warnings.append(
+                f"stage {stamp} repeats the state of stage {seen_run[state]}; "
+                "the stage map is not injective"
+            )
+        seen_run.setdefault(state, stamp)
+        segment[state] = len(segment)
 
-        for _ in range(budget.maxSuccessorStepsPerSegment):
+    try:
+        state = load(vm, A)
+    except GseqaError as exc:
+        outcome = Failed(f"{type(exc).__name__}: {exc}")
+    else:
+        trace.snapshots.append((stamp, state))
+        enter(stamp, state)
+
+    while outcome is None:
+        if period is None and len(segment) <= budget.maxSuccessorStepsPerSegment:
             try:
                 nxt = apply_transition(stepper, state, domain, debug=debug)
             except GseqaError as exc:
-                trace.outcome = Failed(f"{type(exc).__name__}: {exc}")
-                _final_snapshot(trace, base.add(OrdinalNotation.from_int(offset)), state)
-                return trace
+                outcome = Failed(f"{type(exc).__name__}: {exc}")
+                continue
             if nxt == state:
-                trace.outcome = Terminated(state, unload(state))
-                _final_snapshot(trace, base.add(OrdinalNotation.from_int(offset)), state)
-                return trace
-            offset += 1
-            stamp = base.add(OrdinalNotation.from_int(offset))
+                outcome = Terminated(state, unload(state))
+                continue
+            stamp = stamp.succ()
             trace.events.extend(_cell_events(stamp, state, nxt))
             if snap_all:
                 trace.snapshots.append((stamp, nxt))
             state = nxt
-            if state in seen_segment:
-                period = len(segment) - seen_segment[state]
-                finished = True
+            if state in segment:
+                period = len(segment) - segment[state]
             else:
-                if state in seen_run and not trace.warnings:
-                    trace.warnings.append(
-                        f"stage {stamp} repeats the state of stage "
-                        f"{seen_run[state]}; the stage map is not injective"
-                    )
-                seen_segment[state] = len(segment)
-                segment.append(state)
-                seen_run.setdefault(state, stamp)
-            if finished:
-                break
+                enter(stamp, state)
+            continue
 
-        stamp = base.add(OrdinalNotation.from_int(offset))
         target = next_limit(stamp)
         if mode == "short" and not target < vm.kappa:
-            trace.outcome = Failed(
-                f"NotShort: the clock would reach {target} at the universe bound"
-            )
-            _final_snapshot(trace, stamp, state)
-            return trace
-        if jumps >= budget.maxLimitJumps:
-            trace.outcome = OutOfBudget(
-                f"{jumps} limit jumps exhausted at clock {stamp}"
-            )
-            _final_snapshot(trace, stamp, state)
-            return trace
+            outcome = Failed(f"NotShort: the clock would reach {target} at the universe bound")
+        elif jumps >= budget.maxLimitJumps:
+            outcome = OutOfBudget(f"{jumps} limit jumps exhausted at clock {stamp}")
+        else:
+            lim, record = limit_state(list(segment), target, vm.kappa, period=period)
+            trace.limitRecords.append(record)
+            if lim is None:
+                outcome = LimitUnresolved(target)
+            else:
+                trace.events.extend(_cell_events(target, state, lim))
+                trace.snapshots.append((target, lim))
+                stamp = target
+                state = lim
+                jumps += 1
+                segment.clear()
+                period = None
+                enter(stamp, state)
 
-        lim, record = limit_state(segment, target, vm.kappa, period=period)
-        trace.limitRecords.append(record)
-        if lim is None:
-            trace.outcome = LimitUnresolved(target)
-            _final_snapshot(trace, stamp, state)
-            return trace
-        trace.events.extend(_cell_events(target, state, lim))
-        trace.snapshots.append((target, lim))
-        if lim in seen_run and not trace.warnings:
-            trace.warnings.append(
-                f"stage {target} repeats the state of stage {seen_run[lim]}; "
-                "the stage map is not injective"
-            )
-        seen_run.setdefault(lim, target)
-        state = lim
-        base = target
-        offset = 0
-        jumps += 1
-
-
-def _final_snapshot(trace: RunTrace, stamp: OrdinalNotation, state: State) -> None:
-    if trace.snapshots and trace.snapshots[-1] == (stamp, state):
-        return
-    trace.snapshots.append((stamp, state))
+    trace.outcome = outcome
+    if state is not None and trace.snapshots[-1] != (stamp, state):
+        trace.snapshots.append((stamp, state))
+    return trace
 
 
 # ---------------------------------------------------------------------------

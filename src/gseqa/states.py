@@ -271,7 +271,10 @@ def _parse_tuple_set(text: str) -> frozenset[tuple[int, ...]]:
     for chunk in body.replace("),(", ")|(").split("|"):
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise ParseError(f"bad tuple {chunk!r}")
-        tuples.append(tuple(_natural(x) for x in chunk[1:-1].split(",") if x))
+        items = chunk[1:-1].split(",") if chunk != "()" else []
+        if len(items) == 2 and items[1] == "":
+            items.pop()  # the one-tuple form (1,)
+        tuples.append(tuple(_natural(x) for x in items))
     return frozenset(tuples)
 
 
@@ -290,7 +293,7 @@ def parse_state(text: str) -> State:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("state"):
+        if line.split()[0] == "state":
             _, _, rest = line.partition("kappa=")
             kappa = parse_ordinal(rest.strip())
             continue
@@ -300,6 +303,10 @@ def parse_state(text: str) -> State:
         table, read = readers[head]
         for item in rest.split():
             k, _, val = item.partition("=")
+            if not k:
+                raise ParseError(f"{head} item {item!r} has no name")
+            if k in table:
+                raise ParseError(f"{head} item {item!r} repeats the name {k!r}")
             try:
                 table[k] = read(val)
             except ParseError as exc:

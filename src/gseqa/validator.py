@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NoReturn
+from typing import NoReturn
 
 from .errors import (
     ArityMismatch,
@@ -45,7 +45,6 @@ from .errors import (
 )
 from .logic import (
     MEMBERSHIP,
-    And,
     Apply,
     Const,
     Equal,
@@ -144,18 +143,6 @@ class ValidatedMachine:
     @property
     def sigma(self) -> Signature:
         return self.spec.sigma
-
-    def reconstruct_witnesses(self) -> dict[str, Formula]:
-        """Recover the per-symbol witness bodies from phi_tau.
-
-        Inverts the assembly performed by check_bounded, up to the
-        canonical choice of variable names.
-        """
-        out: dict[str, Formula] = {}
-        for psi in _conjuncts(self.phi_tau):
-            name, body = _split_psi(psi)
-            out[name] = body
-        return out
 
 
 @dataclass(frozen=True)
@@ -318,29 +305,6 @@ def _close(variables: tuple[str, ...], body: Formula) -> Formula:
 def _assemble(parts: list[_Part], copy: int | None) -> Formula:
     psis = [_close(p.variables, Iff(_head(p, copy), p.body)) for p in parts]
     return land(*psis) if psis else Truth(True)
-
-
-def _conjuncts(f: Formula) -> Iterator[Formula]:
-    if isinstance(f, And):
-        yield from _conjuncts(f.left)
-        yield from _conjuncts(f.right)
-    else:
-        yield f
-
-
-def _split_psi(psi: Formula) -> tuple[str, Formula]:
-    while isinstance(psi, Forall):
-        psi = psi.body
-    if not isinstance(psi, Iff):
-        raise GseqaError("conjunct is not a witness biconditional")
-    head = psi.left
-    if isinstance(head, Apply):
-        return head.name, psi.right
-    if isinstance(head, Equal) and isinstance(head.right, Const):
-        return head.right.name, psi.right
-    if isinstance(head, Equal) and isinstance(head.left, FuncApp):
-        return head.left.name, psi.right
-    raise GseqaError("unrecognized witness head shape")
 
 
 def _too_deep(name: str) -> ValidationIssue:
@@ -677,7 +641,7 @@ def sample_states(
                 if spec.kappa.is_finite:
                     nary[decl.name] = frozenset(
                         key + (rng.randrange(bound),)
-                        for key in _product_keys(bound, decl.arity)
+                        for key in itertools.product(range(bound), repeat=decl.arity)
                     )
                 else:
                     nary[decl.name] = frozenset()
@@ -685,8 +649,9 @@ def sample_states(
     return states
 
 
-def _product_keys(bound: int, arity: int) -> Iterator[tuple[int, ...]]:
-    return itertools.product(range(bound), repeat=arity)
+# Seeds the random states that check_machine steps, so that admission is
+# deterministic.
+SAMPLE_SEED = 2026
 
 
 def check_machine(
@@ -694,7 +659,6 @@ def check_machine(
     *,
     allow_finite_kappa: bool = False,
     sample_size: int = 64,
-    seed: int = 2026,
 ) -> ValidatedMachine:
     """Admit a machine specification or raise MachineInvalid with every defect.
 
@@ -766,7 +730,7 @@ def check_machine(
         domain = domain_for(spec.kappa)
         if domain is not None:
             issues, start = _semantic_issues(spec, tci, transition, default_parts,
-                                             domain, sample_size, seed)
+                                             domain, sample_size)
 
     if issues:
         raise MachineInvalid(issues)
@@ -783,7 +747,6 @@ def _semantic_issues(
     default_parts: list[_Part],
     domain: EvalDomain,
     sample_size: int,
-    seed: int,
 ) -> tuple[list[ValidationIssue], State | None]:
     """The defects that evaluation finds, and the start state: the
     defaults evaluated over the bare order, so that the blank state's
@@ -813,7 +776,7 @@ def _semantic_issues(
                 )
             )
 
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     for state in sample_states(spec, rng, count=sample_size):
         if not models_tci(state, spec.sigma, tci).ok:
             continue

@@ -1,11 +1,13 @@
 """Transfinite runs: segments, limit jumps, traces, certificates."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from gseqa import (
     OMEGA,
+    OrdinalNotation,
     OrdinalSet,
     Signature,
     State,
@@ -328,6 +330,71 @@ def test_budget_validation():
         Budget(0)
     with pytest.raises(ValueError):
         Budget(snapshotPolicy="sometimes")
+
+
+# Every way a run can end, beyond the ones tests/test_pinned.py pins:
+# failing at load and mid-run, NotShort, and the snapshot policy "all" on
+# segments closed by an exact repeat or ended by a fixed point. The digests
+# were recorded before the run loop was last restructured.
+EXIT_DIGESTS = {
+    "load fails": "6a589d53a6c1322aaea4e2000e4682436c868988594296b6e77d3cae82f4b3fc",
+    "step fails": "8811877e08503927ad5a8b9fb782079390d8e48e2f202c0de114b990fd15ad00",
+    "not short": "07849bd8b04b8de8c80482ff6b73400c3d95cc5f62231097d4e6a84cfdf95b24",
+    "all snapshots, period 2": "f66a972f27da69fd03f22120e1c01bbebda0ab9db3d91dec32db8eb29371f51e",
+    "all snapshots, period 3": "d94bc270e24214db61aede720e736510eeeb17fe276fec601aa63ffc33666faa",
+    "all snapshots, fixed point": "e2791ac7ec6411f6aa984b1370a63c172eaac632f6d8c4310ac5613fc7d41a4b",
+}
+
+
+def finite_copier():
+    spec = MachineSpec(
+        kappa=OrdinalNotation.from_int(6),
+        sigma=BASE,
+        flavor=GSEQA,
+        tauWitnesses={k: parse_formula("In(x)", BASE) for k in ("In", "Out")},
+    )
+    return check_machine(spec, allow_finite_kappa=True)
+
+
+def d6_at_three():
+    """h counts up from 0; at 3 its witness holds for two values."""
+    tau = {"In": "In(x)", "Out": "Out(x)", "h": f"(h < 3 & {SUCC}) | (h = 3 & x < 2)"}
+    spec = MachineSpec(
+        kappa=W,
+        sigma=COUNTER_SIGMA,
+        flavor=GSEQA,
+        tauWitnesses={k: parse_formula(v, COUNTER_SIGMA) for k, v in tau.items()},
+        defaultWitnesses={"h": parse_formula("x = 0", COUNTER_SIGMA)},
+    )
+    # no sampled states: a sampled h = 3 would refuse admission
+    return check_machine(spec, sample_size=0)
+
+
+def test_every_run_exit_writes_its_pinned_trace():
+    every = Budget(snapshotPolicy="all", maxLimitJumps=2)
+    traces = {
+        "load fails": run(finite_copier(), OrdinalSet.finite({2, 9})),
+        "step fails": run(d6_at_three(), OrdinalSet.finite({1})),
+        "not short": run(bitflip(), OrdinalSet.finite({1}), mode="short"),
+        "all snapshots, period 2": run(bitflip(), OrdinalSet.finite({1, 3}), every),
+        "all snapshots, period 3": run(mod3(), OrdinalSet.finite({2}), every),
+        "all snapshots, fixed point": run(staircase(), OrdinalSet.finite({4}), every),
+    }
+    outcomes = {name: type(t.outcome).__name__ for name, t in traces.items()}
+    assert outcomes == {
+        "load fails": "Failed",
+        "step fails": "Failed",
+        "not short": "Failed",
+        "all snapshots, period 2": "OutOfBudget",
+        "all snapshots, period 3": "OutOfBudget",
+        "all snapshots, fixed point": "Terminated",
+    }
+    digests = {
+        name: hashlib.sha256(dump_trace(t).encode()).hexdigest() for name, t in traces.items()
+    }
+    for name, digest in digests.items():
+        print(f"    {name!r}: {digest!r},")
+    assert digests == EXIT_DIGESTS
 
 
 # --- certificates ---------------------------------------------------------------

@@ -173,3 +173,24 @@ def test_parse_state_rejects_junk():
 def test_parse_state_names_the_bad_item(line, item):
     with pytest.raises(ParseError, match=re.escape(repr(item))):
         parse_state(f"state kappa=w\n{line}")
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("state kappa=w\nconstants: =3", "=3"),
+        ("state kappa=w\nconstants: h=1 h=2", "h=2"),
+        ("state kappa=w\nconstants: h=1\nconstants: h=2", "h=2"),
+        ("state kappa=w\nnary: E={(1,,2)}", "E={(1,,2)}"),
+        ("state kappa=w\nnary: E={(,)}", "E={(,)}"),
+        ("states kappa=w\nconstants: h=1", "states kappa=w"),
+    ],
+)
+def test_parse_state_refuses_what_it_would_drop(text, named):
+    with pytest.raises(ParseError, match=re.escape(repr(named))):
+        parse_state(text)
+
+
+def test_parse_state_reads_one_tuples_in_both_forms():
+    s = parse_state("state kappa=w\nnary: E={(1,),(2)}")
+    assert s.tuples("E") == frozenset({(1,), (2,)})

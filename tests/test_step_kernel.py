@@ -2,10 +2,10 @@
 
 check_machine interns every witness body into one table and a step
 evaluates each closed subformula once per state. These tests rebuild
-each successor state part by part from the witnesses recovered from
-phi_tau, through defined_set and defined_relation, which share no memo
-with the step, and run every construction once with the step checked
-against phi_tau. A run also looks each part up in its footprint memo
+each successor state part by part from the normalised witness bodies,
+through defined_set and defined_relation, which share no memo with the
+step, and run every construction once with the step checked against
+phi_tau. A run also looks each part up in its footprint memo
 before evaluating it; the last tests check that the memo changes no
 trace byte, lives on the run and keys on the support at w.
 """
@@ -108,7 +108,7 @@ def machines():
 
 def reference_step(vm, state, domain):
     """The successor state, one public entry call per symbol."""
-    witnesses = vm.reconstruct_witnesses()
+    witnesses = {p.decl.name: p.body for p in vm._transition.parts}
     constants, unary, nary = {}, {}, {}
     for decl in vm.sigma.doubled_symbols():
         body, variables = witnesses[decl.name], witness_variables(decl)

@@ -66,19 +66,18 @@ def test_check_bounded_assembles_biconditionals():
     phi = check_bounded(bitflip())
     vm = check_machine(bitflip())
     assert vm.phi_tau == phi
-    rebuilt = vm.reconstruct_witnesses()
-    assert set(rebuilt) == {"In", "Out"}
-    assert rebuilt["In"] == with_copy(parse_formula("~In(x)", BASE), 0)
-    assert rebuilt["Out"] == with_copy(parse_formula("Out(x)", BASE), 0)
+    bodies = {p.decl.name: p.body for p in vm._transition.parts}
+    assert set(bodies) == {"In", "Out"}
+    assert bodies["In"] == with_copy(parse_formula("~In(x)", BASE), 0)
+    assert bodies["Out"] == with_copy(parse_formula("Out(x)", BASE), 0)
 
 
 def test_check_bounded_renames_single_variable():
     sigma = BASE
     spec = machine(tau={"In": "In(y)", "Out": "Out(x)"})
     vm = check_machine(spec)
-    assert vm.reconstruct_witnesses()["In"] == with_copy(
-        parse_formula("In(x)", sigma), 0
-    )
+    (part,) = [p for p in vm._transition.parts if p.decl.name == "In"]
+    assert part.body == with_copy(parse_formula("In(x)", sigma), 0)
 
 
 def test_copy1_witness_is_not_bounded():
