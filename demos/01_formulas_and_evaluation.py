@@ -21,8 +21,7 @@ sigma = Signature([SymbolDecl("h", "Constant")])
 # In = {1, 3}, Out = everything except 0, h = 4.
 state = State.make(
     OMEGA,
-    constants={"h": 4},
-    unary={"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.cofinite({0})},
+    {"h": 4, "In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.cofinite({0})},
 )
 
 sentences = [

@@ -8,6 +8,7 @@ from .errors import (
     GseqaError,
     KappaMismatch,
     MachineInvalid,
+    MissingSymbol,
     NotBounded,
     NotClosed,
     NotSimple,

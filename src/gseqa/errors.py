@@ -27,6 +27,18 @@ class Unrepresentable(GseqaError):
     """A set or state component left the finite-or-cofinite representation."""
 
 
+class MissingSymbol(GseqaError, KeyError):
+    """A state lacks a symbol that was read from it, or holds it under
+    another kind. It is also a KeyError, the error of a failed lookup."""
+
+    def __init__(self, symbol: str, detail: str) -> None:
+        super().__init__(detail)
+        self.symbol = symbol
+
+    # KeyError would print the message quoted
+    __str__ = Exception.__str__
+
+
 class NotClosed(GseqaError):
     """A formula with free variables reached a context requiring a sentence."""
 

@@ -452,9 +452,12 @@ def _subst_term(t: Term, env: dict[str, Term]) -> Term:
 def substitute(f: Formula, env: dict[str, Term]) -> Formula:
     """Capture-checked substitution of terms for free variables.
 
-    The replacement terms used here are always variable-free (constants,
-    literals), so instead of renaming bound variables this raises
-    Unsupported if a substitution would capture.
+    A replacement term may hold variables, as when admission renames a
+    witness's free variable to its canonical one, or a construction
+    renames witness variables to fresh ones. Bound variables are never
+    renamed: a substitution that would put a replacement's variable under
+    a quantifier binding it raises Unsupported, so callers pick names
+    that no quantifier in the formula binds.
     """
     if isinstance(f, Apply):
         return Apply(f.name, tuple(_subst_term(t, env) for t in f.args), f.copy)

@@ -163,7 +163,7 @@ def load(vm: ValidatedMachine, A: OrdinalSet) -> State:
             raise Unrepresentable(f"input reaches beyond the universe bound {n}")
     if vm.start is None:
         raise Unsupported(f"no evaluation domain for kappa = {vm.kappa}")
-    return vm.start.with_updates(unary={"In": A})
+    return vm.start.with_updates({"In": A})
 
 
 def unload(state: State) -> OrdinalSet:
@@ -245,29 +245,26 @@ def limit_state(
     if not history:
         raise ValueError("empty history at a limit stage")
     cells: list[CellClass] = []
-    constants: dict[str, int | None] = {}
-    for name in history[0].constant_map():
-        seq = [s.constant(name) for s in history]
-        constants[name] = _limit_cell(cells, name, None, seq, period)
-
-    unary: dict[str, OrdinalSet] = {}
-    for name in history[0].unary_map():
-        unary[name] = _limit_set(cells, name, [s.relation(name) for s in history], period)
-
-    nary: dict[str, frozenset[tuple[int, ...]]] = {}
-    for name in history[0].nary_map():
-        rels = [s.tuples(name) for s in history]
-        rows = []
-        for t in sorted(set().union(*rels)):
-            bits = [1 if t in r else 0 for r in rels]
-            if _limit_cell(cells, name, t, bits, period):
-                rows.append(t)
-        nary[name] = frozenset(rows)
+    values: dict[str, object] = {}
+    for name, first in history[0].items:
+        if type(first) is int:
+            seq = [s.constant(name) for s in history]
+            values[name] = _limit_cell(cells, name, None, seq, period)
+        elif isinstance(first, OrdinalSet):
+            values[name] = _limit_set(cells, name, [s.relation(name) for s in history], period)
+        else:
+            rels = [s.tuples(name) for s in history]
+            rows = []
+            for t in sorted(set().union(*rels)):
+                bits = [1 if t in r else 0 for r in rels]
+                if _limit_cell(cells, name, t, bits, period):
+                    rows.append(t)
+            values[name] = frozenset(rows)
 
     record = LimitRecord(gamma, tuple(cells), all(c.verified for c in cells))
     if any(c.value is None for c in cells):
         return None, record
-    return State.make(kappa, constants, unary, nary), record
+    return State.make(kappa, values), record
 
 
 def _limit_cell(
@@ -322,24 +319,25 @@ def _limit_set(
 
 def _cell_events(stamp: OrdinalNotation, old: State, new: State) -> list[Event]:
     events: list[Event] = []
-    for name, value in new.constants:
-        before = old.constant(name)
-        if before != value:
-            events.append(Event(stamp, name, None, before, value))
-    for name, after in new.unary:
-        before = old.relation(name)
-        if before == after:
-            continue
-        delta = before.symmetric_difference(after)
-        if delta.kind == "cofinite":
-            events.append(Event(stamp, name, "polarity", before.kind, after.kind))
+    for name, after in new.items:
+        if type(after) is int:
+            before = old.constant(name)
+            if before != after:
+                events.append(Event(stamp, name, None, before, after))
+        elif isinstance(after, OrdinalSet):
+            before = old.relation(name)
+            if before == after:
+                continue
+            delta = before.symmetric_difference(after)
+            if delta.kind == "cofinite":
+                events.append(Event(stamp, name, "polarity", before.kind, after.kind))
+            else:
+                for x in sorted(delta.elements):
+                    events.append(Event(stamp, name, x, before.member(x), after.member(x)))
         else:
-            for x in sorted(delta.elements):
-                events.append(Event(stamp, name, x, before.member(x), after.member(x)))
-    for name, after_rows in new.nary:
-        before_rows = old.tuples(name)
-        for t in sorted(before_rows ^ after_rows):
-            events.append(Event(stamp, name, t, t in before_rows, t in after_rows))
+            before = old.tuples(name)
+            for t in sorted(before ^ after):
+                events.append(Event(stamp, name, t, t in before, t in after))
     return events
 
 

@@ -180,16 +180,9 @@ class _View:
 
     def __init__(self, state: State):
         self.state = state
-        self._constants = dict(state.constants)
         self._tuples: dict[str, frozenset[tuple[int, ...]]] = {}
         self._codes: dict[tuple[str, int], np.ndarray] = {}
         self._graphs: dict[str, dict[tuple[int, ...], int]] = {}
-
-    def constant(self, name: str) -> int:
-        try:
-            return self._constants[name]
-        except KeyError:
-            return self.state.constant(name)  # raises the state's own error
 
     def tuples(self, name: str, width: int) -> frozenset[tuple[int, ...]]:
         """The symbol's stored tuples, checked once to have the given width."""
@@ -312,7 +305,7 @@ class _Evaluator:
         return _Table(value.to_int(), ())
 
     def constant(self, name: str, copy: int | None) -> _Table:
-        return _Table(self.view(copy).constant(name), ())
+        return _Table(self.view(copy).state.constant(name), ())
 
     def var(self, name: str) -> _Table:
         try:

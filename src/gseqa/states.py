@@ -12,10 +12,11 @@ exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import ParseError
+from .errors import MissingSymbol, ParseError
 from .ordinals import (
     OrdinalNotation,
     OrdinalSet,
@@ -45,79 +46,84 @@ def _freeze_tuples(tuples: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ..
     return frozenset(out)
 
 
+Value = int | OrdinalSet | frozenset
+
+
+def _kind(value: object) -> type:
+    """A value's kind: int for a constant, OrdinalSet for a unary
+    relation, frozenset for a tuple set. The exact-type test comes first
+    because every step reads it."""
+    if type(value) is int:
+        return int
+    if isinstance(value, OrdinalSet):
+        return OrdinalSet
+    return int if isinstance(value, numbers.Integral) else frozenset
+
+
+# each kind's name, in the order of its group in State.items
+_KINDS = {int: "constant", OrdinalSet: "unary relation", frozenset: "relation"}
+_RANK = {kind: i for i, kind in enumerate(_KINDS)}
+
+
 @dataclass(frozen=True)
 class State:
     """One machine configuration.
 
     kappa is the universe bound (a limit ordinal, or a finite stand-in
-    when running against a finite surrogate universe). The three maps are
-    stored as sorted tuples so states compare and hash structurally.
+    when running against a finite surrogate universe). items gives each
+    symbol its one value, and the value's type is its kind: an int for a
+    constant, an OrdinalSet for a unary relation, and a frozen set of
+    tuples for a wider relation or a function's graph. Constants come
+    first, then unary relations, then tuple sets, each group sorted by
+    name, so states compare and hash structurally.
     """
 
     kappa: OrdinalNotation
-    constants: tuple[tuple[str, int], ...] = ()
-    unary: tuple[tuple[str, OrdinalSet], ...] = ()
-    nary: tuple[tuple[str, frozenset[tuple[int, ...]]], ...] = ()
+    items: tuple[tuple[str, Value], ...] = ()
+    _values: dict[str, Value] = field(init=False, repr=False, compare=False)
     _support_bound: int | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_values", dict(self.items))
+
     @staticmethod
-    def make(
-        kappa: OrdinalNotation,
-        constants: Mapping[str, int] | None = None,
-        unary: Mapping[str, OrdinalSet] | None = None,
-        nary: Mapping[str, Iterable[tuple[int, ...]]] | None = None,
-    ) -> "State":
-        consts = tuple(sorted((k, int(v)) for k, v in (constants or {}).items()))
-        if any(v < 0 for _, v in consts):
-            raise ValueError("constants must hold naturals")
-        return State(
-            kappa,
-            consts,
-            tuple(sorted((unary or {}).items())),
-            tuple(sorted((k, _freeze_tuples(v)) for k, v in (nary or {}).items())),
-        )
+    def make(kappa: OrdinalNotation, values: Mapping[str, object] | None = None) -> "State":
+        """The state with these values: ints (or other integrals) for
+        constants, OrdinalSets for unary relations, and iterables of
+        tuples for the rest."""
+        keyed = []
+        for name, value in (values or {}).items():
+            kind = _kind(value)
+            if kind is int:
+                value = int(value)
+                if value < 0:
+                    raise ValueError("constants must hold naturals")
+            elif kind is frozenset:
+                value = _freeze_tuples(value)
+            keyed.append((_RANK[kind], name, value))
+        keyed.sort()  # names are distinct, so values are never compared
+        return State(kappa, tuple([(name, value) for _, name, value in keyed]))
+
+    def value(self, name: str, kind: type | None = None) -> Value:
+        """The symbol's value; with a kind (int, OrdinalSet or frozenset),
+        only a value of that kind. Raises MissingSymbol naming the symbol
+        otherwise."""
+        value = self._values.get(name)
+        if value is None or (kind is not None and not isinstance(value, kind)):
+            raise MissingSymbol(name, f"no {_KINDS.get(kind, 'symbol')} {name!r} in state")
+        return value
 
     def constant(self, name: str) -> int:
-        for k, v in self.constants:
-            if k == name:
-                return v
-        raise KeyError(f"no constant {name!r} in state")
+        return self.value(name, int)
 
     def relation(self, name: str) -> OrdinalSet:
-        for k, v in self.unary:
-            if k == name:
-                return v
-        raise KeyError(f"no unary relation {name!r} in state")
+        return self.value(name, OrdinalSet)
 
     def tuples(self, name: str) -> frozenset[tuple[int, ...]]:
-        for k, v in self.nary:
-            if k == name:
-                return v
-        raise KeyError(f"no relation {name!r} in state")
+        return self.value(name, frozenset)
 
-    def constant_map(self) -> dict[str, int]:
-        return dict(self.constants)
-
-    def unary_map(self) -> dict[str, OrdinalSet]:
-        return dict(self.unary)
-
-    def nary_map(self) -> dict[str, frozenset[tuple[int, ...]]]:
-        return dict(self.nary)
-
-    def with_updates(
-        self,
-        constants: Mapping[str, int] | None = None,
-        unary: Mapping[str, OrdinalSet] | None = None,
-        nary: Mapping[str, Iterable[tuple[int, ...]]] | None = None,
-    ) -> "State":
-        cs = self.constant_map()
-        cs.update(constants or {})
-        us = self.unary_map()
-        us.update(unary or {})
-        ns = self.nary_map()
-        for k, v in (nary or {}).items():
-            ns[k] = _freeze_tuples(v)
-        return State.make(self.kappa, cs, us, ns)
+    def with_updates(self, values: Mapping[str, object]) -> "State":
+        return State.make(self.kappa, {**self._values, **values})
 
     def support_bound(self) -> int:
         """Least n such that every stored item lives below n (sets modulo
@@ -130,13 +136,15 @@ class State:
         if self._support_bound is not None:
             return self._support_bound
         bound = 0
-        for _, val in self.constants:
-            bound = max(bound, val + 1)
-        for _, s in self.unary:
-            bound = max(bound, s.support_bound())
-        for _, ts in self.nary:
-            for t in ts:
-                bound = max(bound, max(t, default=-1) + 1)
+        for _, value in self.items:
+            kind = _kind(value)
+            if kind is int:
+                bound = max(bound, value + 1)
+            elif kind is OrdinalSet:
+                bound = max(bound, value.support_bound())
+            else:
+                for t in value:
+                    bound = max(bound, max(t, default=-1) + 1)
         object.__setattr__(self, "_support_bound", bound)
         return bound
 
@@ -188,46 +196,46 @@ def models_tci(state: State, sigma: Signature, tci: Tci) -> TciVerdict:
     bound = state.kappa.to_int() if finite_kappa else None
 
     declared = {d.name: d for d in sigma}
-    for name, val in state.constants:
+    for name, value in state.items:
         d = declared.get(name)
-        if d is None or d.kind != "Constant":
-            reasons.append(f"BadConstraint: {name!r} is not a declared constant")
+        kind = _kind(value)
+        if kind is int:
+            fits = d is not None and d.kind == "Constant"
+        elif kind is OrdinalSet:
+            fits = d is not None and d.kind == "Relation" and d.arity == 1
+        else:
+            fits = d is not None and d.kind != "Constant"
+        if not fits:
+            reasons.append(f"BadConstraint: {name!r} is not a declared {_KINDS[kind]}")
             continue
-        if bound is not None and val >= bound:
-            reasons.append(f"range: constant {name} = {val} not below {state.kappa}")
-    for name, s in state.unary:
-        d = declared.get(name)
-        if d is None or d.kind != "Relation" or d.arity != 1:
-            reasons.append(f"BadConstraint: {name!r} is not a declared unary relation")
+        if kind is frozenset:
+            # a function is stored as its graph: arguments, then the value
+            width = d.arity + (d.kind == "Function")
+            for t in sorted(t for t in value if len(t) != width):
+                reasons.append(f"arity: {name} holds {t}, which is not a {width}-tuple")
+        if bound is None:
             continue
-        if bound is not None and any(e >= bound for e in s.elements):
-            reasons.append(f"range: {name} mentions elements at or above {state.kappa}")
-    for name, ts in state.nary:
-        d = declared.get(name)
-        if d is None or d.kind == "Constant":
-            reasons.append(f"BadConstraint: {name!r} is not a declared relation")
+        if kind is int:
+            if value >= bound:
+                reasons.append(f"range: constant {name} = {value} not below {state.kappa}")
             continue
-        # a function is stored as its graph: arguments, then the value
-        width = d.arity + (d.kind == "Function")
-        for t in sorted(t for t in ts if len(t) != width):
-            reasons.append(f"arity: {name} holds {t}, which is not a {width}-tuple")
-        if bound is not None and any(x >= bound for t in ts for x in t):
+        elements = value.elements if kind is OrdinalSet else {x for t in value for x in t}
+        if any(x >= bound for x in elements):
             reasons.append(f"range: {name} mentions elements at or above {state.kappa}")
 
-    pinned = tci.pinned()
-    for name, alpha in pinned.items():
-        if not alpha.is_finite:
-            # a pinned infinite value can never be checked against a stored
-            # natural; treat presence as mismatch unless the state omits it
-            if any(k == name for k, _ in state.constants):
-                reasons.append(f"ParameterMismatch: {name} pinned to {alpha}")
-            continue
+    for name, alpha in tci.pinned().items():
         try:
             actual = state.constant(name)
-        except KeyError:
+        except MissingSymbol:
+            actual = None
+        if not alpha.is_finite:
+            # a stored natural never equals an infinite pin, so only a
+            # state that omits the constant passes
+            if actual is not None:
+                reasons.append(f"ParameterMismatch: {name} pinned to {alpha}")
+        elif actual is None:
             reasons.append(f"ParameterMismatch: {name} missing, pinned to {alpha}")
-            continue
-        if actual != alpha.to_int():
+        elif actual != alpha.to_int():
             reasons.append(
                 f"ParameterMismatch: {name} = {actual}, pinned to {alpha}"
             )
@@ -238,21 +246,27 @@ def models_tci(state: State, sigma: Signature, tci: Tci) -> TciVerdict:
 # snapshot serialization
 
 
+# each kind's snapshot line, in State.items order
+_HEADS = {int: "constants", OrdinalSet: "unary", frozenset: "nary"}
+
+
 def format_state(s: State) -> str:
-    lines = [f"state kappa={s.kappa}"]
-    if s.constants:
-        lines.append("constants: " + " ".join(f"{k}={v}" for k, v in s.constants))
-    if s.unary:
-        lines.append(
-            "unary: " + " ".join(f"{k}={format_ordinal_set(v)}" for k, v in s.unary)
-        )
-    if s.nary:
-        parts = []
-        for k, ts in s.nary:
-            body = ",".join("(" + ",".join(str(x) for x in t) + ")" for t in sorted(ts))
-            parts.append(f"{k}={{{body}}}")
-        lines.append("nary: " + " ".join(parts))
-    return "\n".join(lines)
+    """The snapshot text: the header, then one line per kind that the
+    state holds, with its items in State.items order."""
+    lines: dict[type, list[str]] = {}
+    for name, value in s.items:
+        kind = _kind(value)
+        if kind is int:
+            text = str(value)
+        elif kind is OrdinalSet:
+            text = format_ordinal_set(value)
+        else:
+            text = "{" + ",".join("(" + ",".join(map(str, t)) + ")" for t in sorted(value)) + "}"
+        lines.setdefault(kind, []).append(f"{name}={text}")
+    return "\n".join(
+        [f"state kappa={s.kappa}"]
+        + [f"{_HEADS[kind]}: " + " ".join(items) for kind, items in lines.items()]
+    )
 
 
 def _natural(text: str) -> int:
@@ -278,39 +292,37 @@ def _parse_tuple_set(text: str) -> frozenset[tuple[int, ...]]:
     return frozenset(tuples)
 
 
+_READERS = dict(zip(_HEADS.values(), (_natural, parse_ordinal_set, _parse_tuple_set)))
+
+
 def parse_state(text: str) -> State:
-    """Inverse of format_state."""
+    """Inverse of format_state. Refuses a second header and a name given
+    twice, under one kind or under two."""
     kappa = None
-    constants: dict[str, int] = {}
-    unary: dict[str, OrdinalSet] = {}
-    nary: dict[str, frozenset[tuple[int, ...]]] = {}
-    readers = {
-        "constants": (constants, _natural),
-        "unary": (unary, parse_ordinal_set),
-        "nary": (nary, _parse_tuple_set),
-    }
+    values: dict[str, Value] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.split()[0] == "state":
+            if kappa is not None:
+                raise ParseError(f"second snapshot header {line!r}")
             _, _, rest = line.partition("kappa=")
             kappa = parse_ordinal(rest.strip())
             continue
         head, sep, rest = line.partition(":")
-        if not sep or head not in readers:
+        if not sep or head not in _READERS:
             raise ParseError(f"unrecognised snapshot line {line!r}")
-        table, read = readers[head]
         for item in rest.split():
             k, _, val = item.partition("=")
             if not k:
                 raise ParseError(f"{head} item {item!r} has no name")
-            if k in table:
+            if k in values:
                 raise ParseError(f"{head} item {item!r} repeats the name {k!r}")
             try:
-                table[k] = read(val)
+                values[k] = _READERS[head](val)
             except ParseError as exc:
                 raise ParseError(f"{head} item {item!r}: {exc}") from None
     if kappa is None:
         raise ParseError("snapshot missing the 'state kappa=...' header")
-    return State.make(kappa, constants, unary, nary)
+    return State.make(kappa, values)

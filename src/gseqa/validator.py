@@ -119,11 +119,10 @@ def witness_variables(decl: SymbolDecl) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ValidatedMachine:
-    """A machine that passed admission, with its assembled sentences.
+    """A machine that passed admission, with its assembled transition.
 
     phi_tau is the conjunction of per-symbol biconditionals over the
-    doubled signature; phi_default the analogous single-state sentence
-    for initial values; tci the derived interpretation constraint.
+    doubled signature; tci the derived interpretation constraint.
     start is the state every run begins from before its input is
     installed: each default's value over the bare order, with In and Out
     empty. It is None when kappa has no evaluation domain.
@@ -131,7 +130,6 @@ class ValidatedMachine:
 
     spec: MachineSpec
     phi_tau: Formula
-    phi_default: Formula
     tci: Tci
     _transition: "_Transition" = field(compare=False, repr=False)
     start: State | None = field(compare=False, repr=False)
@@ -449,47 +447,37 @@ def _evaluate_parts(
     state: State,
     domain: EvalDomain,
     interned: Interned | None = None,
-) -> tuple[dict[str, int], dict[str, OrdinalSet], dict[str, frozenset[tuple[int, ...]]]]:
-    """The value each witness defines over the state, split by symbol kind.
+) -> dict[str, object]:
+    """The value each witness defines over the state, by symbol name.
 
     interned is the table the part bodies come from, if they were
     compiled. Raises D6Violation when a constant's witness fails to pin
     exactly one value or a function's witness is not a total graph.
     """
     ctx = EvalContext.single(state, domain, interned)
-    constants: dict[str, int] = {}
-    unary: dict[str, OrdinalSet] = {}
-    nary: dict[str, frozenset[tuple[int, ...]]] = {}
+    values: dict[str, object] = {}
     for part in parts:
         name = part.decl.name
         try:
             if part.decl.kind == "Constant":
-                values = ctx.defined_set(part.body, part.variables[0])
-                value = _singleton(values)
+                defined = ctx.defined_set(part.body, part.variables[0])
+                value = _singleton(defined)
                 if value is None:
                     raise D6Violation(
                         state, name,
-                        f"witness defines {_describe(values)} rather than one value",
+                        f"witness defines {_describe(defined)} rather than one value",
                     )
-                constants[name] = value
             elif part.decl.kind == "Relation" and part.decl.arity == 1:
-                unary[name] = ctx.defined_set(part.body, part.variables[0])
+                value = ctx.defined_set(part.body, part.variables[0])
             elif part.decl.kind == "Relation":
-                nary[name] = ctx.defined_relation(part.body, part.variables)
+                value = ctx.defined_relation(part.body, part.variables)
             else:
                 graph = ctx.defined_relation(part.body, part.variables)
-                nary[name] = _check_graph(name, graph, part.decl.arity, state, domain)
+                value = _check_graph(name, graph, part.decl.arity, state, domain)
         except Unrepresentable as exc:
             raise Unrepresentable(f"value of {name!r}: {exc}") from exc
-    return constants, unary, nary
-
-
-def _slot(decl: SymbolDecl) -> int:
-    """Where _evaluate_parts puts the symbol's value: 0 for a constant, 1
-    for a unary relation, 2 for a wider relation or a function."""
-    if decl.kind == "Constant":
-        return 0
-    return 1 if decl.kind == "Relation" and decl.arity == 1 else 2
+        values[name] = value
+    return values
 
 
 def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
@@ -498,29 +486,27 @@ def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
     evaluated, under one context."""
     memo = transition.memo
     if memo is None:
-        values = _evaluate_parts(transition.parts, state, domain, transition.interned)
-        return State.make(state.kappa, *values)
+        return State.make(
+            state.kappa, _evaluate_parts(transition.parts, state, domain, transition.interned)
+        )
     anchor = state.support_bound() if domain.is_omega else None
-    current = dict(state.constants)
-    current.update(state.unary)
-    current.update(state.nary)
-    found: tuple[dict, dict, dict] = ({}, {}, {})
+    values: dict[str, object] = {}
     missed = []
     for i, (part, footprint) in enumerate(zip(transition.parts, transition.footprints)):
-        key = (i, anchor, *map(current.get, footprint))
+        key = (i, anchor, *map(state.value, footprint))
         value = memo.get(key)
         if value is None:
             missed.append((part, key))
         else:
-            found[_slot(part.decl)][part.decl.name] = value
+            values[part.decl.name] = value
     if missed:
         fresh = _evaluate_parts(
             [part for part, _ in missed], state, domain, transition.interned
         )
         for part, key in missed:
-            slot, name = _slot(part.decl), part.decl.name
-            found[slot][name] = memo[key] = fresh[slot][name]
-    return State.make(state.kappa, *found)
+            name = part.decl.name
+            values[name] = memo[key] = fresh[name]
+    return State.make(state.kappa, values)
 
 
 def _describe(s: OrdinalSet) -> str:
@@ -583,19 +569,17 @@ def apply_transition(
 
 
 def _blank_state(spec: MachineSpec) -> State:
-    constants = {d.name: 0 for d in spec.sigma if d.kind == "Constant"}
-    unary = {
-        d.name: OrdinalSet.finite()
-        for d in spec.sigma
-        if d.kind == "Relation" and d.arity == 1 and d.distinguished != "Membership"
-    }
-    nary = {
-        d.name: frozenset()
-        for d in spec.sigma
-        if (d.kind == "Relation" and d.arity >= 2 and d.distinguished != "Membership")
-        or d.kind == "Function"
-    }
-    return State.make(spec.kappa, constants, unary, nary)
+    values: dict[str, object] = {}
+    for d in spec.sigma:
+        if d.distinguished == "Membership":
+            continue
+        if d.kind == "Constant":
+            values[d.name] = 0
+        elif d.kind == "Relation" and d.arity == 1:
+            values[d.name] = OrdinalSet.finite()
+        else:
+            values[d.name] = frozenset()
+    return State.make(spec.kappa, values)
 
 
 def sample_states(
@@ -617,35 +601,33 @@ def sample_states(
               if val.is_finite}
     states = []
     for _ in range(count):
-        constants: dict[str, int] = {}
-        unary: dict[str, OrdinalSet] = {}
-        nary: dict[str, frozenset[tuple[int, ...]]] = {}
+        values: dict[str, object] = {}
         for decl in spec.sigma:
             if decl.distinguished == "Membership":
                 continue
             if decl.kind == "Constant":
-                constants[decl.name] = pinned.get(decl.name, rng.randrange(bound))
+                values[decl.name] = pinned.get(decl.name, rng.randrange(bound))
             elif decl.kind == "Relation" and decl.arity == 1:
                 support = frozenset(i for i in range(bound) if rng.random() < 0.3)
                 if cofinite_ok and rng.random() < 0.3:
-                    unary[decl.name] = OrdinalSet.cofinite(support)
+                    values[decl.name] = OrdinalSet.cofinite(support)
                 else:
-                    unary[decl.name] = OrdinalSet.finite(support)
+                    values[decl.name] = OrdinalSet.finite(support)
             elif decl.kind == "Relation":
                 rows = {
                     tuple(rng.randrange(bound) for _ in range(decl.arity))
                     for _ in range(rng.randrange(4))
                 }
-                nary[decl.name] = frozenset(rows)
+                values[decl.name] = frozenset(rows)
             else:
                 if spec.kappa.is_finite:
-                    nary[decl.name] = frozenset(
+                    values[decl.name] = frozenset(
                         key + (rng.randrange(bound),)
                         for key in itertools.product(range(bound), repeat=decl.arity)
                     )
                 else:
-                    nary[decl.name] = frozenset()
-        states.append(State.make(spec.kappa, constants, unary, nary))
+                    values[decl.name] = frozenset()
+        states.append(State.make(spec.kappa, values))
     return states
 
 
@@ -735,9 +717,7 @@ def check_machine(
     if issues:
         raise MachineInvalid(issues)
 
-    phi_tau = _assemble(tau_parts, 1)
-    phi_default = _assemble(default_parts, None)
-    return ValidatedMachine(spec, phi_tau, phi_default, tci, transition, start)
+    return ValidatedMachine(spec, _assemble(tau_parts, 1), tci, transition, start)
 
 
 def _semantic_issues(
@@ -754,7 +734,7 @@ def _semantic_issues(
     issues: list[ValidationIssue] = []
     blank = _blank_state(spec)
     start = None
-    constants: dict[str, int] = {}
+    values: dict[str, object] = {}
     try:
         values = _evaluate_parts(default_parts, blank, domain)
     except D6Violation as exc:
@@ -764,14 +744,13 @@ def _semantic_issues(
     except (Unrepresentable, ThresholdViolation, Unsupported) as exc:
         issues.append(ValidationIssue("Unrepresentable", str(exc)))
     else:
-        start = blank.with_updates(*values)
-        constants = values[0]
+        start = blank.with_updates(values)
     for name, value in spec.params.items():
-        if name in constants and value.is_finite and constants[name] != value.to_int():
+        if name in values and value.is_finite and values[name] != value.to_int():
             issues.append(
                 ValidationIssue(
                     "BadConstraint",
-                    f"default value {constants[name]} disagrees with pin {value}",
+                    f"default value {values[name]} disagrees with pin {value}",
                     symbol=name,
                 )
             )

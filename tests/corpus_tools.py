@@ -125,9 +125,14 @@ def random_state(rng: random.Random, support: int = 12) -> State:
     }
     return State.make(
         OMEGA,
-        constants={"h": rng.randrange(support), "t": rng.randrange(support)},
-        unary={"In": rset(), "Out": rset(), "R": rset()},
-        nary={"E": pairs},
+        {
+            "h": rng.randrange(support),
+            "t": rng.randrange(support),
+            "In": rset(),
+            "Out": rset(),
+            "R": rset(),
+            "E": pairs,
+        },
     )
 
 

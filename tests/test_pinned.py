@@ -17,8 +17,9 @@ from gseqa.logic import format_formula
 from gseqa.ordinals import OrdinalNotation, OrdinalSet
 from gseqa.runtime import Budget, dump_trace, run
 from gseqa.specfiles import format_machine
+from gseqa.states import format_state, parse_state
 from gseqa.transforms import compile_tm, compose, dovetail, flip, lift
-from gseqa.validator import check_machine
+from gseqa.validator import check_machine, check_simple
 from tm_tools import EVEN_HALTING, WRITER
 
 # The two oracle-machine programs of acceptance criterion 9.
@@ -98,27 +99,37 @@ def _digest(*texts: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def digests():
+def pinned():
+    """The digest of each case, and the trace of each run."""
     specs = _constructions()
     machines = {
         name: check_machine(spec, allow_finite_kappa=True, sample_size=8)
         for name, spec in specs.items()
     }
-    out = {}
+    digests, traces = {}, []
     for name, vm in machines.items():
-        out[name] = _digest(
+        digests[name] = _digest(
             format_machine(specs[name]),
             format_formula(vm.phi_tau),
-            format_formula(vm.phi_default),
+            format_formula(check_simple(specs[name])),
         )
     for name, elements, steps in RUNS:
         budget = Budget(maxSuccessorStepsPerSegment=steps, maxLimitJumps=2)
         trace = run(machines[name], OrdinalSet.finite(elements), budget)
-        out[f"run {name} {sorted(elements)}"] = _digest(dump_trace(trace))
-    return out
+        digests[f"run {name} {sorted(elements)}"] = _digest(dump_trace(trace))
+        traces.append(trace)
+    return digests, traces
 
 
-def test_pinned_digests(digests):
+def test_pinned_digests(pinned):
+    digests, _ = pinned
     for key, value in digests.items():
         print(f"    {key!r}: {value!r},")
     assert digests == PINNED
+
+
+def test_pinned_snapshots_round_trip(pinned):
+    _, traces = pinned
+    for trace in traces:
+        for _, state in trace.snapshots:
+            assert parse_state(format_state(state)) == state

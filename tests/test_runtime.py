@@ -132,8 +132,8 @@ def test_short_chaotic_history_is_unknown():
 
 
 def st(h=None, inset=OrdinalSet.finite(), out=OrdinalSet.finite()):
-    constants = {} if h is None else {"h": h}
-    return State.make(W, constants, {"In": inset, "Out": out})
+    values = {} if h is None else {"h": h}
+    return State.make(W, {**values, "In": inset, "Out": out})
 
 
 def test_limit_of_constant_history_is_the_value():

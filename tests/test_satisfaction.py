@@ -17,7 +17,7 @@ from corpus_tools import (
     stamp_random_copies,
 )
 from gseqa import OMEGA, OrdinalSet
-from gseqa.errors import NotClosed, Unrepresentable, Unsupported
+from gseqa.errors import MissingSymbol, NotClosed, Unrepresentable, Unsupported
 from gseqa.logic import (
     MEMBERSHIP,
     And,
@@ -57,13 +57,14 @@ def P(text: str, doubled: bool = False):
 def base_state() -> State:
     return State.make(
         OMEGA,
-        constants={"h": 3, "t": 1},
-        unary={
+        {
+            "h": 3,
+            "t": 1,
             "In": OrdinalSet.finite({1, 3}),
             "Out": OrdinalSet.cofinite({2}),
             "R": OrdinalSet.finite(),
+            "E": {(0, 1), (1, 2)},
         },
-        nary={"E": {(0, 1), (1, 2)}},
     )
 
 
@@ -127,11 +128,21 @@ def test_omega_least_element_reasoning():
     assert sat(least_out, s, EvalDomain.omega())
 
 
+@pytest.mark.parametrize("items", ["In={1}", "In={1} h={2}"])
+def test_a_symbol_the_state_lacks_is_named(items):
+    # the constant h is missing, or held as a unary relation
+    sigma = Signature([SymbolDecl("h", "Constant")])
+    state = parse_state(f"state kappa=w\nunary: {items}")
+    with pytest.raises(MissingSymbol, match="'h'") as exc:
+        sat(parse_formula("h = 1", sigma), state, EvalDomain.omega())
+    assert exc.value.symbol == "h"
+
+
 def test_omega_finite_kappa_state_is_rejected():
     s = State.make(OrdinalSet.finite().support_bound() and OMEGA)  # placeholder
     fin = State.make(
         __import__("gseqa").OrdinalNotation.from_int(6),
-        unary={"In": OrdinalSet.finite(), "Out": OrdinalSet.finite()},
+        {"In": OrdinalSet.finite(), "Out": OrdinalSet.finite()},
     )
     with pytest.raises(Unsupported):
         sat(P("forall x. exists y. x < y"), fin, EvalDomain.omega())
@@ -171,7 +182,7 @@ def test_copy_discipline():
 
 def test_sat2_bit_flip_sentence():
     s = base_state()
-    flipped = s.with_updates(unary={"In": OrdinalSet.cofinite({1, 3})})
+    flipped = s.with_updates({"In": OrdinalSet.cofinite({1, 3})})
     sentence = P("forall x. (In@1(x) <-> ~In@0(x))", doubled=True)
     assert sat2(sentence, (s, flipped), EvalDomain.omega())
     assert not sat2(sentence, (s, s), EvalDomain.omega())
@@ -404,9 +415,14 @@ def membership_states(draw):
 
     return State.make(
         OMEGA,
-        constants={"h": draw(st.integers(0, K - 1)), "t": draw(st.integers(0, K - 1))},
-        unary={"In": unary(), "Out": unary()},
-        nary={"E": tuples(2), "T": tuples(3)},
+        {
+            "h": draw(st.integers(0, K - 1)),
+            "t": draw(st.integers(0, K - 1)),
+            "In": unary(),
+            "Out": unary(),
+            "E": tuples(2),
+            "T": tuples(3),
+        },
     )
 
 

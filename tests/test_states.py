@@ -31,13 +31,13 @@ SIGMA = Signature(
 def sample_state() -> State:
     return State.make(
         OMEGA,
-        constants={"h": 3},
-        unary={
+        {
+            "h": 3,
             "In": OrdinalSet.finite({1, 3}),
             "Out": OrdinalSet.cofinite({0}),
             "R": OrdinalSet.finite(),
+            "E": {(0, 1), (2, 2)},
         },
-        nary={"E": {(0, 1), (2, 2)}},
     )
 
 
@@ -49,9 +49,7 @@ def test_state_accessors_and_hashing():
     assert s.support_bound() == 4
     t = State.make(
         OMEGA,
-        constants={"h": 3},
-        unary=s.unary_map(),
-        nary={"E": {(2, 2), (0, 1)}},
+        {**dict(s.items), "h": 3, "E": {(2, 2), (0, 1)}},
     )
     assert s == t and hash(s) == hash(t)
     with pytest.raises(KeyError):
@@ -60,7 +58,7 @@ def test_state_accessors_and_hashing():
 
 def test_with_updates_is_functional():
     s = sample_state()
-    t = s.with_updates(constants={"h": 5}, unary={"In": OrdinalSet.finite()})
+    t = s.with_updates({"h": 5, "In": OrdinalSet.finite()})
     assert t.constant("h") == 5
     assert s.constant("h") == 3
     assert not t.relation("In").member(1)
@@ -81,8 +79,7 @@ def test_models_tci_universe_mismatch():
 def test_models_tci_range_under_finite_surrogate():
     s = State.make(
         OrdinalNotation.from_int(4),
-        constants={"h": 9},
-        unary={"In": OrdinalSet.finite({1}), "Out": OrdinalSet.finite()},
+        {"h": 9, "In": OrdinalSet.finite({1}), "Out": OrdinalSet.finite()},
     )
     verdict = models_tci(s, SIGMA, Tci(OrdinalNotation.from_int(4), "GSeqA"))
     assert not verdict.ok
@@ -93,14 +90,14 @@ def test_models_tci_parameter_pinning():
     tci = Tci(OMEGA, "GSeqAP", (("h", OrdinalNotation.from_int(3)),))
     assert models_tci(sample_state(), SIGMA, tci).ok
     bad = models_tci(
-        sample_state().with_updates(constants={"h": 4}), SIGMA, tci
+        sample_state().with_updates({"h": 4}), SIGMA, tci
     )
     assert not bad.ok
     assert any("ParameterMismatch" in r for r in bad.reasons)
 
 
 def test_models_tci_undeclared_symbol():
-    s = sample_state().with_updates(constants={"ghost": 1})
+    s = sample_state().with_updates({"ghost": 1})
     verdict = models_tci(s, SIGMA, Tci(OMEGA, "GSeqA"))
     assert not verdict.ok
     assert any("BadConstraint" in r for r in verdict.reasons)
@@ -142,7 +139,7 @@ sets_ = st.builds(
     st.dictionaries(st.sampled_from(["In", "Out", "R"]), sets_, max_size=3),
 )
 def test_snapshot_roundtrip_random(consts, unaries):
-    s = State.make(OMEGA, constants=consts, unary=unaries, nary={"E": {(1, 2)}})
+    s = State.make(OMEGA, {**consts, **unaries, "E": {(1, 2)}})
     assert parse_state(format_state(s)) == s
 
 
@@ -151,7 +148,7 @@ def test_make_rejects_negative_entries():
     with pytest.raises(ValueError, match="naturals"):
         State.make(OMEGA, {"h": -1})
     with pytest.raises(ValueError, match="naturals"):
-        State.make(OMEGA, nary={"E": {(1, -2)}})
+        State.make(OMEGA, {"E": {(1, -2)}})
 
 
 def test_parse_state_rejects_junk():
@@ -184,6 +181,8 @@ def test_parse_state_names_the_bad_item(line, item):
         ("state kappa=w\nnary: E={(1,,2)}", "E={(1,,2)}"),
         ("state kappa=w\nnary: E={(,)}", "E={(,)}"),
         ("states kappa=w\nconstants: h=1", "states kappa=w"),
+        ("state kappa=w\nconstants: h=1\nunary: h={2}", "h"),
+        ("state kappa=w\nstate kappa=5\nconstants: h=1", "state kappa=5"),
     ],
 )
 def test_parse_state_refuses_what_it_would_drop(text, named):

@@ -109,16 +109,16 @@ def machines():
 def reference_step(vm, state, domain):
     """The successor state, one public entry call per symbol."""
     witnesses = {p.decl.name: p.body for p in vm._transition.parts}
-    constants, unary, nary = {}, {}, {}
+    values = {}
     for decl in vm.sigma.doubled_symbols():
         body, variables = witnesses[decl.name], witness_variables(decl)
         if decl.kind == "Constant":
-            (constants[decl.name],) = defined_set(body, state, domain, var=variables[0]).elements
+            (values[decl.name],) = defined_set(body, state, domain, var=variables[0]).elements
         elif decl.arity == 1:
-            unary[decl.name] = defined_set(body, state, domain, var=variables[0])
+            values[decl.name] = defined_set(body, state, domain, var=variables[0])
         else:
-            nary[decl.name] = defined_relation(body, state, domain, variables=variables)
-    return State.make(state.kappa, constants, unary, nary)
+            values[decl.name] = defined_relation(body, state, domain, variables=variables)
+    return State.make(state.kappa, values)
 
 
 @pytest.mark.parametrize("name", list(_specs()))
@@ -280,16 +280,6 @@ def test_memoised_run_writes_the_reference_trace(memo_machines, monkeypatch, nam
         assert reference[0].splitlines()[-1].startswith(f"outcome\tFailed\t{FAILURES[name]}")
 
 
-def _values(state):
-    return {**dict(state.constants), **dict(state.unary), **dict(state.nary)}
-
-
-def _with_value(state, name, value):
-    """The state with one symbol's value replaced."""
-    kind = next(k for k in ("constants", "unary", "nary") if name in dict(getattr(state, k)))
-    return state.with_updates(**{kind: {name: value}})
-
-
 def _step_or_error(vm, state, domain):
     try:
         return apply_transition(vm, state, domain)
@@ -312,12 +302,12 @@ def test_a_hit_needs_every_footprint_value(memo_machines, name, inputs):
     sampled = sample_states(vm.spec, random.Random(11), count=3)
     pool = {}
     for state in states + sampled:
-        for symbol, value in _values(state).items():
+        for symbol, value in state.items:
             pool.setdefault(symbol, set()).add(value)
     for state in states:
-        for symbol, value in _values(state).items():
+        for symbol, value in state.items:
             for other in pool[symbol] - {value}:
-                changed = _with_value(state, symbol, other)
+                changed = state.with_updates({symbol: other})
                 stepper = _memoised(vm)
                 _step_or_error(stepper, state, domain)
                 got = _step_or_error(stepper, changed, domain)
@@ -352,7 +342,7 @@ def test_the_support_is_in_the_key_at_omega(machines, monkeypatch):
     evaluated = []
     for out in (set(), {9}, {2}):
         state = State.make(
-            OMEGA, {}, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite(out)}
+            OMEGA, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite(out)}
         )
         before = count[0]
         apply_transition(stepper, state, domain)

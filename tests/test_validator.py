@@ -9,6 +9,7 @@ from gseqa import (
     D6Violation,
     EvalDomain,
     MachineInvalid,
+    MissingSymbol,
     NotBounded,
     NotSimple,
     OrdinalNotation,
@@ -28,7 +29,8 @@ from gseqa import (
     parse_ordinal,
     sample_states,
 )
-from gseqa.logic import with_copy
+from gseqa.logic import format_formula, with_copy
+from gseqa.states import parse_state
 from gseqa import validator
 from gseqa.validator import GSEQA, GSEQAP, MachineSpec
 
@@ -129,8 +131,7 @@ def test_check_simple_accepts_membership_only():
         tau={"In": "In(x)", "Out": "Out(x)", "h": "x = h"},
         defaults={"h": "x = 0"},
     )
-    phi = check_simple(spec)
-    assert phi == check_machine(spec).phi_default
+    assert format_formula(check_simple(spec)) == "forall x. (x = h <-> x = 0)"
 
 
 def test_check_simple_rejects_symbol_mentions():
@@ -305,7 +306,7 @@ def test_issue_reports_are_deterministic():
 
 def test_apply_transition_flips_input():
     vm = check_machine(bitflip())
-    s = State.make(W, unary={"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite()})
+    s = State.make(W, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite()})
     nxt = apply_transition(vm, s, debug=True)
     assert nxt.relation("In") == OrdinalSet.cofinite({1, 3})
     again = apply_transition(vm, nxt, debug=True)
@@ -314,7 +315,7 @@ def test_apply_transition_flips_input():
 
 def test_apply_transition_surrogate_matches_complement():
     vm = check_machine(bitflip())
-    s = State.make(W, unary={"In": OrdinalSet.finite({0, 2}), "Out": OrdinalSet.finite()})
+    s = State.make(W, {"In": OrdinalSet.finite({0, 2}), "Out": OrdinalSet.finite()})
     nxt = apply_transition(vm, s, EvalDomain.surrogate(5), debug=True)
     assert nxt.relation("In") == OrdinalSet.finite({1, 3, 4})
 
@@ -331,12 +332,24 @@ def defaults_machine() -> MachineSpec:
 def test_default_values_use_bare_order_only():
     # the input {7} does not reach the defaults, which see the bare order
     state = load(check_machine(defaults_machine()), OrdinalSet.finite({7}))
-    assert state.constant_map() == {"h": 0}
-    assert state.unary_map() == {
+    assert dict(state.items) == {
+        "h": 0,
         "In": OrdinalSet.finite({7}),
         "Out": OrdinalSet.finite(),
         "R": OrdinalSet.finite({0, 1, 2}),
     }
+
+
+@pytest.mark.parametrize("items", ["In={1} Out={} R={}", "In={1} Out={} R={} h={}"])
+def test_a_step_names_the_symbol_the_state_lacks(items):
+    # the constant h is missing, or held as a unary relation; the step
+    # fails the same way with and without the footprint memo
+    vm = check_machine(defaults_machine())
+    state = parse_state(f"state kappa=w\nunary: {items}")
+    for stepper in (vm, validator._memoised(vm)):
+        with pytest.raises(MissingSymbol, match="'h'") as exc:
+            apply_transition(stepper, state)
+        assert exc.value.symbol == "h"
 
 
 def test_load_evaluates_no_default(monkeypatch):
