@@ -346,8 +346,6 @@ def run(
     A: OrdinalSet,
     budget: Budget = Budget(),
     mode: str = "full",
-    *,
-    debug: bool = False,
 ) -> RunTrace:
     """Execute a machine on an input set under a budget.
 
@@ -406,7 +404,7 @@ def run(
     while outcome is None:
         if period is None and len(segment) <= budget.maxSuccessorStepsPerSegment:
             try:
-                nxt = apply_transition(stepper, state, domain, debug=debug)
+                nxt = apply_transition(stepper, state, domain)
             except GseqaError as exc:
                 outcome = Failed(f"{type(exc).__name__}: {exc}")
                 continue

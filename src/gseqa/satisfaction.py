@@ -19,15 +19,25 @@ Two evaluation domains are supported:
   "every element has a strict successor" come out true here while they
   are false in every finite surrogate.
 
-Evaluation is table-driven: each open subformula becomes a boolean numpy
-array with one axis per free variable, and quantifiers reduce their axis
-under a per-cell bound mask. That keeps the cost of the tight loops in C,
-which matters once the run engine starts asking for thousands of defined
-sets. Closed terms and closed subformulas are plain Python ints and
-bools, with no array around them. Every value an evaluator meets lies
-below its radix, so a unary atom indexes a boolean mask over [0, radix)
-that it builds from the symbol's set, and an n-ary atom looks its
-mixed-radix codes up in the symbol's sorted codes.
+Evaluation is table-driven. A term or subformula that reads bound
+variables is a numpy array with one axis per binding depth: the variable
+bound at depth i (0 the outermost) is axis -(i+1), of length 1 where the
+value does not depend on it, so NumPy broadcasting lines operands up. A
+quantifier reduces its own axis, axis 0, under a per-cell bound mask and
+drops the length-1 axes left in front of it. That keeps the cost of the
+tight loops in C, which matters once the run engine starts asking for
+thousands of defined sets. Closed terms and closed subformulas are plain
+Python ints and bools, with no array around them. Every value an
+evaluator meets lies below its radix, so a unary atom indexes a boolean
+mask over [0, radix) that it builds from the symbol's set, and an n-ary
+atom looks its mixed-radix codes up in the symbol's sorted codes.
+
+On a one-element surrogate every axis has length 1, so a quantifier's
+value is a plain bool even when its body reads an enclosing variable. A
+connective may then settle on it and skip its other arm: over {0},
+forall y. ((exists z. y = z) | R(w)) is true, where a larger universe
+evaluates R(w) and raises Unsupported for the infinite literal. No value
+differs; only an error that the skipped arm would raise goes unseen.
 
 Every entry evaluates through an EvalContext: one view per state, the top
 of the states' support, and one evaluator and candidate array per probe
@@ -218,25 +228,16 @@ class _View:
         return self._graphs[name]
 
 
-@dataclass(slots=True)
-class _Table:
-    """A node's value: an array with one axis per free variable, named in
-    axes, or, for a closed node, a plain int or bool."""
-
-    array: Any
-    axes: tuple[str, ...]
-
-
-_TRUE = _Table(True, ())
-
-
 class _Evaluator:
-    """The semantics of each node kind over tables for one probe set-up.
-    Two dispatchers reach them: eval interprets a raw formula node by
-    node, and an interned formula's closures (see Interned._compile) call
-    them directly and keep each closed node's table in the context's
-    memo. Each dispatcher is the faster one for its traffic; see the
-    module docstring."""
+    """The semantics of each node kind for one probe set-up. A node's value
+    is a plain int or bool when it reads no bound variable, else a numpy
+    array in which the variable bound at depth i (0 the outermost) is axis
+    -(i+1), of length 1 where the node does not read it, so operands line
+    up by broadcasting. Two dispatchers reach the semantics: eval
+    interprets a raw formula node by node, and an interned formula's
+    closures (see Interned._compile) call them directly and keep each
+    closed node's value in the context's memo. Each dispatcher is the
+    faster one for its traffic; see the module docstring."""
 
     def __init__(self, ctx: "EvalContext", anchor_max: int, quant_upper: int):
         self.views = ctx.views
@@ -249,7 +250,8 @@ class _Evaluator:
             self.quant_values = np.arange(self.domain.size, dtype=np.int64)
         # the probe set-up, which with a node's identity keys its memo entry
         self.scope = (anchor_max, len(self.quant_values))
-        self.axis_values: dict[str, np.ndarray] = {}
+        # each bound variable's candidates, outermost first, on its own axis
+        self.bound: dict[str, np.ndarray] = {}
         # the mixed-radix tuple encoding must be collision-free for every
         # value reachable as an argument or stored as a tuple component
         self.radix = int(max(self.quant_values.max(initial=0), anchor_max) + 1)
@@ -269,186 +271,153 @@ class _Evaluator:
                 f"copy index @{copy} has no state here; use the two-state entry point"
             ) from None
 
-    def _align(self, *tables: _Table) -> tuple[list, tuple[str, ...]]:
-        shared: tuple[str, ...] = ()
-        for t in tables:
-            if t.axes and t.axes != shared:
-                if shared:
-                    break
-                shared = t.axes
-        else:
-            # the operands share their axes or are closed: nothing to move
-            return [t.array for t in tables], shared
-        axes: list[str] = []
-        for t in tables:
-            for a in t.axes:
-                if a not in axes:
-                    axes.append(a)
-        out = []
-        for t in tables:
-            arr = np.asarray(t.array)
-            # expand missing axes, then put present ones in shared order
-            order = [a for a in axes if a in t.axes]
-            perm = [t.axes.index(a) for a in order]
-            if perm:
-                arr = np.transpose(arr, perm)
-            shape = [len(self.axis_values[a]) if a in t.axes else 1 for a in axes]
-            arr = arr.reshape(shape)
-            out.append(arr)
-        return out, tuple(axes)
+    def bind(self, var: str, values: np.ndarray) -> None:
+        """Bind var one level deeper than every bound variable: its
+        candidates take the shape (n,) + (1,) * depth."""
+        if var in self.bound:
+            raise Unsupported(f"rebinding of {var!r} inside its own scope")
+        self.bound[var] = values.reshape((-1,) + (1,) * len(self.bound))
 
     # -- the semantics of terms --------------------------------------------
 
-    def literal(self, value: OrdinalNotation) -> _Table:
+    def literal(self, value: OrdinalNotation) -> int:
         if not value.is_finite:
             raise Unsupported(f"cannot evaluate the infinite literal {value}")
-        return _Table(value.to_int(), ())
+        return value.to_int()
 
-    def constant(self, name: str, copy: int | None) -> _Table:
-        return _Table(self.view(copy).state.constant(name), ())
+    def constant(self, name: str, copy: int | None) -> int:
+        return self.view(copy).state.constant(name)
 
-    def var(self, name: str) -> _Table:
+    def var(self, name: str) -> np.ndarray:
         try:
-            return _Table(self.axis_values[name], (name,))
+            return self.bound[name]
         except KeyError:
             raise NotClosed(f"free variable {name!r} in a closed context") from None
 
-    def func_app(
-        self, name: str, graph: dict[tuple[int, ...], int], args: list[_Table]
-    ) -> _Table:
-        arrays, axes = self._align(*args)
-        if axes:
-            stacked = np.broadcast_arrays(*arrays)
-            keys = zip(*(a.reshape(-1).tolist() for a in stacked))
+    def func_app(self, name: str, graph: dict[tuple[int, ...], int], args: list) -> Any:
+        shape = np.broadcast_shapes(*map(np.shape, args))
+        if shape:
+            keys = zip(*(np.broadcast_to(a, shape).reshape(-1).tolist() for a in args))
         else:
-            keys = [tuple(arrays)]
+            keys = [tuple(args)]
         vals = []
         for key in keys:
             if key not in graph:
                 raise Unrepresentable(f"function {name!r} has no graph entry for {key}")
             vals.append(graph[key])
-        if not axes:
-            return _Table(vals[0], ())
-        return _Table(np.array(vals, dtype=np.int64).reshape(stacked[0].shape), axes)
+        return np.array(vals, dtype=np.int64).reshape(shape) if shape else vals[0]
 
     # -- the semantics of formulas -----------------------------------------
 
-    def equal(self, left: _Table, right: _Table) -> _Table:
-        (a, b), axes = self._align(left, right)
-        return _Table(a == b, axes)
+    def equal(self, left: Any, right: Any) -> Any:
+        return left == right
 
-    def less(self, left: _Table, right: _Table) -> _Table:
+    def less(self, left: Any, right: Any) -> Any:
         """A membership atom: on the naturals, x in y is x < y."""
-        (a, b), axes = self._align(left, right)
-        return _Table(a < b, axes)
+        return left < right
 
-    def unary(self, view: _View, name: str, arg: _Table) -> _Table:
+    def unary(self, view: _View, name: str, arg: Any) -> Any:
         s = view.state.relation(name)
-        if not arg.axes:
-            return _Table(s.member(arg.array), ())
+        if not isinstance(arg, np.ndarray):
+            return s.member(arg)
         # membership of every value below radix, which bounds them all
         mask = np.full(self.radix, not s.is_finite)
         mask[list(s.elements)] = s.is_finite
-        return _Table(mask[arg.array], arg.axes)
+        return mask[arg]
 
-    def nary(self, view: _View, name: str, args: list[_Table]) -> _Table:
-        arrays, axes = self._align(*args)
-        if not axes:
-            return _Table(tuple(arrays) in view.tuples(name, len(arrays)), ())
-        code = arrays[0]
-        for i in range(1, len(arrays)):
-            code = code + arrays[i] * self.radix**i
-        codes = view.tuple_codes(name, self.radix, len(arrays))
-        return _Table(codes[np.searchsorted(codes, code)] == code, axes)
+    def nary(self, view: _View, name: str, args: list) -> Any:
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return tuple(args) in view.tuples(name, len(args))
+        code = args[0]
+        for i in range(1, len(args)):
+            code = code + args[i] * self.radix**i
+        codes = view.tuple_codes(name, self.radix, len(args))
+        return codes[np.searchsorted(codes, code)] == code
 
-    def negate(self, body: _Table) -> _Table:
+    def negate(self, body: Any) -> Any:
         # not ~: on a Python bool, ~True is -2
-        if not body.axes:
-            return _Table(not body.array, ())
-        return _Table(~body.array, body.axes)
+        return ~body if isinstance(body, np.ndarray) else not body
 
-    def settle(self, kind: type, left: _Table) -> _Table | None:
+    def settle(self, kind: type, left: Any) -> Any:
         """left (And, Or, Implies or Iff) right, when the left operand alone
         decides it, else None. Only a closed left operand can; settling on
-        it means only the live arm of a guard cascade pays its cost."""
-        if left.axes or kind is Iff:
+        it means only the live arm of a guard cascade pays its cost. On a
+        one-element surrogate a quantifier's value is closed even when its
+        body reads an enclosing variable (see quantify), so a connective
+        can settle there on an operand that reads one."""
+        if isinstance(left, np.ndarray) or kind is Iff:
             return None
         if kind is And:
-            return None if left.array else left
+            return None if left else left
         if kind is Or:
-            return left if left.array else None
-        return None if left.array else _TRUE
+            return left if left else None
+        return None if left else True
 
-    def combine(self, kind: type, left: _Table, right: _Table) -> _Table:
+    def combine(self, kind: type, left: Any, right: Any) -> Any:
         """left (And, Or, Implies or Iff) right, where settle found the
         right operand needed."""
-        if not left.axes and kind is not Iff:
+        if kind is Iff:
+            return left == right
+        if not isinstance(left, np.ndarray):
             # a closed left operand that did not settle passes the right one on
             return right
-        (a, b), axes = self._align(left, right)
         if kind is And:
-            return _Table(a & b, axes)
+            return left & right
         if kind is Or:
-            return _Table(a | b, axes)
-        if kind is Implies:
-            return _Table(~a | b, axes)
-        return _Table(a == b, axes)
+            return left | right
+        return ~left | right
 
     def quantify(
         self,
         f: "Exists | Forall",
         body_rank: int | None,
-        body: Callable[[Any], _Table],
+        body: Callable[[Any], Any],
         arg: Any,
-    ) -> _Table:
+    ) -> Any:
         """f's quantifier over the candidates, where body(arg) evaluates
         f's body with f.var bound. A body_rank of None is read off f.body
-        when the probe bound needs it."""
-        var = f.var
-        if var in self.axis_values:
-            raise Unsupported(f"rebinding of {var!r} inside its own scope")
-        self.axis_values[var] = self.quant_values
+        when the probe bound needs it.
+
+        The body reads f.var when its value has an axis at f.var's depth,
+        which is then axis 0. The reduction drops it and every leading
+        length-1 axis after it, so a value's axes never run past the
+        deepest variable it reads, and one with no axes left is a bool."""
+        depth = len(self.bound)
+        self.bind(f.var, self.quant_values)
         try:
-            table = body(arg)
-            if var not in table.axes:
-                return table
-            idx = table.axes.index(var)
-            axes = _drop(table.axes, var)
-            arr = table.array
+            arr = body(arg)
+            if np.ndim(arr) <= depth:
+                return arr
             exists = isinstance(f, Exists)
             if self.domain.is_omega:
                 if body_rank is None:
                     body_rank = quantifier_rank(f.body)
-                allowed = self._bound_mask(table.axes, var, body_rank)
+                allowed = self._bound_mask(arr.shape, body_rank)
                 arr = arr & allowed if exists else arr | ~allowed
-            out = arr.any(axis=idx) if exists else arr.all(axis=idx)
-            return _Table(out if axes else bool(out), axes)
+            out = arr.any(axis=0) if exists else arr.all(axis=0)
+            shape = out.shape
+            while shape[:1] == (1,):
+                shape = shape[1:]
+            return out.reshape(shape) if shape else bool(out)
         finally:
-            del self.axis_values[var]
+            del self.bound[f.var]
 
-    def _bound_mask(self, axes: tuple[str, ...], var: str, body_rank: int) -> np.ndarray:
-        """Per-cell candidate bound: anchors and enclosing values plus the
-        margin 2^rank + 2 that leaves room for one far representative."""
-        bound = np.int64(self.anchor_max)
-        shape = [len(self.axis_values[a]) for a in axes]
-        per_cell = np.full(shape, bound, dtype=np.int64)
-        for i, a in enumerate(axes):
-            if a == var:
-                continue
-            coord = self.axis_values[a].reshape(
-                [-1 if j == i else 1 for j in range(len(axes))]
-            )
-            per_cell = np.maximum(per_cell, coord)
-        margin = _margin(body_rank)
-        var_idx = axes.index(var)
-        var_coord = self.quant_values.reshape(
-            [-1 if j == var_idx else 1 for j in range(len(axes))]
-        )
-        return var_coord <= per_cell + margin
+    def _bound_mask(self, shape: tuple[int, ...], body_rank: int) -> np.ndarray:
+        """Per-cell candidate bound for the innermost variable, in a body of
+        the given shape: the anchors and the values of the enclosing
+        variables that the body reads, which are its axes of length > 1,
+        plus the margin 2^rank + 2 that leaves room for one far
+        representative."""
+        *enclosing, own = self.bound.values()
+        per_cell = self.anchor_max
+        for i, values in enumerate(enclosing):
+            if shape[-1 - i] > 1:
+                per_cell = np.maximum(per_cell, values)
+        return own <= per_cell + _margin(body_rank)
 
     # -- the interpreter ---------------------------------------------------
 
-    def eval(self, f: Formula) -> _Table:
+    def eval(self, f: Formula) -> Any:
         if isinstance(f, Apply):
             if f.name == MEMBERSHIP:
                 return self.less(self.term(f.args[0]), self.term(f.args[1]))
@@ -460,7 +429,7 @@ class _Evaluator:
         if isinstance(f, Equal):
             return self.equal(self.term(f.left), self.term(f.right))
         if isinstance(f, Truth):
-            return _Table(f.value, ())
+            return f.value
         if isinstance(f, Not):
             return self.negate(self.eval(f.body))
         if isinstance(f, (And, Or, Implies, Iff)):
@@ -473,7 +442,7 @@ class _Evaluator:
             return self.quantify(f, None, self.eval, f.body)
         raise TypeError(f"not a formula: {f!r}")
 
-    def term(self, t: Term) -> _Table:
+    def term(self, t: Term) -> Any:
         if isinstance(t, Var):
             return self.var(t.name)
         if isinstance(t, Const):
@@ -484,10 +453,6 @@ class _Evaluator:
             graph = self.view(t.copy).graph(t.name, len(t.args))
             return self.func_app(t.name, graph, [self.term(a) for a in t.args])
         raise TypeError(f"not a term: {t!r}")
-
-
-def _drop(axes: tuple[str, ...], var: str) -> tuple[str, ...]:
-    return tuple(a for a in axes if a != var)
 
 
 def _check_omega_ok(views: Mapping[int | None, State]) -> None:
@@ -502,7 +467,7 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
 _NONE: frozenset = frozenset()
 
 # A node's closure: its value under an evaluator.
-_Closure = Callable[[_Evaluator], _Table]
+_Closure = Callable[[_Evaluator], Any]
 
 
 def _union(sets: list[frozenset]) -> frozenset:
@@ -598,8 +563,8 @@ class Interned:
                 name, ev.view(copy).graph(name, arity), [a(ev) for a in c]
             )
         if isinstance(node, Truth):
-            table = _Table(node.value, ())
-            return lambda ev: table
+            value = node.value
+            return lambda ev: value
         fn: _Closure
         if isinstance(node, Apply):
             name, copy = node.name, node.copy
@@ -620,7 +585,7 @@ class Interned:
         elif isinstance(node, (And, Or, Implies, Iff)):
             kind, (a, b) = type(node), c
 
-            def fn(ev: _Evaluator) -> _Table:
+            def fn(ev: _Evaluator) -> Any:
                 left = a(ev)
                 settled = ev.settle(kind, left)
                 return ev.combine(kind, left, b(ev)) if settled is None else settled
@@ -633,12 +598,12 @@ class Interned:
             return fn
         nid = id(node)
 
-        def memo(ev: _Evaluator) -> _Table:
-            key = (nid, ev.scope, tuple(ev.axis_values)) if rank else nid
-            table = ev.memo.get(key)
-            if table is None:
-                table = ev.memo[key] = fn(ev)
-            return table
+        def memo(ev: _Evaluator) -> Any:
+            key = (nid, ev.scope, tuple(ev.bound)) if rank else nid
+            value = ev.memo.get(key)
+            if value is None:
+                value = ev.memo[key] = fn(ev)
+            return value
 
         return memo
 
@@ -675,7 +640,7 @@ class EvalContext:
         self.domain = domain
         self.support_max = _support_max(v.state for v in made.values())
         self.interned = interned
-        self.memo: dict[object, _Table] = {}
+        self.memo: dict[object, Any] = {}
         self._setups: dict[tuple[int, int, int], tuple[_Evaluator, np.ndarray | None]] = {}
 
     @staticmethod
@@ -739,25 +704,19 @@ class EvalContext:
         """
         _, rank, literals = facts
         ev, candidates = self._setup(_anchor_max(literals, self.support_max), rank, reps)
-        for x in variables:
-            ev.axis_values[x] = candidates
         try:
-            if self.interned is None:
-                table = ev.eval(formula)
-            else:
-                table = self.interned.closures[id(formula)](ev)
-        finally:
             for x in variables:
-                ev.axis_values.pop(x, None)
-        arr = table.array
-        if table.axes != variables:
-            axes = table.axes + tuple(x for x in variables if x not in table.axes)
-            arr = np.asarray(arr).reshape(np.shape(arr) + (1,) * (len(axes) - len(table.axes)))
-            arr = np.broadcast_to(
-                arr.transpose([axes.index(x) for x in variables]),
-                (len(candidates),) * len(variables),
-            )
-        return arr, candidates
+                ev.bind(x, candidates)
+            if self.interned is None:
+                value = ev.eval(formula)
+            else:
+                value = self.interned.closures[id(formula)](ev)
+        finally:
+            ev.bound.clear()
+        if not variables:
+            return value, None
+        # the evaluator puts the first variable last; .T reverses the axes
+        return np.broadcast_to(value, (len(candidates),) * len(variables)).T, candidates
 
     @_depth_checked
     def sentence(self, formula: Formula) -> bool:

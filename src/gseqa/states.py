@@ -296,8 +296,9 @@ _READERS = dict(zip(_HEADS.values(), (_natural, parse_ordinal_set, _parse_tuple_
 
 
 def parse_state(text: str) -> State:
-    """Inverse of format_state. Refuses a second header and a name given
-    twice, under one kind or under two."""
+    """Inverse of format_state. Refuses a header without a readable kappa=,
+    a second header and a name given twice, under one kind or under two,
+    naming the line or item at fault."""
     kappa = None
     values: dict[str, Value] = {}
     for raw in text.splitlines():
@@ -307,8 +308,13 @@ def parse_state(text: str) -> State:
         if line.split()[0] == "state":
             if kappa is not None:
                 raise ParseError(f"second snapshot header {line!r}")
-            _, _, rest = line.partition("kappa=")
-            kappa = parse_ordinal(rest.strip())
+            rest = line[len("state") :].strip()
+            if not rest.startswith("kappa="):
+                raise ParseError(f"snapshot header {line!r} has no kappa=")
+            try:
+                kappa = parse_ordinal(rest[len("kappa=") :])
+            except ParseError as exc:
+                raise ParseError(f"snapshot header {line!r}: {exc}") from None
             continue
         head, sep, rest = line.partition(":")
         if not sep or head not in _READERS:

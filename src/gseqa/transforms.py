@@ -398,19 +398,18 @@ def _tm_state(t: TmSpec, tape: str, head: str, state: str, oracle: str = "") -> 
     )
 
 
-def _rename(f: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename relation, function, and constant symbols throughout.
-
-    The mapping's keys are declared extra symbols, so membership, which
-    is reserved, is never renamed.
-    """
+def _renamed(part: _Part, mapping: dict[str, str]) -> _Part:
+    """The part with its symbol and the relation, function and constant
+    symbols in its body renamed. The mapping's keys are declared extra
+    symbols, so membership, which is reserved, is never renamed."""
 
     def rename(node: Node) -> Node:
         if isinstance(node, (Apply, Const, FuncApp)) and node.name in mapping:
             return dataclasses.replace(node, name=mapping[node.name])
         return node
 
-    return map_formula(f, rename)
+    decl = dataclasses.replace(part.decl, name=mapping.get(part.decl.name, part.decl.name))
+    return _Part(decl, part.variables, map_formula(part.body, rename))
 
 
 def _relativize(f: Formula, bound: Term) -> Formula:
@@ -456,9 +455,7 @@ def _formula_vars(f: Formula) -> set[str]:
     }
 
 
-def _phases(
-    flag: str, parts: list[_Part], rename: dict[str, str] | None = None
-) -> tuple[Formula, Formula, Formula]:
+def _phases(flag: str, parts: list[_Part]) -> tuple[Formula, Formula, Formula]:
     """Guards for a machine that steps like parts while the flag constant
     is 0: the flag test, run (the step would change the state) and hand
     (it would not).
@@ -478,16 +475,12 @@ def _phases(
         prefix += "s"
     psis = []
     for part in parts:
-        decl = part.decl
         fresh = tuple(prefix + name for name in part.variables)
         body = substitute(
             part.body,
             {old: Var(new) for old, new in zip(part.variables, fresh)},
         )
-        if rename:
-            decl = dataclasses.replace(decl, name=rename.get(decl.name, decl.name))
-            body = _rename(body, rename)
-        psi: Formula = Iff(_head(_Part(decl, fresh, body), None), body)
+        psi: Formula = Iff(_head(_Part(part.decl, fresh, body), None), body)
         for var in reversed(fresh):
             psi = Forall(var, psi)
         psis.append(psi)
@@ -591,22 +584,17 @@ def compose(m1: MachineSpec, m2: MachineSpec) -> MachineSpec:
         )
     ren1 = {d.name: d.name + "_1" for d in m1.sigma.extras()}
     ren2 = {d.name: d.name + "_2" for d in m2.sigma.extras()}
-    parts1 = _tau_parts(m1)
-    parts2 = _tau_parts(m2)
+    parts1 = [_renamed(p, ren1) for p in _tau_parts(m1)]
+    parts2 = [_renamed(p, ren2) for p in _tau_parts(m2)]
 
-    g0, run1, hand = _phases("g", parts1, ren1)
+    g0, run1, hand = _phases("g", parts1)
     g1 = eq(cst("g"), lit(1))
     idle = lnot(lor(g0, g1))
 
-    def renamed(part: _Part, ren: dict[str, str]) -> _Part:
-        decl = dataclasses.replace(
-            part.decl, name=ren.get(part.decl.name, part.decl.name)
-        )
-        return _Part(decl, part.variables, _rename(part.body, ren))
-
     tau: dict[str, Formula] = {}
-    body1 = {p.decl.name: renamed(p, ren1) for p in parts1}
-    body2 = {p.decl.name: renamed(p, ren2) for p in parts2}
+    # In and Out are shared, so they keep their names
+    body1 = {p.decl.name: p for p in parts1}
+    body2 = {p.decl.name: p for p in parts2}
     tau["In"] = lor(
         land(run1, body1["In"].body),
         land(hand, rel("Out", X)),
@@ -622,7 +610,7 @@ def compose(m1: MachineSpec, m2: MachineSpec) -> MachineSpec:
     for guard, body in ((run1, body1), (g1, body2)):
         for name, part in body.items():
             if name not in ("In", "Out"):
-                tau[part.decl.name] = _step_or_keep(guard, part)
+                tau[name] = _step_or_keep(guard, part)
     tau["g"] = lor(
         land(run1, eq(X, lit(0))),
         land(hand, eq(X, lit(1))),

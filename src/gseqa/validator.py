@@ -66,7 +66,7 @@ from .logic import (
     with_copy,
 )
 from .ordinals import OMEGA, OrdinalNotation, OrdinalSet
-from .satisfaction import EvalContext, EvalDomain, Interned, sat2
+from .satisfaction import EvalContext, EvalDomain, Interned
 from .states import State, Tci, models_tci
 
 GSEQA = "gseqa"
@@ -543,25 +543,13 @@ def apply_transition(
     vm: ValidatedMachine,
     state: State,
     domain: EvalDomain | None = None,
-    *,
-    debug: bool = False,
 ) -> State:
-    """One successor step: each symbol's next interpretation from its witness.
-
-    With debug set, the freshly built state pair is re-checked against
-    the assembled transition sentence through the doubled-signature
-    evaluator, catching any drift between the two code paths.
-    """
+    """One successor step: each symbol's next interpretation from its witness."""
     if domain is None:
         domain = domain_for(vm.kappa)
         if domain is None:
             raise Unsupported(f"no evaluation domain for kappa = {vm.kappa}")
-    nxt = _step(vm._transition, state, domain)
-    if debug and not sat2(vm.phi_tau, (state, nxt), domain):
-        raise GseqaError(
-            "step kernel disagrees with the assembled transition sentence"
-        )
-    return nxt
+    return _step(vm._transition, state, domain)
 
 
 # ---------------------------------------------------------------------------

@@ -54,3 +54,25 @@ def test_no_module_reads_the_environment():
             ):
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+def test_every_traced_layer_exists():
+    """The benchmark tracer wraps gseqa functions by name; read its LAYERS
+    table as text, without importing the benchmark, and check each one."""
+    tracer = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+    (layers,) = [
+        node.value
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    ]
+    layers = ast.literal_eval(layers)
+    assert layers
+    missing = []
+    for module, function, sites in layers:
+        for name in (module, *(sites or ())):
+            if not (PACKAGE / f"{name}.py").exists():
+                missing.append(name)
+        if not hasattr(importlib.import_module(f"gseqa.{module}"), function):
+            missing.append(f"{module}.{function}")
+    assert missing == []

@@ -7,6 +7,7 @@ import pytest
 
 from gseqa import (
     OMEGA,
+    EvalDomain,
     OrdinalNotation,
     OrdinalSet,
     Signature,
@@ -16,6 +17,7 @@ from gseqa import (
     check_machine,
     parse_formula,
     parse_ordinal,
+    sat2,
 )
 from gseqa.runtime import (
     Budget,
@@ -177,12 +179,16 @@ def test_empty_history_rejected():
 def test_copier_terminates_short():
     vm = copier()
     A = OrdinalSet.finite({1, 3})
-    trace = run(vm, A, debug=True)
+    trace = run(vm, A)
     assert isinstance(trace.outcome, Terminated)
     assert trace.outcome.output == A
     assert trace.final_stamp == parse_ordinal("1")
     assert trace.length == parse_ordinal("2")
     assert trace.is_short(W)
+    # the step and the fixed point both satisfy the transition sentence
+    (_, start), (_, final) = trace.snapshots
+    assert sat2(vm.phi_tau, (start, final), EvalDomain.omega())
+    assert sat2(vm.phi_tau, (final, final), EvalDomain.omega())
 
 
 def test_terminated_final_state_is_a_fixed_point():

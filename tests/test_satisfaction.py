@@ -78,7 +78,7 @@ def test_surrogate_agrees_with_brute_oracle_on_random_corpus():
         state = random_state(rng)
         f = random_formula(rng, rank=3, guarded=False)
         views = {None: state, 0: state}
-        for n in (3, 7, 12):
+        for n in (1, 2, 3, 7, 12):
             got = sat(f, state, EvalDomain.surrogate(n))
             want = brute_sat(f, views, n)
             assert got == want, (trial, n, f)
@@ -326,6 +326,11 @@ def test_defined_relation_surrogate_expands_ignored_vars():
     assert got == frozenset({(1, yy) for yy in range(4)} | {(3, yy) for yy in range(4)})
 
 
+def test_defined_relation_refuses_a_repeated_variable():
+    with pytest.raises(Unsupported, match="rebinding of 'x'"):
+        defined_relation(P("x < 2"), base_state(), EvalDomain.omega(), ("x", "x"))
+
+
 def test_threshold_bound_shape():
     s = base_state()
     f0 = P("In(h)")
@@ -547,6 +552,19 @@ def test_connectives_settle_and_raise_as_the_interpreter_does(text, raises):
     raw, compiled = _raw_and_compiled(P(text))
     assert raw == compiled
     assert (compiled is Unsupported) == raises
+
+
+def test_one_element_universe_settles_on_a_quantifier_that_reads_an_outer_variable():
+    # Over {0} every axis has length 1, so `exists z. y = z` is a plain bool
+    # although it reads y, and the disjunction settles on it before it
+    # reaches the infinite literal. Over {0, 1} it stays a table over y.
+    f, s = P("forall y. ((exists z. y = z) | R(w))"), base_state()
+    table = Interned()
+    g = table.add(f)
+    assert sat(f, s, EvalDomain.surrogate(1)) is True
+    assert EvalContext.single(s, EvalDomain.surrogate(1), table).sentence(g) is True
+    with pytest.raises(Unsupported, match="infinite literal"):
+        sat(f, s, EvalDomain.surrogate(2))
 
 
 @given(st.lists(st.tuples(st.sampled_from([And, Or]), chain_nested), min_size=1, max_size=6), chain_nested)

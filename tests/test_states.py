@@ -183,6 +183,9 @@ def test_parse_state_names_the_bad_item(line, item):
         ("states kappa=w\nconstants: h=1", "states kappa=w"),
         ("state kappa=w\nconstants: h=1\nunary: h={2}", "h"),
         ("state kappa=w\nstate kappa=5\nconstants: h=1", "state kappa=5"),
+        ("state foo", "state foo"),
+        ("state\nconstants: h=1", "state"),
+        ("state kappa=w+\nconstants: h=1", "state kappa=w+"),
     ],
 )
 def test_parse_state_refuses_what_it_would_drop(text, named):

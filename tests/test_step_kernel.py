@@ -21,8 +21,8 @@ from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
 from gseqa.errors import GseqaError, MachineInvalid
 from gseqa.logic import And, Signature, SymbolDecl, nodes, parse_formula
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet
-from gseqa.runtime import Budget, Failed, dump_trace, run
-from gseqa.satisfaction import EvalContext, EvalDomain, defined_relation, defined_set
+from gseqa.runtime import Budget, Failed, Terminated, dump_trace, run
+from gseqa.satisfaction import EvalContext, EvalDomain, defined_relation, defined_set, sat2
 from gseqa.states import State
 from gseqa.transforms import compile_tm, compose, dovetail, flip, lift
 from gseqa.validator import (
@@ -146,9 +146,21 @@ def test_compiled_step_matches_public_entries(machines, name):
     ],
 )
 def test_short_debug_run_agrees_with_phi_tau(machines, name, elements):
-    budget = Budget(maxSuccessorStepsPerSegment=12, maxLimitJumps=1)
-    trace = run(machines[name], OrdinalSet.finite(elements), budget, debug=True)
+    vm = machines[name]
+    budget = Budget(maxSuccessorStepsPerSegment=12, maxLimitJumps=1, snapshotPolicy="all")
+    trace = run(vm, OrdinalSet.finite(elements), budget)
     assert not isinstance(trace.outcome, Failed), trace.outcome
+    domain = domain_for(vm.kappa)
+    pairs = [
+        (before, after)
+        for (stamp, before), (next_stamp, after) in zip(trace.snapshots, trace.snapshots[1:])
+        if next_stamp == stamp.succ()
+    ]
+    if isinstance(trace.outcome, Terminated):
+        pairs.append((trace.outcome.finalState,) * 2)
+    assert pairs
+    for pair in pairs:
+        assert sat2(vm.phi_tau, pair, domain)
 
 
 def test_bridge_witnesses_share_their_row_guards(machines):

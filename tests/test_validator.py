@@ -28,6 +28,7 @@ from gseqa import (
     parse_formula,
     parse_ordinal,
     sample_states,
+    sat2,
 )
 from gseqa.logic import format_formula, with_copy
 from gseqa.states import parse_state
@@ -307,17 +308,20 @@ def test_issue_reports_are_deterministic():
 def test_apply_transition_flips_input():
     vm = check_machine(bitflip())
     s = State.make(W, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite()})
-    nxt = apply_transition(vm, s, debug=True)
+    nxt = apply_transition(vm, s)
     assert nxt.relation("In") == OrdinalSet.cofinite({1, 3})
-    again = apply_transition(vm, nxt, debug=True)
+    again = apply_transition(vm, nxt)
     assert again.relation("In") == OrdinalSet.finite({1, 3})
+    for pair in ((s, nxt), (nxt, again)):
+        assert sat2(vm.phi_tau, pair, EvalDomain.omega())
 
 
 def test_apply_transition_surrogate_matches_complement():
     vm = check_machine(bitflip())
     s = State.make(W, {"In": OrdinalSet.finite({0, 2}), "Out": OrdinalSet.finite()})
-    nxt = apply_transition(vm, s, EvalDomain.surrogate(5), debug=True)
+    nxt = apply_transition(vm, s, EvalDomain.surrogate(5))
     assert nxt.relation("In") == OrdinalSet.finite({1, 3, 4})
+    assert sat2(vm.phi_tau, (s, nxt), EvalDomain.surrogate(5))
 
 
 def defaults_machine() -> MachineSpec:
