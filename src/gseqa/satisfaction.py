@@ -40,9 +40,13 @@ evaluates R(w) and raises Unsupported for the infinite literal. No value
 differs; only an error that the skipped arm would raise goes unseen.
 
 Every entry evaluates through an EvalContext: one view per state, the top
-of the states' support, and one evaluator and candidate array per probe
-set-up, each worked out once. Each node kind's semantics is written once,
-as a method of the one evaluator class, and two dispatchers reach it:
+of the states' support, and one evaluator per probe set-up, each worked
+out once. A set-up's arrays, the candidates and the quantifier values, are
+read-only; an interned table builds them once for all its contexts, and a
+raw formula's context builds its own. A truth table that already spans its
+candidates is returned as it is, with no broadcast. Each node kind's
+semantics is written once, as a method of the one evaluator class, and two
+dispatchers reach it:
 
 * A raw formula is analysed on each call and interpreted node by node;
   this is what sat, sat2, defined_set and defined_relation do, because a
@@ -172,6 +176,43 @@ def _bound(anchor_max: int, rank: int) -> int:
     return anchor_max + 2 ** (rank + 1) + 1
 
 
+def _setup_arrays(
+    domain: EvalDomain,
+    anchor_max: int,
+    rank: int,
+    reps: int,
+    values: Callable[[int], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The quantifier values and the candidates of one probe set-up, where
+    values(n) gives the int64 range [0, n).
+
+    A surrogate's quantifier values and candidates are its whole universe.
+    At w the candidates are [0, B] followed by reps far representatives,
+    each 2^rank + 2 beyond the one before, and the quantifiers range up to
+    the last of them plus the slack of the rank. A sentence asks for no
+    representatives and gets no candidates. The candidates are read-only,
+    like every range values gives, so a set-up can be shared.
+    """
+    if not domain.is_omega:
+        universe = values(domain.size)
+        return universe, universe if reps else None
+    if not reps:
+        return values(anchor_max + _slack(rank) + 1), None
+    bound, margin = _bound(anchor_max, rank), _margin(rank)
+    top = bound + margin * reps
+    far = np.arange(bound + margin, top + 1, margin, dtype=np.int64)
+    candidates = np.concatenate((values(bound + 1), far))
+    candidates.flags.writeable = False
+    return values(top + _slack(rank) + 1), candidates
+
+
+def _arange(n: int) -> np.ndarray:
+    """A fresh int64 range [0, n), read-only like Interned._values."""
+    out = np.arange(n, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def threshold_bound(formula: Formula, state: State, *states: State) -> int:
     """The finite-evaluation bound B(formula, state).
 
@@ -210,9 +251,15 @@ class _View:
     def tuple_codes(self, name: str, radix: int, arity: int) -> np.ndarray:
         """The sorted mixed-radix codes of the symbol's tuples, built once
         per radix, then radix^arity, which no code of values below radix
-        reaches, so that a lookup past the last code stays in bounds."""
+        reaches, so that a lookup past the last code stays in bounds.
+        Raises Unsupported when radix^arity does not fit in an int64."""
         codes = self._codes.get((name, radix))
         if codes is None:
+            if radix**arity > _INT64_MAX:
+                raise Unsupported(
+                    f"{name!r} cannot be looked up by code: radix {radix} to the "
+                    f"power {arity} passes the int64 range"
+                )
             ts = self.tuples(name, arity)
             codes = sorted(sum(t[i] * radix**i for i in range(arity)) for t in ts)
             codes.append(radix**arity)
@@ -239,22 +286,22 @@ class _Evaluator:
     closed node's value in the context's memo. Each dispatcher is the
     faster one for its traffic; see the module docstring."""
 
-    def __init__(self, ctx: "EvalContext", anchor_max: int, quant_upper: int):
+    def __init__(self, ctx: "EvalContext", anchor_max: int, quant_values: np.ndarray):
         self.views = ctx.views
         self.domain = ctx.domain
         self.memo = ctx.memo
         self.anchor_max = anchor_max
-        if self.domain.is_omega:
-            self.quant_values = np.arange(quant_upper + 1, dtype=np.int64)
-        else:
-            self.quant_values = np.arange(self.domain.size, dtype=np.int64)
+        # the range [0, n) that every quantifier runs over
+        self.quant_values = quant_values
         # the probe set-up, which with a node's identity keys its memo entry
-        self.scope = (anchor_max, len(self.quant_values))
+        self.scope = (anchor_max, len(quant_values))
         # each bound variable's candidates, outermost first, on its own axis
         self.bound: dict[str, np.ndarray] = {}
         # the mixed-radix tuple encoding must be collision-free for every
-        # value reachable as an argument or stored as a tuple component
-        self.radix = int(max(self.quant_values.max(initial=0), anchor_max) + 1)
+        # value reachable as an argument or stored as a tuple component: at
+        # w the quantifiers reach past every anchor, and on a surrogate the
+        # state's support may pass the universe
+        self.radix = max(len(quant_values), anchor_max + 1)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -328,10 +375,10 @@ class _Evaluator:
     def nary(self, view: _View, name: str, args: list) -> Any:
         if not any(isinstance(a, np.ndarray) for a in args):
             return tuple(args) in view.tuples(name, len(args))
+        codes = view.tuple_codes(name, self.radix, len(args))
         code = args[0]
         for i in range(1, len(args)):
             code = code + args[i] * self.radix**i
-        codes = view.tuple_codes(name, self.radix, len(args))
         return codes[np.searchsorted(codes, code)] == code
 
     def negate(self, body: Any) -> Any:
@@ -466,6 +513,12 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
 
 _NONE: frozenset = frozenset()
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+# how many times its range's length in candidates a table keeps; the
+# bridge workload's machines need about 25 to keep every anchor they meet
+_KEPT = 32
+
 # A node's closure: its value under an evaluator.
 _Closure = Callable[[_Evaluator], Any]
 
@@ -499,12 +552,19 @@ class Interned:
     its static facts, combined from its children's, and a closure built
     from its children's closures, so that interning is linear in the size
     of the formula. An EvalContext built with the table evaluates the
-    formulas it returned, and only those."""
+    formulas it returned, and only those.
+
+    The table also keeps the arrays of the probe set-ups its contexts ask
+    for (see setup_arrays), so that a machine's steps do not rebuild them
+    state after state."""
 
     def __init__(self) -> None:
         self._nodes: dict[object, Node] = {}
         self.facts: dict[int, StaticFacts] = {}
         self.closures: dict[int, _Closure] = {}
+        self._range = _arange(0)
+        self._setups: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
+        self._held = 0  # the candidates in _setups, counted in elements
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -512,6 +572,38 @@ class Interned:
     def add(self, formula: Formula) -> Formula:
         """The interned copy of the formula."""
         return map_formula(formula, self._intern)
+
+    def _values(self, n: int) -> np.ndarray:
+        """[0, n) as a read-only view of the table's one range, which at
+        least doubles whenever it has to grow."""
+        if n > len(self._range):
+            self._range = _arange(max(n, 2 * len(self._range)))
+        return self._range[:n]
+
+    def setup_arrays(
+        self, domain: EvalDomain, anchor_max: int, rank: int, reps: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The quantifier values and the candidates of one probe set-up (see
+        _setup_arrays), built once and shared, read-only, by every context
+        that asks for it.
+
+        The quantifier values are views of the table's range. Candidates
+        are kept until they would hold more than _KEPT times the range's
+        length; then every set-up is dropped and keeping starts over. So
+        a long run that meets ever new anchors holds a fixed multiple of
+        its largest set-up, while a machine whose runs revisit the same
+        anchors, as the bridge workload's do, builds each set-up once."""
+        key = (domain, anchor_max, rank, reps)
+        arrays = self._setups.get(key)
+        if arrays is None:
+            arrays = _setup_arrays(domain, anchor_max, rank, reps, self._values)
+            if arrays[1] is not None:
+                self._held += len(arrays[1])
+                if self._held > _KEPT * len(self._range):
+                    self._setups.clear()
+                    self._held = len(arrays[1])
+            self._setups[key] = arrays
+        return arrays
 
     def _intern(self, node: Node) -> Node:
         key = _shallow_key(node)
@@ -626,7 +718,9 @@ class EvalContext:
     """Evaluation over fixed states in one domain: one view per state, the
     top of their support, one evaluator per probe set-up and, over
     interned formulas, every closed node already evaluated. Build one per
-    state; it answers every formula asked of that state."""
+    state; it answers every formula asked of that state. Over interned
+    formulas the set-up arrays come from the table, which keeps them
+    across contexts; a raw formula's context builds its own."""
 
     def __init__(
         self,
@@ -659,32 +753,22 @@ class EvalContext:
         self, anchor_max: int, rank: int, reps: int
     ) -> tuple[_Evaluator, np.ndarray | None]:
         """The evaluator and the candidates for one anchor maximum, rank
-        and number of far representatives, built once per context.
-
-        A surrogate's candidates are its whole universe. At w they are
-        [0, B] followed by reps far representatives, each 2^rank + 2
-        beyond the one before. A sentence asks for no representatives and
-        gets no candidates.
+        and number of far representatives, built once per context. The
+        arrays (see _setup_arrays) come from the interned table when there
+        is one, and are built here otherwise.
         """
         key = (anchor_max, rank, reps)
         setup = self._setups.get(key)
         if setup is not None:
             return setup
-        candidates = None
-        quant_upper = 0
         if self.domain.is_omega:
             _check_omega_ok(self.states)
-            top = anchor_max
-            if reps:
-                bound = _bound(anchor_max, rank)
-                far = bound + _margin(rank) * np.arange(1, reps + 1, dtype=np.int64)
-                candidates = np.concatenate([np.arange(bound + 1, dtype=np.int64), far])
-                top = int(candidates[-1])
-            quant_upper = top + _slack(rank)
-        ev = _Evaluator(self, anchor_max, quant_upper)
-        if reps and not self.domain.is_omega:
-            candidates = ev.quant_values
-        setup = self._setups[key] = (ev, candidates)
+        if self.interned is None:
+            arrays = _setup_arrays(self.domain, anchor_max, rank, reps, _arange)
+        else:
+            arrays = self.interned.setup_arrays(self.domain, anchor_max, rank, reps)
+        quant_values, candidates = arrays
+        setup = self._setups[key] = (_Evaluator(self, anchor_max, quant_values), candidates)
         return setup
 
     def _truth_table(
@@ -696,11 +780,12 @@ class EvalContext:
     ) -> tuple[np.ndarray | bool, np.ndarray | None]:
         """The formula's truth table and the candidates its axes range over.
 
-        The table has one axis per requested variable, in the order given; a
-        variable the formula ignores is broadcast across the candidates.
-        Variables come with reps > 0 far representatives (see _setup); with
-        no variables the table is a single truth value and the candidates
-        are None.
+        The table has one axis per requested variable, in the order given. A
+        value that already spans the candidates on every axis is the table
+        as it is; one that ignores a variable is broadcast across them.
+        Variables come with reps > 0 far representatives (see
+        _setup_arrays); with no variables the table is a single truth value
+        and the candidates are None.
         """
         _, rank, literals = facts
         ev, candidates = self._setup(_anchor_max(literals, self.support_max), rank, reps)
@@ -715,8 +800,11 @@ class EvalContext:
             ev.bound.clear()
         if not variables:
             return value, None
+        shape = (len(candidates),) * len(variables)
+        if np.shape(value) != shape:
+            value = np.broadcast_to(value, shape)
         # the evaluator puts the first variable last; .T reverses the axes
-        return np.broadcast_to(value, (len(candidates),) * len(variables)).T, candidates
+        return value.T, candidates
 
     @_depth_checked
     def sentence(self, formula: Formula) -> bool:
@@ -740,8 +828,8 @@ class EvalContext:
         vals, candidates = self._truth_table(formula, facts, (var,), 3)
         if not self.domain.is_omega:
             return OrdinalSet.finite(candidates[vals].tolist())
-        tail = vals[-3:]
-        if tail.any() and not tail.all():
+        tail = vals[-3:].tolist()
+        if any(tail) and not all(tail):
             raise ThresholdViolation(
                 f"tail representatives at {candidates[-3:].tolist()} disagree for "
                 f"{formula!r}; the evaluation bound did not stabilise this formula"

@@ -113,6 +113,12 @@ class State:
             raise MissingSymbol(name, f"no {_KINDS.get(kind, 'symbol')} {name!r} in state")
         return value
 
+    @property
+    def by_name(self) -> Mapping[str, Value]:
+        """Each symbol's value by name, the map that value reads. It reads
+        no kind, so a missing name is a bare KeyError."""
+        return self._values
+
     def constant(self, name: str) -> int:
         return self.value(name, int)
 

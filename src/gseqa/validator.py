@@ -156,7 +156,8 @@ class _Part:
 class _Transition:
     """The transition compiled once at admission: the witness parts with
     their bodies interned into one table, so that a step evaluates each
-    closed subformula the witnesses share once per state.
+    closed subformula the witnesses share once per state, and takes its
+    probe set-ups' arrays from the table rather than building them anew.
 
     footprints[i] is the footprint of parts[i]: the sorted names of the
     non-membership symbols its body reads. Evaluating the part reads
@@ -482,18 +483,23 @@ def _evaluate_parts(
 
 def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
     """The successor state. With a memo, each part is first looked up by
-    its key (see _Transition), and only the parts that miss are
-    evaluated, under one context."""
+    its key (see _Transition), read from the state's map one name at a
+    time, and only the parts that miss are evaluated, under one context."""
     memo = transition.memo
     if memo is None:
         return State.make(
             state.kappa, _evaluate_parts(transition.parts, state, domain, transition.interned)
         )
     anchor = state.support_bound() if domain.is_omega else None
+    read = state.by_name.__getitem__
     values: dict[str, object] = {}
     missed = []
     for i, (part, footprint) in enumerate(zip(transition.parts, transition.footprints)):
-        key = (i, anchor, *map(state.value, footprint))
+        try:
+            key = (i, anchor, *map(read, footprint))
+        except KeyError:
+            # State.value raises MissingSymbol, which names the symbol
+            key = (i, anchor, *map(state.value, footprint))
         value = memo.get(key)
         if value is None:
             missed.append((part, key))

@@ -16,7 +16,7 @@ from corpus_tools import (
     random_state,
     stamp_random_copies,
 )
-from gseqa import OMEGA, OrdinalSet
+from gseqa import OMEGA, OrdinalSet, satisfaction
 from gseqa.errors import MissingSymbol, NotClosed, Unrepresentable, Unsupported
 from gseqa.logic import (
     MEMBERSHIP,
@@ -331,6 +331,59 @@ def test_defined_relation_refuses_a_repeated_variable():
         defined_relation(P("x < 2"), base_state(), EvalDomain.omega(), ("x", "x"))
 
 
+def test_a_wide_atom_whose_codes_pass_int64_is_unsupported():
+    # At w the radix passes 2^21, so the codes of a ternary atom's
+    # tuples, radix^3 among them, do not fit in an int64
+    sigma = Signature([SymbolDecl("T", "Relation", 3)])
+    state = State.make(OMEGA, {"T": {(0, 2097152, 2097152)}})
+    omega = EvalDomain.omega()
+    assert sat(parse_formula("T(0, 2097152, 2097152)", sigma), state, omega) is True
+    with pytest.raises(Unsupported, match=r"'T'.*radix 2097160"):
+        sat(parse_formula("exists x. T(x, 2097152, 2097152)", sigma), state, omega)
+
+
+def test_contexts_on_one_table_share_read_only_set_up_arrays():
+    table = Interned()
+    g = table.add(P("In(x) & (exists y. x < y)"))
+    s, omega = base_state(), EvalDomain.omega()
+    first, second = (EvalContext.single(s, omega, table) for _ in range(2))
+    first.defined_set(g, "x")
+    second.defined_set(g, "x")
+    (ev1, candidates1), (ev2, candidates2) = (ctx._setups[(3, 1, 3)] for ctx in (first, second))
+    assert candidates1 is candidates2 and ev1.quant_values is ev2.quant_values
+    for array in (candidates1, ev1.quant_values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def _held_bytes(table: Interned) -> int:
+    """The bytes of every buffer the table's set-ups and range hold."""
+    buffers = {id(table._range): table._range}
+    for arrays in table._setups.values():
+        for array in arrays:
+            if array is not None:
+                base = array if array.base is None else array.base
+                buffers[id(base)] = base
+    return sum(b.nbytes for b in buffers.values())
+
+
+def test_a_table_holds_a_fixed_multiple_of_its_largest_set_up():
+    # Stepping ever new anchors keeps at most _KEPT times the range in
+    # candidates, the range (at most twice the largest quantifier values),
+    # the range it replaced and one set-up past the budget. A table that
+    # kept every anchor would hold about 100 times its largest set-up
+    # after 400 anchors.
+    table = Interned()
+    g = table.add(P("In(x)"))
+    omega = EvalDomain.omega()
+    for top in (200, 400):
+        for k in range(1, top + 1):
+            state = State.make(OMEGA, {"In": OrdinalSet.finite({k})})
+            EvalContext.single(state, omega, table).defined_set(g, "x")
+        largest = sum(a.nbytes for a in table.setup_arrays(omega, top, 0, 3))
+        assert _held_bytes(table) <= 2 * (satisfaction._KEPT + 3) * largest
+
+
 def test_threshold_bound_shape():
     s = base_state()
     f0 = P("In(h)")
@@ -475,27 +528,26 @@ def _set_and_relation_paths(fx, fxy, state, domain):
         yield set_of(), relation
 
 
-@given(
-    membership_formulas(("x",)),
-    membership_formulas(("x", "y")),
-    membership_states(),
-    st.integers(1, K + 4),
-)
-@settings(max_examples=150, deadline=None)
-def test_membership_agrees_with_brute_oracle_at_every_candidate(fx, fxy, state, n):
+def _check_against_the_oracle(fx, fxy, state, domains):
+    """defined_set of fx over x and defined_relation of fxy over (x, y), on
+    the raw and the interned path, against brute_sat at every candidate.
+    brute_sat quantifies over the surrogate, so at w the formulas must be
+    quantifier-free."""
     views = {None: state, 0: state}
 
-    def holds(f, **env):
-        return brute_sat(f, views, 1, env)
+    for domain in domains:
+        size = 1 if domain.is_omega else domain.size
 
-    for domain in (EvalDomain.omega(), EvalDomain.surrogate(n)):
+        def holds(f, **env):
+            return brute_sat(f, views, size, env)
+
         if domain.is_omega:
             # [0, B], then the far representatives: B + 3, 6 and 9 for a
             # set, B + 3 for a relation
             set_candidates = range(threshold_bound(fx, state) + 10)
             pair_candidates = range(threshold_bound(fxy, state) + 4)
         else:
-            set_candidates = pair_candidates = range(n)
+            set_candidates = pair_candidates = range(domain.size)
         for got_set, got_relation in _set_and_relation_paths(fx, fxy, state, domain):
             for a in set_candidates:
                 assert got_set.member(a) == holds(fx, x=a), (a, fx)
@@ -508,6 +560,36 @@ def test_membership_agrees_with_brute_oracle_at_every_candidate(fx, fxy, state, 
             else:
                 for a, b in pairs:
                     assert ((a, b) in got_relation) == holds(fxy, x=a, y=b), (a, b, fxy)
+
+
+@given(
+    membership_formulas(("x",)),
+    membership_formulas(("x", "y")),
+    membership_states(),
+    st.integers(1, K + 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_membership_agrees_with_brute_oracle_at_every_candidate(fx, fxy, state, n):
+    _check_against_the_oracle(fx, fxy, state, (EvalDomain.omega(), EvalDomain.surrogate(n)))
+
+
+SURROGATES = (EvalDomain.surrogate(1), EvalDomain.surrogate(5))
+
+
+@pytest.mark.parametrize(
+    "fx, fxy, domains",
+    [
+        ("In(h)", "In(y)", (EvalDomain.omega(), *SURROGATES)),
+        ("R(h) | h < t", "E(x, 1) & x < 2", (EvalDomain.omega(), *SURROGATES)),
+        ("false", "y = y & ~Out(t)", (EvalDomain.omega(), *SURROGATES)),
+        ("exists z. In(z) & h < z", "exists z. E(x, z) & E(z, 2)", SURROGATES),
+        ("forall z. z < h", "forall z. E(z, y) -> In(z)", SURROGATES),
+    ],
+)
+def test_a_body_that_ignores_its_variable_spans_every_candidate(fx, fxy, domains):
+    # fx never reads x and each fxy reads only one of x and y, so their
+    # truth tables are broadcast across the candidates they ignore
+    _check_against_the_oracle(P(fx), P(fxy), base_state(), domains)
 
 
 # -- connective order: compiled closures against the interpreter -------------

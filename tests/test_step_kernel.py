@@ -14,6 +14,7 @@ import dataclasses
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gseqa import runtime
@@ -21,7 +22,7 @@ from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
 from gseqa.errors import GseqaError, MachineInvalid
 from gseqa.logic import And, Signature, SymbolDecl, nodes, parse_formula
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet
-from gseqa.runtime import Budget, Failed, Terminated, dump_trace, run
+from gseqa.runtime import Budget, Failed, Terminated, dump_trace, load, run
 from gseqa.satisfaction import EvalContext, EvalDomain, defined_relation, defined_set, sat2
 from gseqa.states import State
 from gseqa.transforms import compile_tm, compose, dovetail, flip, lift
@@ -130,6 +131,25 @@ def test_compiled_step_matches_public_entries(machines, name):
     for domain in domains:
         for state in sample_states(vm.spec, random.Random(7), count=16):
             assert apply_transition(vm, state, domain) == reference_step(vm, state, domain)
+
+
+def test_bridge_steps_broadcast_no_truth_table(machines, monkeypatch):
+    # every part body of the parity bridge machine reads its variables, so
+    # its truth tables already span their candidates and none is broadcast
+    vm = machines["bridge"]
+    calls = []
+    broadcast_to = np.broadcast_to
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return broadcast_to(*args, **kwargs)
+
+    monkeypatch.setattr(np, "broadcast_to", counted)
+    for k in (0, 3, 8):
+        state = load(vm, OrdinalSet.finite({k}))
+        for _ in range(30):
+            state = apply_transition(vm, state)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -356,6 +356,18 @@ def test_a_step_names_the_symbol_the_state_lacks(items):
         assert exc.value.symbol == "h"
 
 
+def test_a_step_names_a_symbol_only_a_later_part_reads():
+    # R is read by the last part alone: every earlier part's key is read
+    # from the state before R's is, and R is still the symbol named
+    vm = check_machine(defaults_machine())
+    assert vm._transition.footprints == (("In",), ("Out",), ("h",), ("R",))
+    state = parse_state("state kappa=w\nconstants: h=1\nunary: In={1} Out={}")
+    for stepper in (vm, validator._memoised(vm)):
+        with pytest.raises(MissingSymbol, match="'R'") as exc:
+            apply_transition(stepper, state)
+        assert exc.value.symbol == "R"
+
+
 def test_load_evaluates_no_default(monkeypatch):
     vm = check_machine(defaults_machine())
     A = OrdinalSet.cofinite({2})
