@@ -19,18 +19,42 @@ Two evaluation domains are supported:
   "every element has a strict successor" come out true here while they
   are false in every finite surrogate.
 
-Evaluation is table-driven. A term or subformula that reads bound
-variables is a numpy array with one axis per binding depth: the variable
-bound at depth i (0 the outermost) is axis -(i+1), of length 1 where the
-value does not depend on it, so NumPy broadcasting lines operands up. A
-quantifier reduces its own axis, axis 0, under a per-cell bound mask and
-drops the length-1 axes left in front of it. That keeps the cost of the
-tight loops in C, which matters once the run engine starts asking for
-thousands of defined sets. Closed terms and closed subformulas are plain
-Python ints and bools, with no array around them. Every value an
-evaluator meets lies below its radix, so a unary atom indexes a boolean
-mask over [0, radix) that it builds from the symbol's set, and an n-ary
-atom looks its mixed-radix codes up in the symbol's sorted codes.
+Evaluation is table-driven, over bitsets. While variables are bound, a
+value that reads one of them is open. An open Boolean value is a Python
+int with one bit per cell of the axes it reads: a cell's position is a
+mixed-radix number whose digits are the candidate indices of the read
+variables, the variable bound outermost the lowest digit and the
+innermost the highest block. So &, | and ^ decide a connective for every
+cell at once, as in bit-parallel text search (Baeza-Yates & Gonnet, "A new
+approach to text searching", CACM 1992). The value carries its read
+depths, the binding depths that the atoms it evaluated read, as a bitmask.
+This set is dynamic, not the static free variables: when a closed operand
+settles a connective, the skipped arm's variables do not count. Two
+operands that read different depths are widened to the union first: each
+missing axis is inserted by moving the blocks above it apart with masked
+shifts and repeating each block below it. A bitset over only the read
+axes, rather than over every bound one, is what keeps a rank-3 body under
+a free variable at the cube of its candidate count instead of its fourth
+power times the free variable's.
+
+A quantifier whose own depth is read folds that axis, its highest block,
+away with halving shifts, OR for exists and AND for forall, after masking
+each cell's candidates to the probe bound at w; one whose body does not
+read its depth returns the body's value as it is. Its result is a closed
+bool when no read depth is left, or when the depths left have one cell
+between them. Closed terms and closed subformulas are plain Python ints
+and bools, with no bitset around them; a closed operand that meets an open
+one becomes the all-ones or the zero pattern of its cells.
+
+Atoms over bound variables are patterns. x = c, x < c and c < x are a run
+of one axis, R(x) masks the view's one int for R, and an n-ary atom sets
+one cell per stored tuple. x = y, x < y, the bound masks and the shift
+masks that widen a value depend only on the probe set-up and the axes, so
+each is built once and kept with the set-up. numpy is used only where a
+term is open but is not a bound variable, a function applied to bound
+variables: its values are an array in which the variable bound at depth i
+is axis -(i+1), and an atom that reads it is evaluated cell by cell over
+numpy's broadcast of its arguments and packed into a bitset.
 
 On a one-element surrogate every axis has length 1, so a quantifier's
 value is a plain bool even when its body reads an enclosing variable. A
@@ -41,12 +65,12 @@ differs; only an error that the skipped arm would raise goes unseen.
 
 Every entry evaluates through an EvalContext: one view per state, the top
 of the states' support, and one evaluator per probe set-up, each worked
-out once. A set-up's arrays, the candidates and the quantifier values, are
-read-only; an interned table builds them once for all its contexts, and a
-raw formula's context builds its own. A truth table that already spans its
-candidates is returned as it is, with no broadcast. Each node kind's
-semantics is written once, as a method of the one evaluator class, and two
-dispatchers reach it:
+out once. A set-up's candidates and quantifier values are immutable
+sequences; an interned table builds them and their patterns once for all
+its contexts, and a raw formula's context builds its own. A defined set
+or relation is read off its table's set bits, lowest first. Each node
+kind's semantics is written once, as a method of the one evaluator class,
+and two dispatchers reach it:
 
 * A raw formula is analysed on each call and interpreted node by node;
   this is what sat, sat2, defined_set and defined_relation do, because a
@@ -68,8 +92,10 @@ dispatchers reach it:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from bisect import bisect_left
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,41 +202,38 @@ def _bound(anchor_max: int, rank: int) -> int:
     return anchor_max + 2 ** (rank + 1) + 1
 
 
-def _setup_arrays(
-    domain: EvalDomain,
-    anchor_max: int,
-    rank: int,
-    reps: int,
-    values: Callable[[int], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The quantifier values and the candidates of one probe set-up, where
-    values(n) gives the int64 range [0, n).
+def _setup_values(
+    domain: EvalDomain, anchor_max: int, rank: int, reps: int
+) -> tuple[range, tuple[int, ...] | range | None]:
+    """The quantifier values and the candidates of one probe set-up.
 
     A surrogate's quantifier values and candidates are its whole universe.
     At w the candidates are [0, B] followed by reps far representatives,
     each 2^rank + 2 beyond the one before, and the quantifiers range up to
     the last of them plus the slack of the rank. A sentence asks for no
-    representatives and gets no candidates. The candidates are read-only,
-    like every range values gives, so a set-up can be shared.
+    representatives and gets no candidates. Both are immutable, so a
+    set-up can be shared.
     """
     if not domain.is_omega:
-        universe = values(domain.size)
+        universe = range(domain.size)
         return universe, universe if reps else None
     if not reps:
-        return values(anchor_max + _slack(rank) + 1), None
+        return range(anchor_max + _slack(rank) + 1), None
     bound, margin = _bound(anchor_max, rank), _margin(rank)
     top = bound + margin * reps
-    far = np.arange(bound + margin, top + 1, margin, dtype=np.int64)
-    candidates = np.concatenate((values(bound + 1), far))
-    candidates.flags.writeable = False
-    return values(top + _slack(rank) + 1), candidates
+    candidates = (*range(bound + 1), *range(bound + margin, top + 1, margin))
+    return range(top + _slack(rank) + 1), candidates
 
 
-def _arange(n: int) -> np.ndarray:
-    """A fresh int64 range [0, n), read-only like Interned._values."""
-    out = np.arange(n, dtype=np.int64)
-    out.flags.writeable = False
-    return out
+class _Setup(NamedTuple):
+    """One probe set-up: the values its quantifiers range over, the
+    candidates of its truth tables' variables, and what its evaluators
+    build once for the set-up (axes and patterns; see _Evaluator), keyed
+    by kind and axis lengths."""
+
+    quant_values: range
+    candidates: tuple[int, ...] | range | None
+    patterns: dict[tuple, Any]
 
 
 def threshold_bound(formula: Formula, state: State, *states: State) -> int:
@@ -226,13 +249,50 @@ def threshold_bound(formula: Formula, state: State, *states: State) -> int:
     return _bound(_anchor_max(literals, _support_max((state, *states))), rank)
 
 
+def _tile(block: int, width: int, count: int) -> int:
+    """count copies of a width-bit block side by side, the first at bit 0,
+    in O(log count) shifts."""
+    out = pos = 0
+    while True:
+        if count & 1:
+            out |= block << pos
+            pos += width
+        count >>= 1
+        if not count:
+            return out
+        block |= block << width
+        width <<= 1
+
+
+def _positions(bits: int) -> list[int]:
+    """The positions of the set bits, lowest first, one step per set bit."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _check_codes(name: str, radix: int, arity: int) -> None:
+    """Raise Unsupported when the mixed-radix codes of the symbol's tuples,
+    radix^arity among them, would not fit in an int64. An n-ary atom over
+    bound variables refuses such a symbol, as it did when it looked its
+    tuples up by code."""
+    if radix**arity > _INT64_MAX:
+        raise Unsupported(
+            f"{name!r} cannot be looked up by code: radix {radix} to the "
+            f"power {arity} passes the int64 range"
+        )
+
+
 class _View:
     """Resolves one copy of the signature against a concrete state."""
 
     def __init__(self, state: State):
         self.state = state
         self._tuples: dict[str, frozenset[tuple[int, ...]]] = {}
-        self._codes: dict[tuple[str, int], np.ndarray] = {}
+        self._members: dict[str, int] = {}
         self._graphs: dict[str, dict[tuple[int, ...], int]] = {}
 
     def tuples(self, name: str, width: int) -> frozenset[tuple[int, ...]]:
@@ -248,23 +308,13 @@ class _View:
             self._tuples[name] = ts
         return ts
 
-    def tuple_codes(self, name: str, radix: int, arity: int) -> np.ndarray:
-        """The sorted mixed-radix codes of the symbol's tuples, built once
-        per radix, then radix^arity, which no code of values below radix
-        reaches, so that a lookup past the last code stays in bounds.
-        Raises Unsupported when radix^arity does not fit in an int64."""
-        codes = self._codes.get((name, radix))
-        if codes is None:
-            if radix**arity > _INT64_MAX:
-                raise Unsupported(
-                    f"{name!r} cannot be looked up by code: radix {radix} to the "
-                    f"power {arity} passes the int64 range"
-                )
-            ts = self.tuples(name, arity)
-            codes = sorted(sum(t[i] * radix**i for i in range(arity)) for t in ts)
-            codes.append(radix**arity)
-            codes = self._codes[name, radix] = np.array(codes, dtype=np.int64)
-        return codes
+    def members(self, name: str, s: OrdinalSet) -> int:
+        """The stored elements of the unary relation s, named name, as one
+        int: bit e for each element e."""
+        bits = self._members.get(name)
+        if bits is None:
+            bits = self._members[name] = sum(1 << e for e in s.elements)
+        return bits
 
     def graph(self, name: str, arity: int) -> dict[tuple[int, ...], int]:
         if name not in self._graphs:
@@ -275,33 +325,103 @@ class _View:
         return self._graphs[name]
 
 
-class _Evaluator:
-    """The semantics of each node kind for one probe set-up. A node's value
-    is a plain int or bool when it reads no bound variable, else a numpy
-    array in which the variable bound at depth i (0 the outermost) is axis
-    -(i+1), of length 1 where the node does not read it, so operands line
-    up by broadcasting. Two dispatchers reach the semantics: eval
-    interprets a raw formula node by node, and an interned formula's
-    closures (see Interned._compile) call them directly and keep each
-    closed node's value in the context's memo. Each dispatcher is the
-    faster one for its traffic; see the module docstring."""
+class _Axis:
+    """A bound variable: its binding depth, the increasing values it runs
+    over, and the all-ones pattern of its cells. The values are a range
+    from 0, or [0, B] followed by the far representatives; dense counts
+    the leading values that equal their index, and low is their pattern."""
 
-    def __init__(self, ctx: "EvalContext", anchor_max: int, quant_values: np.ndarray):
+    __slots__ = ("depth", "bit", "values", "size", "full", "dense", "low")
+
+    def __init__(self, depth: int, values: Sequence[int]):
+        self.depth = depth
+        self.bit = 1 << depth
+        self.values = values
+        self.size = len(values)
+        self.full = (1 << self.size) - 1
+        dense = self.size
+        while dense and values[dense - 1] != dense - 1:
+            dense -= 1
+        self.dense = dense
+        self.low = (1 << dense) - 1
+
+    def below(self, value: int) -> int:
+        """How many of the values lie below value."""
+        return value if 0 <= value <= self.dense else bisect_left(self.values, value)
+
+    def index(self, value: int) -> int | None:
+        """The index of value among the values, or None."""
+        if 0 <= value < self.dense:
+            return value
+        i = bisect_left(self.values, value)
+        return i if i < self.size and self.values[i] == value else None
+
+    def run(self, lo: int, hi: int) -> tuple[int, int, int]:
+        """The open formula true where the variable's index lies in [lo, hi)."""
+        return (((1 << hi - lo) - 1) << lo if lo < hi else 0), self.bit, self.full
+
+
+class _Terms:
+    """An open term that is not a bound variable: a function's values over
+    bound variables as a numpy array, in which the variable bound at depth
+    i is axis -(i+1), with the depths it reads."""
+
+    __slots__ = ("array", "reads")
+
+    def __init__(self, array: np.ndarray, reads: int):
+        self.array = array
+        self.reads = reads
+
+
+def _reads(terms: list) -> int:
+    """The depths that the terms read, as a bitmask; 0 when all are closed."""
+    reads = 0
+    for t in terms:
+        if type(t) is _Axis:
+            reads |= t.bit
+        elif type(t) is _Terms:
+            reads |= t.reads
+    return reads
+
+
+class _Evaluator:
+    """The semantics of each node kind for one probe set-up.
+
+    A closed node's value is a plain int or bool. An open term is a bound
+    variable's _Axis or a function's _Terms. An open formula is a triple
+    (bits, reads, full): reads has bit d set when an atom it evaluated
+    read the variable bound at depth d, and bits is dense over those
+    variables' axes, bit i the truth at the cell whose mixed-radix
+    position is i, the shallowest read variable's index the lowest digit;
+    full is the all-ones pattern of those cells. Operands that read
+    different depths are widened to the union before they combine.
+    Patterns that depend only on the set-up and the axes (x = y, x < y,
+    the bound masks and the shift masks that widen a value) are kept in
+    the set-up's patterns, shared by every context on it.
+
+    Two dispatchers reach the semantics: eval interprets a raw formula
+    node by node, and an interned formula's closures (see
+    Interned._compile) call them directly and keep each closed node's
+    value in the context's memo. Each dispatcher is the faster one for its
+    traffic; see the module docstring."""
+
+    def __init__(self, ctx: "EvalContext", anchor_max: int, setup: _Setup):
         self.views = ctx.views
         self.domain = ctx.domain
         self.memo = ctx.memo
         self.anchor_max = anchor_max
         # the range [0, n) that every quantifier runs over
-        self.quant_values = quant_values
+        self.quant_values = setup.quant_values
+        self.patterns = setup.patterns
         # the probe set-up, which with a node's identity keys its memo entry
-        self.scope = (anchor_max, len(quant_values))
-        # each bound variable's candidates, outermost first, on its own axis
-        self.bound: dict[str, np.ndarray] = {}
-        # the mixed-radix tuple encoding must be collision-free for every
-        # value reachable as an argument or stored as a tuple component: at
-        # w the quantifiers reach past every anchor, and on a surrogate the
-        # state's support may pass the universe
-        self.radix = max(len(quant_values), anchor_max + 1)
+        self.scope = (anchor_max, len(self.quant_values))
+        # each bound variable's axis, outermost first
+        self.bound: dict[str, _Axis] = {}
+        # a bound on every value reachable as an argument or stored as a
+        # tuple component (see _check_codes): at w the quantifiers reach past
+        # every anchor, and on a surrogate the state's support may pass the
+        # universe
+        self.radix = max(len(self.quant_values), anchor_max + 1)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -318,12 +438,104 @@ class _Evaluator:
                 f"copy index @{copy} has no state here; use the two-state entry point"
             ) from None
 
-    def bind(self, var: str, values: np.ndarray) -> None:
-        """Bind var one level deeper than every bound variable: its
-        candidates take the shape (n,) + (1,) * depth."""
+    def bind(self, var: str, values: Sequence[int]) -> _Axis:
+        """Bind var one level deeper than every bound variable."""
         if var in self.bound:
             raise Unsupported(f"rebinding of {var!r} inside its own scope")
-        self.bound[var] = values.reshape((-1,) + (1,) * len(self.bound))
+        key = ("axis", len(self.bound), len(values))
+        axis = self.patterns.get(key)
+        if axis is None:
+            axis = self.patterns[key] = _Axis(len(self.bound), values)
+        self.bound[var] = axis
+        return axis
+
+    def _operands(self, left: Any, right: Any) -> tuple[int, int, int, int]:
+        """Two formulas, one of them open, over the same cells: (left bits,
+        right bits, reads, full). A closed operand becomes the all-ones or
+        the zero pattern of the other's cells."""
+        if type(left) is not tuple:
+            bits, reads, full = right
+            return (full if left else 0), bits, reads, full
+        if type(right) is not tuple:
+            bits, reads, full = left
+            return bits, (full if right else 0), reads, full
+        if left[1] == right[1]:
+            return left[0], right[0], left[1], left[2]
+        reads = left[1] | right[1]
+        lb, full = self._widen(left, reads)
+        rb, _ = self._widen(right, reads)
+        return lb, rb, reads, full
+
+    def _widen(self, value: tuple[int, int, int], reads: int) -> tuple[int, int]:
+        """An open formula's bits over the axes of reads, a superset of its
+        own, and the all-ones pattern of those cells. Each missing axis is
+        inserted in turn: the blocks of cells above it move apart by its
+        length (see _spread), and each block below it is repeated once per
+        candidate."""
+        bits, have, full = value
+        below, above = 1, full.bit_length()
+        for axis in self.bound.values():
+            if not reads >> axis.depth & 1:
+                continue
+            if have >> axis.depth & 1:
+                above //= axis.size
+            elif axis.size > 1:
+                if above > 1:
+                    for mask, shift in self._spread(below, axis.size, above):
+                        moved = bits & mask
+                        bits ^= moved
+                        bits |= moved << shift
+                bits = _tile(bits, below, axis.size)
+            below *= axis.size
+        return bits, (1 << below) - 1
+
+    def _spread(self, width: int, factor: int, count: int) -> list[tuple[int, int]]:
+        """The (mask, shift) steps that move count blocks of width bits,
+        block h at h * width, to h * width * factor: from the highest bit
+        of h down, the blocks with that bit set move together."""
+        key = ("spread", width, factor, count)
+        steps = self.patterns.get(key)
+        if steps is None:
+            steps = []
+            stride = width * factor
+            for j in reversed(range((count - 1).bit_length())):
+                half = 1 << j
+                # before this step, the blocks whose indices agree above bit
+                # j form a group; group g starts at g * 2 * half * stride
+                groups, rest = divmod(count, 2 * half)
+                upper = ((1 << half * width) - 1) << half * width
+                mask = _tile(upper, 2 * half * stride, groups) if groups else 0
+                if rest > half:
+                    mask |= ((1 << (rest - half) * width) - 1) << (
+                        groups * 2 * half * stride + half * width
+                    )
+                steps.append((mask, half * (stride - width)))
+            self.patterns[key] = steps
+        return steps
+
+    def _cells(self, args: list) -> tuple[tuple[int, ...], Iterator[tuple[int, ...]]]:
+        """The shape numpy broadcasts the arguments to, one of them a
+        function's values, and their values cell by cell in C order."""
+        arrays = []
+        for a in args:
+            if type(a) is _Axis:
+                a = np.asarray(a.values, dtype=np.int64).reshape((-1,) + (1,) * a.depth)
+            elif type(a) is _Terms:
+                a = a.array
+            arrays.append(a)
+        shape = np.broadcast_shapes(*map(np.shape, arrays))
+        return shape, zip(*(np.broadcast_to(a, shape).reshape(-1).tolist() for a in arrays))
+
+    def _cellwise(self, test: Callable[..., bool], args: list) -> tuple[int, int, int]:
+        """An atom over a function's values as an open formula: test of the
+        arguments' values at each cell, packed over the axes they read."""
+        shape, cells = self._cells(args)
+        truth = np.array([test(*key) for key in cells], dtype=bool).reshape(shape)
+        reads = _reads(args)
+        axes = [a for a in self.bound.values() if a.depth < reads.bit_length()]
+        truth = np.broadcast_to(truth, tuple(a.size if reads & a.bit else 1 for a in reversed(axes)))
+        packed = np.packbits(truth.reshape(-1), bitorder="little").tobytes()
+        return int.from_bytes(packed, "little"), reads, (1 << truth.size) - 1
 
     # -- the semantics of terms --------------------------------------------
 
@@ -333,57 +545,126 @@ class _Evaluator:
         return value.to_int()
 
     def constant(self, name: str, copy: int | None) -> int:
-        return self.view(copy).state.constant(name)
+        state = self.view(copy).state
+        # State.constant checks the kind; it runs only for a missing name or
+        # a value that is not a constant, and raises MissingSymbol naming it
+        value = state.by_name.get(name)
+        return value if type(value) is int else state.constant(name)
 
-    def var(self, name: str) -> np.ndarray:
+    def var(self, name: str) -> _Axis:
         try:
             return self.bound[name]
         except KeyError:
             raise NotClosed(f"free variable {name!r} in a closed context") from None
 
     def func_app(self, name: str, graph: dict[tuple[int, ...], int], args: list) -> Any:
-        shape = np.broadcast_shapes(*map(np.shape, args))
-        if shape:
-            keys = zip(*(np.broadcast_to(a, shape).reshape(-1).tolist() for a in args))
-        else:
-            keys = [tuple(args)]
+        reads = _reads(args)
+        shape, cells = self._cells(args) if reads else ((), [tuple(args)])
         vals = []
-        for key in keys:
+        for key in cells:
             if key not in graph:
                 raise Unrepresentable(f"function {name!r} has no graph entry for {key}")
             vals.append(graph[key])
-        return np.array(vals, dtype=np.int64).reshape(shape) if shape else vals[0]
+        if not reads:
+            return vals[0]
+        return _Terms(np.array(vals, dtype=np.int64).reshape(shape), reads)
 
     # -- the semantics of formulas -----------------------------------------
 
     def equal(self, left: Any, right: Any) -> Any:
-        return left == right
+        return self._compare(False, left, right)
 
     def less(self, left: Any, right: Any) -> Any:
         """A membership atom: on the naturals, x in y is x < y."""
-        return left < right
+        return self._compare(True, left, right)
+
+    def _compare(self, less: bool, left: Any, right: Any) -> Any:
+        """left < right when less, else left = right."""
+        if type(left) is _Axis:
+            if type(right) is _Axis:
+                return self._pair(less, left, right)
+            if type(right) is not _Terms:
+                return left.run(0, left.below(right)) if less else self._at(left, right)
+        elif type(right) is _Axis and type(left) is not _Terms:
+            if less:
+                return right.run(right.below(left + 1), right.size)
+            return self._at(right, left)
+        elif type(left) is not _Terms and type(right) is not _Terms:
+            return left < right if less else left == right
+        return self._cellwise(operator.lt if less else operator.eq, [left, right])
+
+    def _at(self, axis: _Axis, value: int) -> tuple[int, int, int]:
+        """The open formula true where the axis's variable equals value."""
+        i = axis.index(value)
+        return (0 if i is None else 1 << i), axis.bit, axis.full
+
+    def _pair(self, less: bool, x: _Axis, y: _Axis) -> tuple[int, int, int]:
+        """x < y when less, else x = y, over two bound variables."""
+        if x is y:
+            return (0 if less else x.full), x.bit, x.full
+        # the shallower axis is the lower digit
+        low, high = (x, y) if x.depth < y.depth else (y, x)
+        key = ("pair", less, x is low, low.size, high.size)
+        bits = self.patterns.get(key)
+        if bits is None:
+            # one run of the lower axis per candidate of the higher
+            bits = 0
+            for j, value in enumerate(high.values):
+                if not less:
+                    i = low.index(value)
+                    row = 0 if i is None else 1 << i
+                elif x is low:
+                    row = (1 << low.below(value)) - 1
+                else:
+                    row = low.full ^ ((1 << low.below(value + 1)) - 1)
+                bits |= row << j * low.size
+            self.patterns[key] = bits
+        return bits, x.bit | y.bit, (1 << low.size * high.size) - 1
 
     def unary(self, view: _View, name: str, arg: Any) -> Any:
         s = view.state.relation(name)
-        if not isinstance(arg, np.ndarray):
-            return s.member(arg)
-        # membership of every value below radix, which bounds them all
-        mask = np.full(self.radix, not s.is_finite)
-        mask[list(s.elements)] = s.is_finite
-        return mask[arg]
+        if type(arg) is _Axis:
+            # the stored elements that are candidates are their own indices
+            bits = view.members(name, s) & arg.low
+            return (bits if s.is_finite else arg.full ^ bits), arg.bit, arg.full
+        if type(arg) is _Terms:
+            return self._cellwise(s.member, [arg])
+        return s.member(arg)
 
     def nary(self, view: _View, name: str, args: list) -> Any:
-        if not any(isinstance(a, np.ndarray) for a in args):
+        reads = _reads(args)
+        if not reads:
             return tuple(args) in view.tuples(name, len(args))
-        codes = view.tuple_codes(name, self.radix, len(args))
-        code = args[0]
-        for i in range(1, len(args)):
-            code = code + args[i] * self.radix**i
-        return codes[np.searchsorted(codes, code)] == code
+        _check_codes(name, self.radix, len(args))
+        ts = view.tuples(name, len(args))
+        if any(type(a) is _Terms for a in args):
+            return self._cellwise(lambda *key: key in ts, args)
+        # each read axis's stride in the cells of reads
+        strides, cells = {}, 1
+        for axis in self.bound.values():
+            if reads & axis.bit:
+                strides[axis] = cells
+                cells *= axis.size
+        bits = 0
+        # one cell per stored tuple that every argument matches
+        for t in ts:
+            at: dict[_Axis, int] = {}
+            for a, value in zip(args, t):
+                if type(a) is _Axis:
+                    i = a.index(value)
+                    if i is None or at.setdefault(a, i) != i:
+                        break
+                elif a != value:
+                    break
+            else:
+                bits |= 1 << sum(i * strides[a] for a, i in at.items())
+        return bits, reads, (1 << cells) - 1
 
     def negate(self, body: Any) -> Any:
-        # not ~: on a Python bool, ~True is -2
-        return ~body if isinstance(body, np.ndarray) else not body
+        if type(body) is tuple:
+            bits, reads, full = body
+            return full ^ bits, reads, full
+        return not body
 
     def settle(self, kind: type, left: Any) -> Any:
         """left (And, Or, Implies or Iff) right, when the left operand alone
@@ -392,7 +673,7 @@ class _Evaluator:
         one-element surrogate a quantifier's value is closed even when its
         body reads an enclosing variable (see quantify), so a connective
         can settle there on an operand that reads one."""
-        if isinstance(left, np.ndarray) or kind is Iff:
+        if type(left) is tuple or kind is Iff:
             return None
         if kind is And:
             return None if left else left
@@ -404,15 +685,19 @@ class _Evaluator:
         """left (And, Or, Implies or Iff) right, where settle found the
         right operand needed."""
         if kind is Iff:
-            return left == right
-        if not isinstance(left, np.ndarray):
+            if type(left) is not tuple and type(right) is not tuple:
+                return left == right
+            lb, rb, reads, full = self._operands(left, right)
+            return full ^ lb ^ rb, reads, full
+        if type(left) is not tuple:
             # a closed left operand that did not settle passes the right one on
             return right
+        lb, rb, reads, full = self._operands(left, right)
         if kind is And:
-            return left & right
+            return lb & rb, reads, full
         if kind is Or:
-            return left | right
-        return ~left | right
+            return lb | rb, reads, full
+        return (full ^ lb) | rb, reads, full
 
     def quantify(
         self,
@@ -425,42 +710,79 @@ class _Evaluator:
         f's body with f.var bound. A body_rank of None is read off f.body
         when the probe bound needs it.
 
-        The body reads f.var when its value has an axis at f.var's depth,
-        which is then axis 0. The reduction drops it and every leading
-        length-1 axis after it, so a value's axes never run past the
-        deepest variable it reads, and one with no axes left is a bool."""
-        depth = len(self.bound)
-        self.bind(f.var, self.quant_values)
+        A body that does not read f.var is the value. One that does has
+        f.var, the deepest variable, as its highest digit, so its cells
+        are one block per candidate, and halving shifts OR the blocks
+        together: exists is that OR over the allowed candidates, forall
+        the complement of the OR of the body's complement. The result is a
+        closed bool when no other depth is read, or when the other read
+        depths have one cell between them."""
+        own = self.bind(f.var, self.quant_values)
         try:
-            arr = body(arg)
-            if np.ndim(arr) <= depth:
-                return arr
-            exists = isinstance(f, Exists)
-            if self.domain.is_omega:
-                if body_rank is None:
-                    body_rank = quantifier_rank(f.body)
-                allowed = self._bound_mask(arr.shape, body_rank)
-                arr = arr & allowed if exists else arr | ~allowed
-            out = arr.any(axis=0) if exists else arr.all(axis=0)
-            shape = out.shape
-            while shape[:1] == (1,):
-                shape = shape[1:]
-            return out.reshape(shape) if shape else bool(out)
+            value = body(arg)
         finally:
             del self.bound[f.var]
+        if type(value) is not tuple or not value[1] & own.bit:
+            return value
+        bits, reads, full = value
+        reads ^= own.bit
+        exists = isinstance(f, Exists)
+        cells, count = full.bit_length() // own.size, own.size
+        if not exists:
+            bits ^= full
+        if self.domain.is_omega:
+            if body_rank is None:
+                body_rank = quantifier_rank(f.body)
+            allowed, count = self._bound_mask(own, reads, cells, body_rank)
+            bits &= allowed
+        if not reads or cells == 1:
+            return bool(bits) if exists else not bits
+        while count > 1:
+            count = (count + 1) >> 1
+            bits |= bits >> count * cells
+        full = (1 << cells) - 1
+        bits &= full
+        return (bits if exists else full ^ bits), reads, full
 
-    def _bound_mask(self, shape: tuple[int, ...], body_rank: int) -> np.ndarray:
-        """Per-cell candidate bound for the innermost variable, in a body of
-        the given shape: the anchors and the values of the enclosing
-        variables that the body reads, which are its axes of length > 1,
-        plus the margin 2^rank + 2 that leaves room for one far
-        representative."""
-        *enclosing, own = self.bound.values()
-        per_cell = self.anchor_max
-        for i, values in enumerate(enclosing):
-            if shape[-1 - i] > 1:
-                per_cell = np.maximum(per_cell, values)
-        return own <= per_cell + _margin(body_rank)
+    def _bound_mask(
+        self, own: _Axis, reads: int, cells: int, body_rank: int
+    ) -> tuple[int, int]:
+        """The cells, over the read axes and then the innermost variable's,
+        whose candidate for it lies within the probe bound, and how many of
+        its candidates any cell allows. The bound is the anchors and the
+        values of the enclosing variables that the body reads, plus the
+        margin 2^rank + 2 that leaves room for one far representative.
+        Called with the innermost variable unbound."""
+        margin = _margin(body_rank)
+        # a candidate up to this is allowed in every cell
+        low = self.anchor_max + margin
+        if not reads:
+            count = own.below(low + 1)
+            return (1 << count) - 1, count
+        axes = [a for a in self.bound.values() if reads & a.bit]
+        key = ("mask", margin, *(a.size for a in axes))
+        mask = self.patterns.get(key)
+        if mask is None:
+            bits = count = 0
+            for value in own.values:
+                if value <= low:
+                    block = (1 << cells) - 1
+                else:
+                    # the cells where some read variable is at least value - margin
+                    block, stride = 0, 1
+                    for a in axes:
+                        lo = a.below(value - margin)
+                        if lo < a.size:
+                            run = ((1 << (a.size - lo) * stride) - 1) << lo * stride
+                            span = stride * a.size
+                            block |= _tile(run, span, cells // span)
+                        stride *= a.size
+                    if not block:
+                        break
+                bits |= block << count * cells
+                count += 1
+            mask = self.patterns[key] = (bits, count)
+        return mask
 
     # -- the interpreter ---------------------------------------------------
 
@@ -513,11 +835,12 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
 
 _NONE: frozenset = frozenset()
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 
-# how many times its range's length in candidates a table keeps; the
-# bridge workload's machines need about 25 to keep every anchor they meet
-_KEPT = 32
+# how many times the longest quantifier range it has built a table keeps
+# in candidates; the bridge workload's machines need 42 to keep every
+# anchor they meet
+_KEPT = 64
 
 # A node's closure: its value under an evaluator.
 _Closure = Callable[[_Evaluator], Any]
@@ -554,17 +877,18 @@ class Interned:
     of the formula. An EvalContext built with the table evaluates the
     formulas it returned, and only those.
 
-    The table also keeps the arrays of the probe set-ups its contexts ask
-    for (see setup_arrays), so that a machine's steps do not rebuild them
-    state after state."""
+    The table also keeps the probe set-ups its contexts ask for (see
+    setup), so that a machine's steps do not rebuild them, or the patterns
+    built on them, state after state."""
 
     def __init__(self) -> None:
         self._nodes: dict[object, Node] = {}
         self.facts: dict[int, StaticFacts] = {}
         self.closures: dict[int, _Closure] = {}
-        self._range = _arange(0)
-        self._setups: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
+        self._literal_max: dict[int, int] = {}
+        self._setups: dict[tuple, _Setup] = {}
         self._held = 0  # the candidates in _setups, counted in elements
+        self._longest = 0  # the most quantifier values of any set-up built
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -573,37 +897,39 @@ class Interned:
         """The interned copy of the formula."""
         return map_formula(formula, self._intern)
 
-    def _values(self, n: int) -> np.ndarray:
-        """[0, n) as a read-only view of the table's one range, which at
-        least doubles whenever it has to grow."""
-        if n > len(self._range):
-            self._range = _arange(max(n, 2 * len(self._range)))
-        return self._range[:n]
+    def literal_max(self, literals: frozenset[OrdinalNotation]) -> int:
+        """The largest finite literal in a literal set of the table's facts,
+        or 0, worked out once per set."""
+        top = self._literal_max.get(id(literals))
+        if top is None:
+            top = self._literal_max[id(literals)] = _anchor_max(literals, 0)
+        return top
 
-    def setup_arrays(
-        self, domain: EvalDomain, anchor_max: int, rank: int, reps: int
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The quantifier values and the candidates of one probe set-up (see
-        _setup_arrays), built once and shared, read-only, by every context
-        that asks for it.
+    def setup(self, domain: EvalDomain, anchor_max: int, rank: int, reps: int) -> _Setup:
+        """One probe set-up (see _setup_values), built once and shared by
+        every context that asks for it.
 
-        The quantifier values are views of the table's range. Candidates
-        are kept until they would hold more than _KEPT times the range's
-        length; then every set-up is dropped and keeping starts over. So
-        a long run that meets ever new anchors holds a fixed multiple of
-        its largest set-up, while a machine whose runs revisit the same
+        Set-ups are kept until their candidates would hold more than _KEPT
+        times the longest quantifier range built; then every set-up is
+        dropped and keeping starts over. A set-up's patterns are keyed by
+        kind and axis lengths, which the table's formulas bound, and each
+        holds a bit per cell of the axes it spans, or for the masks that
+        widen a value, one such pattern per halving step. So a long
+        run that meets ever new anchors holds a fixed multiple of its
+        largest set-up, while a machine whose runs revisit the same
         anchors, as the bridge workload's do, builds each set-up once."""
         key = (domain, anchor_max, rank, reps)
-        arrays = self._setups.get(key)
-        if arrays is None:
-            arrays = _setup_arrays(domain, anchor_max, rank, reps, self._values)
-            if arrays[1] is not None:
-                self._held += len(arrays[1])
-                if self._held > _KEPT * len(self._range):
+        setup = self._setups.get(key)
+        if setup is None:
+            setup = _Setup(*_setup_values(domain, anchor_max, rank, reps), {})
+            self._longest = max(self._longest, len(setup.quant_values))
+            if setup.candidates is not None:
+                self._held += len(setup.candidates)
+                if self._held > _KEPT * self._longest:
                     self._setups.clear()
-                    self._held = len(arrays[1])
-            self._setups[key] = arrays
-        return arrays
+                    self._held = len(setup.candidates)
+            self._setups[key] = setup
+        return setup
 
     def _intern(self, node: Node) -> Node:
         key = _shallow_key(node)
@@ -719,8 +1045,8 @@ class EvalContext:
     top of their support, one evaluator per probe set-up and, over
     interned formulas, every closed node already evaluated. Build one per
     state; it answers every formula asked of that state. Over interned
-    formulas the set-up arrays come from the table, which keeps them
-    across contexts; a raw formula's context builds its own."""
+    formulas the set-ups come from the table, which keeps them across
+    contexts; a raw formula's context builds its own."""
 
     def __init__(
         self,
@@ -735,7 +1061,7 @@ class EvalContext:
         self.support_max = _support_max(v.state for v in made.values())
         self.interned = interned
         self.memo: dict[object, Any] = {}
-        self._setups: dict[tuple[int, int, int], tuple[_Evaluator, np.ndarray | None]] = {}
+        self._setups: dict[tuple[int, int, int], tuple[_Evaluator, Sequence[int] | None]] = {}
 
     @staticmethod
     def single(
@@ -751,11 +1077,11 @@ class EvalContext:
 
     def _setup(
         self, anchor_max: int, rank: int, reps: int
-    ) -> tuple[_Evaluator, np.ndarray | None]:
+    ) -> tuple[_Evaluator, Sequence[int] | None]:
         """The evaluator and the candidates for one anchor maximum, rank
         and number of far representatives, built once per context. The
-        arrays (see _setup_arrays) come from the interned table when there
-        is one, and are built here otherwise.
+        set-up (see _setup_values) comes from the interned table when there
+        is one, and is built here otherwise.
         """
         key = (anchor_max, rank, reps)
         setup = self._setups.get(key)
@@ -764,11 +1090,10 @@ class EvalContext:
         if self.domain.is_omega:
             _check_omega_ok(self.states)
         if self.interned is None:
-            arrays = _setup_arrays(self.domain, anchor_max, rank, reps, _arange)
+            made = _Setup(*_setup_values(self.domain, anchor_max, rank, reps), {})
         else:
-            arrays = self.interned.setup_arrays(self.domain, anchor_max, rank, reps)
-        quant_values, candidates = arrays
-        setup = self._setups[key] = (_Evaluator(self, anchor_max, quant_values), candidates)
+            made = self.interned.setup(self.domain, anchor_max, rank, reps)
+        setup = self._setups[key] = (_Evaluator(self, anchor_max, made), made.candidates)
         return setup
 
     def _truth_table(
@@ -777,18 +1102,24 @@ class EvalContext:
         facts: StaticFacts,
         variables: tuple[str, ...] = (),
         reps: int = 0,
-    ) -> tuple[np.ndarray | bool, np.ndarray | None]:
-        """The formula's truth table and the candidates its axes range over.
+    ) -> tuple[Any, Sequence[int] | None]:
+        """The formula's truth table and the candidates its variables range
+        over.
 
-        The table has one axis per requested variable, in the order given. A
-        value that already spans the candidates on every axis is the table
-        as it is; one that ignores a variable is broadcast across them.
-        Variables come with reps > 0 far representatives (see
-        _setup_arrays); with no variables the table is a single truth value
-        and the candidates are None.
+        With variables, the table is a bitset over len(candidates) ** k
+        cells for k variables: bit i is the truth at the candidates whose
+        indices are the digits of i in base len(candidates), the first
+        variable's the lowest. A value that reads no variable is all ones
+        or zero. Variables come with reps > 0 far representatives (see
+        _setup_values). With no variables the table is a single truth
+        value and the candidates are None.
         """
         _, rank, literals = facts
-        ev, candidates = self._setup(_anchor_max(literals, self.support_max), rank, reps)
+        if self.interned is None:
+            anchor_max = _anchor_max(literals, self.support_max)
+        else:
+            anchor_max = max(self.support_max, self.interned.literal_max(literals))
+        ev, candidates = self._setup(anchor_max, rank, reps)
         try:
             for x in variables:
                 ev.bind(x, candidates)
@@ -796,15 +1127,14 @@ class EvalContext:
                 value = ev.eval(formula)
             else:
                 value = self.interned.closures[id(formula)](ev)
+            if type(value) is tuple:
+                every = (1 << len(variables)) - 1
+                value = value[0] if value[1] == every else ev._widen(value, every)[0]
         finally:
             ev.bound.clear()
-        if not variables:
-            return value, None
-        shape = (len(candidates),) * len(variables)
-        if np.shape(value) != shape:
-            value = np.broadcast_to(value, shape)
-        # the evaluator puts the first variable last; .T reverses the axes
-        return value.T, candidates
+        if not variables or type(value) is int:
+            return value, candidates
+        return ((1 << len(candidates) ** len(variables)) - 1 if value else 0), candidates
 
     @_depth_checked
     def sentence(self, formula: Formula) -> bool:
@@ -825,19 +1155,20 @@ class EvalContext:
             var = next(iter(fv))
         elif fv - {var}:
             raise NotClosed(f"extra free variables {sorted(fv - {var})}")
-        vals, candidates = self._truth_table(formula, facts, (var,), 3)
+        bits, candidates = self._truth_table(formula, facts, (var,), 3)
         if not self.domain.is_omega:
-            return OrdinalSet.finite(candidates[vals].tolist())
-        tail = vals[-3:].tolist()
-        if any(tail) and not all(tail):
+            return OrdinalSet.finite([candidates[i] for i in _positions(bits)])
+        head = len(candidates) - 3
+        tail = bits >> head
+        if tail and tail != 7:
             raise ThresholdViolation(
-                f"tail representatives at {candidates[-3:].tolist()} disagree for "
+                f"tail representatives at {list(candidates[head:])} disagree for "
                 f"{formula!r}; the evaluation bound did not stabilise this formula"
             )
-        head = vals[:-3]
-        if tail[0]:
-            return OrdinalSet.cofinite(candidates[:-3][~head].tolist())
-        return OrdinalSet.finite(candidates[:-3][head].tolist())
+        if tail:
+            bits = ~bits
+        members = [candidates[i] for i in _positions(bits & ((1 << head) - 1))]
+        return OrdinalSet.cofinite(members) if tail else OrdinalSet.finite(members)
 
     @_depth_checked
     def defined_relation(
@@ -854,15 +1185,24 @@ class EvalContext:
             )
         if not variables:
             raise NotClosed("defined_relation needs at least one variable")
-        arr, candidates = self._truth_table(formula, facts, tuple(variables), 1)
+        bits, candidates = self._truth_table(formula, facts, tuple(variables), 1)
+        n, k = len(candidates), len(variables)
         if self.domain.is_omega:
             for i, x in enumerate(variables):
-                if np.take(arr, -1, axis=i).any():
+                # the cells whose i-th variable is the far representative
+                far = ((1 << n**i) - 1) << (n - 1) * n**i
+                if bits & _tile(far, n ** (i + 1), n ** (k - 1 - i)):
                     raise Unrepresentable(
                         f"formula defines an infinite relation (true at {x} = {candidates[-1]})"
                     )
-            arr = arr[(slice(-1),) * len(variables)]
-        return frozenset(map(tuple, candidates[np.argwhere(arr)].tolist()))
+        rows = []
+        for p in _positions(bits):
+            row = []
+            for _ in range(k):
+                p, i = divmod(p, n)
+                row.append(candidates[i])
+            rows.append(tuple(row))
+        return frozenset(rows)
 
 
 def sat(formula: Formula, state: State, domain: EvalDomain) -> bool:

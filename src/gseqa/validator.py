@@ -157,7 +157,8 @@ class _Transition:
     """The transition compiled once at admission: the witness parts with
     their bodies interned into one table, so that a step evaluates each
     closed subformula the witnesses share once per state, and takes its
-    probe set-ups' arrays from the table rather than building them anew.
+    probe set-ups and their patterns from the table rather than building
+    them anew.
 
     footprints[i] is the footprint of parts[i]: the sorted names of the
     non-membership symbols its body reads. Evaluating the part reads

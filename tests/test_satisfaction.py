@@ -4,6 +4,7 @@ semantics on hand-checked formulas, and the defined-set machinery."""
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from gseqa.logic import (
     Apply,
     Const,
     Equal,
+    Exists,
+    Forall,
     Iff,
     Implies,
     Not,
@@ -343,44 +346,59 @@ def test_a_wide_atom_whose_codes_pass_int64_is_unsupported():
 
 
 def test_contexts_on_one_table_share_read_only_set_up_arrays():
+    # a set-up's candidates and quantifier values are a tuple and a range,
+    # which nothing can write to, and its patterns are built once for both
     table = Interned()
     g = table.add(P("In(x) & (exists y. x < y)"))
     s, omega = base_state(), EvalDomain.omega()
     first, second = (EvalContext.single(s, omega, table) for _ in range(2))
     first.defined_set(g, "x")
+    built = dict(table.setup(omega, 3, 1, 3).patterns)
     second.defined_set(g, "x")
     (ev1, candidates1), (ev2, candidates2) = (ctx._setups[(3, 1, 3)] for ctx in (first, second))
     assert candidates1 is candidates2 and ev1.quant_values is ev2.quant_values
-    for array in (candidates1, ev1.quant_values):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1
+    assert ev1.patterns is ev2.patterns and built and ev2.patterns == built
+    for values in (candidates1, ev1.quant_values):
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            values[0] = 1
+
+
+def _deep_bytes(obj, seen: set) -> int:
+    """The bytes of obj and of every int, container and axis it holds,
+    each object counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (tuple, list)):
+        size += sum(_deep_bytes(item, seen) for item in obj)
+    elif isinstance(obj, dict):
+        size += sum(_deep_bytes(k, seen) + _deep_bytes(v, seen) for k, v in obj.items())
+    elif hasattr(obj, "__slots__"):
+        size += sum(_deep_bytes(getattr(obj, name), seen) for name in obj.__slots__)
+    return size
 
 
 def _held_bytes(table: Interned) -> int:
-    """The bytes of every buffer the table's set-ups and range hold."""
-    buffers = {id(table._range): table._range}
-    for arrays in table._setups.values():
-        for array in arrays:
-            if array is not None:
-                base = array if array.base is None else array.base
-                buffers[id(base)] = base
-    return sum(b.nbytes for b in buffers.values())
+    """The bytes that the table's set-ups hold: candidates, quantifier
+    ranges and every pattern kept with them."""
+    seen: set = set()
+    return sum(_deep_bytes(setup, seen) for setup in table._setups.values())
 
 
 def test_a_table_holds_a_fixed_multiple_of_its_largest_set_up():
-    # Stepping ever new anchors keeps at most _KEPT times the range in
-    # candidates, the range (at most twice the largest quantifier values),
-    # the range it replaced and one set-up past the budget. A table that
-    # kept every anchor would hold about 100 times its largest set-up
-    # after 400 anchors.
+    # Stepping ever new anchors keeps at most _KEPT times the longest
+    # quantifier range in candidates, and one set-up past the budget. A
+    # table that kept every anchor would hold about 200 times its largest
+    # set-up after 800 anchors.
     table = Interned()
     g = table.add(P("In(x)"))
     omega = EvalDomain.omega()
-    for top in (200, 400):
+    for top in (400, 800):
         for k in range(1, top + 1):
             state = State.make(OMEGA, {"In": OrdinalSet.finite({k})})
             EvalContext.single(state, omega, table).defined_set(g, "x")
-        largest = sum(a.nbytes for a in table.setup_arrays(omega, top, 0, 3))
+        largest = _deep_bytes(table.setup(omega, top, 0, 3), set())
         assert _held_bytes(table) <= 2 * (satisfaction._KEPT + 3) * largest
 
 
@@ -590,6 +608,91 @@ def test_a_body_that_ignores_its_variable_spans_every_candidate(fx, fxy, domains
     # fx never reads x and each fxy reads only one of x and y, so their
     # truth tables are broadcast across the candidates they ignore
     _check_against_the_oracle(P(fx), P(fxy), base_state(), domains)
+
+
+# -- bitsets past one machine word, against the oracle ----------------------
+
+# Closed guards to the left of a connective: true, false, or an atom over
+# constants, so that some settle it and some pass the right operand on.
+closed_guards = st.sampled_from(
+    [P(text) for text in ("true", "false", "In(h)", "R(t)", "h < t", "t = 3")]
+)
+NESTED = ("x", "y", "z")
+
+
+@st.composite
+def guarded_nests(draw, free=()):
+    """A formula whose quantifiers bind NESTED after the free variables,
+    each bounded by an anchor or by the variable bound before it, and each
+    to the right of a closed guard in an And, Or or Implies. The innermost
+    body joins an atom over x and z with one over y and z, so it reads
+    every bound variable: 125 cells over a five-element universe."""
+    anchors = st.sampled_from([Const("h"), Const("t"), OrdinalLiteral(4), OrdinalLiteral(9)])
+
+    def atom(a, b):
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            return Apply("E", (Var(a), Var(b)), None)
+        if kind == 1:
+            return Apply(MEMBERSHIP, (Var(a), Var(b)), None)
+        if kind == 2:
+            return Apply(MEMBERSHIP, (Var(b), Var(a)), None)
+        if kind == 3:
+            return Equal(Var(a), Var(b))
+        return Apply(draw(st.sampled_from(["In", "Out", "R"])), (Var(b),), None)
+
+    def level(scope):
+        if len(scope) == len(free) + len(NESTED):
+            join = draw(st.sampled_from([And, Or, Implies, Iff]))
+            return join(atom("x", "z"), atom("y", "z"))
+        v = NESTED[len(scope) - len(free)]
+        body = level(scope + (v,))
+        if scope and draw(st.booleans()):
+            body = draw(st.sampled_from([And, Or, Iff]))(body, atom(scope[-1], v))
+        bound = Var(scope[-1]) if scope and draw(st.booleans()) else draw(anchors)
+        guard = Apply(MEMBERSHIP, (Var(v), bound), None)
+        if draw(st.booleans()):
+            quantified = Exists(v, And(guard, body))
+        else:
+            quantified = Forall(v, Implies(guard, body))
+        return draw(st.sampled_from([And, Or, Implies]))(draw(closed_guards), quantified)
+
+    return level(tuple(free))
+
+
+@given(guarded_nests(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_nested_sentences_agree_with_brute_oracle_and_across_the_bound(f, seed):
+    state = random_state(random.Random(seed))
+    views = {None: state, 0: state}
+    table = Interned()
+    g = table.add(f)
+    for n in (1, 2, 5):
+        want = brute_sat(f, views, n)
+        domain = EvalDomain.surrogate(n)
+        assert sat(f, state, domain) is want
+        assert EvalContext.single(state, domain, table).sentence(g) is want
+    omega = EvalDomain.omega()
+    at_w = sat(f, state, omega)
+    assert EvalContext.single(state, omega, table).sentence(g) is at_w
+    b = threshold_bound(f, state)
+    for n in range(b, b + 9):
+        assert sat(f, state, EvalDomain.surrogate(n)) is at_w, n
+
+
+@given(guarded_nests(free=("w",)), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_nested_defined_sets_agree_with_brute_oracle(f, seed):
+    # w is free and x, y, z are bound inside: four axes deep
+    state = random_state(random.Random(seed))
+    views = {None: state, 0: state}
+    table = Interned()
+    g = table.add(f)
+    for n in (1, 2, 5):
+        domain = EvalDomain.surrogate(n)
+        want = {a for a in range(n) if brute_sat(f, views, n, {"w": a})}
+        assert set(defined_set(f, state, domain, "w").members_below(n)) == want
+        assert set(EvalContext.single(state, domain, table).defined_set(g, "w").members_below(n)) == want
 
 
 # -- connective order: compiled closures against the interpreter -------------

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gseqa import runtime
+from gseqa import runtime, satisfaction
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
 from gseqa.errors import GseqaError, MachineInvalid
 from gseqa.logic import And, Signature, SymbolDecl, nodes, parse_formula
@@ -150,6 +150,27 @@ def test_bridge_steps_broadcast_no_truth_table(machines, monkeypatch):
         for _ in range(30):
             state = apply_transition(vm, state)
     assert calls == []
+
+
+class _NoNumpy:
+    """Stands in for numpy: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used on a machine step")
+
+
+def test_bridge_steps_make_no_numpy_call(monkeypatch):
+    # every open value of the parity bridge machine is a bitset; a fresh
+    # machine, so that admission builds its set-ups under the stand-in too
+    monkeypatch.setattr(satisfaction, "np", _NoNumpy())
+    vm = check_machine(_specs()["bridge"], sample_size=8)
+    domain = domain_for(vm.kappa)
+    for k in (0, 3, 8):
+        state = load(vm, OrdinalSet.finite({k}))
+        for _ in range(30):
+            stepped = apply_transition(vm, state)
+            assert stepped == reference_step(vm, state, domain)
+            state = stepped
 
 
 @pytest.mark.parametrize(
