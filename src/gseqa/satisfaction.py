@@ -50,11 +50,9 @@ Atoms over bound variables are patterns. x = c, x < c and c < x are a run
 of one axis, R(x) masks the view's one int for R, and an n-ary atom sets
 one cell per stored tuple. x = y, x < y, the bound masks and the shift
 masks that widen a value depend only on the probe set-up and the axes, so
-each is built once and kept with the set-up. numpy is used only where a
-term is open but is not a bound variable, a function applied to bound
-variables: its values are an array in which the variable bound at depth i
-is axis -(i+1), and an atom that reads it is evaluated cell by cell over
-numpy's broadcast of its arguments and packed into a bitset.
+each is built once and kept with the set-up. A function applied to bound
+variables is the list of its values in the same cell order, and an atom
+that reads one sets its bits cell by cell.
 
 On a one-element surrogate every axis has length 1, so a quantifier's
 value is a plain bool even when its body reads an enclosing variable. A
@@ -96,8 +94,6 @@ import operator
 from dataclasses import dataclass
 from bisect import bisect_left
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import (
     NotClosed,
@@ -275,10 +271,11 @@ def _positions(bits: int) -> list[int]:
 
 
 def _check_codes(name: str, radix: int, arity: int) -> None:
-    """Raise Unsupported when the mixed-radix codes of the symbol's tuples,
-    radix^arity among them, would not fit in an int64. An n-ary atom over
-    bound variables refuses such a symbol, as it did when it looked its
-    tuples up by code."""
+    """Raise Unsupported when radix^arity, radix bounding every argument's
+    value, passes int64. An n-ary atom over bound variables checks this
+    before it builds its bitset: without it, exists x. exists y.
+    T(x, y, 2097152) at w asks for about radix^2 bits and raises a bare
+    MemoryError. A binary atom's radix^2 still passes."""
     if radix**arity > _INT64_MAX:
         raise Unsupported(
             f"{name!r} cannot be looked up by code: radix {radix} to the "
@@ -362,14 +359,14 @@ class _Axis:
 
 
 class _Terms:
-    """An open term that is not a bound variable: a function's values over
-    bound variables as a numpy array, in which the variable bound at depth
-    i is axis -(i+1), with the depths it reads."""
+    """An open term that is not a bound variable: a function's values at
+    the cells of the depths it reads, in the cell order of open formulas,
+    with those depths."""
 
-    __slots__ = ("array", "reads")
+    __slots__ = ("values", "reads")
 
-    def __init__(self, array: np.ndarray, reads: int):
-        self.array = array
+    def __init__(self, values: list[int], reads: int):
+        self.values = values
         self.reads = reads
 
 
@@ -387,14 +384,15 @@ def _reads(terms: list) -> int:
 class _Evaluator:
     """The semantics of each node kind for one probe set-up.
 
-    A closed node's value is a plain int or bool. An open term is a bound
-    variable's _Axis or a function's _Terms. An open formula is a triple
-    (bits, reads, full): reads has bit d set when an atom it evaluated
-    read the variable bound at depth d, and bits is dense over those
-    variables' axes, bit i the truth at the cell whose mixed-radix
+    A closed node's value is a plain int or bool. An open formula is a
+    triple (bits, reads, full): reads has bit d set when an atom it
+    evaluated read the variable bound at depth d, and bits is dense over
+    those variables' axes, bit i the truth at the cell whose mixed-radix
     position is i, the shallowest read variable's index the lowest digit;
-    full is the all-ones pattern of those cells. Operands that read
-    different depths are widened to the union before they combine.
+    full is the all-ones pattern of those cells. An open term is a bound
+    variable's _Axis or a function's _Terms, its values in the same cell
+    order. Operands that read different depths are widened to the union
+    before they combine.
     Patterns that depend only on the set-up and the axes (x = y, x < y,
     the bound masks and the shift masks that widen a value) are kept in
     the set-up's patterns, shared by every context on it.
@@ -513,29 +511,34 @@ class _Evaluator:
             self.patterns[key] = steps
         return steps
 
-    def _cells(self, args: list) -> tuple[tuple[int, ...], Iterator[tuple[int, ...]]]:
-        """The shape numpy broadcasts the arguments to, one of them a
-        function's values, and their values cell by cell in C order."""
-        arrays = []
-        for a in args:
-            if type(a) is _Axis:
-                a = np.asarray(a.values, dtype=np.int64).reshape((-1,) + (1,) * a.depth)
-            elif type(a) is _Terms:
-                a = a.array
-            arrays.append(a)
-        shape = np.broadcast_shapes(*map(np.shape, arrays))
-        return shape, zip(*(np.broadcast_to(a, shape).reshape(-1).tolist() for a in arrays))
+    def _cells(self, args: list) -> tuple[int, Iterator[tuple[int, ...]]]:
+        """The depths that the arguments read and their values at each cell
+        of those depths' axes, in cell order. An argument that misses an
+        axis repeats each block of the cells below it once per candidate."""
+        reads = _reads(args)
+        axes = [a for a in self.bound.values() if reads & a.bit]
+        columns = []
+        for arg in args:
+            values, have = [arg], 0
+            if type(arg) is _Axis:
+                values, have = list(arg.values), arg.bit
+            elif type(arg) is _Terms:
+                values, have = arg.values, arg.reads
+            below = 1
+            for axis in axes:
+                if not have & axis.bit:
+                    blocks = range(0, len(values), below)
+                    values = [v for j in blocks for v in values[j : j + below] * axis.size]
+                below *= axis.size
+            columns.append(values)
+        return reads, zip(*columns)
 
     def _cellwise(self, test: Callable[..., bool], args: list) -> tuple[int, int, int]:
-        """An atom over a function's values as an open formula: test of the
-        arguments' values at each cell, packed over the axes they read."""
-        shape, cells = self._cells(args)
-        truth = np.array([test(*key) for key in cells], dtype=bool).reshape(shape)
-        reads = _reads(args)
-        axes = [a for a in self.bound.values() if a.depth < reads.bit_length()]
-        truth = np.broadcast_to(truth, tuple(a.size if reads & a.bit else 1 for a in reversed(axes)))
-        packed = np.packbits(truth.reshape(-1), bitorder="little").tobytes()
-        return int.from_bytes(packed, "little"), reads, (1 << truth.size) - 1
+        """An atom over a function's values as an open formula: bit i is
+        test of the arguments' values at cell i."""
+        reads, cells = self._cells(args)
+        truth = "".join("1" if test(*key) else "0" for key in cells)
+        return int(truth[::-1], 2), reads, (1 << len(truth)) - 1
 
     # -- the semantics of terms --------------------------------------------
 
@@ -558,16 +561,12 @@ class _Evaluator:
             raise NotClosed(f"free variable {name!r} in a closed context") from None
 
     def func_app(self, name: str, graph: dict[tuple[int, ...], int], args: list) -> Any:
-        reads = _reads(args)
-        shape, cells = self._cells(args) if reads else ((), [tuple(args)])
-        vals = []
-        for key in cells:
-            if key not in graph:
-                raise Unrepresentable(f"function {name!r} has no graph entry for {key}")
-            vals.append(graph[key])
-        if not reads:
-            return vals[0]
-        return _Terms(np.array(vals, dtype=np.int64).reshape(shape), reads)
+        reads, cells = self._cells(args)
+        try:
+            values = [graph[key] for key in cells]
+        except KeyError as e:
+            raise Unrepresentable(f"function {name!r} has no graph entry for {e.args[0]}") from None
+        return _Terms(values, reads) if reads else values[0]
 
     # -- the semantics of formulas -----------------------------------------
 

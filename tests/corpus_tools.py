@@ -2,7 +2,7 @@
 
 brute_sat is the independent oracle: a deliberately plain recursive
 evaluator over an explicit finite domain, written before the library's
-vectorized engine and kept free of numpy so the two share no code paths.
+bit-parallel engine and sharing no code path with it.
 
 The random corpus generators produce (formula, state) material in two
 flavours: "any" exercises the whole grammar (used where both sides of a

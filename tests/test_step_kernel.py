@@ -12,12 +12,14 @@ trace byte, lives on the run and keys on the support at w.
 
 import dataclasses
 import random
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from gseqa import runtime, satisfaction
+import gseqa
+from gseqa import runtime
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
 from gseqa.errors import GseqaError, MachineInvalid
 from gseqa.logic import And, Signature, SymbolDecl, nodes, parse_formula
@@ -133,37 +135,26 @@ def test_compiled_step_matches_public_entries(machines, name):
             assert apply_transition(vm, state, domain) == reference_step(vm, state, domain)
 
 
-def test_bridge_steps_broadcast_no_truth_table(machines, monkeypatch):
-    # every part body of the parity bridge machine reads its variables, so
-    # its truth tables already span their candidates and none is broadcast
+# admits the parity bridge machine read from argv[1], steps it once and
+# prints whether numpy was loaded
+NO_NUMPY = """
+import sys
+from gseqa import OrdinalSet
+from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
+from gseqa.runtime import load
+from gseqa.validator import apply_transition, check_machine
+
+program = parse_alpha_program(open(sys.argv[1]).read())
+vm = check_machine(simulate_alpha_as_gseqap(program), sample_size=8)
+apply_transition(vm, load(vm, OrdinalSet.finite({3})))
+print("numpy" in sys.modules)
+"""
+
+
+def test_bridge_steps_need_no_numpy(machines):
+    # every open value of the parity bridge machine is a bitset, and the
+    # package loads no numpy, for admission or for a step
     vm = machines["bridge"]
-    calls = []
-    broadcast_to = np.broadcast_to
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return broadcast_to(*args, **kwargs)
-
-    monkeypatch.setattr(np, "broadcast_to", counted)
-    for k in (0, 3, 8):
-        state = load(vm, OrdinalSet.finite({k}))
-        for _ in range(30):
-            state = apply_transition(vm, state)
-    assert calls == []
-
-
-class _NoNumpy:
-    """Stands in for numpy: any use of it fails the test."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} used on a machine step")
-
-
-def test_bridge_steps_make_no_numpy_call(monkeypatch):
-    # every open value of the parity bridge machine is a bitset; a fresh
-    # machine, so that admission builds its set-ups under the stand-in too
-    monkeypatch.setattr(satisfaction, "np", _NoNumpy())
-    vm = check_machine(_specs()["bridge"], sample_size=8)
     domain = domain_for(vm.kappa)
     for k in (0, 3, 8):
         state = load(vm, OrdinalSet.finite({k}))
@@ -171,6 +162,15 @@ def test_bridge_steps_make_no_numpy_call(monkeypatch):
             stepped = apply_transition(vm, state)
             assert stepped == reference_step(vm, state, domain)
             state = stepped
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, str(PARITY)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=Path(gseqa.__file__).resolve().parents[1],
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize(
