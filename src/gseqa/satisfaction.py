@@ -52,7 +52,8 @@ one cell per stored tuple. x = y, x < y, the bound masks and the shift
 masks that widen a value depend only on the probe set-up and the axes, so
 each is built once and kept with the set-up. A function applied to bound
 variables is the list of its values in the same cell order, and an atom
-that reads one sets its bits cell by cell.
+that reads one sets its bits cell by cell. A pattern or widened value
+over more than _MAX_CELLS cells raises Unsupported before it is built.
 
 On a one-element surrogate every axis has length 1, so a quantifier's
 value is a plain bool even when its body reads an enclosing variable. A
@@ -65,10 +66,12 @@ Every entry evaluates through an EvalContext: one view per state, the top
 of the states' support, and one evaluator per probe set-up, each worked
 out once. A set-up's candidates and quantifier values are immutable
 sequences; an interned table builds them and their patterns once for all
-its contexts, and a raw formula's context builds its own. A defined set
-or relation is read off its table's set bits, lowest first. Each node
-kind's semantics is written once, as a method of the one evaluator class,
-and two dispatchers reach it:
+its contexts, and a raw formula's context builds its own. One reader per
+value kind decodes a table's set bits, lowest first: defined_set and
+defined_relation check their arguments and call it, and a machine's step
+calls it on each part's table, or takes a constant's one set bit. Each
+node kind's semantics is written once, as a method of the one evaluator
+class, and two dispatchers reach it:
 
 * A raw formula is analysed on each call and interpreted node by node;
   this is what sat, sat2, defined_set and defined_relation do, because a
@@ -90,6 +93,7 @@ and two dispatchers reach it:
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from bisect import bisect_left
@@ -447,6 +451,15 @@ class _Evaluator:
         self.bound[var] = axis
         return axis
 
+    def _too_large(self, what: str, reads: int, cells: int) -> Unsupported:
+        """The error for a bitset past _MAX_CELLS cells: the node it is for,
+        the variables of reads it spans and its cell count."""
+        names = ", ".join(v for v, a in self.bound.items() if reads & a.bit)
+        return Unsupported(
+            f"{what} over {names} needs a table of {cells} cells, more than "
+            f"the {_MAX_CELLS} it may have"
+        )
+
     def _operands(self, left: Any, right: Any) -> tuple[int, int, int, int]:
         """Two formulas, one of them open, over the same cells: (left bits,
         right bits, reads, full). A closed operand becomes the all-ones or
@@ -478,6 +491,8 @@ class _Evaluator:
             if have >> axis.depth & 1:
                 above //= axis.size
             elif axis.size > 1:
+                if below * axis.size * above > _MAX_CELLS:
+                    raise self._too_large("a connective", reads, below * axis.size * above)
                 if above > 1:
                     for mask, shift in self._spread(below, axis.size, above):
                         moved = bits & mask
@@ -517,6 +532,9 @@ class _Evaluator:
         axis repeats each block of the cells below it once per candidate."""
         reads = _reads(args)
         axes = [a for a in self.bound.values() if reads & a.bit]
+        cells = math.prod(a.size for a in axes)
+        if cells > _MAX_CELLS:
+            raise self._too_large("a function term", reads, cells)
         columns = []
         for arg in args:
             values, have = [arg], 0
@@ -606,6 +624,9 @@ class _Evaluator:
         key = ("pair", less, x is low, low.size, high.size)
         bits = self.patterns.get(key)
         if bits is None:
+            if low.size * high.size > _MAX_CELLS:
+                what = "the comparison " + ("'<'" if less else "'='")
+                raise self._too_large(what, x.bit | y.bit, low.size * high.size)
             # one run of the lower axis per candidate of the higher
             bits = 0
             for j, value in enumerate(high.values):
@@ -644,6 +665,8 @@ class _Evaluator:
             if reads & axis.bit:
                 strides[axis] = cells
                 cells *= axis.size
+        if cells > _MAX_CELLS:
+            raise self._too_large(f"the atom {name!r}", reads, cells)
         bits = 0
         # one cell per stored tuple that every argument matches
         for t in ts:
@@ -762,6 +785,8 @@ class _Evaluator:
         key = ("mask", margin, *(a.size for a in axes))
         mask = self.patterns.get(key)
         if mask is None:
+            if cells * own.size > _MAX_CELLS:
+                raise self._too_large("a quantifier's probe bound", reads, cells * own.size)
             bits = count = 0
             for value in own.values:
                 if value <= low:
@@ -835,6 +860,12 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
 _NONE: frozenset = frozenset()
 
 _INT64_MAX = 2**63 - 1
+
+# The most cells a bitset over two or more axes may have: 2 MiB of bits.
+# The largest table of the test suite and the benchmark has 2 744 000
+# cells. Past this, building a pattern one row at a time takes seconds,
+# and at w a state whose support reaches 2^21 would ask for 2^42 bits.
+_MAX_CELLS = 1 << 24
 
 # how many times the longest quantifier range it has built a table keeps
 # in candidates; the bridge workload's machines need 42 to keep every
@@ -1155,19 +1186,7 @@ class EvalContext:
         elif fv - {var}:
             raise NotClosed(f"extra free variables {sorted(fv - {var})}")
         bits, candidates = self._truth_table(formula, facts, (var,), 3)
-        if not self.domain.is_omega:
-            return OrdinalSet.finite([candidates[i] for i in _positions(bits)])
-        head = len(candidates) - 3
-        tail = bits >> head
-        if tail and tail != 7:
-            raise ThresholdViolation(
-                f"tail representatives at {list(candidates[head:])} disagree for "
-                f"{formula!r}; the evaluation bound did not stabilise this formula"
-            )
-        if tail:
-            bits = ~bits
-        members = [candidates[i] for i in _positions(bits & ((1 << head) - 1))]
-        return OrdinalSet.cofinite(members) if tail else OrdinalSet.finite(members)
+        return self._read_set(bits, candidates, formula)
 
     @_depth_checked
     def defined_relation(
@@ -1185,6 +1204,30 @@ class EvalContext:
         if not variables:
             raise NotClosed("defined_relation needs at least one variable")
         bits, candidates = self._truth_table(formula, facts, tuple(variables), 1)
+        return self._read_relation(bits, candidates, variables)
+
+    def _read_set(self, bits: int, candidates: Sequence[int], formula: Formula) -> OrdinalSet:
+        """The set a one-variable table with three far representatives
+        defines: cofinite when all three hold, an error when they differ."""
+        if not self.domain.is_omega:
+            return OrdinalSet.finite([candidates[i] for i in _positions(bits)])
+        head = len(candidates) - 3
+        tail = bits >> head
+        if tail and tail != 7:
+            raise ThresholdViolation(
+                f"tail representatives at {list(candidates[head:])} disagree for "
+                f"{formula!r}; the evaluation bound did not stabilise this formula"
+            )
+        if tail:
+            bits = ~bits
+        members = [candidates[i] for i in _positions(bits & ((1 << head) - 1))]
+        return OrdinalSet.cofinite(members) if tail else OrdinalSet.finite(members)
+
+    def _read_relation(
+        self, bits: int, candidates: Sequence[int], variables: Sequence[str]
+    ) -> frozenset[tuple[int, ...]]:
+        """The tuples a table with one far representative defines; at w one
+        that holds at the representative is infinite and Unrepresentable."""
         n, k = len(candidates), len(variables)
         if self.domain.is_omega:
             for i, x in enumerate(variables):

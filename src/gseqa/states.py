@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import MissingSymbol, ParseError
 from .ordinals import (
@@ -34,16 +34,6 @@ __all__ = [
     "format_state",
     "parse_state",
 ]
-
-
-def _freeze_tuples(tuples: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    out = set()
-    for t in tuples:
-        tt = tuple(int(x) for x in t)
-        if any(x < 0 for x in tt):
-            raise ValueError("relation tuples must hold naturals")
-        out.add(tt)
-    return frozenset(out)
 
 
 Value = int | OrdinalSet | frozenset
@@ -75,16 +65,24 @@ class State:
     constant, an OrdinalSet for a unary relation, and a frozen set of
     tuples for a wider relation or a function's graph. Constants come
     first, then unary relations, then tuple sets, each group sorted by
-    name, so states compare and hash structurally.
+    name, so states compare and hash structurally. make sorts them; a
+    step builds them in that order. The hash, like the support bound, is
+    worked out once, since a run looks each state up several times.
     """
 
     kappa: OrdinalNotation
     items: tuple[tuple[str, Value], ...] = ()
     _values: dict[str, Value] = field(init=False, repr=False, compare=False)
     _support_bound: int | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_values", dict(self.items))
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.kappa, self.items)))
+        return self._hash
 
     @staticmethod
     def make(kappa: OrdinalNotation, values: Mapping[str, object] | None = None) -> "State":
@@ -99,7 +97,9 @@ class State:
                 if value < 0:
                     raise ValueError("constants must hold naturals")
             elif kind is frozenset:
-                value = _freeze_tuples(value)
+                value = frozenset(tuple(map(int, t)) for t in value)
+                if any(x < 0 for t in value for x in t):
+                    raise ValueError("relation tuples must hold naturals")
             keyed.append((_RANK[kind], name, value))
         keyed.sort()  # names are distinct, so values are never compared
         return State(kappa, tuple([(name, value) for _, name, value in keyed]))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import NoReturn
+from typing import NoReturn, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -66,7 +66,7 @@ from .logic import (
     with_copy,
 )
 from .ordinals import OMEGA, OrdinalNotation, OrdinalSet
-from .satisfaction import EvalContext, EvalDomain, Interned
+from .satisfaction import EvalContext, EvalDomain, Interned, _depth_checked
 from .states import State, Tci, models_tci
 
 GSEQA = "gseqa"
@@ -160,21 +160,17 @@ class _Transition:
     probe set-ups and their patterns from the table rather than building
     them anew.
 
-    footprints[i] is the footprint of parts[i]: the sorted names of the
-    non-membership symbols its body reads. Evaluating the part reads
-    nothing of a state but those symbols' values and, at w, the anchor
-    maximum, which is the top of the state's support or one of the
-    body's own literals. So (i, support bound, footprint values) fixes
-    the part's value at w, and (i, None, footprint values) on a
-    surrogate, where the support only sizes the membership encodings.
-    memo, when set, maps such keys to the values computed so far; run
-    gives each call its own (see _memoised), and admission steps with
-    none. Only values are stored, so every check that can raise runs
-    once per distinct key.
+    order holds the parts' names in State.items order, so that a step
+    builds its successor's items without a sort or a check. footprints[i]
+    is the footprint of parts[i] (see the module docstring): with i and
+    the support bound at w, or None on a surrogate, its values key the
+    part's value in memo. run gives each call a memo of its own (see
+    _memoised); a step without one keys into a fresh one.
     """
 
     parts: tuple[_Part, ...]
     interned: Interned
+    order: tuple[str, ...]
     footprints: tuple[tuple[str, ...], ...]
     memo: dict[tuple, object] | None = None
 
@@ -185,6 +181,10 @@ def _compile(parts: list[_Part]) -> _Transition:
     return _Transition(
         tuple(_Part(p.decl, p.variables, body) for p, body in zip(parts, bodies)),
         interned,
+        # constants, then unary relations, then tuple sets, each by name
+        tuple(p.decl.name for p in sorted(parts, key=lambda p: (
+            p.decl.kind != "Constant", p.decl.kind == "Function" or p.decl.arity > 1, p.decl.name
+        ))),
         tuple(map(_footprint, bodies)),
     )
 
@@ -438,59 +438,53 @@ def domain_for(kappa: OrdinalNotation) -> EvalDomain | None:
     return None
 
 
-def _singleton(s: OrdinalSet) -> int | None:
-    if s.kind == "finite" and len(s.elements) == 1:
-        return next(iter(s.elements))
-    return None
-
-
+@_depth_checked
 def _evaluate_parts(
-    parts: tuple[_Part, ...] | list[_Part],
-    state: State,
-    domain: EvalDomain,
-    interned: Interned | None = None,
+    parts: Sequence[_Part], state: State, domain: EvalDomain, interned: Interned | None = None
 ) -> dict[str, object]:
-    """The value each witness defines over the state, by symbol name.
-
-    interned is the table the part bodies come from, if they were
-    compiled. Raises D6Violation when a constant's witness fails to pin
-    exactly one value or a function's witness is not a total graph.
-    """
+    """The value each witness defines over the state, by symbol name, in
+    the parts' order. interned is the table the part bodies come from, if
+    they were compiled. One depth check covers every part."""
     ctx = EvalContext.single(state, domain, interned)
     values: dict[str, object] = {}
     for part in parts:
-        name = part.decl.name
         try:
-            if part.decl.kind == "Constant":
-                defined = ctx.defined_set(part.body, part.variables[0])
-                value = _singleton(defined)
-                if value is None:
-                    raise D6Violation(
-                        state, name,
-                        f"witness defines {_describe(defined)} rather than one value",
-                    )
-            elif part.decl.kind == "Relation" and part.decl.arity == 1:
-                value = ctx.defined_set(part.body, part.variables[0])
-            elif part.decl.kind == "Relation":
-                value = ctx.defined_relation(part.body, part.variables)
-            else:
-                graph = ctx.defined_relation(part.body, part.variables)
-                value = _check_graph(name, graph, part.decl.arity, state, domain)
+            values[part.decl.name] = _part_value(ctx, part, state)
         except Unrepresentable as exc:
-            raise Unrepresentable(f"value of {name!r}: {exc}") from exc
-        values[name] = value
+            raise Unrepresentable(f"value of {part.decl.name!r}: {exc}") from exc
     return values
 
 
+def _part_value(ctx: EvalContext, part: _Part, state: State) -> object:
+    """One part's value, read straight off its truth table; admission put
+    the body's free variables among the part's. Raises D6Violation when a
+    constant's witness pins no single value or a function's no total graph."""
+    decl, body, variables = part.decl, part.body, part.variables
+    if decl.kind == "Function" or decl.arity > 1:
+        bits, candidates = ctx._truth_table(body, ctx._facts(body), variables, 1)
+        relation = ctx._read_relation(bits, candidates, variables)
+        if decl.kind == "Relation":
+            return relation
+        return _check_graph(decl.name, relation, decl.arity, state, ctx.domain)
+    bits, candidates = ctx._truth_table(body, ctx._facts(body), variables, 3)
+    if decl.kind == "Relation":
+        return ctx._read_set(bits, candidates, body)
+    # a constant's value is its one set bit, unless a far representative holds it
+    head = len(candidates) - 3 if ctx.domain.is_omega else len(candidates)
+    top = bits.bit_length() - 1
+    if 0 <= top < head and bits == 1 << top:
+        return candidates[top]
+    defined = ctx._read_set(bits, candidates, body)
+    what = f"a set of size {len(defined.elements)}" if defined.is_finite else "a cofinite set"
+    raise D6Violation(state, decl.name, f"witness defines {what} rather than one value")
+
+
 def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
-    """The successor state. With a memo, each part is first looked up by
-    its key (see _Transition), read from the state's map one name at a
-    time, and only the parts that miss are evaluated, under one context."""
-    memo = transition.memo
-    if memo is None:
-        return State.make(
-            state.kappa, _evaluate_parts(transition.parts, state, domain, transition.interned)
-        )
+    """The successor state, its items in the order fixed at admission. Each
+    part's key (see _Transition) is read from the state's map one name at
+    a time, and only the parts that miss the memo are evaluated, under
+    one context; a state that lacks a symbol fails there, memo or not."""
+    memo = {} if transition.memo is None else transition.memo
     anchor = state.support_bound() if domain.is_omega else None
     read = state.by_name.__getitem__
     values: dict[str, object] = {}
@@ -507,19 +501,10 @@ def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
         else:
             values[part.decl.name] = value
     if missed:
-        fresh = _evaluate_parts(
-            [part for part, _ in missed], state, domain, transition.interned
-        )
+        fresh = _evaluate_parts([part for part, _ in missed], state, domain, transition.interned)
         for part, key in missed:
-            name = part.decl.name
-            values[name] = memo[key] = fresh[name]
-    return State.make(state.kappa, values)
-
-
-def _describe(s: OrdinalSet) -> str:
-    if s.kind == "cofinite":
-        return "a cofinite set"
-    return f"a set of size {len(s.elements)}"
+            values[part.decl.name] = memo[key] = fresh[part.decl.name]
+    return State(state.kappa, tuple([(name, values[name]) for name in transition.order]))
 
 
 def _check_graph(

@@ -17,9 +17,9 @@ from gseqa.logic import format_formula
 from gseqa.ordinals import OrdinalNotation, OrdinalSet
 from gseqa.runtime import Budget, dump_trace, run
 from gseqa.specfiles import format_machine
-from gseqa.states import format_state, parse_state
+from gseqa.states import State, format_state, parse_state
 from gseqa.transforms import compile_tm, compose, dovetail, flip, lift
-from gseqa.validator import check_machine, check_simple
+from gseqa.validator import _memoised, _step, check_machine, check_simple, domain_for
 from tm_tools import EVEN_HALTING, WRITER
 
 # The two oracle-machine programs of acceptance criterion 9.
@@ -99,13 +99,17 @@ def _digest(*texts: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def pinned():
+def machines():
+    return {
+        name: check_machine(spec, allow_finite_kappa=True, sample_size=8)
+        for name, spec in _constructions().items()
+    }
+
+
+@pytest.fixture(scope="module")
+def pinned(machines):
     """The digest of each case, and the trace of each run."""
     specs = _constructions()
-    machines = {
-        name: check_machine(spec, allow_finite_kappa=True, sample_size=8)
-        for name, spec in specs.items()
-    }
     digests, traces = {}, []
     for name, vm in machines.items():
         digests[name] = _digest(
@@ -133,3 +137,19 @@ def test_pinned_snapshots_round_trip(pinned):
     for trace in traces:
         for _, state in trace.snapshots:
             assert parse_state(format_state(state)) == state
+
+
+def test_a_step_builds_the_items_that_state_make_would(machines):
+    # The step builds its successor's items in an order fixed at admission,
+    # with neither a sort nor a check; State.make sorts and checks. Every
+    # state the runs reach is stepped with and without a footprint memo.
+    for name, elements, steps in RUNS:
+        vm = machines[name]
+        budget = Budget(maxSuccessorStepsPerSegment=steps, maxLimitJumps=2, snapshotPolicy="all")
+        trace = run(vm, OrdinalSet.finite(elements), budget)
+        domain = domain_for(vm.kappa)
+        for transition in (vm._transition, _memoised(vm)._transition):
+            for _, state in trace.snapshots:
+                successor = _step(transition, state, domain)
+                assert successor.items == State.make(state.kappa, dict(successor.items)).items
+                assert hash(successor) == hash(parse_state(format_state(successor)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,35 @@ def test_a_wide_atom_whose_codes_pass_int64_is_unsupported():
     assert sat(parse_formula("T(0, 2097152, 2097152)", sigma), state, omega) is True
     with pytest.raises(Unsupported, match=r"'T'.*radix 2097160"):
         sat(parse_formula("exists x. T(x, 2097152, 2097152)", sigma), state, omega)
+
+
+# Each sentence asks, at w, for a bitset over two axes of about 2^21
+# candidates each, 2^42 cells: the comparison and the atom straight away,
+# the connective when it widens two one-axis values to both axes and the
+# function term when it lists its values at every cell.
+WIDE = [
+    ("exists x. exists y. E(x, y)", "the atom 'E'"),
+    ("exists x. exists y. x < y & y < 5", "the comparison '<'"),
+    ("exists x. exists y. (x < 5 & y < 5)", "a connective"),
+    ("exists x. exists y. f(x, y) = 0", "a function term"),
+]
+
+
+@pytest.mark.parametrize("text, node", WIDE)
+def test_a_table_past_the_cell_cap_is_unsupported_at_once(text, node):
+    sigma = Signature([SymbolDecl("E", "Relation", 2), SymbolDecl("f", "Function", 2)])
+    state = State.make(OMEGA, {"E": {(2097152, 2097152)}, "f": {(2097152, 2097152, 0)}})
+    omega, table = EvalDomain.omega(), Interned()
+    formula = parse_formula(text, sigma)
+    entries = [
+        lambda: sat(formula, state, omega),
+        lambda: EvalContext.single(state, omega, table).sentence(table.add(formula)),
+    ]
+    for entry in entries:
+        start = time.perf_counter()
+        with pytest.raises(Unsupported, match=rf"^{node} over x, y needs a table of \d+ cells"):
+            entry()
+        assert time.perf_counter() - start < 1
 
 
 def test_contexts_on_one_table_share_read_only_set_up_arrays():

@@ -19,13 +19,13 @@ from pathlib import Path
 import pytest
 
 import gseqa
-from gseqa import runtime
+from gseqa import runtime, validator
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
 from gseqa.errors import GseqaError, MachineInvalid
 from gseqa.logic import And, Signature, SymbolDecl, nodes, parse_formula
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet
 from gseqa.runtime import Budget, Failed, Terminated, dump_trace, load, run
-from gseqa.satisfaction import EvalContext, EvalDomain, defined_relation, defined_set, sat2
+from gseqa.satisfaction import EvalDomain, defined_relation, defined_set, sat2
 from gseqa.states import State
 from gseqa.transforms import compile_tm, compose, dovetail, flip, lift
 from gseqa.validator import (
@@ -278,14 +278,13 @@ def _breaking(kind):
 def _count_evaluations(monkeypatch):
     """A one-element list that counts the parts evaluated from now on."""
     count = [0]
-    for name in ("defined_set", "defined_relation"):
-        entry = getattr(EvalContext, name)
+    entry = validator._part_value
 
-        def counted(self, *args, _entry=entry, **kwargs):
-            count[0] += 1
-            return _entry(self, *args, **kwargs)
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return entry(*args, **kwargs)
 
-        monkeypatch.setattr(EvalContext, name, counted)
+    monkeypatch.setattr(validator, "_part_value", counted)
     return count
 
 

@@ -31,6 +31,7 @@ from gseqa import (
     sat2,
 )
 from gseqa.logic import format_formula, with_copy
+from gseqa.runtime import Budget, Failed, run
 from gseqa.states import parse_state
 from gseqa import validator
 from gseqa.validator import GSEQA, GSEQAP, MachineSpec
@@ -412,3 +413,35 @@ def test_sampled_states_fit_finite_universe():
     for s in sample_states(spec, random.Random(7), count=20):
         assert s.relation("In").kind == "finite"
         assert all(e < 5 for e in s.relation("In").elements)
+
+
+# A constant's witness that defines no value, two values or a cofinite set.
+# On the six-element surrogate the cofinite witness defines five values.
+BAD_CONSTANTS = [
+    (W, "false", "a set of size 0"),
+    (W, "x = 0 | x = 2", "a set of size 2"),
+    (W, "~(x = 3)", "a cofinite set"),
+    (SIX := OrdinalNotation.from_int(6), "false", "a set of size 0"),
+    (SIX, "x = 0 | x = 2", "a set of size 2"),
+    (SIX, "~(x = 3)", "a set of size 5"),
+]
+
+
+@pytest.mark.parametrize("kappa, witness, defines", BAD_CONSTANTS)
+def test_a_constant_that_is_not_pinned_to_one_value_is_named(kappa, witness, defines):
+    sigma = BASE.extend([SymbolDecl("c", "Constant")])
+    tau = {"In": "In(x)", "Out": "Out(x)", "c": witness}
+    spec = machine(sigma, tau=tau, defaults={"c": "x = 1"}, kappa=kappa)
+    detail = f"witness defines {defines} rather than one value"
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec, allow_finite_kappa=True, sample_size=8)
+    assert str(info.value) == f"D6Violation: symbol=c: {detail}"
+    # admitted unsampled, the run fails at its first step
+    vm = check_machine(spec, allow_finite_kappa=True, sample_size=0)
+    outcome = run(vm, OrdinalSet.finite({1}), Budget(10, 1)).outcome
+    assert outcome == Failed(f"D6Violation: transition does not determine 'c': {detail}")
+    # the same witness as a default refuses the start state
+    spec = machine(sigma, tau={**tau, "c": "x = c"}, defaults={"c": witness}, kappa=kappa)
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec, allow_finite_kappa=True, sample_size=0)
+    assert str(info.value) == f"BadConstraint: symbol=c: {detail}"
