@@ -668,16 +668,20 @@ class _Parser:
     def relation_atom(self) -> Formula:
         _, name = self.take()
         copy = self.copy_suffix(name)
-        decl = self.sigma.decl(name)
+        return Apply(name, self.arguments(name, self.sigma.decl(name).arity), copy)
+
+    def arguments(self, name: str, arity: int) -> tuple[Term, ...]:
+        """The parenthesised argument list of a relation or function named
+        name, which must hold arity terms."""
         self.expect("(")
         args = [self.term()]
         while self.at(","):
             self.take()
             args.append(self.term())
         self.expect(")")
-        if len(args) != decl.arity:
-            raise ArityMismatch(f"{name} expects {decl.arity} arguments, got {len(args)}")
-        return Apply(name, tuple(args), copy)
+        if len(args) != arity:
+            raise ArityMismatch(f"{name} expects {arity} arguments, got {len(args)}")
+        return tuple(args)
 
     def copy_suffix(self, name: str) -> int | None:
         if self.at("@"):
@@ -706,17 +710,7 @@ class _Parser:
             if decl.kind == "Constant":
                 return Const(val, copy)
             if decl.kind == "Function":
-                self.expect("(")
-                args = [self.term()]
-                while self.at(","):
-                    self.take()
-                    args.append(self.term())
-                self.expect(")")
-                if len(args) != decl.arity:
-                    raise ArityMismatch(
-                        f"{val} expects {decl.arity} arguments, got {len(args)}"
-                    )
-                return FuncApp(val, tuple(args), copy)
+                return FuncApp(val, self.arguments(val, decl.arity), copy)
             raise self.error(f"relation {val!r} used as a term")
         return Var(val)
 

@@ -50,10 +50,12 @@ Atoms over bound variables are patterns. x = c, x < c and c < x are a run
 of one axis, R(x) masks the view's one int for R, and an n-ary atom sets
 one cell per stored tuple. x = y, x < y, the bound masks and the shift
 masks that widen a value depend only on the probe set-up and the axes, so
-each is built once and kept with the set-up. A function applied to bound
-variables is the list of its values in the same cell order, and an atom
-that reads one sets its bits cell by cell. A pattern or widened value
-over more than _MAX_CELLS cells raises Unsupported before it is built.
+each is built once and kept with the set-up, its rows joined pairwise. A
+function applied to bound variables is the list of its values in the same
+cell order, and an atom that reads one sets its bits cell by cell. A table
+over two or more axes with more than _MAX_CELLS cells, whether a pattern,
+a widened value or the truth table of a closed value, raises Unsupported
+before it is built.
 
 On a one-element surrogate every axis has length 1, so a quantifier's
 value is a plain bool even when its body reads an enclosing variable. A
@@ -264,6 +266,19 @@ def _tile(block: int, width: int, count: int) -> int:
         width <<= 1
 
 
+def _rows(rows: list[int], width: int) -> int:
+    """The rows, each below 2^width, side by side, the first at bit 0, joined
+    in pairs, then pairs of pairs: log2(len(rows)) rounds that each move
+    every bit once, where OR-ing each row into a growing int is quadratic."""
+    while len(rows) > 1:
+        pairs = iter(rows)
+        joined = [low | high << width for low, high in zip(pairs, pairs)]
+        if len(rows) & 1:
+            joined.append(rows[-1])
+        rows, width = joined, width << 1
+    return rows[0]
+
+
 def _positions(bits: int) -> list[int]:
     """The positions of the set bits, lowest first, one step per set bit."""
     out = []
@@ -272,19 +287,6 @@ def _positions(bits: int) -> list[int]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
-
-
-def _check_codes(name: str, radix: int, arity: int) -> None:
-    """Raise Unsupported when radix^arity, radix bounding every argument's
-    value, passes int64. An n-ary atom over bound variables checks this
-    before it builds its bitset: without it, exists x. exists y.
-    T(x, y, 2097152) at w asks for about radix^2 bits and raises a bare
-    MemoryError. A binary atom's radix^2 still passes."""
-    if radix**arity > _INT64_MAX:
-        raise Unsupported(
-            f"{name!r} cannot be looked up by code: radix {radix} to the "
-            f"power {arity} passes the int64 range"
-        )
 
 
 class _View:
@@ -419,11 +421,6 @@ class _Evaluator:
         self.scope = (anchor_max, len(self.quant_values))
         # each bound variable's axis, outermost first
         self.bound: dict[str, _Axis] = {}
-        # a bound on every value reachable as an argument or stored as a
-        # tuple component (see _check_codes): at w the quantifiers reach past
-        # every anchor, and on a surrogate the state's support may pass the
-        # universe
-        self.radix = max(len(self.quant_values), anchor_max + 1)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -451,14 +448,15 @@ class _Evaluator:
         self.bound[var] = axis
         return axis
 
-    def _too_large(self, what: str, reads: int, cells: int) -> Unsupported:
-        """The error for a bitset past _MAX_CELLS cells: the node it is for,
-        the variables of reads it spans and its cell count."""
-        names = ", ".join(v for v, a in self.bound.items() if reads & a.bit)
-        return Unsupported(
-            f"{what} over {names} needs a table of {cells} cells, more than "
-            f"the {_MAX_CELLS} it may have"
-        )
+    def _check_cells(self, what: str, reads: int, cells: int) -> None:
+        """Raise Unsupported when a table would pass _MAX_CELLS cells,
+        naming what it is for, the variables of reads and its cells."""
+        if cells > _MAX_CELLS:
+            names = ", ".join(v for v, a in self.bound.items() if reads & a.bit)
+            raise Unsupported(
+                f"{what} over {names} needs a table of {cells} cells, more than "
+                f"the {_MAX_CELLS} it may have"
+            )
 
     def _operands(self, left: Any, right: Any) -> tuple[int, int, int, int]:
         """Two formulas, one of them open, over the same cells: (left bits,
@@ -491,8 +489,7 @@ class _Evaluator:
             if have >> axis.depth & 1:
                 above //= axis.size
             elif axis.size > 1:
-                if below * axis.size * above > _MAX_CELLS:
-                    raise self._too_large("a connective", reads, below * axis.size * above)
+                self._check_cells("a connective", reads, below * axis.size * above)
                 if above > 1:
                     for mask, shift in self._spread(below, axis.size, above):
                         moved = bits & mask
@@ -533,8 +530,7 @@ class _Evaluator:
         reads = _reads(args)
         axes = [a for a in self.bound.values() if reads & a.bit]
         cells = math.prod(a.size for a in axes)
-        if cells > _MAX_CELLS:
-            raise self._too_large("a function term", reads, cells)
+        self._check_cells("a function term", reads, cells)
         columns = []
         for arg in args:
             values, have = [arg], 0
@@ -624,12 +620,11 @@ class _Evaluator:
         key = ("pair", less, x is low, low.size, high.size)
         bits = self.patterns.get(key)
         if bits is None:
-            if low.size * high.size > _MAX_CELLS:
-                what = "the comparison " + ("'<'" if less else "'='")
-                raise self._too_large(what, x.bit | y.bit, low.size * high.size)
+            what = "the comparison " + ("'<'" if less else "'='")
+            self._check_cells(what, x.bit | y.bit, low.size * high.size)
             # one run of the lower axis per candidate of the higher
-            bits = 0
-            for j, value in enumerate(high.values):
+            rows = []
+            for value in high.values:
                 if not less:
                     i = low.index(value)
                     row = 0 if i is None else 1 << i
@@ -637,8 +632,8 @@ class _Evaluator:
                     row = (1 << low.below(value)) - 1
                 else:
                     row = low.full ^ ((1 << low.below(value + 1)) - 1)
-                bits |= row << j * low.size
-            self.patterns[key] = bits
+                rows.append(row)
+            bits = self.patterns[key] = _rows(rows, low.size)
         return bits, x.bit | y.bit, (1 << low.size * high.size) - 1
 
     def unary(self, view: _View, name: str, arg: Any) -> Any:
@@ -655,7 +650,6 @@ class _Evaluator:
         reads = _reads(args)
         if not reads:
             return tuple(args) in view.tuples(name, len(args))
-        _check_codes(name, self.radix, len(args))
         ts = view.tuples(name, len(args))
         if any(type(a) is _Terms for a in args):
             return self._cellwise(lambda *key: key in ts, args)
@@ -665,8 +659,7 @@ class _Evaluator:
             if reads & axis.bit:
                 strides[axis] = cells
                 cells *= axis.size
-        if cells > _MAX_CELLS:
-            raise self._too_large(f"the atom {name!r}", reads, cells)
+        self._check_cells(f"the atom {name!r}", reads, cells)
         bits = 0
         # one cell per stored tuple that every argument matches
         for t in ts:
@@ -785,9 +778,8 @@ class _Evaluator:
         key = ("mask", margin, *(a.size for a in axes))
         mask = self.patterns.get(key)
         if mask is None:
-            if cells * own.size > _MAX_CELLS:
-                raise self._too_large("a quantifier's probe bound", reads, cells * own.size)
-            bits = count = 0
+            self._check_cells("a quantifier's probe bound", reads, cells * own.size)
+            rows = []
             for value in own.values:
                 if value <= low:
                     block = (1 << cells) - 1
@@ -803,9 +795,8 @@ class _Evaluator:
                         stride *= a.size
                     if not block:
                         break
-                bits |= block << count * cells
-                count += 1
-            mask = self.patterns[key] = (bits, count)
+                rows.append(block)
+            mask = self.patterns[key] = (_rows(rows, cells), len(rows))
         return mask
 
     # -- the interpreter ---------------------------------------------------
@@ -859,12 +850,10 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
 
 _NONE: frozenset = frozenset()
 
-_INT64_MAX = 2**63 - 1
-
 # The most cells a bitset over two or more axes may have: 2 MiB of bits.
 # The largest table of the test suite and the benchmark has 2 744 000
-# cells. Past this, building a pattern one row at a time takes seconds,
-# and at w a state whose support reaches 2^21 would ask for 2^42 bits.
+# cells. Without a cap, at w a state whose support reaches 2^21 would ask
+# for 2^42 bits and end in a bare MemoryError.
 _MAX_CELLS = 1 << 24
 
 # how many times the longest quantifier range it has built a table keeps
@@ -1157,14 +1146,17 @@ class EvalContext:
                 value = ev.eval(formula)
             else:
                 value = self.interned.closures[id(formula)](ev)
+            every = (1 << len(variables)) - 1
             if type(value) is tuple:
-                every = (1 << len(variables)) - 1
                 value = value[0] if value[1] == every else ev._widen(value, every)[0]
+            elif variables:
+                cells = len(candidates) ** len(variables)
+                if len(variables) > 1:
+                    ev._check_cells("the formula", every, cells)
+                value = (1 << cells) - 1 if value else 0
         finally:
             ev.bound.clear()
-        if not variables or type(value) is int:
-            return value, candidates
-        return ((1 << len(candidates) ** len(variables)) - 1 if value else 0), candidates
+        return value, candidates
 
     @_depth_checked
     def sentence(self, formula: Formula) -> bool:

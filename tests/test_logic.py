@@ -130,6 +130,22 @@ def test_parse_errors():
         parse_formula("", SIGMA)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("E(x) | In(x)", "E expects 2 arguments, got 1"),
+        ("E(x, y, x)", "E expects 2 arguments, got 3"),
+        ("g(x) = h", "g expects 2 arguments, got 1"),
+        ("g(x, y, x) = h", "g expects 2 arguments, got 3"),
+        ("f(x, y) = h", "f expects 1 arguments, got 2"),
+    ],
+)
+def test_an_argument_count_mismatch_names_the_symbol_and_both_counts(text, message):
+    sigma = Signature([*SIGMA.extras(), SymbolDecl("g", "Function", 2)])
+    with pytest.raises(ArityMismatch, match=rf"^{re.escape(message)}$"):
+        parse_formula(text, sigma)
+
+
 DEEP = {
     "150 parentheses": "(" * 150 + "In(x)" + ")" * 150,
     "3000 parentheses": "(" * 3000 + "In(x)" + ")" * 3000,

@@ -1,0 +1,119 @@
+"""Every text reader fails on malformed input with a GseqaError, never with
+a bare ValueError, KeyError or IndexError. The texts are short strings
+over each reader's own vocabulary: its pieces strung together, or a
+well-formed sample with a slice replaced by pieces."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gseqa.errors import GseqaError
+from gseqa.logic import Signature, SymbolDecl, parse_formula
+from gseqa.ordinals import parse_ordinal, parse_ordinal_set
+from gseqa.specfiles import parse_machine
+from gseqa.states import parse_state
+from gseqa.transforms import parse_tm
+
+SIGMA = Signature(
+    [
+        SymbolDecl("h", "Constant"),
+        SymbolDecl("R", "Relation", 1),
+        SymbolDecl("E", "Relation", 2),
+        SymbolDecl("f", "Function", 1),
+    ]
+)
+
+
+def texts(pieces: list[str], samples: list[str]) -> st.SearchStrategy[str]:
+    strung = st.lists(st.sampled_from(pieces), max_size=12).map("".join)
+
+    def splice(sample: str, i: int, j: int, middle: str) -> str:
+        i, j = sorted((i % (len(sample) + 1), j % (len(sample) + 1)))
+        return sample[:i] + middle + sample[j:]
+
+    index = st.integers(0, 1000)
+    return st.one_of(strung, st.builds(splice, st.sampled_from(samples), index, index, strung))
+
+
+ORDINAL = ["w", "^", "*", "+", "0", "1", "2", "12", " "]
+ORDINAL_SET = ["co", "{", "}", ",", "0", "1", "12", " ", "w"]
+FORMULA = [
+    *"xyh()<=,.~&|@01",
+    *["->", "<->", "12", "w", " ", "R", "E", "f", "in", "In", "Out"],
+    *["exists ", "forall ", "true", "false", "@0", "@1"],
+]
+STATE = [
+    *["state", " kappa=", "w", "w+1", "5", "constants:", "unary:", "nary:", "\n", " "],
+    *["h", "E", "=", "{", "}", "(", ")", ",", "co", "1", "#"],
+]
+TM = [
+    *["states:", "initial:", "final:", "params:", " q0", " q1", "q0", "q1", "\n"],
+    *["(", ")", ",", " ", "0", "1", "->", "L", "R", "oracle-read", "jump", "#", "x"],
+]
+MACHINE = [
+    *["kappa:", " w", " 3", "flavor:", " gseqa", " gseqap", "signature:", "params:"],
+    *["\n", "  ", "h: Constant", "R: Relation/1", "f: Function/", "Relation", "/", ":"],
+    *["default {", "tau {", "}", "In: ", "R: ", "In(x)", "R(x) | x = h", "p = w", "#"],
+]
+
+MACHINE_SAMPLE = """\
+kappa: w
+flavor: gseqa
+signature:
+  h: Constant
+  R: Relation/1
+params:
+  p = w+3
+default {
+  R: false
+}
+tau {
+  In: In(x)
+  R: R(x) | x = h
+  Out: exists y. (In(y) & x < y)
+}
+"""
+
+TM_SAMPLE = """\
+states: q0 q1 q2
+initial: q0
+final: q2
+params: 3
+(q0, 0) -> (q1, 0, R)
+(q0, 1) -> oracle-read(q2, q1)
+(q1, 0) -> jump(0, q0)
+(q1, 1) -> (q2, 1, L)
+"""
+
+READERS = {
+    "parse_ordinal": (parse_ordinal, texts(ORDINAL, ["w^2*3+w+5", "0", "12"])),
+    "parse_ordinal_set": (parse_ordinal_set, texts(ORDINAL_SET, ["co{0,2}", "{}", "{1,3,5}"])),
+    "parse_formula": (
+        lambda text: parse_formula(text, SIGMA),
+        texts(FORMULA, ["forall x. (In(x) -> exists y. (x < y & E(x, y)))", "f(h) = 3 | ~R(w)"]),
+    ),
+    "parse_formula doubled": (
+        lambda text: parse_formula(text, SIGMA, doubled=True),
+        texts(FORMULA, ["in(x, 3) <-> x = h@0", "R@1(f@0(x)) & In@0(x)"]),
+    ),
+    "parse_state": (
+        parse_state,
+        texts(STATE, ["state kappa=w\nconstants: h=1\nunary: In={1,3} Out=co{2}\nnary: E={(1,2),(3,)}"]),
+    ),
+    "parse_tm": (parse_tm, texts(TM, [TM_SAMPLE])),
+    "parse_machine": (parse_machine, texts(MACHINE, [MACHINE_SAMPLE])),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_reader_raises_nothing_but_gseqa_errors(reader, data):
+    read, strategy = READERS[reader]
+    text = data.draw(strategy, label="text")
+    try:
+        read(text)
+    except GseqaError:
+        pass

@@ -65,8 +65,8 @@ def _nested():
 
 # E collects ordered pairs of inputs below 5, and Out holds the inputs
 # with an E-predecessor. Both witnesses read E under open variables, from
-# set-ups with different radixes (E's relation has rank 0, Out's set
-# rank 1) over the one view of the state.
+# set-ups with different quantifier ranges (E's relation has rank 0, Out's
+# set rank 1) over the one view of the state.
 RELATION = {
     "In": "In(x)",
     "E": "E(x1, x2) | (In(x1) & x1 < x2 & In(x2) & x2 < 5)",
