@@ -15,7 +15,7 @@ Concrete syntax, lowest precedence first:
     atom     := '(' formula ')' | 'true' | 'false'
               | REL['@'COPY] '(' terms ')' | 'in' '(' term ',' term ')'
               | term '=' term | term '<' term
-    term     := NUMBER | 'w' | VAR | SYM['@'COPY] [ '(' terms ')' ]
+    term     := NUMBER | 'w' | VAR | CONST['@'COPY]
 
 `x < y` and `in(x, y)` are the same membership atom (ordinals are the
 sets of their predecessors); it prints in infix form. In doubled mode
@@ -39,7 +39,6 @@ __all__ = [
     "MEMBERSHIP",
     "Var",
     "Const",
-    "FuncApp",
     "OrdinalLiteral",
     "Term",
     "Apply",
@@ -91,9 +90,11 @@ _RESERVED = {"forall", "exists", "in", "true", "false", "w"}
 class SymbolDecl:
     """One signature entry.
 
-    kind is "Relation", "Function", or "Constant"; arity is 0 for
-    constants. distinguished marks the three special symbols
-    ("Membership", "In", "Out") and is "None" otherwise.
+    kind is "Relation" or "Constant"; arity is 0 for constants. A
+    function is given by its graph, a relation one place wider whose
+    last place holds the value: f(t) = s is written F(t, s).
+    distinguished marks the three special symbols ("Membership", "In",
+    "Out") and is "None" otherwise.
     """
 
     name: str
@@ -102,12 +103,12 @@ class SymbolDecl:
     distinguished: str = "None"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("Relation", "Function", "Constant"):
+        if self.kind not in ("Relation", "Constant"):
             raise ValueError(f"bad symbol kind {self.kind!r}")
         if self.kind == "Constant" and self.arity != 0:
             raise ValueError("constants have arity 0")
-        if self.kind != "Constant" and self.arity < 1:
-            raise ValueError(f"{self.name}: relations and functions need arity >= 1")
+        if self.kind == "Relation" and self.arity < 1:
+            raise ValueError(f"{self.name}: relations need arity >= 1")
         if self.distinguished not in ("Membership", "In", "Out", "None"):
             raise ValueError(f"bad distinguished tag {self.distinguished!r}")
 
@@ -182,13 +183,6 @@ class Const:
 
 
 @dataclass(frozen=True)
-class FuncApp:
-    name: str
-    args: tuple["Term", ...]
-    copy: int | None = None
-
-
-@dataclass(frozen=True)
 class OrdinalLiteral:
     value: OrdinalNotation
 
@@ -197,7 +191,7 @@ class OrdinalLiteral:
             object.__setattr__(self, "value", OrdinalNotation.from_int(self.value))
 
 
-Term = Union[Var, Const, FuncApp, OrdinalLiteral]
+Term = Union[Var, Const, OrdinalLiteral]
 
 
 @dataclass(frozen=True)
@@ -341,7 +335,7 @@ def fa(var: str, body: Formula) -> Formula:
 
 def children(node: Node) -> tuple:
     """The node's direct subformulas and argument terms, left to right."""
-    if isinstance(node, (Apply, FuncApp)):
+    if isinstance(node, Apply):
         return node.args
     if isinstance(node, (Equal, And, Or, Implies, Iff)):
         return (node.left, node.right)
@@ -353,8 +347,8 @@ def children(node: Node) -> tuple:
 
 
 def _with_children(node: Node, kids: tuple) -> Node:
-    if isinstance(node, (Apply, FuncApp)):
-        return type(node)(node.name, kids, node.copy)
+    if isinstance(node, Apply):
+        return Apply(node.name, kids, node.copy)
     if isinstance(node, (Exists, Forall)):
         return type(node)(node.var, *kids)
     return type(node)(*kids)
@@ -389,7 +383,7 @@ def static_facts(f: Formula) -> StaticFacts:
     free: set[str] = set()
     literals: set[OrdinalNotation] = set()
 
-    def walk(g: Formula | FuncApp) -> int:
+    def walk(g: Formula) -> int:
         if isinstance(g, (And, Or, Implies, Iff)):
             return max(walk(g.left), walk(g.right))
         if isinstance(g, Not):
@@ -401,7 +395,7 @@ def static_facts(f: Formula) -> StaticFacts:
             return rank + 1
         if isinstance(g, Equal):
             args: tuple[Term, ...] = (g.left, g.right)
-        elif isinstance(g, (Apply, FuncApp)):
+        elif isinstance(g, Apply):
             args = g.args
         elif isinstance(g, Truth):
             return 0
@@ -413,8 +407,6 @@ def static_facts(f: Formula) -> StaticFacts:
                     free.add(t.name)
             elif isinstance(t, OrdinalLiteral):
                 literals.add(t.value)
-            elif isinstance(t, FuncApp):
-                walk(t)
         return 0
 
     rank = walk(f)
@@ -437,16 +429,12 @@ def symbol_refs(f: Formula) -> Iterator[tuple[str, int | None]]:
     """Every (symbol, copy) reference in the formula, membership included,
     in pre-order."""
     return (
-        (n.name, n.copy) for n in nodes(f) if isinstance(n, (Apply, Const, FuncApp))
+        (n.name, n.copy) for n in nodes(f) if isinstance(n, (Apply, Const))
     )
 
 
 def _subst_term(t: Term, env: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    if isinstance(t, FuncApp):
-        return FuncApp(t.name, tuple(_subst_term(a, env) for a in t.args), t.copy)
-    return t
+    return env.get(t.name, t) if isinstance(t, Var) else t
 
 
 def substitute(f: Formula, env: dict[str, Term]) -> Formula:
@@ -483,7 +471,7 @@ def with_copy(f: Formula, copy: int) -> Formula:
 
     def stamp(node: Node) -> Node:
         if (
-            isinstance(node, (Apply, Const, FuncApp))
+            isinstance(node, (Apply, Const))
             and node.copy is None
             and node.name != MEMBERSHIP
         ):
@@ -666,22 +654,19 @@ class _Parser:
         raise self.error("expected '=' or '<' after term")
 
     def relation_atom(self) -> Formula:
+        """A relation's atom, whose argument list must hold its arity."""
         _, name = self.take()
         copy = self.copy_suffix(name)
-        return Apply(name, self.arguments(name, self.sigma.decl(name).arity), copy)
-
-    def arguments(self, name: str, arity: int) -> tuple[Term, ...]:
-        """The parenthesised argument list of a relation or function named
-        name, which must hold arity terms."""
         self.expect("(")
         args = [self.term()]
         while self.at(","):
             self.take()
             args.append(self.term())
         self.expect(")")
+        arity = self.sigma.decl(name).arity
         if len(args) != arity:
             raise ArityMismatch(f"{name} expects {arity} arguments, got {len(args)}")
-        return tuple(args)
+        return Apply(name, tuple(args), copy)
 
     def copy_suffix(self, name: str) -> int | None:
         if self.at("@"):
@@ -709,8 +694,6 @@ class _Parser:
             copy = self.copy_suffix(val)
             if decl.kind == "Constant":
                 return Const(val, copy)
-            if decl.kind == "Function":
-                return FuncApp(val, self.arguments(val, decl.arity), copy)
             raise self.error(f"relation {val!r} used as a term")
         return Var(val)
 
@@ -746,9 +729,6 @@ def _fmt_term(t: Term) -> str:
         return t.name if t.copy is None else f"{t.name}@{t.copy}"
     if isinstance(t, OrdinalLiteral):
         return str(t.value)
-    if isinstance(t, FuncApp):
-        head = t.name if t.copy is None else f"{t.name}@{t.copy}"
-        return f"{head}({', '.join(_fmt_term(a) for a in t.args)})"
     raise TypeError(f"not a term: {t!r}")
 
 

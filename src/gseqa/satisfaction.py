@@ -51,11 +51,9 @@ of one axis, R(x) masks the view's one int for R, and an n-ary atom sets
 one cell per stored tuple. x = y, x < y, the bound masks and the shift
 masks that widen a value depend only on the probe set-up and the axes, so
 each is built once and kept with the set-up, its rows joined pairwise. A
-function applied to bound variables is the list of its values in the same
-cell order, and an atom that reads one sets its bits cell by cell. A table
-over two or more axes with more than _MAX_CELLS cells, whether a pattern,
-a widened value or the truth table of a closed value, raises Unsupported
-before it is built.
+table over two or more axes with more than _MAX_CELLS cells, whether an
+atom, a pattern, a widened value or the truth table of a closed value,
+raises Unsupported before it is built; a table over one axis has no cap.
 
 On a one-element surrogate every axis has length 1, so a quantifier's
 value is a plain bool even when its body reads an enclosing variable. A
@@ -95,11 +93,9 @@ class, and two dispatchers reach it:
 from __future__ import annotations
 
 import functools
-import math
-import operator
 from dataclasses import dataclass
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     NotClosed,
@@ -115,7 +111,6 @@ from .logic import (
     Exists,
     Forall,
     Formula,
-    FuncApp,
     Iff,
     Implies,
     MEMBERSHIP,
@@ -296,7 +291,6 @@ class _View:
         self.state = state
         self._tuples: dict[str, frozenset[tuple[int, ...]]] = {}
         self._members: dict[str, int] = {}
-        self._graphs: dict[str, dict[tuple[int, ...], int]] = {}
 
     def tuples(self, name: str, width: int) -> frozenset[tuple[int, ...]]:
         """The symbol's stored tuples, checked once to have the given width."""
@@ -318,14 +312,6 @@ class _View:
         if bits is None:
             bits = self._members[name] = sum(1 << e for e in s.elements)
         return bits
-
-    def graph(self, name: str, arity: int) -> dict[tuple[int, ...], int]:
-        if name not in self._graphs:
-            g: dict[tuple[int, ...], int] = {}
-            for t in self.tuples(name, arity + 1):
-                g[t[:-1]] = t[-1]
-            self._graphs[name] = g
-        return self._graphs[name]
 
 
 class _Axis:
@@ -364,29 +350,6 @@ class _Axis:
         return (((1 << hi - lo) - 1) << lo if lo < hi else 0), self.bit, self.full
 
 
-class _Terms:
-    """An open term that is not a bound variable: a function's values at
-    the cells of the depths it reads, in the cell order of open formulas,
-    with those depths."""
-
-    __slots__ = ("values", "reads")
-
-    def __init__(self, values: list[int], reads: int):
-        self.values = values
-        self.reads = reads
-
-
-def _reads(terms: list) -> int:
-    """The depths that the terms read, as a bitmask; 0 when all are closed."""
-    reads = 0
-    for t in terms:
-        if type(t) is _Axis:
-            reads |= t.bit
-        elif type(t) is _Terms:
-            reads |= t.reads
-    return reads
-
-
 class _Evaluator:
     """The semantics of each node kind for one probe set-up.
 
@@ -396,9 +359,8 @@ class _Evaluator:
     those variables' axes, bit i the truth at the cell whose mixed-radix
     position is i, the shallowest read variable's index the lowest digit;
     full is the all-ones pattern of those cells. An open term is a bound
-    variable's _Axis or a function's _Terms, its values in the same cell
-    order. Operands that read different depths are widened to the union
-    before they combine.
+    variable's _Axis. Operands that read different depths are widened to
+    the union before they combine.
     Patterns that depend only on the set-up and the axes (x = y, x < y,
     the bound masks and the shift masks that widen a value) are kept in
     the set-up's patterns, shared by every context on it.
@@ -523,37 +485,6 @@ class _Evaluator:
             self.patterns[key] = steps
         return steps
 
-    def _cells(self, args: list) -> tuple[int, Iterator[tuple[int, ...]]]:
-        """The depths that the arguments read and their values at each cell
-        of those depths' axes, in cell order. An argument that misses an
-        axis repeats each block of the cells below it once per candidate."""
-        reads = _reads(args)
-        axes = [a for a in self.bound.values() if reads & a.bit]
-        cells = math.prod(a.size for a in axes)
-        self._check_cells("a function term", reads, cells)
-        columns = []
-        for arg in args:
-            values, have = [arg], 0
-            if type(arg) is _Axis:
-                values, have = list(arg.values), arg.bit
-            elif type(arg) is _Terms:
-                values, have = arg.values, arg.reads
-            below = 1
-            for axis in axes:
-                if not have & axis.bit:
-                    blocks = range(0, len(values), below)
-                    values = [v for j in blocks for v in values[j : j + below] * axis.size]
-                below *= axis.size
-            columns.append(values)
-        return reads, zip(*columns)
-
-    def _cellwise(self, test: Callable[..., bool], args: list) -> tuple[int, int, int]:
-        """An atom over a function's values as an open formula: bit i is
-        test of the arguments' values at cell i."""
-        reads, cells = self._cells(args)
-        truth = "".join("1" if test(*key) else "0" for key in cells)
-        return int(truth[::-1], 2), reads, (1 << len(truth)) - 1
-
     # -- the semantics of terms --------------------------------------------
 
     def literal(self, value: OrdinalNotation) -> int:
@@ -574,14 +505,6 @@ class _Evaluator:
         except KeyError:
             raise NotClosed(f"free variable {name!r} in a closed context") from None
 
-    def func_app(self, name: str, graph: dict[tuple[int, ...], int], args: list) -> Any:
-        reads, cells = self._cells(args)
-        try:
-            values = [graph[key] for key in cells]
-        except KeyError as e:
-            raise Unrepresentable(f"function {name!r} has no graph entry for {e.args[0]}") from None
-        return _Terms(values, reads) if reads else values[0]
-
     # -- the semantics of formulas -----------------------------------------
 
     def equal(self, left: Any, right: Any) -> Any:
@@ -596,15 +519,12 @@ class _Evaluator:
         if type(left) is _Axis:
             if type(right) is _Axis:
                 return self._pair(less, left, right)
-            if type(right) is not _Terms:
-                return left.run(0, left.below(right)) if less else self._at(left, right)
-        elif type(right) is _Axis and type(left) is not _Terms:
+            return left.run(0, left.below(right)) if less else self._at(left, right)
+        if type(right) is _Axis:
             if less:
                 return right.run(right.below(left + 1), right.size)
             return self._at(right, left)
-        elif type(left) is not _Terms and type(right) is not _Terms:
-            return left < right if less else left == right
-        return self._cellwise(operator.lt if less else operator.eq, [left, right])
+        return left < right if less else left == right
 
     def _at(self, axis: _Axis, value: int) -> tuple[int, int, int]:
         """The open formula true where the axis's variable equals value."""
@@ -642,24 +562,24 @@ class _Evaluator:
             # the stored elements that are candidates are their own indices
             bits = view.members(name, s) & arg.low
             return (bits if s.is_finite else arg.full ^ bits), arg.bit, arg.full
-        if type(arg) is _Terms:
-            return self._cellwise(s.member, [arg])
         return s.member(arg)
 
     def nary(self, view: _View, name: str, args: list) -> Any:
-        reads = _reads(args)
-        if not reads:
-            return tuple(args) in view.tuples(name, len(args))
         ts = view.tuples(name, len(args))
-        if any(type(a) is _Terms for a in args):
-            return self._cellwise(lambda *key: key in ts, args)
+        reads = 0
+        for a in args:
+            if type(a) is _Axis:
+                reads |= a.bit
+        if not reads:
+            return tuple(args) in ts
         # each read axis's stride in the cells of reads
         strides, cells = {}, 1
         for axis in self.bound.values():
             if reads & axis.bit:
                 strides[axis] = cells
                 cells *= axis.size
-        self._check_cells(f"the atom {name!r}", reads, cells)
+        if len(strides) > 1:
+            self._check_cells(f"the atom {name!r}", reads, cells)
         bits = 0
         # one cell per stored tuple that every argument matches
         for t in ts:
@@ -833,9 +753,6 @@ class _Evaluator:
             return self.constant(t.name, t.copy)
         if isinstance(t, OrdinalLiteral):
             return self.literal(t.value)
-        if isinstance(t, FuncApp):
-            graph = self.view(t.copy).graph(t.name, len(t.args))
-            return self.func_app(t.name, graph, [self.term(a) for a in t.args])
         raise TypeError(f"not a term: {t!r}")
 
 
@@ -879,7 +796,7 @@ def _shallow_key(node: Node) -> object:
     """Equal for structurally equal nodes whose children are interned: the
     node's kind, its own fields and its children's identities. A leaf is
     its own key. Either way the key hashes without walking the subtree."""
-    if isinstance(node, (Apply, FuncApp)):
+    if isinstance(node, Apply):
         return (type(node), node.name, node.copy, *map(id, node.args))
     if isinstance(node, (Exists, Forall)):
         return (type(node), node.var, id(node.body))
@@ -994,11 +911,6 @@ class Interned:
         if isinstance(node, OrdinalLiteral):
             value = node.value
             return lambda ev: ev.literal(value)
-        if isinstance(node, FuncApp):
-            name, copy, arity = node.name, node.copy, len(c)
-            return lambda ev: ev.func_app(
-                name, ev.view(copy).graph(name, arity), [a(ev) for a in c]
-            )
         if isinstance(node, Truth):
             value = node.value
             return lambda ev: value

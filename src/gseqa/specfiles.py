@@ -17,7 +17,7 @@ from .validator import GSEQA, GSEQAP, MachineSpec
 
 __all__ = ["format_machine", "parse_machine"]
 
-_KINDS = ("Relation", "Function", "Constant")
+_KINDS = ("Relation", "Constant")
 
 
 def _entry(line: str, lineno: int) -> tuple[str, str]:

@@ -2,9 +2,8 @@
 
 A state interprets a signature over an initial segment of the ordinals:
 constants as naturals below the universe bound, unary relations as finite
-or cofinite subsets, higher-arity relations as finite tuple sets, and
-functions through their (finite) graph relation. Membership itself is
-never stored; it is the order of the universe.
+or cofinite subsets, and higher-arity relations as finite tuple sets.
+Membership itself is never stored; it is the order of the universe.
 
 States are immutable and hashable so the run engine can detect revisits
 exactly.
@@ -63,10 +62,10 @@ class State:
     when running against a finite surrogate universe). items gives each
     symbol its one value, and the value's type is its kind: an int for a
     constant, an OrdinalSet for a unary relation, and a frozen set of
-    tuples for a wider relation or a function's graph. Constants come
-    first, then unary relations, then tuple sets, each group sorted by
-    name, so states compare and hash structurally. make sorts them; a
-    step builds them in that order. The hash, like the support bound, is
+    tuples for a wider relation. Constants come first, then unary
+    relations, then tuple sets, each group sorted by name, so states
+    compare and hash structurally. make sorts them; a step builds them in
+    that order. The hash, like the support bound, is
     worked out once, since a run looks each state up several times.
     """
 
@@ -215,10 +214,8 @@ def models_tci(state: State, sigma: Signature, tci: Tci) -> TciVerdict:
             reasons.append(f"BadConstraint: {name!r} is not a declared {_KINDS[kind]}")
             continue
         if kind is frozenset:
-            # a function is stored as its graph: arguments, then the value
-            width = d.arity + (d.kind == "Function")
-            for t in sorted(t for t in value if len(t) != width):
-                reasons.append(f"arity: {name} holds {t}, which is not a {width}-tuple")
+            for t in sorted(t for t in value if len(t) != d.arity):
+                reasons.append(f"arity: {name} holds {t}, which is not a {d.arity}-tuple")
         if bound is None:
             continue
         if kind is int:

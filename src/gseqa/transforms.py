@@ -31,7 +31,6 @@ from .logic import (
     Exists,
     Forall,
     Formula,
-    FuncApp,
     Iff,
     Implies,
     Node,
@@ -399,12 +398,12 @@ def _tm_state(t: TmSpec, tape: str, head: str, state: str, oracle: str = "") -> 
 
 
 def _renamed(part: _Part, mapping: dict[str, str]) -> _Part:
-    """The part with its symbol and the relation, function and constant
-    symbols in its body renamed. The mapping's keys are declared extra
-    symbols, so membership, which is reserved, is never renamed."""
+    """The part with its symbol and the relation and constant symbols in
+    its body renamed. The mapping's keys are declared extra symbols, so
+    membership, which is reserved, is never renamed."""
 
     def rename(node: Node) -> Node:
-        if isinstance(node, (Apply, Const, FuncApp)) and node.name in mapping:
+        if isinstance(node, (Apply, Const)) and node.name in mapping:
             return dataclasses.replace(node, name=mapping[node.name])
         return node
 

@@ -26,7 +26,6 @@ tail-representative check at a new anchor, which could have failed.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field, replace
 from typing import NoReturn, Sequence
@@ -50,7 +49,6 @@ from .logic import (
     Equal,
     Forall,
     Formula,
-    FuncApp,
     Iff,
     Node,
     Signature,
@@ -107,14 +105,11 @@ class MachineSpec:
 def witness_variables(decl: SymbolDecl) -> tuple[str, ...]:
     """Canonical free variables for a symbol's witness formula.
 
-    Constants use one variable ranging over candidate values; a function
-    of arity n uses n+1 (the last one for the result), so the witness
-    describes the graph.
+    Constants and unary relations use one variable, x; a relation of
+    arity n > 1 uses x1, ..., xn.
     """
-    if decl.kind == "Constant":
-        return ("x",)
-    n = decl.arity + 1 if decl.kind == "Function" else decl.arity
-    return ("x",) if n == 1 else tuple(f"x{i}" for i in range(1, n + 1))
+    n = decl.arity
+    return ("x",) if n <= 1 else tuple(f"x{i}" for i in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -183,7 +178,7 @@ def _compile(parts: list[_Part]) -> _Transition:
         interned,
         # constants, then unary relations, then tuple sets, each by name
         tuple(p.decl.name for p in sorted(parts, key=lambda p: (
-            p.decl.kind != "Constant", p.decl.kind == "Function" or p.decl.arity > 1, p.decl.name
+            p.decl.kind != "Constant", p.decl.arity > 1, p.decl.name
         ))),
         tuple(map(_footprint, bodies)),
     )
@@ -201,7 +196,7 @@ def _footprint(body: Formula) -> tuple[str, ...]:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if isinstance(node, (Apply, Const, FuncApp)) and node.name != MEMBERSHIP:
+        if isinstance(node, (Apply, Const)) and node.name != MEMBERSHIP:
             names.add(node.name)
         stack.extend(children(node))
     return tuple(sorted(names))
@@ -236,11 +231,6 @@ def _check_symbol_usage(formula: Formula, sigma: Signature) -> None:
         elif isinstance(node, Const):
             if node.name not in sigma or sigma.decl(node.name).kind != "Constant":
                 raise ArityMismatch(f"{node.name!r} is not a declared constant")
-        elif isinstance(node, FuncApp):
-            if node.name not in sigma or sigma.decl(node.name).kind != "Function":
-                raise ArityMismatch(f"{node.name!r} is not a declared function")
-            if sigma.decl(node.name).arity != len(node.args):
-                raise ArityMismatch(f"wrong argument count for {node.name!r}")
 
 
 def _fit_variables(
@@ -290,9 +280,6 @@ def _head(part: _Part, copy: int | None) -> Formula:
     decl, variables = part.decl, part.variables
     if decl.kind == "Constant":
         return Equal(Var(variables[0]), Const(decl.name, copy))
-    if decl.kind == "Function":
-        args = tuple(Var(v) for v in variables[:-1])
-        return Equal(FuncApp(decl.name, args, copy), Var(variables[-1]))
     return Apply(decl.name, tuple(Var(v) for v in variables), copy)
 
 
@@ -458,14 +445,11 @@ def _evaluate_parts(
 def _part_value(ctx: EvalContext, part: _Part, state: State) -> object:
     """One part's value, read straight off its truth table; admission put
     the body's free variables among the part's. Raises D6Violation when a
-    constant's witness pins no single value or a function's no total graph."""
+    constant's witness pins no single value."""
     decl, body, variables = part.decl, part.body, part.variables
-    if decl.kind == "Function" or decl.arity > 1:
+    if decl.arity > 1:
         bits, candidates = ctx._truth_table(body, ctx._facts(body), variables, 1)
-        relation = ctx._read_relation(bits, candidates, variables)
-        if decl.kind == "Relation":
-            return relation
-        return _check_graph(decl.name, relation, decl.arity, state, ctx.domain)
+        return ctx._read_relation(bits, candidates, variables)
     bits, candidates = ctx._truth_table(body, ctx._facts(body), variables, 3)
     if decl.kind == "Relation":
         return ctx._read_set(bits, candidates, body)
@@ -505,30 +489,6 @@ def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
         for part, key in missed:
             values[part.decl.name] = memo[key] = fresh[part.decl.name]
     return State(state.kappa, tuple([(name, values[name]) for name in transition.order]))
-
-
-def _check_graph(
-    name: str,
-    graph: frozenset[tuple[int, ...]],
-    arity: int,
-    state: State,
-    domain: EvalDomain,
-) -> frozenset[tuple[int, ...]]:
-    if domain.is_omega:
-        raise Unsupported(
-            f"function symbol {name!r} cannot have a total graph "
-            "inside the finite-support representation at scale w"
-        )
-    images: dict[tuple[int, ...], int] = {}
-    for row in graph:
-        key = row[:arity]
-        if key in images:
-            raise D6Violation(state, name, f"two images for arguments {key}")
-        images[key] = row[arity]
-    for key in itertools.product(range(domain.size), repeat=arity):
-        if key not in images:
-            raise D6Violation(state, name, f"no image for arguments {key}")
-    return graph
 
 
 def apply_transition(
@@ -593,20 +553,12 @@ def sample_states(
                     values[decl.name] = OrdinalSet.cofinite(support)
                 else:
                     values[decl.name] = OrdinalSet.finite(support)
-            elif decl.kind == "Relation":
+            else:
                 rows = {
                     tuple(rng.randrange(bound) for _ in range(decl.arity))
                     for _ in range(rng.randrange(4))
                 }
                 values[decl.name] = frozenset(rows)
-            else:
-                if spec.kappa.is_finite:
-                    values[decl.name] = frozenset(
-                        key + (rng.randrange(bound),)
-                        for key in itertools.product(range(bound), repeat=decl.arity)
-                    )
-                else:
-                    values[decl.name] = frozenset()
         states.append(State.make(spec.kappa, values))
     return states
 

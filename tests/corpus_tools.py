@@ -27,7 +27,6 @@ from gseqa.logic import (
     Exists,
     Forall,
     Formula,
-    FuncApp,
     Iff,
     Implies,
     MEMBERSHIP,
@@ -65,12 +64,6 @@ def _brute_term(t: Term, env: dict[str, int], views: Mapping[int | None, State])
         return t.value.to_int()
     if isinstance(t, Const):
         return views[t.copy].constant(t.name)
-    if isinstance(t, FuncApp):
-        args = tuple(_brute_term(a, env, views) for a in t.args)
-        for row in views[t.copy].tuples(t.name):
-            if row[:-1] == args:
-                return row[-1]
-        raise KeyError(f"no graph entry {args} for {t.name}")
     raise TypeError(t)
 
 
@@ -212,8 +205,6 @@ def stamp_random_copies(f: Formula, rng: random.Random) -> Formula:
     def on_term(t: Term) -> Term:
         if isinstance(t, Const):
             return Const(t.name, rng.randrange(2))
-        if isinstance(t, FuncApp):
-            return FuncApp(t.name, tuple(on_term(a) for a in t.args), rng.randrange(2))
         return t
 
     if isinstance(f, Apply):

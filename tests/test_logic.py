@@ -22,7 +22,6 @@ from gseqa.logic import (
     Equal,
     Exists,
     Forall,
-    FuncApp,
     Iff,
     Implies,
     Not,
@@ -64,7 +63,7 @@ SIGMA = Signature(
         SymbolDecl("t", "Constant"),
         SymbolDecl("R", "Relation", 1),
         SymbolDecl("E", "Relation", 2),
-        SymbolDecl("f", "Function", 1),
+        SymbolDecl("f", "Relation", 1),
     ]
 )
 
@@ -110,11 +109,6 @@ def test_parse_quantifier_scope_extends_right():
     assert isinstance(g, Implies)
 
 
-def test_parse_function_terms():
-    f = parse_formula("f(h) = t", SIGMA)
-    assert f == Equal(FuncApp("f", (Const("h"),)), Const("t"))
-
-
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_formula("In(x", SIGMA)
@@ -141,7 +135,7 @@ def test_parse_errors():
     ],
 )
 def test_an_argument_count_mismatch_names_the_symbol_and_both_counts(text, message):
-    sigma = Signature([*SIGMA.extras(), SymbolDecl("g", "Function", 2)])
+    sigma = Signature([*SIGMA.extras(), SymbolDecl("g", "Relation", 2)])
     with pytest.raises(ArityMismatch, match=rf"^{re.escape(message)}$"):
         parse_formula(text, sigma)
 
@@ -199,9 +193,9 @@ def test_support_and_literals():
 
 
 def test_nodes_is_pre_order_and_map_formula_bottom_up():
-    f = parse_formula("R(f(h)) & ~(exists y. y < 3)", SIGMA)
+    f = parse_formula("E(h, t) & ~(exists y. y < 3)", SIGMA)
     assert [type(n).__name__ for n in nodes(f)] == [
-        "And", "Apply", "FuncApp", "Const", "Not", "Exists", "Apply", "Var",
+        "And", "Apply", "Const", "Const", "Not", "Exists", "Apply", "Var",
         "OrdinalLiteral",
     ]
     seen = []
@@ -212,7 +206,7 @@ def test_nodes_is_pre_order_and_map_formula_bottom_up():
 
     assert map_formula(f, record) == f
     assert seen == [
-        "Const", "FuncApp", "Apply", "Var", "OrdinalLiteral", "Apply", "Exists",
+        "Const", "Const", "Apply", "Var", "OrdinalLiteral", "Apply", "Exists",
         "Not", "And",
     ]
     # nodes keeps its own stack, so depth is no limit
@@ -258,14 +252,10 @@ def test_format_examples():
 
 VARS = ("x", "y", "z")
 
-terms = st.recursive(
-    st.one_of(
-        st.sampled_from([Var(n) for n in VARS]),
-        st.sampled_from([Const("h"), Const("t")]),
-        st.integers(min_value=0, max_value=9).map(lit),
-    ),
-    lambda inner: st.builds(lambda a: FuncApp("f", (a,)), inner),
-    max_leaves=3,
+terms = st.one_of(
+    st.sampled_from([Var(n) for n in VARS]),
+    st.sampled_from([Const("h"), Const("t")]),
+    st.integers(min_value=0, max_value=9).map(lit),
 )
 
 atoms = st.one_of(
@@ -318,7 +308,7 @@ def reference_free_vars(f, bound=frozenset()):
         return set() if f.name in bound else {f.name}
     if isinstance(f, (Exists, Forall)):
         return reference_free_vars(f.body, bound | {f.var})
-    if isinstance(f, (Apply, FuncApp)):
+    if isinstance(f, Apply):
         kids = f.args
     elif isinstance(f, Not):
         kids = (f.body,)
@@ -362,7 +352,7 @@ def test_interned_facts_agree_with_static_facts(fs):
         assert g == f
         for node in nodes(g):
             assert shared.setdefault(node, node) is node
-            if not isinstance(node, (Var, Const, FuncApp, OrdinalLiteral)):
+            if not isinstance(node, (Var, Const, OrdinalLiteral)):
                 assert table.facts[id(node)] == static_facts(node)
 
 

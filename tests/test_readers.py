@@ -21,7 +21,7 @@ SIGMA = Signature(
         SymbolDecl("h", "Constant"),
         SymbolDecl("R", "Relation", 1),
         SymbolDecl("E", "Relation", 2),
-        SymbolDecl("f", "Function", 1),
+        SymbolDecl("f", "Relation", 2),
     ]
 )
 

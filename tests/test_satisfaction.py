@@ -336,16 +336,20 @@ def test_defined_relation_refuses_a_repeated_variable():
 
 
 def test_a_wide_atom_over_one_bound_variable_is_evaluated():
-    # At w x's axis has about 2^21 cells, under the cap, however large the
-    # atom's other arguments are
+    # The cap is for two or more axes, so an atom over one bound variable,
+    # like R(x) and x = c, is evaluated however large its other arguments
+    # are, and however many cells x's axis has: at w about 2^21 with the
+    # first tuple stored, and more than 2^24 with the second
     sigma = Signature([SymbolDecl("T", "Relation", 3)])
-    state = State.make(OMEGA, {"T": {(0, 2097152, 2097152)}})
     omega, table = EvalDomain.omega(), Interned()
-    for text, want in [
-        ("T(0, 2097152, 2097152)", True),
-        ("exists x. T(x, 2097152, 2097152)", True),
-        ("exists x. T(x, 2097152, 2097151)", False),
+    for stored, text, want in [
+        ((0, 2097152, 2097152), "T(0, 2097152, 2097152)", True),
+        ((0, 2097152, 2097152), "exists x. T(x, 2097152, 2097152)", True),
+        ((0, 2097152, 2097152), "exists x. T(x, 2097152, 2097151)", False),
+        ((16777300, 0, 0), "exists x. T(x, 0, 0)", True),
+        ((16777300, 0, 0), "exists x. T(x, 1, 0)", False),
     ]:
+        state = State.make(OMEGA, {"T": {stored}})
         formula = parse_formula(text, sigma)
         assert sat(formula, state, omega) is want
         assert EvalContext.single(state, omega, table).sentence(table.add(formula)) is want
@@ -353,14 +357,12 @@ def test_a_wide_atom_over_one_bound_variable_is_evaluated():
 
 # Each sentence asks, at w, for a bitset over two axes of about 2^21
 # candidates each, 2^42 cells: the comparison and the atoms straight away,
-# the connective when it widens two one-axis values to both axes and the
-# function term when it lists its values at every cell.
+# and the connective when it widens two one-axis values to both axes.
 WIDE = [
     ("exists x. exists y. E(x, y)", "the atom 'E'"),
     ("exists x. exists y. T(x, y, 2097152)", "the atom 'T'"),
     ("exists x. exists y. x < y & y < 5", "the comparison '<'"),
     ("exists x. exists y. (x < 5 & y < 5)", "a connective"),
-    ("exists x. exists y. f(x, y) = 0", "a function term"),
 ]
 
 
@@ -370,16 +372,10 @@ def test_a_table_past_the_cell_cap_is_unsupported_at_once(text, node):
         [
             SymbolDecl("E", "Relation", 2),
             SymbolDecl("T", "Relation", 3),
-            SymbolDecl("f", "Function", 2),
         ]
     )
     state = State.make(
-        OMEGA,
-        {
-            "E": {(2097152, 2097152)},
-            "T": {(2097152, 2097152, 2097152)},
-            "f": {(2097152, 2097152, 0)},
-        },
+        OMEGA, {"E": {(2097152, 2097152)}, "T": {(2097152, 2097152, 2097152)}}
     )
     omega, table = EvalDomain.omega(), Interned()
     formula = parse_formula(text, sigma)
@@ -562,7 +558,8 @@ def test_threshold_bound_shape():
     assert threshold_bound(lit, s) >= 40
 
 
-FUNCTION_SIGMA = Signature([SymbolDecl("f", "Function", 1)])
+# the graph relation of a unary function: f(x) = y is f(x, y)
+GRAPH_SIGMA = Signature([SymbolDecl("f", "Relation", 2)])
 
 
 @pytest.mark.parametrize(
@@ -570,7 +567,7 @@ FUNCTION_SIGMA = Signature([SymbolDecl("f", "Function", 1)])
     [
         ("E={(1),(2,3)}", CORPUS_SIGMA, "exists x. exists y. E(x, y)", r"'E' holds \(1,\)"),
         ("E={(1,2,3)}", CORPUS_SIGMA, "exists x. exists y. E(x, y)", r"'E' holds \(1, 2, 3\)"),
-        ("f={(0,1),(1,)}", FUNCTION_SIGMA, "f(0) = 1", r"'f' holds \(1,\)"),
+        ("f={(0,1),(1,)}", GRAPH_SIGMA, "f(0, 1)", r"'f' holds \(1,\)"),
     ],
 )
 def test_tuples_of_the_wrong_width_are_unrepresentable(stored, sigma, sentence, message):
@@ -910,132 +907,3 @@ def test_left_deep_chains_agree_with_the_interpreter(links, first):
         f = kind(f, operand)
     raw, compiled = _raw_and_compiled(f)
     assert raw == compiled, f
-
-
-# -- function terms on bound variables, against the oracle -------------------
-
-FUNCTION_TERM_SIGMA = Signature(
-    [
-        SymbolDecl("h", "Constant"),
-        SymbolDecl("f", "Function", 1),
-        SymbolDecl("g", "Function", 2),
-        SymbolDecl("R", "Relation", 1),
-        SymbolDecl("E", "Relation", 2),
-    ]
-)
-
-
-def function_state(g_missing=()) -> State:
-    """f and g total on [0, 5), the largest surrogate below, with their
-    values there too, so that nested applications stay on the graphs;
-    g_missing takes keys out of g's graph."""
-    return State.make(
-        OMEGA,
-        {
-            "h": 2,
-            "f": {(a, (3 * a + 1) % 5) for a in range(5)},
-            "g": {
-                (a, b, (a + 2 * b) % 5)
-                for a in range(5)
-                for b in range(5)
-                if (a, b) not in g_missing
-            },
-            "R": OrdinalSet.finite({1, 3}),
-            "E": {(0, 1), (1, 2), (2, 4), (4, 0), (3, 3)},
-        },
-    )
-
-
-# Bodies over x and y: function terms inside unary, binary and membership
-# atoms and equalities, nested, on constants and under a quantifier.
-FUNCTION_BODIES = [
-    "R(f(x))",
-    "R(g(y, x))",
-    "E(f(x), y)",
-    "E(g(x, y), f(y))",
-    "f(x) < y",
-    "x < f(y)",
-    "g(x, y) < f(x)",
-    "in(f(y), g(y, x))",
-    "f(f(x)) = y",
-    "f(g(x, y)) = x",
-    "R(f(g(y, x)))",
-    "f(x) = g(y, y)",
-    "g(f(y), h) < 3",
-    "f(h) < x & ~R(g(x, x))",
-    "exists z. g(x, z) = f(y)",
-    "forall z. (f(z) < x | E(z, g(z, y)))",
-    "exists z. (R(f(z)) & f(z) = g(x, y))",
-]
-QUANTIFIER_PAIRS = [("exists", "forall"), ("forall", "exists"), ("exists", "exists")]
-PUBLIC_ENTRIES = {"sentence": sat, "defined_set": defined_set, "defined_relation": defined_relation}
-
-
-@pytest.mark.parametrize("body", FUNCTION_BODIES)
-def test_function_terms_agree_with_brute_oracle(body):
-    state = function_state()
-    views = {None: state, 0: state}
-    table = Interned()
-
-    def both(entry, f, domain, *args):
-        """The entry's answer on the raw path and on the interned one."""
-        raw = PUBLIC_ENTRIES[entry](f, state, domain, *args)
-        ctx = EvalContext.single(state, domain, table)
-        return raw, getattr(ctx, entry)(table.add(f), *args)
-
-    def parse(text):
-        return parse_formula(text, FUNCTION_TERM_SIGMA)
-
-    phi = parse(body)
-    sentences = [parse(f"{q} x. {r} y. {body}") for q, r in QUANTIFIER_PAIRS]
-    sets = [(v, parse(f"{q} {u}. {body}")) for v, u in (("x", "y"), ("y", "x")) for q in ("exists", "forall")]
-    for n in (1, 2, 3, 5):
-        domain = EvalDomain.surrogate(n)
-
-        def holds(f, **env):
-            return brute_sat(f, views, n, env)
-
-        for f in sentences:
-            assert both("sentence", f, domain) == (holds(f),) * 2, (f, n)
-        for var, f in sets:
-            want = OrdinalSet.finite(a for a in range(n) if holds(f, **{var: a}))
-            assert both("defined_set", f, domain, var) == (want,) * 2, (f, n)
-        pairs = {(a, b) for a in range(n) for b in range(n) if holds(phi, x=a, y=b)}
-        for order, want in (
-            (("x", "y"), frozenset(pairs)),
-            (("y", "x"), frozenset((b, a) for a, b in pairs)),
-        ):
-            assert both("defined_relation", phi, domain, order) == (want,) * 2, (body, order, n)
-
-
-@pytest.mark.parametrize(
-    "sentence, g_missing, domain, message",
-    [
-        # at w the quantifiers run past every graph entry
-        (
-            "exists x. exists y. f(y) < g(y, x)",
-            (),
-            EvalDomain.omega(),
-            "function 'f' has no graph entry for (5,)",
-        ),
-        # the shallowest variable, x, is the fastest digit of the cells, so
-        # g(y, x) misses (0, 2) before (1, 0)
-        (
-            "exists x. exists y. g(y, x) = 0",
-            ((1, 0), (0, 2)),
-            EvalDomain.surrogate(3),
-            "function 'g' has no graph entry for (0, 2)",
-        ),
-    ],
-)
-def test_a_missing_graph_entry_is_named_in_cell_order(sentence, g_missing, domain, message):
-    f, state = parse_formula(sentence, FUNCTION_TERM_SIGMA), function_state(g_missing)
-    table = Interned()
-    g = table.add(f)
-    for evaluate in (
-        lambda: sat(f, state, domain),
-        lambda: EvalContext.single(state, domain, table).sentence(g),
-    ):
-        with pytest.raises(Unrepresentable) as caught:
-            evaluate()
-        assert str(caught.value) == message

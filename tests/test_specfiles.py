@@ -1,5 +1,7 @@
 """Machine file parsing, printing, and the identity between them."""
 
+import re
+
 import pytest
 
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
@@ -131,6 +133,13 @@ class TestRejections:
     def test_deep_nesting_carries_the_line(self, deep):
         with pytest.raises(ParseError, match=r"^line 10 \(In\): formula is nested too deeply"):
             parse_machine(HANDWRITTEN.replace("In: In(x)", f"In: {deep}"))
+
+    def test_a_function_declaration_names_its_line(self):
+        # a function is written as its graph relation, one place wider
+        text = HANDWRITTEN.replace("  h: Constant\n", "  h: Constant\n  f: Function/1\n")
+        message = "line 6: symbol kind must be one of ('Relation', 'Constant')"
+        with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+            parse_machine(text)
 
     def test_indented_line_outside_any_section(self):
         with pytest.raises(ParseError, match="outside a section"):

@@ -104,7 +104,7 @@ def test_models_tci_undeclared_symbol():
 
 
 def test_models_tci_rejects_tuples_of_the_wrong_arity():
-    sigma = SIGMA.extend([SymbolDecl("g", "Function", 1)])
+    sigma = SIGMA.extend([SymbolDecl("g", "Relation", 2)])
     s = parse_state("state kappa=w\nnary: E={(1),(2,3),(4,5,6)} g={(1,2),(3)}")
     verdict = models_tci(s, sigma, Tci(OMEGA, "GSeqA"))
     assert not verdict.ok
