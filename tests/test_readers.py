@@ -88,31 +88,41 @@ params: 3
 """
 
 READERS = {
-    "parse_ordinal": (parse_ordinal, texts(ORDINAL, ["w^2*3+w+5", "0", "12"])),
-    "parse_ordinal_set": (parse_ordinal_set, texts(ORDINAL_SET, ["co{0,2}", "{}", "{1,3,5}"])),
+    "parse_ordinal": (parse_ordinal, ORDINAL, ["w^2*3+w+5", "0", "12"]),
+    "parse_ordinal_set": (parse_ordinal_set, ORDINAL_SET, ["co{0,2}", "{}", "{1,3,5}"]),
     "parse_formula": (
         lambda text: parse_formula(text, SIGMA),
-        texts(FORMULA, ["forall x. (In(x) -> exists y. (x < y & E(x, y)))", "f(h) = 3 | ~R(w)"]),
+        FORMULA,
+        ["forall x. (In(x) -> exists y. (x < y & E(x, y)))", "f(h, 3) | ~R(w)"],
     ),
     "parse_formula doubled": (
         lambda text: parse_formula(text, SIGMA, doubled=True),
-        texts(FORMULA, ["in(x, 3) <-> x = h@0", "R@1(f@0(x)) & In@0(x)"]),
+        FORMULA,
+        ["in(x, 3) <-> x = h@0", "R@1(x) & f@0(x, h@1) & In@0(x)"],
     ),
     "parse_state": (
         parse_state,
-        texts(STATE, ["state kappa=w\nconstants: h=1\nunary: In={1,3} Out=co{2}\nnary: E={(1,2),(3,)}"]),
+        STATE,
+        ["state kappa=w\nconstants: h=1\nunary: In={1,3} Out=co{2}\nnary: E={(1,2),(3,)}"],
     ),
-    "parse_tm": (parse_tm, texts(TM, [TM_SAMPLE])),
-    "parse_machine": (parse_machine, texts(MACHINE, [MACHINE_SAMPLE])),
+    "parse_tm": (parse_tm, TM, [TM_SAMPLE]),
+    "parse_machine": (parse_machine, MACHINE, [MACHINE_SAMPLE]),
 }
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_sample_is_well_formed(reader):
+    read, _, samples = READERS[reader]
+    for sample in samples:
+        read(sample)
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_a_reader_raises_nothing_but_gseqa_errors(reader, data):
-    read, strategy = READERS[reader]
-    text = data.draw(strategy, label="text")
+    read, pieces, samples = READERS[reader]
+    text = data.draw(texts(pieces, samples), label="text")
     try:
         read(text)
     except GseqaError:
