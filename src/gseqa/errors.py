@@ -7,7 +7,10 @@ from typing import Any
 
 
 class GseqaError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package. symbol names the
+    symbol the error is about, where one is known."""
+
+    symbol: str | None = None
 
 
 class ParseError(GseqaError):

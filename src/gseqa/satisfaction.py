@@ -122,8 +122,8 @@ from .logic import (
     Term,
     Truth,
     Var,
+    _with_children,
     children,
-    map_formula,
     quantifier_rank,
     static_facts,
 )
@@ -782,7 +782,7 @@ _KEPT = 64
 _Closure = Callable[[_Evaluator], Any]
 
 
-def _union(sets: list[frozenset]) -> frozenset:
+def _union(sets: Sequence[frozenset]) -> frozenset:
     """The union of the sets, which is one of them whenever one holds the
     rest, so that a node's facts mostly share its children's sets."""
     out = sets[0]
@@ -792,26 +792,15 @@ def _union(sets: list[frozenset]) -> frozenset:
     return out
 
 
-def _shallow_key(node: Node) -> object:
-    """Equal for structurally equal nodes whose children are interned: the
-    node's kind, its own fields and its children's identities. A leaf is
-    its own key. Either way the key hashes without walking the subtree."""
-    if isinstance(node, Apply):
-        return (type(node), node.name, node.copy, *map(id, node.args))
-    if isinstance(node, (Exists, Forall)):
-        return (type(node), node.var, id(node.body))
-    kids = children(node)
-    return (type(node), *map(id, kids)) if kids else node
-
-
 class Interned:
     """Formulas hash-consed into one table: structurally equal subformulas
     become one object (Filliatre & Conchon, "Type-safe modular
     hash-consing", ML Workshop 2006). Each node keeps, keyed by identity,
     its static facts, combined from its children's, and a closure built
-    from its children's closures, so that interning is linear in the size
-    of the formula. An EvalContext built with the table evaluates the
-    formulas it returned, and only those.
+    from its children's closures. Adding a formula takes one table lookup
+    per tree node and one construction, with its facts and closure, per
+    node the table lacks. An EvalContext built with the table evaluates
+    the formulas it returned, and only those.
 
     The table also keeps the probe set-ups its contexts ask for (see
     setup), so that a machine's steps do not rebuild them, or the patterns
@@ -829,9 +818,39 @@ class Interned:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def add(self, formula: Formula) -> Formula:
-        """The interned copy of the formula."""
-        return map_formula(formula, self._intern)
+    def add(self, formula: Formula, copy: int | None = None) -> Formula:
+        """The interned copy of the formula, in one pass that also stamps a
+        given copy index on every bare non-membership reference, as
+        logic.with_copy does. Each node's key (kind, own fields, interned
+        children's identities) is found first; only a new key builds a node."""
+        kind, kids = type(formula), ()
+        if kind is Apply or kind is Const:
+            stamp = formula.copy
+            if stamp is None and formula.name != MEMBERSHIP:
+                stamp = copy
+            if kind is Apply:
+                kids = tuple([self.add(a, copy) for a in formula.args])
+            key: object = (kind, formula.name, stamp, *map(id, kids))
+        elif kind is Not or kind is Exists or kind is Forall:
+            kids = (self.add(formula.body, copy),)
+            key = (kind, id(kids[0])) if kind is Not else (kind, formula.var, id(kids[0]))
+        elif kind is Equal or kind is And or kind is Or or kind is Implies or kind is Iff:
+            kids = (self.add(formula.left, copy), self.add(formula.right, copy))
+            key = (kind, id(kids[0]), id(kids[1]))
+        else:  # Var, OrdinalLiteral and Truth are their own keys
+            key = formula
+        node = self._nodes.get(key)
+        if node is None:
+            if kind is Apply:
+                node = Apply(formula.name, kids, stamp)
+            elif kind is Const:
+                node = Const(formula.name, stamp)
+            else:
+                node = _with_children(formula, kids) if kids else formula
+            self.facts[id(node)] = self._facts_of(node)
+            self.closures[id(node)] = self._compile(node)
+            self._nodes[key] = node
+        return node
 
     def literal_max(self, literals: frozenset[OrdinalNotation]) -> int:
         """The largest finite literal in a literal set of the table's facts,
@@ -867,15 +886,6 @@ class Interned:
             self._setups[key] = setup
         return setup
 
-    def _intern(self, node: Node) -> Node:
-        key = _shallow_key(node)
-        shared = self._nodes.get(key)
-        if shared is None:
-            shared = self._nodes[key] = node
-            self.facts[id(node)] = self._facts_of(node)
-            self.closures[id(node)] = self._compile(node)
-        return shared
-
     def _facts_of(self, node: Node) -> StaticFacts:
         if isinstance(node, Var):
             return frozenset((node.name,)), 0, _NONE
@@ -885,15 +895,10 @@ class Interned:
         if isinstance(node, (Exists, Forall)):
             free, rank, literals = kids[0]
             return free - {node.var}, rank + 1, literals
-        if len(kids) == 1:
-            return kids[0]
         if not kids:
             return _NONE, 0, _NONE
-        return (
-            _union([k[0] for k in kids]),
-            max(k[1] for k in kids),
-            _union([k[2] for k in kids]),
-        )
+        free, ranks, literals = zip(*kids)
+        return _union(free), max(ranks), _union(literals)
 
     def _compile(self, node: Node) -> _Closure:
         """The node's closure. A closed formula node's closure computes it

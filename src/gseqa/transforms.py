@@ -55,6 +55,7 @@ from .logic import (
     v,
 )
 from .ordinals import OMEGA, OrdinalNotation
+from .satisfaction import Interned
 from .validator import (
     GSEQA,
     GSEQAP,
@@ -432,7 +433,7 @@ def _fresh(base: str, taken: set[str]) -> str:
 
 
 def _tau_parts(spec: MachineSpec) -> list[_Part]:
-    parts, issues = _collect_tau(spec)
+    parts, issues = _collect_tau(spec, Interned())
     if issues:
         raise MachineInvalid(issues)
     return parts

@@ -58,13 +58,10 @@ from .logic import (
     children,
     free_vars,
     land,
-    nodes,
     substitute,
-    symbol_refs,
-    with_copy,
 )
 from .ordinals import OMEGA, OrdinalNotation, OrdinalSet
-from .satisfaction import EvalContext, EvalDomain, Interned, _depth_checked
+from .satisfaction import EvalContext, EvalDomain, Interned
 from .states import State, Tci, models_tci
 
 GSEQA = "gseqa"
@@ -140,11 +137,13 @@ class ValidatedMachine:
 
 @dataclass(frozen=True)
 class _Part:
-    """One normalized transition witness, ready for the step kernel."""
+    """One normalized witness, ready for the step kernel, with its footprint
+    (see the module docstring): empty for a default, which reads membership."""
 
     decl: SymbolDecl
     variables: tuple[str, ...]
     body: Formula
+    footprint: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -156,50 +155,29 @@ class _Transition:
     them anew.
 
     order holds the parts' names in State.items order, so that a step
-    builds its successor's items without a sort or a check. footprints[i]
-    is the footprint of parts[i] (see the module docstring): with i and
-    the support bound at w, or None on a surrogate, its values key the
-    part's value in memo. run gives each call a memo of its own (see
-    _memoised); a step without one keys into a fresh one.
+    builds its successor's items without a sort or a check. With the
+    part's index and the support bound at w, or None on a surrogate, its
+    footprint values key the part's value in memo. run gives each call a
+    memo of its own (see _memoised); a step without one keys into a fresh
+    one.
     """
 
     parts: tuple[_Part, ...]
     interned: Interned
     order: tuple[str, ...]
-    footprints: tuple[tuple[str, ...], ...]
     memo: dict[tuple, object] | None = None
 
 
-def _compile(parts: list[_Part]) -> _Transition:
-    interned = Interned()
-    bodies = [interned.add(p.body) for p in parts]
+def _compile(parts: list[_Part], interned: Interned) -> _Transition:
+    """The transition over parts whose bodies the table already holds."""
     return _Transition(
-        tuple(_Part(p.decl, p.variables, body) for p, body in zip(parts, bodies)),
+        tuple(parts),
         interned,
         # constants, then unary relations, then tuple sets, each by name
         tuple(p.decl.name for p in sorted(parts, key=lambda p: (
             p.decl.kind != "Constant", p.decl.arity > 1, p.decl.name
         ))),
-        tuple(map(_footprint, bodies)),
     )
-
-
-def _footprint(body: Formula) -> tuple[str, ...]:
-    """The sorted names of the non-membership symbols an interned body
-    reads. Interning shares equal subformulas, so the walk visits each
-    shared node once rather than once per occurrence."""
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack: list[Node] = [body]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, (Apply, Const)) and node.name != MEMBERSHIP:
-            names.add(node.name)
-        stack.extend(children(node))
-    return tuple(sorted(names))
 
 
 def _memoised(vm: ValidatedMachine) -> ValidatedMachine:
@@ -213,9 +191,23 @@ def _memoised(vm: ValidatedMachine) -> ValidatedMachine:
 # witness normalization
 
 
-def _check_symbol_usage(formula: Formula, sigma: Signature) -> None:
+def _references(body: Formula) -> list[Apply | Const]:
+    """The body's symbol references, membership included, each distinct node
+    once, in the pre-order of its first occurrence: the first with a defect
+    is the one a walk of the tree meets first."""
+    seen: dict[int, Node] = {}
+    stack: list[Node] = [body]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(reversed(children(node)))
+    return [node for node in seen.values() if isinstance(node, (Apply, Const))]
+
+
+def _check_symbol_usage(refs: list[Apply | Const], sigma: Signature) -> None:
     """Reject references to undeclared symbols and arity abuse."""
-    for node in nodes(formula):
+    for node in refs:
         if isinstance(node, Apply):
             if node.name not in sigma:
                 raise ArityMismatch(f"undeclared relation {node.name!r}")
@@ -234,9 +226,9 @@ def _check_symbol_usage(formula: Formula, sigma: Signature) -> None:
 
 
 def _fit_variables(
-    name: str, formula: Formula, variables: tuple[str, ...]
+    name: str, formula: Formula, fv: frozenset[str], variables: tuple[str, ...]
 ) -> Formula:
-    fv = free_vars(formula)
+    """The formula, free in fv, with a single free variable renamed to x."""
     if fv <= set(variables):
         return formula
     if len(variables) == 1 and len(fv) == 1:
@@ -247,25 +239,34 @@ def _fit_variables(
     )
 
 
-def _normalize_tau(decl: SymbolDecl, formula: Formula, sigma: Signature) -> _Part:
+def _normalize_tau(decl: SymbolDecl, formula: Formula, sigma: Signature, table: Interned) -> _Part:
+    """The witness interned with copy 0 stamped on its bare references, and
+    checked on its distinct nodes. Only a renamed variable interns it again,
+    which leaves the first pass's nodes unused in the table."""
     variables = witness_variables(decl)
-    formula = _fit_variables(decl.name, formula, variables)
-    for sym, copy in symbol_refs(formula):
-        if copy is not None and copy != 0:
-            raise NotBounded(decl.name, f"references {sym}@{copy}")
-    _check_symbol_usage(formula, sigma)
-    return _Part(decl, variables, with_copy(formula, 0))
+    body = table.add(formula, 0)
+    fitted = _fit_variables(decl.name, formula, table.facts[id(body)][0], variables)
+    if fitted is not formula:
+        body = table.add(fitted, 0)
+    refs = _references(body)
+    for ref in refs:
+        if ref.copy not in (None, 0):
+            raise NotBounded(decl.name, f"references {ref.name}@{ref.copy}")
+    _check_symbol_usage(refs, sigma)
+    footprint = {ref.name for ref in refs} - {MEMBERSHIP}
+    return _Part(decl, variables, body, tuple(sorted(footprint)))
 
 
 def _normalize_default(decl: SymbolDecl, formula: Formula, sigma: Signature) -> _Part:
     variables = witness_variables(decl)
-    formula = _fit_variables(decl.name, formula, variables)
-    for sym, copy in symbol_refs(formula):
-        if sym != MEMBERSHIP:
-            raise NotSimple(decl.name, f"mentions {sym!r}; only membership is allowed")
-        if copy is not None:
+    formula = _fit_variables(decl.name, formula, free_vars(formula), variables)
+    refs = _references(formula)
+    for ref in refs:
+        if ref.name != MEMBERSHIP:
+            raise NotSimple(decl.name, f"mentions {ref.name!r}; only membership is allowed")
+        if ref.copy is not None:
             raise NotSimple(decl.name, "copy indices have no place in a default")
-    _check_symbol_usage(formula, sigma)
+    _check_symbol_usage(refs, sigma)
     return _Part(decl, variables, formula)
 
 
@@ -326,7 +327,8 @@ def _raise_first(issues: list[ValidationIssue], fallback: type[GseqaError]) -> N
     raise cls(str(first))
 
 
-def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]:
+def _collect_tau(spec: MachineSpec, table: Interned) -> tuple[list[_Part], list[ValidationIssue]]:
+    """The transition parts, their bodies interned into the table, and the issues."""
     parts: list[_Part] = []
     issues: list[ValidationIssue] = []
     declared = set(spec.sigma.names())
@@ -341,15 +343,11 @@ def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]
     for decl in spec.sigma.doubled_symbols():
         formula = spec.tauWitnesses.get(decl.name)
         if formula is None:
-            kind = (
-                "MissingDistinguished" if decl.distinguished != "None" else "NotBounded"
-            )
-            issues.append(
-                ValidationIssue(kind, "no transition witness", symbol=decl.name)
-            )
+            kind = "MissingDistinguished" if decl.distinguished != "None" else "NotBounded"
+            issues.append(ValidationIssue(kind, "no transition witness", symbol=decl.name))
             continue
         try:
-            parts.append(_normalize_tau(decl, formula, spec.sigma))
+            parts.append(_normalize_tau(decl, formula, spec.sigma, table))
         except (NotBounded, ArityMismatch) as exc:
             issues.append(_issue(exc, decl.name))
         except RecursionError:
@@ -393,7 +391,7 @@ def check_bounded(spec: MachineSpec) -> Formula:
     a universally closed biconditional pinning the symbol's copy-1
     interpretation to its copy-0 witness.
     """
-    parts, issues = _collect_tau(spec)
+    parts, issues = _collect_tau(spec, Interned())
     if issues:
         _raise_first(issues, NotBounded)
     return _assemble(parts, 1)
@@ -425,20 +423,26 @@ def domain_for(kappa: OrdinalNotation) -> EvalDomain | None:
     return None
 
 
-@_depth_checked
 def _evaluate_parts(
     parts: Sequence[_Part], state: State, domain: EvalDomain, interned: Interned | None = None
 ) -> dict[str, object]:
     """The value each witness defines over the state, by symbol name, in
     the parts' order. interned is the table the part bodies come from, if
-    they were compiled. One depth check covers every part."""
+    they were compiled. An evaluation error names the part's symbol."""
     ctx = EvalContext.single(state, domain, interned)
     values: dict[str, object] = {}
     for part in parts:
         try:
             values[part.decl.name] = _part_value(ctx, part, state)
+            continue
+        except RecursionError:
+            error: GseqaError = Unsupported("formula is nested too deeply to evaluate")
         except Unrepresentable as exc:
-            raise Unrepresentable(f"value of {part.decl.name!r}: {exc}") from exc
+            error = Unrepresentable(f"value of {part.decl.name!r}: {exc}")
+        except (ThresholdViolation, Unsupported) as exc:
+            error = exc
+        error.symbol = part.decl.name
+        raise error
     return values
 
 
@@ -473,12 +477,12 @@ def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
     read = state.by_name.__getitem__
     values: dict[str, object] = {}
     missed = []
-    for i, (part, footprint) in enumerate(zip(transition.parts, transition.footprints)):
+    for i, part in enumerate(transition.parts):
         try:
-            key = (i, anchor, *map(read, footprint))
+            key = (i, anchor, *map(read, part.footprint))
         except KeyError:
             # State.value raises MissingSymbol, which names the symbol
-            key = (i, anchor, *map(state.value, footprint))
+            key = (i, anchor, *map(state.value, part.footprint))
         value = memo.get(key)
         if value is None:
             missed.append((part, key))
@@ -509,17 +513,11 @@ def apply_transition(
 
 
 def _blank_state(spec: MachineSpec) -> State:
-    values: dict[str, object] = {}
-    for d in spec.sigma:
-        if d.distinguished == "Membership":
-            continue
-        if d.kind == "Constant":
-            values[d.name] = 0
-        elif d.kind == "Relation" and d.arity == 1:
-            values[d.name] = OrdinalSet.finite()
-        else:
-            values[d.name] = frozenset()
-    return State.make(spec.kappa, values)
+    """Every symbol but membership at its empty value."""
+    return State.make(spec.kappa, {
+        d.name: 0 if d.kind == "Constant" else OrdinalSet.finite() if d.arity == 1 else frozenset()
+        for d in spec.sigma.doubled_symbols()
+    })
 
 
 def sample_states(
@@ -542,9 +540,7 @@ def sample_states(
     states = []
     for _ in range(count):
         values: dict[str, object] = {}
-        for decl in spec.sigma:
-            if decl.distinguished == "Membership":
-                continue
+        for decl in spec.sigma.doubled_symbols():
             if decl.kind == "Constant":
                 values[decl.name] = pinned.get(decl.name, rng.randrange(bound))
             elif decl.kind == "Relation" and decl.arity == 1:
@@ -631,7 +627,8 @@ def check_machine(
                     )
                 )
 
-    tau_parts, tau_issues = _collect_tau(spec)
+    interned = Interned()
+    tau_parts, tau_issues = _collect_tau(spec, interned)
     default_parts, default_issues = _collect_default(spec)
     issues.extend(tau_issues)
     issues.extend(default_issues)
@@ -639,7 +636,7 @@ def check_machine(
     if not issues:
         schema = "GSeqAP" if spec.flavor == GSEQAP else "GSeqA"
         tci = Tci(spec.kappa, schema, tuple(sorted(spec.params.items())))
-        transition = _compile(tau_parts)
+        transition = _compile(tau_parts, interned)
         start = None
         domain = domain_for(spec.kappa)
         if domain is not None:
@@ -670,11 +667,9 @@ def _semantic_issues(
     try:
         values = _evaluate_parts(default_parts, blank, domain)
     except D6Violation as exc:
-        issues.append(
-            ValidationIssue("BadConstraint", exc.detail, symbol=exc.symbol)
-        )
+        issues.append(ValidationIssue("BadConstraint", exc.detail, symbol=exc.symbol))
     except (Unrepresentable, ThresholdViolation, Unsupported) as exc:
-        issues.append(ValidationIssue("Unrepresentable", str(exc)))
+        issues.append(ValidationIssue(type(exc).__name__, str(exc), symbol=exc.symbol))
     else:
         start = blank.with_updates(values)
     for name, value in spec.params.items():
@@ -693,14 +688,10 @@ def _semantic_issues(
             continue
         try:
             _step(transition, state, domain)
-        except D6Violation as exc:
+        except (D6Violation, Unrepresentable, ThresholdViolation, Unsupported) as exc:
+            detail = exc.detail if isinstance(exc, D6Violation) else str(exc)
             issues.append(
-                ValidationIssue(
-                    "D6Violation", exc.detail, symbol=exc.symbol, state=state
-                )
+                ValidationIssue(type(exc).__name__, detail, symbol=exc.symbol, state=state)
             )
-            break
-        except (Unrepresentable, ThresholdViolation, Unsupported) as exc:
-            issues.append(ValidationIssue("Unrepresentable", str(exc), state=state))
             break
     return issues, start

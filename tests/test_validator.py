@@ -30,8 +30,9 @@ from gseqa import (
     sample_states,
     sat2,
 )
-from gseqa.logic import format_formula, with_copy
+from gseqa.logic import And, Apply, Const, Equal, Exists, Not, Or, Var, format_formula, with_copy
 from gseqa.runtime import Budget, Failed, run
+from gseqa.satisfaction import Interned
 from gseqa.states import parse_state
 from gseqa import validator
 from gseqa.validator import GSEQA, GSEQAP, MachineSpec
@@ -297,6 +298,69 @@ def test_too_deep_witness_is_reported_by_symbol():
         check_simple(spec)
 
 
+def test_the_first_defect_is_reported_on_shared_subformulas():
+    # Each defective witness repeats a subformula that carries two defects,
+    # and in each a reference with a defect sits above another. Admission
+    # checks the interned body's distinct nodes; it must still report
+    # what a walk of the tree meets first: copy indices before symbol use,
+    # each in pre-order.
+    sigma = Signature([SymbolDecl("h", "Constant"), SymbolDecl("E", "Relation", 2)])
+    x, x1 = Var("x"), Var("x1")
+    short_e = Apply("E", (x,))
+    next_e = And(short_e, Apply("E", (Const("h", 1), x), 1))
+    misused = Or(Apply("g", (Const("E"),)), short_e)
+    tau = {
+        "In": Or(next_e, Not(next_e)),
+        "Out": And(Apply("Out", (x,)), And(Not(misused), misused)),
+        "h": parse_formula("y = h & (exists z. z < y)", sigma),
+        "E": And(Apply("E", (x1, Var("x2"))), Or(Exists("z", Apply("h", (Var("z"),))), Equal(x1, Const("E")))),
+    }
+    spec = MachineSpec(OMEGA, sigma, GSEQA, {}, tau, {})
+    parts, issues = validator._collect_tau(spec, Interned())
+    assert [str(issue) for issue in issues] == [
+        "NotBounded: symbol=In: references E@1",
+        "ArityMismatch: symbol=Out: undeclared relation 'g'",
+        "ArityMismatch: symbol=E: 'h' is a constant, not a relation",
+    ]
+    # the single free y is renamed to x
+    (part,) = parts
+    assert part.body == with_copy(parse_formula("x = h & (exists z. z < x)", sigma), 0)
+    assert part.footprint == ("h",)
+
+
+REBINDING = "rebinding of 'x' inside its own scope"
+SAMPLE_FAILURES = {
+    "step": ({"h": "x = h & (forall x. x = x)"}, {}, "Unsupported", "h", REBINDING),
+    "default": ({}, {"h": "x = 0 & (forall x. x = x)"}, "Unsupported", "h", REBINDING),
+    "relation": (
+        {"E": "E(x1, x2) | x1 < x2"}, {}, "Unrepresentable", "E",
+        "value of 'E': formula defines an infinite relation",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SAMPLE_FAILURES))
+def test_a_sample_state_failure_keeps_its_kind_and_names_its_symbol(case):
+    tau, defaults, kind, symbol, detail = SAMPLE_FAILURES[case]
+    sigma = BASE.extend([SymbolDecl("h", "Constant"), SymbolDecl("E", "Relation", 2)])
+    spec = machine(
+        sigma,
+        tau={"In": "In(x)", "Out": "Out(x)", "h": "x = h", "E": "E(x1, x2)", **tau},
+        defaults={"h": "x = 0", "E": "false", **defaults},
+    )
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec)
+    (issue,) = info.value.issues
+    assert (issue.kind, issue.symbol) == (kind, symbol)
+    assert issue.detail.startswith(detail)
+    assert (issue.state is None) == (case == "default")
+    if case != "default":
+        # unsampled, the run meets the same error; its Failed text is unchanged
+        trace = run(check_machine(spec, sample_size=0), OrdinalSet.finite({1}), Budget(5))
+        assert isinstance(trace.outcome, Failed)
+        assert trace.outcome.reason.startswith(f"{kind}: {detail}")
+
+
 def test_issue_reports_are_deterministic():
     spec = machine(tau={"In": "In@1(x)"})
     grab = lambda: [str(i) for i in pytest.raises(MachineInvalid, check_machine, spec).value.issues]
@@ -361,7 +425,7 @@ def test_a_step_names_a_symbol_only_a_later_part_reads():
     # R is read by the last part alone: every earlier part's key is read
     # from the state before R's is, and R is still the symbol named
     vm = check_machine(defaults_machine())
-    assert vm._transition.footprints == (("In",), ("Out",), ("h",), ("R",))
+    assert [p.footprint for p in vm._transition.parts] == [("In",), ("Out",), ("h",), ("R",)]
     state = parse_state("state kappa=w\nconstants: h=1\nunary: In={1} Out={}")
     for stepper in (vm, validator._memoised(vm)):
         with pytest.raises(MissingSymbol, match="'R'") as exc:
