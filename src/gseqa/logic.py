@@ -4,18 +4,21 @@ The abstract syntax keeps the derived connectives (or, implies, iff,
 forall) as explicit nodes so that parsing and printing round-trip; the
 evaluators treat every node directly.
 
-Concrete syntax, lowest precedence first:
+Concrete syntax:
 
-    formula  := 'forall' VAR '.' formula | 'exists' VAR '.' formula | iff
-    iff      := imp ('<->' imp)*
-    imp      := or ('->' imp)?                 (right associative)
-    or       := and ('|' and)*
-    and      := unary ('&' unary)*
-    unary    := '~' unary | atom
+    formula  := unary (BINOP unary)*
+    unary    := '~' unary | 'forall' VAR '.' formula
+              | 'exists' VAR '.' formula | atom
     atom     := '(' formula ')' | 'true' | 'false'
               | REL['@'COPY] '(' terms ')' | 'in' '(' term ',' term ')'
               | term '=' term | term '<' term
     term     := NUMBER | 'w' | VAR | CONST['@'COPY]
+
+BINOP is '<->', '->', '|' or '&', loosest first; '->' groups to the
+right, the others to the left, and a quantifier's body extends as far
+right as it can. The table _BINARY drives both the parser's
+precedence-climbing loop and the printer. About 330 nested parentheses
+parse (three Python frames each); deeper text is a ParseError.
 
 `x < y` and `in(x, y)` are the same membership atom (ordinals are the
 sets of their predecessors); it prints in infix form. In doubled mode
@@ -491,28 +494,31 @@ def is_binary(f: Formula) -> bool:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow><->|->)|(?P<op>[()~&|=<,.@])|(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*))"
+    r"\s*(?:(?P<op><->|->|[()~&|=<,.@])|(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*))"
 )
+
+# token -> (node type, precedence, groups to the right); higher binds tighter
+_BINARY: dict[str, tuple[type, int, bool]] = {
+    "<->": (Iff, 1, False),
+    "->": (Implies, 2, True),
+    "|": (Or, 3, False),
+    "&": (And, 4, False),
+}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) for each token, ending with an end token."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} at {pos}")
             break
-        if m.group("arrow"):
-            tokens.append(("arrow", m.group("arrow"), m.start()))
-        elif m.group("op"):
-            tokens.append(("op", m.group("op"), m.start()))
-        elif m.group("num"):
-            tokens.append(("num", m.group("num"), m.start()))
-        else:
-            tokens.append(("ident", m.group("ident"), m.start()))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start()))
         pos = m.end()
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -523,12 +529,11 @@ class _Parser:
         self.i = 0
         self.sigma = sigma
         self.doubled = doubled
-        self.bound: list[str] = []
 
     def error(self, msg: str) -> ParseError:
         """A ParseError at the current token. A text over 80 characters is
         quoted 30 characters either side of it, with ... for each cut end."""
-        where = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
+        where = self.tokens[self.i][2]
         start, end = max(where - 30, 0), where + 30
         if len(self.text) <= 80:
             start, end = 0, len(self.text)
@@ -536,36 +541,40 @@ class _Parser:
         tail = "..." if end < len(self.text) else ""
         return ParseError(f"{msg} at position {where} in {head}{self.text[start:end]!r}{tail}")
 
-    def peek(self) -> tuple[str, str] | None:
-        if self.i < len(self.tokens):
-            kind, val, _ = self.tokens[self.i]
-            return kind, val
-        return None
+    def peek(self) -> tuple[str, str]:
+        return self.tokens[self.i][:2]
 
     def take(self) -> tuple[str, str]:
-        if self.i >= len(self.tokens):
+        kind, val = self.peek()
+        if kind == "end":
             raise self.error("unexpected end of input")
-        kind, val, _ = self.tokens[self.i]
         self.i += 1
         return kind, val
 
     def expect(self, value: str) -> None:
-        tok = self.peek()
-        if tok is None or tok[1] != value:
+        if not self.at(value):
             raise self.error(f"expected {value!r}")
         self.i += 1
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == value
+        return self.tokens[self.i][1] == value
 
-    # precedence chain -----------------------------------------------------
+    def formula(self, floor: int = 0) -> Formula:
+        """Operands joined by binary connectives of precedence floor or more."""
+        f = self.unary()
+        while (entry := _BINARY.get(self.peek()[1])) and entry[1] >= floor:
+            node, prec, right = entry
+            self.i += 1
+            f = node(f, self.formula(prec if right else prec + 1))
+        return f
 
-    def formula(self) -> Formula:
-        tok = self.peek()
-        if tok and tok[0] == "ident" and tok[1] in ("forall", "exists"):
+    def unary(self) -> Formula:
+        if self.at("~"):
+            self.take()
+            return Not(self.unary())
+        if self.peek()[1] in ("forall", "exists"):
             return self.quantified()
-        return self.iff_level()
+        return self.atom()
 
     def quantified(self) -> Formula:
         _, quant = self.take()
@@ -575,88 +584,37 @@ class _Parser:
         if name in self.sigma:
             raise self.error(f"variable {name!r} shadows a signature symbol")
         self.expect(".")
-        self.bound.append(name)
         body = self.formula()
-        self.bound.pop()
         return Forall(name, body) if quant == "forall" else Exists(name, body)
 
-    def iff_level(self) -> Formula:
-        f = self.imp_level()
-        while self.at("<->"):
-            self.take()
-            f = Iff(f, self.imp_level())
-        return f
-
-    def imp_level(self) -> Formula:
-        f = self.or_level()
-        if self.at("->"):
-            self.take()
-            return Implies(f, self.imp_level())
-        return f
-
-    def or_level(self) -> Formula:
-        f = self.and_level()
-        while self.at("|"):
-            self.take()
-            f = Or(f, self.and_level())
-        return f
-
-    def and_level(self) -> Formula:
-        f = self.unary()
-        while self.at("&"):
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        if self.at("~"):
-            self.take()
-            return Not(self.unary())
-        tok = self.peek()
-        if tok and tok[0] == "ident" and tok[1] in ("forall", "exists"):
-            return self.quantified()
-        return self.atom()
-
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
+        kind, val = self.peek()
+        if kind == "end":
             raise self.error("expected a formula")
-        kind, val = tok
         if val == "(":
             self.take()
             f = self.formula()
             self.expect(")")
             return f
-        if kind == "ident" and val == "true":
+        if val in ("true", "false"):
             self.take()
-            return TRUE
-        if kind == "ident" and val == "false":
-            self.take()
-            return FALSE
-        if kind == "ident" and val == MEMBERSHIP:
-            self.take()
-            self.expect("(")
-            a = self.term()
-            self.expect(",")
-            b = self.term()
-            self.expect(")")
-            return Apply(MEMBERSHIP, (a, b), None)
+            return Truth(val == "true")
         if kind == "ident" and val in self.sigma and self.sigma.decl(val).kind == "Relation":
             return self.relation_atom()
         left = self.term()
-        nxt = self.peek()
-        if nxt and nxt[1] == "=":
+        if self.at("="):
             self.take()
             return Equal(left, self.term())
-        if nxt and nxt[1] == "<":
+        if self.at("<"):
             self.take()
             return Apply(MEMBERSHIP, (left, self.term()), None)
         raise self.error("expected '=' or '<' after term")
 
     def relation_atom(self) -> Formula:
-        """A relation's atom, whose argument list must hold its arity."""
+        """A relation's atom, whose argument list must hold its arity.
+        Membership is shared between the copies and takes no copy suffix."""
         _, name = self.take()
-        copy = self.copy_suffix(name)
+        copy = None if name == MEMBERSHIP else self.copy_suffix(name)
         self.expect("(")
         args = [self.term()]
         while self.at(","):
@@ -710,7 +668,7 @@ def parse_formula(text: str, sigma: Signature, doubled: bool = False) -> Formula
         f = p.formula()
     except RecursionError:
         raise p.error("formula is nested too deeply") from None
-    if p.i != len(p.tokens):
+    if p.peek()[0] != "end":
         raise p.error("trailing input")
     return f
 
@@ -719,7 +677,7 @@ def parse_formula(text: str, sigma: Signature, doubled: bool = False) -> Formula
 # printing
 
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
+_CONNECTIVE = {entry[0]: (op, entry) for op, entry in _BINARY.items()}
 
 
 def _fmt_term(t: Term) -> str:
@@ -750,13 +708,10 @@ def _fmt(f: Formula, parent: int) -> str:
         # a bare quantifier body would swallow anything printed after it
         return f"({text})" if parent > 0 else text
     if isinstance(f, (And, Or, Implies, Iff)):
-        op = {And: "&", Or: "|", Implies: "->", Iff: "<->"}[type(f)]
-        prec = _PREC[type(f)]
-        if isinstance(f, Implies):
-            left, right = _fmt(f.left, prec + 1), _fmt(f.right, prec)
-        else:
-            left, right = _fmt(f.left, prec), _fmt(f.right, prec + 1)
-        body = f"{left} {op} {right}"
+        op, (_, prec, groups_right) = _CONNECTIVE[type(f)]
+        # the operand away from the grouping side must bind tighter
+        lp, rp = (prec + 1, prec) if groups_right else (prec, prec + 1)
+        body = f"{_fmt(f.left, lp)} {op} {_fmt(f.right, rp)}"
         return f"({body})" if prec < parent else body
     raise TypeError(f"not a formula: {f!r}")
 

@@ -31,7 +31,6 @@ from .logic import (
     Exists,
     Forall,
     Formula,
-    Iff,
     Implies,
     Node,
     Signature,
@@ -61,6 +60,7 @@ from .validator import (
     GSEQAP,
     MachineSpec,
     _Part,
+    _assemble,
     _collect_default,
     _collect_tau,
     _head,
@@ -473,19 +473,13 @@ def _phases(flag: str, parts: list[_Part]) -> tuple[Formula, Formula, Formula]:
     prefix = "s"
     while any(prefix + name in used for p in parts for name in p.variables):
         prefix += "s"
-    psis = []
+    renamed = []
     for part in parts:
         fresh = tuple(prefix + name for name in part.variables)
-        body = substitute(
-            part.body,
-            {old: Var(new) for old, new in zip(part.variables, fresh)},
-        )
-        psi: Formula = Iff(_head(_Part(part.decl, fresh, body), None), body)
-        for var in reversed(fresh):
-            psi = Forall(var, psi)
-        psis.append(psi)
+        env = {old: Var(new) for old, new in zip(part.variables, fresh)}
+        renamed.append(_Part(part.decl, fresh, substitute(part.body, env)))
     zero = eq(cst(flag), lit(0))
-    stall = land(*psis)
+    stall = _assemble(renamed, None)
     return zero, land(zero, lnot(stall)), land(zero, stall)
 
 

@@ -233,7 +233,13 @@ def _fit_variables(
         return formula
     if len(variables) == 1 and len(fv) == 1:
         (old,) = fv
-        return substitute(formula, {old: Var(variables[0])})
+        try:
+            return substitute(formula, {old: Var(variables[0])})
+        except Unsupported:
+            raise ArityMismatch(
+                f"witness for {name!r} uses variable {old!r}, which cannot be"
+                f" renamed to {variables[0]!r} inside a quantifier binding it"
+            ) from None
     raise ArityMismatch(
         f"witness for {name!r} uses variables {sorted(fv)}, expected {variables}"
     )

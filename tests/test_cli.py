@@ -89,7 +89,7 @@ class TestValidate:
         text = machine.read_text()
         lineno = text.splitlines().index("  In: In(x)") + 1
         deep = tmp_path / "deep.gsa"
-        deep.write_text(text.replace("In: In(x)", "In: " + "(" * 150 + "In(x)" + ")" * 150))
+        deep.write_text(text.replace("In: In(x)", "In: " + "(" * 3000 + "In(x)" + ")" * 3000))
         assert main(["validate", str(deep)]) == 1
         err = capsys.readouterr().err
         assert f"error: line {lineno} (In): formula is nested too deeply at position" in err

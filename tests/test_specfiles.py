@@ -81,6 +81,13 @@ class TestHandwritten:
         assert isinstance(trace.outcome, Terminated)
         assert trace.outcome.output == OrdinalSet.finite({2, 5})
 
+    def test_a_witness_in_150_parentheses_is_admitted_and_runs(self):
+        deep = "(" * 150 + "In(x)" + ")" * 150
+        vm = check_machine(parse_machine(HANDWRITTEN.replace("In: In(x)", f"In: {deep}")))
+        trace = run(vm, OrdinalSet.finite({2, 5}), Budget(50, 1))
+        assert isinstance(trace.outcome, Terminated)
+        assert trace.outcome.output == OrdinalSet.finite({2, 5})
+
     def test_comments_and_blank_lines_are_free(self):
         assert parse_machine("# leading\n\n" + HANDWRITTEN) == parse_machine(HANDWRITTEN)
 
@@ -127,8 +134,8 @@ class TestRejections:
 
     @pytest.mark.parametrize(
         "deep",
-        ["(" * 150 + "In(x)" + ")" * 150, "(" * 3000 + "In(x)" + ")" * 3000, "~" * 3000 + "In(x)"],
-        ids=["150 parentheses", "3000 parentheses", "3000 negations"],
+        ["(" * 3000 + "In(x)" + ")" * 3000, "~" * 3000 + "In(x)"],
+        ids=["3000 parentheses", "3000 negations"],
     )
     def test_deep_nesting_carries_the_line(self, deep):
         with pytest.raises(ParseError, match=r"^line 10 \(In\): formula is nested too deeply"):

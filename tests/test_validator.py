@@ -127,6 +127,30 @@ def test_wrong_variable_count_is_arity_mismatch():
         check_bounded(bad)
 
 
+CAPTURES = {
+    "tau": ({"In": "In@1(x)", "h": "y = h & (forall x. x = y)"}, {}),
+    "default": ({"In": "In@1(x)"}, {"h": "y = 0 & (forall x. x = y)"}),
+}
+
+
+@pytest.mark.parametrize("case", list(CAPTURES))
+def test_a_capture_during_the_rename_is_an_issue_for_its_symbol(case):
+    # the single free y cannot become x inside the quantifier binding x;
+    # the machine's other defect, In@1, is still reported
+    tau, defaults = CAPTURES[case]
+    sigma = BASE.extend([SymbolDecl("h", "Constant")])
+    spec = machine(
+        sigma, tau={"Out": "Out(x)", "h": "x = h", **tau}, defaults={"h": "x = 0", **defaults}
+    )
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec)
+    assert [str(issue) for issue in info.value.issues] == [
+        "NotBounded: symbol=In: references In@1",
+        "ArityMismatch: symbol=h: witness for 'h' uses variable 'y', which cannot be"
+        " renamed to 'x' inside a quantifier binding it",
+    ]
+
+
 def test_check_simple_accepts_membership_only():
     sigma = BASE.extend([SymbolDecl("h", "Constant")])
     spec = machine(
