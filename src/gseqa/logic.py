@@ -507,16 +507,19 @@ _BINARY: dict[str, tuple[type, int, bool]] = {
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) for each token, ending with an end token."""
+    """(kind, text, position) for each token, ending with an end token. A
+    token's position is that of its first character, past any whitespace."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} at {pos}")
+            rest = text[pos:].lstrip()
+            if rest:
+                where = len(text) - len(rest)
+                raise ParseError(f"unexpected character {rest[0]!r} at {where}")
             break
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start()))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -530,10 +533,11 @@ class _Parser:
         self.sigma = sigma
         self.doubled = doubled
 
-    def error(self, msg: str) -> ParseError:
-        """A ParseError at the current token. A text over 80 characters is
-        quoted 30 characters either side of it, with ... for each cut end."""
-        where = self.tokens[self.i][2]
+    def error(self, msg: str, at: int | None = None) -> ParseError:
+        """A ParseError at the token with index at, the current one by
+        default. A text over 80 characters is quoted 30 characters either
+        side of it, with ... for each cut end."""
+        where = self.tokens[self.i if at is None else at][2]
         start, end = max(where - 30, 0), where + 30
         if len(self.text) <= 80:
             start, end = 0, len(self.text)
@@ -578,11 +582,12 @@ class _Parser:
 
     def quantified(self) -> Formula:
         _, quant = self.take()
+        at = self.i
         kind, name = self.take()
         if kind != "ident" or name in _RESERVED:
-            raise self.error("expected a variable name after quantifier")
+            raise self.error("expected a variable name after quantifier", at)
         if name in self.sigma:
-            raise self.error(f"variable {name!r} shadows a signature symbol")
+            raise self.error(f"variable {name!r} shadows a signature symbol", at)
         self.expect(".")
         body = self.formula()
         return Forall(name, body) if quant == "forall" else Exists(name, body)
@@ -631,28 +636,29 @@ class _Parser:
             self.take()
             kind, val = self.take()
             if kind != "num" or val not in ("0", "1"):
-                raise self.error("copy index must be 0 or 1")
+                raise self.error("copy index must be 0 or 1", self.i - 1)
             return int(val)
         if self.doubled:
             raise self.error(f"symbol {name!r} needs a copy index in doubled mode")
         return None
 
     def term(self) -> Term:
+        at = self.i
         kind, val = self.take()
         if kind == "num":
             return OrdinalLiteral(OrdinalNotation.from_int(int(val)))
         if kind != "ident":
-            raise self.error(f"expected a term, got {val!r}")
+            raise self.error(f"expected a term, got {val!r}", at)
         if val == "w":
             return OrdinalLiteral(OMEGA)
         if val in ("true", "false", "forall", "exists", MEMBERSHIP):
-            raise self.error(f"{val!r} cannot appear in a term")
+            raise self.error(f"{val!r} cannot appear in a term", at)
         if val in self.sigma:
             decl = self.sigma.decl(val)
             copy = self.copy_suffix(val)
             if decl.kind == "Constant":
                 return Const(val, copy)
-            raise self.error(f"relation {val!r} used as a term")
+            raise self.error(f"relation {val!r} used as a term", at)
         return Var(val)
 
 

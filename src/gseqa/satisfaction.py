@@ -17,7 +17,11 @@ Two evaluation domains are supported:
   therefore grows inward with the remaining quantifier rank and outward
   with the values already chosen, which is what makes statements like
   "every element has a strict successor" come out true here while they
-  are false in every finite surrogate.
+  are false in every finite surrogate. The argument holds for the
+  structure cut down to the symbols a formula reads, so the support
+  anchors may come from those symbols' values alone; a machine's step
+  anchors each witness so (see validator), the public entries on the
+  whole state.
 
 Evaluation is table-driven, over bitsets. While variables are bound, a
 value that reads one of them is open. An open Boolean value is a Python
@@ -1036,11 +1040,13 @@ class EvalContext:
         self,
         formula: Formula,
         facts: StaticFacts,
+        top: int,
         variables: tuple[str, ...] = (),
         reps: int = 0,
     ) -> tuple[Any, Sequence[int] | None]:
         """The formula's truth table and the candidates its variables range
-        over.
+        over. top is the top of the support that the formula reads; with
+        the formula's own literals it fixes the largest anchor.
 
         With variables, the table is a bitset over len(candidates) ** k
         cells for k variables: bit i is the truth at the candidates whose
@@ -1051,10 +1057,12 @@ class EvalContext:
         value and the candidates are None.
         """
         _, rank, literals = facts
-        if self.interned is None:
-            anchor_max = _anchor_max(literals, self.support_max)
+        if not self.domain.is_omega:
+            anchor_max = 0  # a surrogate probes its whole universe, whatever the anchors
+        elif self.interned is None:
+            anchor_max = _anchor_max(literals, top)
         else:
-            anchor_max = max(self.support_max, self.interned.literal_max(literals))
+            anchor_max = max(top, self.interned.literal_max(literals))
         ev, candidates = self._setup(anchor_max, rank, reps)
         try:
             for x in variables:
@@ -1081,7 +1089,7 @@ class EvalContext:
         facts = self._facts(formula)
         if facts[0]:
             raise NotClosed(f"free variables {sorted(facts[0])} in sentence")
-        return bool(self._truth_table(formula, facts)[0])
+        return bool(self._truth_table(formula, facts, self.support_max)[0])
 
     @_depth_checked
     def defined_set(self, formula: Formula, var: str | None = None) -> OrdinalSet:
@@ -1094,7 +1102,7 @@ class EvalContext:
             var = next(iter(fv))
         elif fv - {var}:
             raise NotClosed(f"extra free variables {sorted(fv - {var})}")
-        bits, candidates = self._truth_table(formula, facts, (var,), 3)
+        bits, candidates = self._truth_table(formula, facts, self.support_max, (var,), 3)
         return self._read_set(bits, candidates, formula)
 
     @_depth_checked
@@ -1112,7 +1120,9 @@ class EvalContext:
             )
         if not variables:
             raise NotClosed("defined_relation needs at least one variable")
-        bits, candidates = self._truth_table(formula, facts, tuple(variables), 1)
+        bits, candidates = self._truth_table(
+            formula, facts, self.support_max, tuple(variables), 1
+        )
         return self._read_relation(bits, candidates, variables)
 
     def _read_set(self, bits: int, candidates: Sequence[int], formula: Formula) -> OrdinalSet:

@@ -49,6 +49,17 @@ def _kind(value: object) -> type:
     return int if isinstance(value, numbers.Integral) else frozenset
 
 
+def _value_bound(value: Value) -> int:
+    """Least n such that the value lives below n (a set modulo its
+    cofinite tail); see State.support_bound."""
+    kind = _kind(value)
+    if kind is int:
+        return value + 1
+    if kind is OrdinalSet:
+        return value.support_bound()
+    return max([max(t, default=-1) + 1 for t in value], default=0)
+
+
 # each kind's name, in the order of its group in State.items
 _KINDS = {int: "constant", OrdinalSet: "unary relation", frozenset: "relation"}
 _RANK = {kind: i for i, kind in enumerate(_KINDS)}
@@ -135,21 +146,12 @@ class State:
         their cofinite tail).
 
         Worked out once per state and kept in a field that takes no part
-        in equality: a run's step reads it for its memo keys and again
-        for its evaluation's probe bounds.
+        in equality, since every evaluation context built on the state
+        reads it.
         """
         if self._support_bound is not None:
             return self._support_bound
-        bound = 0
-        for _, value in self.items:
-            kind = _kind(value)
-            if kind is int:
-                bound = max(bound, value + 1)
-            elif kind is OrdinalSet:
-                bound = max(bound, value.support_bound())
-            else:
-                for t in value:
-                    bound = max(bound, max(t, default=-1) + 1)
+        bound = max([0, *map(_value_bound, self._values.values())])
         object.__setattr__(self, "_support_bound", bound)
         return bound
 

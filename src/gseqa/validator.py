@@ -11,17 +11,20 @@ step kernel that the runtime drives.
 Admission also records each transition part's footprint: the symbols,
 membership aside, that its body reads. A step is fixed by a bounded set
 of terms (Gurevich's bounded-exploration postulate), and here that set
-is small: evaluating a part reads only its footprint symbols' values,
-the evaluation domain and the anchor maximum, which at w is the larger
-of the state's support top and the body's own literals. A run therefore
-keys each part's value by (part, support bound at w or None on a
-surrogate, footprint values) and looks the key up before evaluating,
-which is the memo by dependencies of self-adjusting computation (Acar,
-Blelloch and Harper, "Adaptive functional programming", POPL 2002). A hit
-returns what evaluation would have returned, and since only values are
-stored, every check that can raise still runs once per distinct key.
-Dropping the support from the key would lift the hit rate but skip the
-tail-representative check at a new anchor, which could have failed.
+is small: evaluating a part reads only its footprint symbols' values and
+the evaluation domain. At w the part is probed from its own anchor
+maximum, the larger of the top of its footprint values' support and the
+body's own literals. The threshold argument (see satisfaction) holds for
+the structure cut down to the symbols a formula reads, so that anchor
+serves as well as the whole state's, and a symbol that no witness reads
+moves no probe. A run therefore keys each part's value by (part,
+footprint values) and looks the key up before evaluating, which is the
+memo by dependencies of self-adjusting computation (Acar, Blelloch and
+Harper, "Adaptive functional programming", POPL 2002). The key fixes
+the whole computation, the anchor included, so a hit returns bit for
+bit what evaluation would return; and since only values are stored,
+every check that can raise, the tail representatives' among them, still
+runs once per distinct key.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .logic import (
 )
 from .ordinals import OMEGA, OrdinalNotation, OrdinalSet
 from .satisfaction import EvalContext, EvalDomain, Interned
-from .states import State, Tci, models_tci
+from .states import State, Tci, _value_bound, models_tci
 
 GSEQA = "gseqa"
 GSEQAP = "gseqap"
@@ -156,10 +159,9 @@ class _Transition:
 
     order holds the parts' names in State.items order, so that a step
     builds its successor's items without a sort or a check. With the
-    part's index and the support bound at w, or None on a surrogate, its
-    footprint values key the part's value in memo. run gives each call a
-    memo of its own (see _memoised); a step without one keys into a fresh
-    one.
+    part's index, its footprint values key the part's value in memo; they
+    also fix the anchor it is evaluated from. run gives each call a memo
+    of its own (see _memoised); a step without one keys into a fresh one.
     """
 
     parts: tuple[_Part, ...]
@@ -430,16 +432,22 @@ def domain_for(kappa: OrdinalNotation) -> EvalDomain | None:
 
 
 def _evaluate_parts(
-    parts: Sequence[_Part], state: State, domain: EvalDomain, interned: Interned | None = None
+    parts: Sequence[tuple[_Part, int]],
+    state: State,
+    domain: EvalDomain,
+    interned: Interned | None = None,
 ) -> dict[str, object]:
     """The value each witness defines over the state, by symbol name, in
-    the parts' order. interned is the table the part bodies come from, if
-    they were compiled. An evaluation error names the part's symbol."""
+    the parts' order. Each part comes with the top of the support its
+    footprint reads, which with its literals anchors its probes; parts
+    with equal anchors share one evaluator and its closed-node memo.
+    interned is the table the part bodies come from, if they were
+    compiled. An evaluation error names the part's symbol."""
     ctx = EvalContext.single(state, domain, interned)
     values: dict[str, object] = {}
-    for part in parts:
+    for part, top in parts:
         try:
-            values[part.decl.name] = _part_value(ctx, part, state)
+            values[part.decl.name] = _part_value(ctx, part, top, state)
             continue
         except RecursionError:
             error: GseqaError = Unsupported("formula is nested too deeply to evaluate")
@@ -452,15 +460,16 @@ def _evaluate_parts(
     return values
 
 
-def _part_value(ctx: EvalContext, part: _Part, state: State) -> object:
-    """One part's value, read straight off its truth table; admission put
-    the body's free variables among the part's. Raises D6Violation when a
-    constant's witness pins no single value."""
+def _part_value(ctx: EvalContext, part: _Part, top: int, state: State) -> object:
+    """One part's value, read straight off its truth table, whose probes
+    start from top and the body's literals; admission put the body's free
+    variables among the part's. Raises D6Violation when a constant's
+    witness pins no single value."""
     decl, body, variables = part.decl, part.body, part.variables
     if decl.arity > 1:
-        bits, candidates = ctx._truth_table(body, ctx._facts(body), variables, 1)
+        bits, candidates = ctx._truth_table(body, ctx._facts(body), top, variables, 1)
         return ctx._read_relation(bits, candidates, variables)
-    bits, candidates = ctx._truth_table(body, ctx._facts(body), variables, 3)
+    bits, candidates = ctx._truth_table(body, ctx._facts(body), top, variables, 3)
     if decl.kind == "Relation":
         return ctx._read_set(bits, candidates, body)
     # a constant's value is its one set bit, unless a far representative holds it
@@ -477,26 +486,37 @@ def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
     """The successor state, its items in the order fixed at admission. Each
     part's key (see _Transition) is read from the state's map one name at
     a time, and only the parts that miss the memo are evaluated, under
-    one context; a state that lacks a symbol fails there, memo or not."""
+    one context, each from the top of its key's values at w (a surrogate
+    takes no anchor; see EvalContext._truth_table); a state that lacks a
+    symbol fails there, memo or not."""
     memo = {} if transition.memo is None else transition.memo
-    anchor = state.support_bound() if domain.is_omega else None
+    omega = domain.is_omega
     read = state.by_name.__getitem__
     values: dict[str, object] = {}
-    missed = []
+    missed, keys = [], []
     for i, part in enumerate(transition.parts):
         try:
-            key = (i, anchor, *map(read, part.footprint))
+            key = (i, *map(read, part.footprint))
         except KeyError:
             # State.value raises MissingSymbol, which names the symbol
-            key = (i, anchor, *map(state.value, part.footprint))
+            key = (i, *map(state.value, part.footprint))
         value = memo.get(key)
         if value is None:
-            missed.append((part, key))
+            # the top of the support the part reads, its values' largest
+            # bound less one; most values are constants, bounded inline
+            top = 1
+            if omega:
+                for v in key[1:]:
+                    bound = v + 1 if type(v) is int else _value_bound(v)
+                    if bound > top:
+                        top = bound
+            missed.append((part, top - 1))
+            keys.append(key)
         else:
             values[part.decl.name] = value
     if missed:
-        fresh = _evaluate_parts([part for part, _ in missed], state, domain, transition.interned)
-        for part, key in missed:
+        fresh = _evaluate_parts(missed, state, domain, transition.interned)
+        for (part, _), key in zip(missed, keys):
             values[part.decl.name] = memo[key] = fresh[part.decl.name]
     return State(state.kappa, tuple([(name, values[name]) for name in transition.order]))
 
@@ -671,7 +691,8 @@ def _semantic_issues(
     start = None
     values: dict[str, object] = {}
     try:
-        values = _evaluate_parts(default_parts, blank, domain)
+        # a default reads membership alone, so no support anchors it
+        values = _evaluate_parts([(part, 0) for part in default_parts], blank, domain)
     except D6Violation as exc:
         issues.append(ValidationIssue("BadConstraint", exc.detail, symbol=exc.symbol))
     except (Unrepresentable, ThresholdViolation, Unsupported) as exc:

@@ -187,6 +187,25 @@ def test_parse_errors_quote_an_excerpt_of_a_long_text():
     assert message.endswith(f"{text[where - 30:where + 30]!r}...")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("In(x)   In(x)", "trailing input at position 8"),
+        ("In(x) &   ) ", "expected a term, got ')' at position 10"),
+        ("x <  forall", "'forall' cannot appear in a term at position 5"),
+        ("x = In", "relation 'In' used as a term at position 4"),
+        ("forall   In. In(x)", "variable 'In' shadows a signature symbol at position 9"),
+        ("exists  3. In(x)", "expected a variable name after quantifier at position 8"),
+        ("In(x)  $", "unexpected character '$' at 7"),
+    ],
+)
+def test_a_parse_error_points_at_the_offending_token(text, message):
+    # past the whitespace before the token, and at a token already taken
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text, SIGMA)
+    assert str(exc.value).startswith(message)
+
+
 def test_doubled_mode_requires_copies():
     f = parse_formula("In@1(x) <-> ~Out@0(x)", SIGMA, doubled=True)
     assert is_binary(f)
@@ -195,7 +214,7 @@ def test_doubled_mode_requires_copies():
     # membership never takes a copy index
     g = parse_formula("forall x. (x < h@0)", SIGMA, doubled=True)
     assert is_binary(g)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^copy index must be 0 or 1 at position 2 in"):
         parse_formula("h@2 = 0", SIGMA, doubled=True)
 
 

@@ -6,8 +6,10 @@ each successor state part by part from the normalised witness bodies,
 through defined_set and defined_relation, which share no memo with the
 step, and run every construction once with the step checked against
 phi_tau. A run also looks each part up in its footprint memo
-before evaluating it; the last tests check that the memo changes no
-trace byte, lives on the run and keys on the support at w.
+before evaluating it, and evaluates a part that misses from the support
+its footprint reads; the last tests check that the memo changes no
+trace byte, lives on the run and keys on nothing but the footprint
+values, and that every state a run visits steps as the entries do.
 """
 
 import dataclasses
@@ -383,12 +385,13 @@ def test_the_memo_lives_on_the_run(monkeypatch):
     assert vm._transition.memo is None
 
 
-def test_the_support_is_in_the_key_at_omega(machines, monkeypatch):
+def test_a_symbol_no_witness_reads_is_not_in_the_key(machines, monkeypatch):
     # Neither witness of the nested machine reads Out, so states that
-    # differ only in Out share every footprint value. Out = {9} raises the
-    # support top from 3 to 9, which moves the probe bounds; Out = {2}
-    # leaves it.
-    stepper = _memoised(machines["nested"])
+    # differ only in Out share every key, and each part is anchored on
+    # its own footprint: Out = {9} lifts the state's support top from 3
+    # to 9, but not the top of what any part reads.
+    vm = machines["nested"]
+    stepper = _memoised(vm)
     count = _count_evaluations(monkeypatch)
     domain = EvalDomain.omega()
     evaluated = []
@@ -397,6 +400,47 @@ def test_the_support_is_in_the_key_at_omega(machines, monkeypatch):
             OMEGA, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite(out)}
         )
         before = count[0]
-        apply_transition(stepper, state, domain)
+        stepped = apply_transition(stepper, state, domain)
         evaluated.append(count[0] - before)
-    assert evaluated == [2, 2, 0]
+        assert stepped == reference_step(vm, state, domain)
+    assert evaluated == [2, 0, 0]
+
+
+@pytest.mark.parametrize("out", [4096, 2**21])
+def test_a_far_value_that_no_witness_reads_moves_no_probe(machines, out):
+    # The whole state's support top would put the nested machine's
+    # comparisons over tables of some 17 million cells or more, past the
+    # cap; the parts read In alone, whose top is 3.
+    state = State.make(OMEGA, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite({out})})
+    stepped = apply_transition(machines["nested"], state, EvalDomain.omega())
+    assert stepped == State.make(
+        OMEGA, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite({1, 3})}
+    )
+
+
+def _reference_or_error(vm, state, domain):
+    try:
+        return reference_step(vm, state, domain)
+    except (GseqaError, ValueError) as exc:
+        # a constant's witness that pins no single value fails the unpacking
+        return type(exc)
+
+
+@pytest.mark.parametrize("name, inputs", MEMO_RUNS)
+def test_every_visited_state_steps_as_the_public_entries_do(memo_machines, name, inputs):
+    # The step anchors each part on the support its footprint reads; the
+    # public entries anchor every formula on the whole state's support.
+    # Every state a run visits is stepped under the run's memo, so that
+    # hits are checked too, and through the entries.
+    vm = memo_machines[name]
+    domain = domain_for(vm.kappa)
+    for A in inputs:
+        trace = run(vm, OrdinalSet.finite(A), Budget(40, 1, snapshotPolicy="all"))
+        stepper = _memoised(vm)
+        for _, state in trace.snapshots:
+            got = _step_or_error(stepper, state, domain)
+            want = _reference_or_error(vm, state, domain)
+            if isinstance(got, str):
+                assert isinstance(want, type), (got, state)
+            else:
+                assert got == want, state
