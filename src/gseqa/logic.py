@@ -378,10 +378,21 @@ def map_formula(f: Node, fn: Callable[[Node], Node]) -> Node:
 # What static_facts returns: free variables, quantifier rank, ordinal literals.
 StaticFacts = tuple[frozenset[str], int, frozenset[OrdinalNotation]]
 
+# Every stored empty set is this one: a sentence has no free variable and
+# many formulas no literal, and an empty frozenset takes 216 bytes.
+_EMPTY: frozenset = frozenset()
+
 
 def static_facts(f: Formula) -> StaticFacts:
     """The free variables, the quantifier rank and the ordinal literals of
-    f, from one walk."""
+    f, from one walk. The result is stored on f the first time it is asked,
+    and later calls on the same object return it: a formula is immutable,
+    and a rebuilt one is a new object that gets facts of its own. The
+    stored tuple is not a field, so equality, hashing and repr ignore it. A
+    walk too deep for the stack raises RecursionError and stores nothing."""
+    facts = getattr(f, "_static_facts", None)
+    if facts is not None:
+        return facts
     bound: list[str] = []
     free: set[str] = set()
     literals: set[OrdinalNotation] = set()
@@ -413,7 +424,9 @@ def static_facts(f: Formula) -> StaticFacts:
         return 0
 
     rank = walk(f)
-    return frozenset(free), rank, frozenset(literals)
+    facts = frozenset(free) if free else _EMPTY, rank, frozenset(literals) if literals else _EMPTY
+    object.__setattr__(f, "_static_facts", facts)
+    return facts
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -506,6 +519,18 @@ _BINARY: dict[str, tuple[type, int, bool]] = {
 }
 
 
+def _excerpt(text: str, where: int) -> str:
+    """Where a parse error is: its position and the text around it. A text
+    over 80 characters is quoted 30 characters either side of the position,
+    with ... for each cut end."""
+    start, end = max(where - 30, 0), where + 30
+    if len(text) <= 80:
+        start, end = 0, len(text)
+    head = "..." if start > 0 else ""
+    tail = "..." if end < len(text) else ""
+    return f"at position {where} in {head}{text[start:end]!r}{tail}"
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) for each token, ending with an end token. A
     token's position is that of its first character, past any whitespace."""
@@ -517,7 +542,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             rest = text[pos:].lstrip()
             if rest:
                 where = len(text) - len(rest)
-                raise ParseError(f"unexpected character {rest[0]!r} at {where}")
+                raise ParseError(f"unexpected character {rest[0]!r} {_excerpt(text, where)}")
             break
         tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
@@ -535,15 +560,9 @@ class _Parser:
 
     def error(self, msg: str, at: int | None = None) -> ParseError:
         """A ParseError at the token with index at, the current one by
-        default. A text over 80 characters is quoted 30 characters either
-        side of it, with ... for each cut end."""
+        default (see _excerpt)."""
         where = self.tokens[self.i if at is None else at][2]
-        start, end = max(where - 30, 0), where + 30
-        if len(self.text) <= 80:
-            start, end = 0, len(self.text)
-        head = "..." if start > 0 else ""
-        tail = "..." if end < len(self.text) else ""
-        return ParseError(f"{msg} at position {where} in {head}{self.text[start:end]!r}{tail}")
+        return ParseError(f"{msg} {_excerpt(self.text, where)}")
 
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.i][:2]

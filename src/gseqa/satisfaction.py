@@ -77,13 +77,16 @@ calls it on each part's table, or takes a constant's one set bit. Each
 node kind's semantics is written once, as a method of the one evaluator
 class, and two dispatchers reach it:
 
-* A raw formula is analysed on each call and interpreted node by node;
-  this is what sat, sat2, defined_set and defined_relation do, because a
-  fresh formula is seen once and compiling it would cost more than it
-  saves: interning every sentence of the benchmark's differential
-  workload walks 112 200 nodes, where the interpreter, which skips the
-  arms that a settled connective does not need, reaches 51 220, and the
-  workload took almost three times as long.
+* A raw formula is interpreted node by node; this is what sat, sat2,
+  defined_set and defined_relation do. Its static facts, and at w each
+  quantifier body's rank, are worked out on the first call and stored on
+  the formula object (logic.static_facts), so the benchmark's ten
+  evaluations of one differential sentence walk it once. It is not
+  compiled, because a raw formula is evaluated a few times at most and
+  compiling it would cost more than it saves: interning every sentence
+  of the differential workload walks 112 200 nodes, where the
+  interpreter, which skips the arms that a settled connective does not
+  need, reaches 51 220, and the workload took almost three times as long.
 * A machine's transition is compiled once, at admission: its witness
   bodies are interned into one table (Interned), so structurally equal
   subformulas are one object, with static facts and a closure built from
@@ -237,6 +240,21 @@ class _Setup(NamedTuple):
     patterns: dict[tuple, Any]
 
 
+def _depth_checked(method: Callable) -> Callable:
+    """Report a formula too deep for the recursive walks as Unsupported,
+    not as a bare RecursionError."""
+
+    @functools.wraps(method)
+    def checked(*args: Any, **kwargs: Any) -> Any:
+        try:
+            return method(*args, **kwargs)
+        except RecursionError:
+            raise Unsupported("formula is nested too deeply to evaluate") from None
+
+    return checked
+
+
+@_depth_checked
 def threshold_bound(formula: Formula, state: State, *states: State) -> int:
     """The finite-evaluation bound B(formula, state).
 
@@ -646,8 +664,9 @@ class _Evaluator:
         arg: Any,
     ) -> Any:
         """f's quantifier over the candidates, where body(arg) evaluates
-        f's body with f.var bound. A body_rank of None is read off f.body
-        when the probe bound needs it.
+        f's body with f.var bound. A body_rank of None, as the interpreter
+        passes, is read off f.body when the probe bound needs it, through
+        quantifier_rank, which stores it on f.body for later calls.
 
         A body that does not read f.var is the value. One that does has
         f.var, the deepest variable, as its highest digit, so its cells
@@ -964,20 +983,6 @@ class Interned:
             return value
 
         return memo
-
-
-def _depth_checked(method: Callable) -> Callable:
-    """Report a formula too deep for the recursive walks as Unsupported,
-    not as a bare RecursionError."""
-
-    @functools.wraps(method)
-    def checked(*args: Any, **kwargs: Any) -> Any:
-        try:
-            return method(*args, **kwargs)
-        except RecursionError:
-            raise Unsupported("formula is nested too deeply to evaluate") from None
-
-    return checked
 
 
 class EvalContext:

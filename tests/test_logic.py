@@ -7,6 +7,7 @@ over a small machine-flavoured signature.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
@@ -185,6 +186,15 @@ def test_parse_errors_quote_an_excerpt_of_a_long_text():
     assert len(message) < 200
     where = int(re.search(r"at position (\d+) in \.\.\.'", message).group(1))
     assert message.endswith(f"{text[where - 30:where + 30]!r}...")
+    # the tokenizer's own error quotes the same excerpt
+    text = " & ".join(["In(x)"] * 12) + " $ " + " & ".join(["Out(x)"] * 12)
+    where = text.index("$")
+    with pytest.raises(ParseError) as stray:
+        parse_formula(text, SIGMA)
+    assert str(stray.value) == (
+        f"unexpected character '$' at position {where} in "
+        f"...{text[where - 30:where + 30]!r}..."
+    )
 
 
 @pytest.mark.parametrize(
@@ -196,7 +206,7 @@ def test_parse_errors_quote_an_excerpt_of_a_long_text():
         ("x = In", "relation 'In' used as a term at position 4"),
         ("forall   In. In(x)", "variable 'In' shadows a signature symbol at position 9"),
         ("exists  3. In(x)", "expected a variable name after quantifier at position 8"),
-        ("In(x)  $", "unexpected character '$' at 7"),
+        ("In(x)  $", "unexpected character '$' at position 7 in 'In(x)  $'"),
     ],
 )
 def test_a_parse_error_points_at_the_offending_token(text, message):
@@ -376,7 +386,50 @@ def test_static_facts_agree_with_references(f):
     literals = {n.value for n in nodes(f) if isinstance(n, OrdinalLiteral)}
     expected = (reference_free_vars(f), reference_rank(f), literals)
     assert static_facts(f) == expected
+    # the second call reads the stored answers; so does the second call on
+    # each quantifier body, asked after the root
     assert (free_vars(f), quantifier_rank(f), ordinal_literals(f)) == expected
+    for node in nodes(f):
+        if isinstance(node, (Exists, Forall)):
+            body = node.body
+            literals = {n.value for n in nodes(body) if isinstance(n, OrdinalLiteral)}
+            want = (reference_free_vars(body), reference_rank(body), literals)
+            assert static_facts(body) == want
+            assert static_facts(body) == want
+
+
+def test_static_facts_are_stored_on_the_formula():
+    f = parse_formula("forall x. (In(x) <-> exists y. (E(x, y) & y < 3))", SIGMA)
+    assert static_facts(f) is static_facts(f)
+    body = f.body
+    assert quantifier_rank(body) == 1
+    assert static_facts(body) is static_facts(body)
+
+
+def test_stored_facts_leave_equality_hash_and_repr_alone():
+    text = "forall x. (In(x) <-> exists y. (E(x, y) & y < 3))"
+    f = parse_formula(text, SIGMA)
+    static_facts(f)
+    static_facts(f.body)
+    fresh = parse_formula(text, SIGMA)
+    assert f == fresh and fresh == f
+    assert hash(f) == hash(fresh)
+    assert repr(f) == repr(fresh)
+    assert {f: 1}[fresh] == 1
+
+
+def test_a_rebuilt_formula_gets_facts_of_its_own():
+    f = parse_formula("exists y. (E(x, y) & y < 3)", SIGMA)
+    assert static_facts(f) == (frozenset({"x"}), 1, frozenset({lit(3).value}))
+    stamped = with_copy(f, 0)
+    assert stamped != f
+    assert static_facts(stamped) == static_facts(f)
+    assert static_facts(stamped) is not static_facts(f)
+    renamed = map_formula(f, lambda n: Var("z") if n == Var("x") else n)
+    assert static_facts(renamed) == (frozenset({"z"}), 1, frozenset({lit(3).value}))
+    rebound = dataclasses.replace(f, var="x")
+    assert static_facts(rebound) == (frozenset({"y"}), 1, frozenset({lit(3).value}))
+    assert static_facts(f) == (frozenset({"x"}), 1, frozenset({lit(3).value}))
 
 
 # interning --------------------------------------------------------------------

@@ -164,9 +164,14 @@ def test_long_right_nested_chains_evaluate():
 
 def test_too_deep_a_chain_is_unsupported_not_a_recursion_error():
     # the parser takes a flat chain of any length; the recursive walks
-    # behind evaluation do not, and must say so with a GseqaError
-    with pytest.raises(Unsupported, match="nested too deeply to evaluate"):
-        sat(P(" & ".join(["In(1)"] * 1200)), base_state(), EvalDomain.omega())
+    # behind evaluation do not, and must say so with a GseqaError; a walk
+    # that overflows stores no facts, so a second call refuses again
+    f = P(" & ".join(["In(1)"] * 1200))
+    for _ in range(2):
+        with pytest.raises(Unsupported, match="nested too deeply to evaluate"):
+            sat(f, base_state(), EvalDomain.omega())
+        with pytest.raises(Unsupported, match="nested too deeply to evaluate"):
+            threshold_bound(f, base_state())
     with pytest.raises(Unsupported, match="nested too deeply to evaluate"):
         defined_set(P(" & ".join(["In(x)"] * 1200)), base_state(), EvalDomain.omega())
 
@@ -174,6 +179,16 @@ def test_too_deep_a_chain_is_unsupported_not_a_recursion_error():
 def test_closedness_is_enforced():
     with pytest.raises(NotClosed):
         sat(P("In(x)"), base_state(), EvalDomain.omega())
+    # the second call on a formula reads its stored static facts, and
+    # still checks them, at w and on a surrogate
+    f = P("exists y. E(x, y)")
+    g = P("exists y. E@0(x, y) & In@1(y)", doubled=True)
+    for domain in (EvalDomain.omega(), EvalDomain.surrogate(5)):
+        for _ in range(2):
+            with pytest.raises(NotClosed, match=r"\['x'\]"):
+                sat(f, base_state(), domain)
+            with pytest.raises(NotClosed, match=r"\['x'\]"):
+                sat2(g, (base_state(), base_state()), domain)
 
 
 def test_copy_discipline():
