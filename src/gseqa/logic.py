@@ -371,7 +371,10 @@ def map_formula(f: Node, fn: Callable[[Node], Node]) -> Node:
     through fn. Nodes fn returns are not visited again."""
     kids = children(f)
     if kids:
-        f = _with_children(f, tuple(map_formula(k, fn) for k in kids))
+        mapped = []
+        for k in kids:  # a loop, not a generator: one frame per level
+            mapped.append(map_formula(k, fn))
+        f = _with_children(f, tuple(mapped))
     return fn(f)
 
 
@@ -383,48 +386,41 @@ StaticFacts = tuple[frozenset[str], int, frozenset[OrdinalNotation]]
 _EMPTY: frozenset = frozenset()
 
 
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, which is a or b itself whenever one holds the other, so that a
+    node's facts mostly share its subformulas' sets."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
 def static_facts(f: Formula) -> StaticFacts:
     """The free variables, the quantifier rank and the ordinal literals of
-    f, from one walk. The result is stored on f the first time it is asked,
-    and later calls on the same object return it: a formula is immutable,
-    and a rebuilt one is a new object that gets facts of its own. The
-    stored tuple is not a field, so equality, hashing and repr ignore it. A
-    walk too deep for the stack raises RecursionError and stores nothing."""
+    f, folded from its subformulas' facts, an atom's from its arguments.
+    Each node's facts are stored on it, outside its fields, and returned by
+    later calls on the same object: a formula is immutable, and a rebuilt
+    one is a new object. So a node whose subformulas hold facts, as an
+    interned node's do, costs O(1). A fold too deep for the stack raises
+    RecursionError; the nodes it finished keep their facts."""
     facts = getattr(f, "_static_facts", None)
     if facts is not None:
         return facts
-    bound: list[str] = []
-    free: set[str] = set()
-    literals: set[OrdinalNotation] = set()
-
-    def walk(g: Formula) -> int:
-        if isinstance(g, (And, Or, Implies, Iff)):
-            return max(walk(g.left), walk(g.right))
-        if isinstance(g, Not):
-            return walk(g.body)
-        if isinstance(g, (Exists, Forall)):
-            bound.append(g.var)
-            rank = walk(g.body)
-            bound.pop()
-            return rank + 1
-        if isinstance(g, Equal):
-            args: tuple[Term, ...] = (g.left, g.right)
-        elif isinstance(g, Apply):
-            args = g.args
-        elif isinstance(g, Truth):
-            return 0
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        for t in args:
-            if isinstance(t, Var):
-                if t.name not in bound:
-                    free.add(t.name)
-            elif isinstance(t, OrdinalLiteral):
-                literals.add(t.value)
-        return 0
-
-    rank = walk(f)
-    facts = frozenset(free) if free else _EMPTY, rank, frozenset(literals) if literals else _EMPTY
+    if isinstance(f, (And, Or, Implies, Iff)):
+        free, rank, literals = static_facts(f.left)
+        right_free, right_rank, right_literals = static_facts(f.right)
+        facts = _union(free, right_free), max(rank, right_rank), _union(literals, right_literals)
+    elif isinstance(f, Not):
+        facts = static_facts(f.body)
+    elif isinstance(f, (Exists, Forall)):
+        free, rank, literals = static_facts(f.body)
+        facts = free - {f.var} if f.var in free else free, rank + 1, literals
+    elif isinstance(f, (Apply, Equal, Truth)):
+        args = children(f)
+        free = frozenset([t.name for t in args if isinstance(t, Var)]) or _EMPTY
+        literals = frozenset([t.value for t in args if isinstance(t, OrdinalLiteral)]) or _EMPTY
+        facts = free, 0, literals
+    else:
+        raise TypeError(f"not a formula: {f!r}")
     object.__setattr__(f, "_static_facts", facts)
     return facts
 

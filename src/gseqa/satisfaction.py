@@ -66,35 +66,38 @@ forall y. ((exists z. y = z) | R(w)) is true, where a larger universe
 evaluates R(w) and raises Unsupported for the infinite literal. No value
 differs; only an error that the skipped arm would raise goes unseen.
 
-Every entry evaluates through an EvalContext: one view per state, the top
-of the states' support, and one evaluator per probe set-up, each worked
-out once. A set-up's candidates and quantifier values are immutable
-sequences; an interned table builds them and their patterns once for all
-its contexts, and a raw formula's context builds its own. One reader per
-value kind decodes a table's set bits, lowest first: defined_set and
-defined_relation check their arguments and call it, and a machine's step
-calls it on each part's table, or takes a constant's one set bit. Each
-node kind's semantics is written once, as a method of the one evaluator
-class, and two dispatchers reach it:
+Every entry evaluates through an EvalContext: one view per state and one
+evaluator per probe set-up, each worked out once. Its caller hands it
+each formula's largest anchor: a public entry takes the top of its
+states' support and the formula's literals, a machine's step each part's
+footprint values and literals. A set-up's candidates and quantifier
+values are immutable sequences; an interned table builds them and their
+patterns once for all its contexts, and a raw formula's context builds
+its own. One reader per value kind decodes a table's set bits, lowest
+first: defined_set and defined_relation check their arguments and call
+it, and a machine's step calls it on each part's table, or takes a
+constant's one set bit. Each node kind's semantics is written once, as a
+method of the one evaluator class, and two dispatchers reach it:
 
 * A raw formula is interpreted node by node; this is what sat, sat2,
-  defined_set and defined_relation do. Its static facts, and at w each
-  quantifier body's rank, are worked out on the first call and stored on
-  the formula object (logic.static_facts), so the benchmark's ten
-  evaluations of one differential sentence walk it once. It is not
-  compiled, because a raw formula is evaluated a few times at most and
-  compiling it would cost more than it saves: interning every sentence
-  of the differential workload walks 112 200 nodes, where the
+  defined_set and defined_relation do. Its static facts are folded on
+  the first call and stored on each of its nodes (logic.static_facts),
+  so the benchmark's ten evaluations of one differential sentence walk
+  it once, and at w each quantifier reads its body's stored rank. It is
+  not compiled, because a raw formula is evaluated a few times at most
+  and compiling it would cost more than it saves: interning every
+  sentence of the differential workload walks 112 200 nodes, where the
   interpreter, which skips the arms that a settled connective does not
-  need, reaches 51 220, and the workload took almost three times as long.
+  need, reaches 51 220, and the workload took almost three times as
+  long.
 * A machine's transition is compiled once, at admission: its witness
   bodies are interned into one table (Interned), so structurally equal
-  subformulas are one object, with static facts and a closure built from
-  its children's. A step runs every witness's closures under one context
-  for the state, which computes each closed node once, however many
-  witnesses share it. Running the interned bodies through the
-  interpreter with the same memo made the benchmark's bridge and
-  constructions workloads 10-20% slower.
+  subformulas are one object, whose static facts are folded from its
+  children's stored ones and whose closure is built from theirs. A step
+  runs every witness's closures under one context for the state, which
+  computes each closed node once, however many witnesses share it.
+  Running the interned bodies through the interpreter with the same memo
+  made the benchmark's bridge and constructions workloads 10-20% slower.
 """
 
 from __future__ import annotations
@@ -125,7 +128,6 @@ from .logic import (
     Not,
     Or,
     OrdinalLiteral,
-    StaticFacts,
     Term,
     Truth,
     Var,
@@ -666,7 +668,8 @@ class _Evaluator:
         """f's quantifier over the candidates, where body(arg) evaluates
         f's body with f.var bound. A body_rank of None, as the interpreter
         passes, is read off f.body when the probe bound needs it, through
-        quantifier_rank, which stores it on f.body for later calls.
+        quantifier_rank, which returns the rank stored there by the fold of
+        the formula's static facts.
 
         A body that does not read f.var is the value. One that does has
         f.var, the deepest variable, as its highest digit, so its cells
@@ -788,8 +791,6 @@ def _check_omega_ok(views: Mapping[int | None, State]) -> None:
             )
 
 
-_NONE: frozenset = frozenset()
-
 # The most cells a bitset over two or more axes may have: 2 MiB of bits.
 # The largest table of the test suite and the benchmark has 2 744 000
 # cells. Without a cap, at w a state whose support reaches 2^21 would ask
@@ -805,25 +806,15 @@ _KEPT = 64
 _Closure = Callable[[_Evaluator], Any]
 
 
-def _union(sets: Sequence[frozenset]) -> frozenset:
-    """The union of the sets, which is one of them whenever one holds the
-    rest, so that a node's facts mostly share its children's sets."""
-    out = sets[0]
-    for s in sets[1:]:
-        if not s <= out:
-            out = s if out <= s else out | s
-    return out
-
-
 class Interned:
     """Formulas hash-consed into one table: structurally equal subformulas
     become one object (Filliatre & Conchon, "Type-safe modular
-    hash-consing", ML Workshop 2006). Each node keeps, keyed by identity,
-    its static facts, combined from its children's, and a closure built
-    from its children's closures. Adding a formula takes one table lookup
-    per tree node and one construction, with its facts and closure, per
-    node the table lacks. An EvalContext built with the table evaluates
-    the formulas it returned, and only those.
+    hash-consing", ML Workshop 2006). Each node carries its static facts,
+    folded from its children's (logic.static_facts), and the table keeps,
+    keyed by identity, a closure built from its children's closures. Adding
+    a formula takes one table lookup per tree node and one construction,
+    with its facts and closure, per node the table lacks. An EvalContext
+    built with the table evaluates the formulas it returned, and only those.
 
     The table also keeps the probe set-ups its contexts ask for (see
     setup), so that a machine's steps do not rebuild them, or the patterns
@@ -831,9 +822,7 @@ class Interned:
 
     def __init__(self) -> None:
         self._nodes: dict[object, Node] = {}
-        self.facts: dict[int, StaticFacts] = {}
         self.closures: dict[int, _Closure] = {}
-        self._literal_max: dict[int, int] = {}
         self._setups: dict[tuple, _Setup] = {}
         self._held = 0  # the candidates in _setups, counted in elements
         self._longest = 0  # the most quantifier values of any set-up built
@@ -870,18 +859,9 @@ class Interned:
                 node = Const(formula.name, stamp)
             else:
                 node = _with_children(formula, kids) if kids else formula
-            self.facts[id(node)] = self._facts_of(node)
             self.closures[id(node)] = self._compile(node)
             self._nodes[key] = node
         return node
-
-    def literal_max(self, literals: frozenset[OrdinalNotation]) -> int:
-        """The largest finite literal in a literal set of the table's facts,
-        or 0, worked out once per set."""
-        top = self._literal_max.get(id(literals))
-        if top is None:
-            top = self._literal_max[id(literals)] = _anchor_max(literals, 0)
-        return top
 
     def setup(self, domain: EvalDomain, anchor_max: int, rank: int, reps: int) -> _Setup:
         """One probe set-up (see _setup_values), built once and shared by
@@ -908,20 +888,6 @@ class Interned:
                     self._held = len(setup.candidates)
             self._setups[key] = setup
         return setup
-
-    def _facts_of(self, node: Node) -> StaticFacts:
-        if isinstance(node, Var):
-            return frozenset((node.name,)), 0, _NONE
-        if isinstance(node, OrdinalLiteral):
-            return _NONE, 0, frozenset((node.value,))
-        kids = [self.facts[id(k)] for k in children(node)]
-        if isinstance(node, (Exists, Forall)):
-            free, rank, literals = kids[0]
-            return free - {node.var}, rank + 1, literals
-        if not kids:
-            return _NONE, 0, _NONE
-        free, ranks, literals = zip(*kids)
-        return _union(free), max(ranks), _union(literals)
 
     def _compile(self, node: Node) -> _Closure:
         """The node's closure. A closed formula node's closure computes it
@@ -968,9 +934,9 @@ class Interned:
                 return ev.combine(kind, left, b(ev)) if settled is None else settled
 
         else:
-            (a,), body_rank = c, self.facts[id(node.body)][1]
+            (a,), body_rank = c, quantifier_rank(node.body)
             fn = lambda ev: ev.quantify(node, body_rank, a, ev)
-        free, rank, _ = self.facts[id(node)]
+        free, rank, _ = static_facts(node)
         if free:
             return fn
         nid = id(node)
@@ -986,9 +952,9 @@ class Interned:
 
 
 class EvalContext:
-    """Evaluation over fixed states in one domain: one view per state, the
-    top of their support, one evaluator per probe set-up and, over
-    interned formulas, every closed node already evaluated. Build one per
+    """Evaluation over fixed states in one domain: one view per state, one
+    evaluator per probe set-up and, over interned formulas, every closed
+    node already evaluated. Build one per
     state; it answers every formula asked of that state. Over interned
     formulas the set-ups come from the table, which keeps them across
     contexts; a raw formula's context builds its own."""
@@ -1003,7 +969,6 @@ class EvalContext:
         self.views = {k: made.setdefault(id(s), _View(s)) for k, s in views.items()}
         self.states = views
         self.domain = domain
-        self.support_max = _support_max(v.state for v in made.values())
         self.interned = interned
         self.memo: dict[object, Any] = {}
         self._setups: dict[tuple[int, int, int], tuple[_Evaluator, Sequence[int] | None]] = {}
@@ -1015,10 +980,12 @@ class EvalContext:
         """A context for one state, read by bare and copy-0 references."""
         return EvalContext({None: state, 0: state}, domain, interned)
 
-    def _facts(self, formula: Formula) -> StaticFacts:
-        if self.interned is None:
-            return static_facts(formula)
-        return self.interned.facts[id(formula)]
+    def _anchor(self, literals: frozenset[OrdinalNotation]) -> int:
+        """A public entry's largest anchor: its states' support top and the
+        formula's finite literals at w, 0 on a surrogate (see _truth_table)."""
+        if not self.domain.is_omega:
+            return 0
+        return _anchor_max(literals, _support_max(self.states.values()))
 
     def _setup(
         self, anchor_max: int, rank: int, reps: int
@@ -1044,14 +1011,16 @@ class EvalContext:
     def _truth_table(
         self,
         formula: Formula,
-        facts: StaticFacts,
-        top: int,
+        rank: int,
+        anchor_max: int,
         variables: tuple[str, ...] = (),
         reps: int = 0,
     ) -> tuple[Any, Sequence[int] | None]:
         """The formula's truth table and the candidates its variables range
-        over. top is the top of the support that the formula reads; with
-        the formula's own literals it fixes the largest anchor.
+        over. rank is the formula's quantifier rank and anchor_max its
+        largest anchor, which the caller works out: a public entry from its
+        states' support (see _anchor), a step from each part's footprint
+        (see validator), and 0 on a surrogate, which probes its whole universe.
 
         With variables, the table is a bitset over len(candidates) ** k
         cells for k variables: bit i is the truth at the candidates whose
@@ -1061,13 +1030,6 @@ class EvalContext:
         _setup_values). With no variables the table is a single truth
         value and the candidates are None.
         """
-        _, rank, literals = facts
-        if not self.domain.is_omega:
-            anchor_max = 0  # a surrogate probes its whole universe, whatever the anchors
-        elif self.interned is None:
-            anchor_max = _anchor_max(literals, top)
-        else:
-            anchor_max = max(top, self.interned.literal_max(literals))
         ev, candidates = self._setup(anchor_max, rank, reps)
         try:
             for x in variables:
@@ -1091,23 +1053,22 @@ class EvalContext:
     @_depth_checked
     def sentence(self, formula: Formula) -> bool:
         """Truth of a sentence."""
-        facts = self._facts(formula)
-        if facts[0]:
-            raise NotClosed(f"free variables {sorted(facts[0])} in sentence")
-        return bool(self._truth_table(formula, facts, self.support_max)[0])
+        free, rank, literals = static_facts(formula)
+        if free:
+            raise NotClosed(f"free variables {sorted(free)} in sentence")
+        return bool(self._truth_table(formula, rank, self._anchor(literals))[0])
 
     @_depth_checked
     def defined_set(self, formula: Formula, var: str | None = None) -> OrdinalSet:
         """The set a one-free-variable formula defines; see defined_set."""
-        facts = self._facts(formula)
-        fv = facts[0]
+        fv, rank, literals = static_facts(formula)
         if var is None:
             if len(fv) != 1:
                 raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
             var = next(iter(fv))
         elif fv - {var}:
             raise NotClosed(f"extra free variables {sorted(fv - {var})}")
-        bits, candidates = self._truth_table(formula, facts, self.support_max, (var,), 3)
+        bits, candidates = self._truth_table(formula, rank, self._anchor(literals), (var,), 3)
         return self._read_set(bits, candidates, formula)
 
     @_depth_checked
@@ -1115,8 +1076,7 @@ class EvalContext:
         self, formula: Formula, variables: tuple[str, ...] | None = None
     ) -> frozenset[tuple[int, ...]]:
         """The finite relation a formula defines; see defined_relation."""
-        facts = self._facts(formula)
-        fv = facts[0]
+        fv, rank, literals = static_facts(formula)
         if variables is None:
             variables = tuple(sorted(fv))
         if not fv <= set(variables):
@@ -1126,7 +1086,7 @@ class EvalContext:
         if not variables:
             raise NotClosed("defined_relation needs at least one variable")
         bits, candidates = self._truth_table(
-            formula, facts, self.support_max, tuple(variables), 1
+            formula, rank, self._anchor(literals), tuple(variables), 1
         )
         return self._read_relation(bits, candidates, variables)
 

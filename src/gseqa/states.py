@@ -146,7 +146,7 @@ class State:
         their cofinite tail).
 
         Worked out once per state and kept in a field that takes no part
-        in equality, since every evaluation context built on the state
+        in equality, since every public evaluation entry on the state
         reads it.
         """
         if self._support_bound is not None:

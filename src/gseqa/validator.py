@@ -61,10 +61,12 @@ from .logic import (
     children,
     free_vars,
     land,
+    ordinal_literals,
+    quantifier_rank,
     substitute,
 )
 from .ordinals import OMEGA, OrdinalNotation, OrdinalSet
-from .satisfaction import EvalContext, EvalDomain, Interned
+from .satisfaction import EvalContext, EvalDomain, Interned, _anchor_max
 from .states import State, Tci, _value_bound, models_tci
 
 GSEQA = "gseqa"
@@ -141,12 +143,14 @@ class ValidatedMachine:
 @dataclass(frozen=True)
 class _Part:
     """One normalized witness, ready for the step kernel, with its footprint
-    (see the module docstring): empty for a default, which reads membership."""
+    (see the module docstring), empty for a default, which reads membership,
+    and literal_top, its body's largest finite literal or 0."""
 
     decl: SymbolDecl
     variables: tuple[str, ...]
     body: Formula
     footprint: tuple[str, ...] = ()
+    literal_top: int = 0
 
 
 @dataclass(frozen=True)
@@ -253,7 +257,7 @@ def _normalize_tau(decl: SymbolDecl, formula: Formula, sigma: Signature, table: 
     which leaves the first pass's nodes unused in the table."""
     variables = witness_variables(decl)
     body = table.add(formula, 0)
-    fitted = _fit_variables(decl.name, formula, table.facts[id(body)][0], variables)
+    fitted = _fit_variables(decl.name, formula, free_vars(body), variables)
     if fitted is not formula:
         body = table.add(fitted, 0)
     refs = _references(body)
@@ -262,7 +266,8 @@ def _normalize_tau(decl: SymbolDecl, formula: Formula, sigma: Signature, table: 
             raise NotBounded(decl.name, f"references {ref.name}@{ref.copy}")
     _check_symbol_usage(refs, sigma)
     footprint = {ref.name for ref in refs} - {MEMBERSHIP}
-    return _Part(decl, variables, body, tuple(sorted(footprint)))
+    literal_top = _anchor_max(ordinal_literals(body), 0)
+    return _Part(decl, variables, body, tuple(sorted(footprint)), literal_top)
 
 
 def _normalize_default(decl: SymbolDecl, formula: Formula, sigma: Signature) -> _Part:
@@ -275,7 +280,8 @@ def _normalize_default(decl: SymbolDecl, formula: Formula, sigma: Signature) -> 
         if ref.copy is not None:
             raise NotSimple(decl.name, "copy indices have no place in a default")
     _check_symbol_usage(refs, sigma)
-    return _Part(decl, variables, formula)
+    literal_top = _anchor_max(ordinal_literals(formula), 0)
+    return _Part(decl, variables, formula, literal_top=literal_top)
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +444,16 @@ def _evaluate_parts(
     interned: Interned | None = None,
 ) -> dict[str, object]:
     """The value each witness defines over the state, by symbol name, in
-    the parts' order. Each part comes with the top of the support its
-    footprint reads, which with its literals anchors its probes; parts
-    with equal anchors share one evaluator and its closed-node memo.
+    the parts' order. Each part comes with its largest anchor at w, which
+    fixes its probes; parts with equal anchors share one evaluator and its
+    closed-node memo.
     interned is the table the part bodies come from, if they were
     compiled. An evaluation error names the part's symbol."""
     ctx = EvalContext.single(state, domain, interned)
     values: dict[str, object] = {}
-    for part, top in parts:
+    for part, anchor in parts:
         try:
-            values[part.decl.name] = _part_value(ctx, part, top, state)
+            values[part.decl.name] = _part_value(ctx, part, anchor, state)
             continue
         except RecursionError:
             error: GseqaError = Unsupported("formula is nested too deeply to evaluate")
@@ -460,16 +466,17 @@ def _evaluate_parts(
     return values
 
 
-def _part_value(ctx: EvalContext, part: _Part, top: int, state: State) -> object:
+def _part_value(ctx: EvalContext, part: _Part, anchor: int, state: State) -> object:
     """One part's value, read straight off its truth table, whose probes
-    start from top and the body's literals; admission put the body's free
+    start from the given largest anchor; admission put the body's free
     variables among the part's. Raises D6Violation when a constant's
     witness pins no single value."""
     decl, body, variables = part.decl, part.body, part.variables
+    rank = quantifier_rank(body)
     if decl.arity > 1:
-        bits, candidates = ctx._truth_table(body, ctx._facts(body), top, variables, 1)
+        bits, candidates = ctx._truth_table(body, rank, anchor, variables, 1)
         return ctx._read_relation(bits, candidates, variables)
-    bits, candidates = ctx._truth_table(body, ctx._facts(body), top, variables, 3)
+    bits, candidates = ctx._truth_table(body, rank, anchor, variables, 3)
     if decl.kind == "Relation":
         return ctx._read_set(bits, candidates, body)
     # a constant's value is its one set bit, unless a far representative holds it
@@ -486,9 +493,9 @@ def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
     """The successor state, its items in the order fixed at admission. Each
     part's key (see _Transition) is read from the state's map one name at
     a time, and only the parts that miss the memo are evaluated, under
-    one context, each from the top of its key's values at w (a surrogate
-    takes no anchor; see EvalContext._truth_table); a state that lacks a
-    symbol fails there, memo or not."""
+    one context, each anchored at w on its literal_top and its key's
+    values (a surrogate takes no anchor; see EvalContext._truth_table); a
+    state that lacks a symbol fails there, memo or not."""
     memo = {} if transition.memo is None else transition.memo
     omega = domain.is_omega
     read = state.by_name.__getitem__
@@ -502,15 +509,16 @@ def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
             key = (i, *map(state.value, part.footprint))
         value = memo.get(key)
         if value is None:
-            # the top of the support the part reads, its values' largest
+            # the top of the support the part reads is its values' largest
             # bound less one; most values are constants, bounded inline
-            top = 1
+            anchor = 0
             if omega:
+                anchor = part.literal_top
                 for v in key[1:]:
-                    bound = v + 1 if type(v) is int else _value_bound(v)
-                    if bound > top:
-                        top = bound
-            missed.append((part, top - 1))
+                    top = v if type(v) is int else _value_bound(v) - 1
+                    if top > anchor:
+                        anchor = top
+            missed.append((part, anchor))
             keys.append(key)
         else:
             values[part.decl.name] = value
@@ -691,8 +699,9 @@ def _semantic_issues(
     start = None
     values: dict[str, object] = {}
     try:
-        # a default reads membership alone, so no support anchors it
-        values = _evaluate_parts([(part, 0) for part in default_parts], blank, domain)
+        # a default reads membership alone, so only its literals anchor it
+        anchored = [(part, part.literal_top if domain.is_omega else 0) for part in default_parts]
+        values = _evaluate_parts(anchored, blank, domain)
     except D6Violation as exc:
         issues.append(ValidationIssue("BadConstraint", exc.detail, symbol=exc.symbol))
     except (Unrepresentable, ThresholdViolation, Unsupported) as exc:

@@ -213,6 +213,22 @@ class TestTransform:
         assert code == 1
         assert "2 input argument" in capsys.readouterr().err
 
+    def test_compose_takes_a_witness_that_validates(self, tmp_path):
+        # a left-deep chain of 599 conjunctions is admitted, so it composes
+        sigma = Signature()
+        tau = {"In": "In(x)", "Out": " & ".join(["In(x)"] * 600)}
+        spec = MachineSpec(
+            kappa=OMEGA,
+            sigma=sigma,
+            flavor=GSEQA,
+            tauWitnesses={k: parse_formula(v, sigma) for k, v in tau.items()},
+        )
+        wide = tmp_path / "wide.gsa"
+        wide.write_text(format_machine(spec))
+        assert main(["validate", str(wide)]) == 0
+        out = tmp_path / "twice.gsa"
+        assert main(["transform", "compose", str(wide), str(wide), "-o", str(out)]) == 0
+
     def test_mismatched_bounds_fail_cleanly(self, tmp_path, machine, capsys):
         tall = tmp_path / "tall.gsa"
         assert main(["transform", "lift", str(machine), "w*2", "-o", str(tall)]) == 0

@@ -2,9 +2,9 @@
 
 Admission interns each witness in one pass and runs its checks on the
 table's distinct nodes. For every machine the acceptance tests and
-tests/test_transforms.py admit, the table's facts, each part's footprint
-and the table's size must be what walks of the printed and reparsed
-trees give.
+tests/test_transforms.py admit, each interned body's static facts, each
+part's footprint and literal top, and the table's size must be what
+walks of the printed and reparsed trees give.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
 from gseqa.logic import (
     MEMBERSHIP,
+    OrdinalLiteral,
     Signature,
     SymbolDecl,
     format_formula,
@@ -28,7 +29,9 @@ from gseqa.logic import (
 from gseqa.ordinals import OMEGA, OrdinalNotation, parse_ordinal
 from gseqa.specfiles import parse_machine
 from gseqa.transforms import TmSpec, compile_tm, compose, dovetail, flip, lift
-from gseqa.validator import GSEQAP, MachineSpec, check_machine
+from gseqa.satisfaction import Interned
+from gseqa.validator import GSEQAP, MachineSpec, _collect_default, _collect_tau, check_machine
+from test_logic import reference_facts
 from tm_tools import EVEN_HALTING, WRITER, generated_halting_tms
 
 # criterion 7's machines
@@ -97,14 +100,28 @@ SPECS = _specs()
 def test_the_interned_table_agrees_with_tree_walks(name):
     spec = SPECS[name]
     transition = check_machine(spec, allow_finite_kappa=spec.kappa.is_finite, sample_size=4)._transition
-    facts = transition.interned.facts
     distinct = set()
     for part in transition.parts:
         tree = parse_formula(format_formula(part.body), spec.sigma, doubled=True)
         assert tree == part.body
-        assert facts[id(part.body)] == static_facts(tree)
+        assert static_facts(part.body) == reference_facts(tree)
         names = {sym for sym, _ in symbol_refs(tree)} - {MEMBERSHIP}
         assert part.footprint == tuple(sorted(names))
         distinct.update(nodes(tree))
     assert len(transition.interned) == len(distinct)
 
+
+def test_each_part_keeps_its_largest_literal():
+    seen = set()
+    for spec in SPECS.values():
+        tau, _ = _collect_tau(spec, Interned())
+        defaults, _ = _collect_default(spec)
+        for part in tau + defaults:
+            finite = [
+                n.value.to_int()
+                for n in nodes(part.body)
+                if isinstance(n, OrdinalLiteral) and n.value.is_finite
+            ]
+            assert part.literal_top == max(finite, default=0)
+            seen.add(part.literal_top)
+    assert len(seen) > 2

@@ -380,6 +380,12 @@ def reference_rank(f):
     return 0
 
 
+def reference_facts(f):
+    """What static_facts should give, from the reference walks."""
+    literals = {n.value for n in nodes(f) if isinstance(n, OrdinalLiteral)}
+    return reference_free_vars(f), reference_rank(f), literals
+
+
 @given(formulas)
 @settings(max_examples=300)
 def test_static_facts_agree_with_references(f):
@@ -396,6 +402,10 @@ def test_static_facts_agree_with_references(f):
             want = (reference_free_vars(body), reference_rank(body), literals)
             assert static_facts(body) == want
             assert static_facts(body) == want
+    # the root's fold stored facts on every formula node it reached
+    for node in nodes(f):
+        if not isinstance(node, (Var, Const, OrdinalLiteral)):
+            assert static_facts(node) == reference_facts(node)
 
 
 def test_static_facts_are_stored_on_the_formula():
@@ -446,18 +456,26 @@ def test_interned_facts_agree_with_static_facts(fs):
         for node in nodes(g):
             assert shared.setdefault(node, node) is node
             if not isinstance(node, (Var, Const, OrdinalLiteral)):
-                assert table.facts[id(node)] == static_facts(node)
+                assert static_facts(node) == reference_facts(node)
 
 
 def test_interning_a_long_chain_makes_no_static_walk(monkeypatch):
-    def refuse(f):
-        raise AssertionError("static_facts called while interning")
+    calls = [0]
+    fold = logic.static_facts
 
-    monkeypatch.setattr(logic, "static_facts", refuse)
-    monkeypatch.setattr(satisfaction, "static_facts", refuse)
+    def counted(f):
+        calls[0] += 1
+        return fold(f)
+
+    monkeypatch.setattr(logic, "static_facts", counted)
+    monkeypatch.setattr(satisfaction, "static_facts", counted)
     chain = land(*(rel("In", v("x")) for _ in range(400)))
     table = Interned()
-    table.add(chain)
-    assert table.facts[id(table.add(chain))] == (frozenset({"x"}), 0, frozenset())
+    interned = table.add(chain)
+    assert table.add(chain) is interned
     # x, In(x) and the 399 conjunctions
     assert len(table) == 401
+    # a new node's facts are folded from its children's stored ones: one
+    # call for the node and one per child, so no node walks its subtree
+    assert calls[0] <= 3 * len(table)
+    assert fold(interned) == (frozenset({"x"}), 0, frozenset())

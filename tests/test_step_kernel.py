@@ -40,6 +40,7 @@ from gseqa.validator import (
     sample_states,
     witness_variables,
 )
+from test_logic import reference_free_vars
 from tm_tools import EVEN_HALTING, WRITER
 
 PARITY = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "parity.apg"
@@ -215,9 +216,8 @@ def test_bridge_witnesses_share_their_row_guards(machines):
             seen.setdefault(node, set()).add(id(node))
     assert all(len(ids) == 1 for ids in seen.values())
     # tape T, head h and state q step under the same closed row guards
-    facts = transition.interned.facts
     guards = [
-        {id(n) for n in nodes(bodies[s]) if isinstance(n, And) and not facts[id(n)][0]}
+        {id(n) for n in nodes(bodies[s]) if isinstance(n, And) and not reference_free_vars(n)}
         for s in ("T", "h", "q")
     ]
     assert guards[0] & guards[1] & guards[2]
@@ -416,6 +416,18 @@ def test_a_far_value_that_no_witness_reads_moves_no_probe(machines, out):
     assert stepped == State.make(
         OMEGA, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite({1, 3})}
     )
+
+
+def test_a_step_never_reads_the_whole_states_support(machines, monkeypatch):
+    # a step anchors each part on its own footprint values and literals,
+    # so it never asks a fresh state for the top of its whole support
+    def refuse(self):
+        raise AssertionError("a step read the top of the whole state's support")
+
+    monkeypatch.setattr(State, "support_bound", refuse)
+    for vm in machines.values():
+        for state in sample_states(vm.spec, random.Random(7), count=4):
+            apply_transition(vm, state)
 
 
 def _reference_or_error(vm, state, domain):

@@ -4,6 +4,7 @@ the machine combinators against brute-force two-stage oracles."""
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,8 @@ from tm_tools import (
     halting_steps,
     simulate_tm,
 )
-from gseqa.errors import BadLift, KappaMismatch, ParseError, Unsupported
-from gseqa.logic import Apply, Var
+from gseqa.errors import BadLift, GseqaError, KappaMismatch, ParseError, Unsupported
+from gseqa.logic import Apply, Signature, Var, parse_formula
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet, parse_ordinal
 from gseqa.runtime import Budget, OutOfBudget, Terminated, run, unload
 from gseqa.transforms import (
@@ -33,7 +34,7 @@ from gseqa.transforms import (
     lift,
     parse_tm,
 )
-from gseqa.validator import GSEQAP, check_machine
+from gseqa.validator import GSEQA, GSEQAP, MachineSpec, check_machine
 
 BUDGET = Budget(maxSuccessorStepsPerSegment=3000, maxLimitJumps=1)
 
@@ -322,6 +323,46 @@ class TestLift:
         lifted = lift(compile_tm(WRITER), parse_ordinal("w*2"))
         vm = check_machine(lifted)
         assert vm.kappa == parse_ordinal("w*2")
+
+
+# ---------------------------------------------------------------------------
+# long witnesses
+
+
+def _wide(n, kappa=OMEGA):
+    """A machine whose Out witness is n conjuncts In(x), which parse to a
+    left-deep chain of n - 1 conjunctions."""
+    sigma = Signature()
+    tau = {"In": "In(x)", "Out": " & ".join(["In(x)"] * n)}
+    return MachineSpec(
+        kappa, sigma, GSEQA, tauWitnesses={k: parse_formula(t, sigma) for k, t in tau.items()}
+    )
+
+
+WIDE = {
+    "compose": lambda n: compose(_wide(n), _wide(n)),
+    "flip": lambda n: flip(_wide(n)),
+    "lift": lambda n: lift(_wide(n, OrdinalNotation.from_int(6)), 12),
+}
+
+
+def _admitted(spec):
+    """The construction admitted in a new thread, whose stack starts as
+    empty as a program's, so that the test runner's frames do not count
+    against the recursion limit."""
+    with ThreadPoolExecutor(1) as pool:
+        check = pool.submit(check_machine, spec, allow_finite_kappa=True, sample_size=4)
+        return check.result(timeout=300)
+
+
+@pytest.mark.parametrize("kind", list(WIDE))
+def test_a_long_chain_goes_through_every_construction(kind):
+    # the constructions rebuild witnesses one frame per level, as admission
+    # interns them, so they take what admission takes; past that, admission
+    # refuses with a GseqaError, never a bare RecursionError
+    assert _admitted(WIDE[kind](950))
+    with pytest.raises(GseqaError):
+        _admitted(WIDE[kind](985))
 
 
 # ---------------------------------------------------------------------------
