@@ -445,11 +445,7 @@ def symbol_refs(f: Formula) -> Iterator[tuple[str, int | None]]:
     )
 
 
-def _subst_term(t: Term, env: dict[str, Term]) -> Term:
-    return env.get(t.name, t) if isinstance(t, Var) else t
-
-
-def substitute(f: Formula, env: dict[str, Term]) -> Formula:
+def substitute(f: Node, env: dict[str, Term]) -> Node:
     """Capture-checked substitution of terms for free variables.
 
     A replacement term may hold variables, as when admission renames a
@@ -459,23 +455,21 @@ def substitute(f: Formula, env: dict[str, Term]) -> Formula:
     a quantifier binding it raises Unsupported, so callers pick names
     that no quantifier in the formula binds.
     """
-    if isinstance(f, Apply):
-        return Apply(f.name, tuple(_subst_term(t, env) for t in f.args), f.copy)
-    if isinstance(f, Equal):
-        return Equal(_subst_term(f.left, env), _subst_term(f.right, env))
-    if isinstance(f, Truth):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.body, env))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(substitute(f.left, env), substitute(f.right, env))
+    if isinstance(f, Var):
+        return env.get(f.name, f)
     if isinstance(f, (Exists, Forall)):
         inner = {k: t for k, t in env.items() if k != f.var}
         for t in inner.values():
             if Var(f.var) in nodes(t):
                 raise Unsupported(f"substitution would capture {f.var!r}")
         return type(f)(f.var, substitute(f.body, inner))
-    raise TypeError(f"not a formula: {f!r}")
+    kids = children(f)
+    if not kids:
+        return f
+    rebuilt = []
+    for k in kids:  # a loop, not a generator: one frame per level
+        rebuilt.append(substitute(k, env))
+    return _with_children(f, tuple(rebuilt))
 
 
 def with_copy(f: Formula, copy: int) -> Formula:

@@ -326,13 +326,12 @@ def _cell_events(stamp: OrdinalNotation, old: State, new: State) -> list[Event]:
                 events.append(Event(stamp, name, None, before, after))
         elif isinstance(after, OrdinalSet):
             before = old.relation(name)
-            if before == after:
-                continue
-            delta = before.symmetric_difference(after)
-            if delta.kind == "cofinite":
+            # the symmetric difference is cofinite exactly when the kinds
+            # differ; otherwise it is that of the supports
+            if before.kind != after.kind:
                 events.append(Event(stamp, name, "polarity", before.kind, after.kind))
             else:
-                for x in sorted(delta.elements):
+                for x in sorted(before.elements ^ after.elements):
                     events.append(Event(stamp, name, x, before.member(x), after.member(x)))
         else:
             before = old.tuples(name)

@@ -51,13 +51,14 @@ and bools, with no bitset around them; a closed operand that meets an open
 one becomes the all-ones or the zero pattern of its cells.
 
 Atoms over bound variables are patterns. x = c, x < c and c < x are a run
-of one axis, R(x) masks the view's one int for R, and an n-ary atom sets
-one cell per stored tuple. x = y, x < y, the bound masks and the shift
-masks that widen a value depend only on the probe set-up and the axes, so
-each is built once and kept with the set-up, its rows joined pairwise. A
-table over two or more axes with more than _MAX_CELLS cells, whether an
-atom, a pattern, a widened value or the truth table of a closed value,
-raises Unsupported before it is built; a table over one axis has no cap.
+of one axis, R(x) masks an int with one bit per stored element of R, and
+an n-ary atom sets one cell per stored tuple. x = y, x < y, the bound
+masks and the shift masks that widen a value depend only on the probe
+set-up and the axes, so each is built once and kept with the set-up, its
+rows joined pairwise. A table over two or more axes with more than
+_MAX_CELLS cells, whether an atom, a pattern, a widened value or the
+truth table of a closed value, raises Unsupported before it is built; a
+table over one axis has no cap.
 
 On a one-element surrogate every axis has length 1, so a quantifier's
 value is a plain bool even when its body reads an enclosing variable. A
@@ -66,8 +67,8 @@ forall y. ((exists z. y = z) | R(w)) is true, where a larger universe
 evaluates R(w) and raises Unsupported for the infinite literal. No value
 differs; only an error that the skipped arm would raise goes unseen.
 
-Every entry evaluates through an EvalContext: one view per state and one
-evaluator per probe set-up, each worked out once. Its caller hands it
+Every entry evaluates through an EvalContext, which reads its states
+directly and builds one evaluator per probe set-up. Its caller hands it
 each formula's largest anchor: a public entry takes the top of its
 states' support and the formula's literals, a machine's step each part's
 footprint values and literals. A set-up's candidates and quantifier
@@ -308,36 +309,6 @@ def _positions(bits: int) -> list[int]:
     return out
 
 
-class _View:
-    """Resolves one copy of the signature against a concrete state."""
-
-    def __init__(self, state: State):
-        self.state = state
-        self._tuples: dict[str, frozenset[tuple[int, ...]]] = {}
-        self._members: dict[str, int] = {}
-
-    def tuples(self, name: str, width: int) -> frozenset[tuple[int, ...]]:
-        """The symbol's stored tuples, checked once to have the given width."""
-        ts = self._tuples.get(name)
-        if ts is None:
-            ts = self.state.tuples(name)
-            for t in ts:
-                if len(t) != width:
-                    raise Unrepresentable(
-                        f"{name!r} holds {t}, which is not a {width}-tuple"
-                    )
-            self._tuples[name] = ts
-        return ts
-
-    def members(self, name: str, s: OrdinalSet) -> int:
-        """The stored elements of the unary relation s, named name, as one
-        int: bit e for each element e."""
-        bits = self._members.get(name)
-        if bits is None:
-            bits = self._members[name] = sum(1 << e for e in s.elements)
-        return bits
-
-
 class _Axis:
     """A bound variable: its binding depth, the increasing values it runs
     over, and the all-ones pattern of its cells. The values are a range
@@ -387,7 +358,8 @@ class _Evaluator:
     the union before they combine.
     Patterns that depend only on the set-up and the axes (x = y, x < y,
     the bound masks and the shift masks that widen a value) are kept in
-    the set-up's patterns, shared by every context on it.
+    the set-up's patterns, shared by every context on it. An atom reads
+    its copy's State directly, on each call.
 
     Two dispatchers reach the semantics: eval interprets a raw formula
     node by node, and an interned formula's closures (see
@@ -396,7 +368,7 @@ class _Evaluator:
     traffic; see the module docstring."""
 
     def __init__(self, ctx: "EvalContext", anchor_max: int, setup: _Setup):
-        self.views = ctx.views
+        self.states = ctx.states
         self.domain = ctx.domain
         self.memo = ctx.memo
         self.anchor_max = anchor_max
@@ -410,9 +382,9 @@ class _Evaluator:
 
     # -- plumbing ----------------------------------------------------------
 
-    def view(self, copy: int | None) -> _View:
+    def state(self, copy: int | None) -> State:
         try:
-            return self.views[copy]
+            return self.states[copy]
         except KeyError:
             if copy is None:
                 raise Unsupported(
@@ -517,7 +489,7 @@ class _Evaluator:
         return value.to_int()
 
     def constant(self, name: str, copy: int | None) -> int:
-        state = self.view(copy).state
+        state = self.state(copy)
         # State.constant checks the kind; it runs only for a missing name or
         # a value that is not a constant, and raises MissingSymbol naming it
         value = state.by_name.get(name)
@@ -580,16 +552,19 @@ class _Evaluator:
             bits = self.patterns[key] = _rows(rows, low.size)
         return bits, x.bit | y.bit, (1 << low.size * high.size) - 1
 
-    def unary(self, view: _View, name: str, arg: Any) -> Any:
-        s = view.state.relation(name)
+    def unary(self, state: State, name: str, arg: Any) -> Any:
+        s = state.relation(name)
         if type(arg) is _Axis:
-            # the stored elements that are candidates are their own indices
-            bits = view.members(name, s) & arg.low
+            # bit e per stored element e: a candidate below dense is its own index
+            bits = sum(1 << e for e in s.elements) & arg.low
             return (bits if s.is_finite else arg.full ^ bits), arg.bit, arg.full
         return s.member(arg)
 
-    def nary(self, view: _View, name: str, args: list) -> Any:
-        ts = view.tuples(name, len(args))
+    def nary(self, state: State, name: str, args: list) -> Any:
+        ts = state.tuples(name)
+        for t in ts:
+            if len(t) != len(args):
+                raise Unrepresentable(f"{name!r} holds {t}, which is not a {len(args)}-tuple")
         reads = 0
         for a in args:
             if type(a) is _Axis:
@@ -751,11 +726,11 @@ class _Evaluator:
         if isinstance(f, Apply):
             if f.name == MEMBERSHIP:
                 return self.less(self.term(f.args[0]), self.term(f.args[1]))
-            view = self.view(f.copy)
+            state = self.state(f.copy)
             args = [self.term(a) for a in f.args]
             if len(args) == 1:
-                return self.unary(view, f.name, args[0])
-            return self.nary(view, f.name, args)
+                return self.unary(state, f.name, args[0])
+            return self.nary(state, f.name, args)
         if isinstance(f, Equal):
             return self.equal(self.term(f.left), self.term(f.right))
         if isinstance(f, Truth):
@@ -782,8 +757,8 @@ class _Evaluator:
         raise TypeError(f"not a term: {t!r}")
 
 
-def _check_omega_ok(views: Mapping[int | None, State]) -> None:
-    for s in views.values():
+def _check_omega_ok(states: Mapping[int | None, State]) -> None:
+    for s in states.values():
         if s.kappa.is_finite:
             raise Unsupported(
                 "Omega evaluation needs an infinite universe; this state has "
@@ -916,9 +891,9 @@ class Interned:
                 fn = lambda ev: ev.less(a(ev), b(ev))
             elif len(c) == 1:
                 (a,) = c
-                fn = lambda ev: ev.unary(ev.view(copy), name, a(ev))
+                fn = lambda ev: ev.unary(ev.state(copy), name, a(ev))
             else:
-                fn = lambda ev: ev.nary(ev.view(copy), name, [a(ev) for a in c])
+                fn = lambda ev: ev.nary(ev.state(copy), name, [a(ev) for a in c])
         elif isinstance(node, Equal):
             a, b = c
             fn = lambda ev: ev.equal(a(ev), b(ev))
@@ -952,22 +927,20 @@ class Interned:
 
 
 class EvalContext:
-    """Evaluation over fixed states in one domain: one view per state, one
-    evaluator per probe set-up and, over interned formulas, every closed
-    node already evaluated. Build one per
-    state; it answers every formula asked of that state. Over interned
+    """Evaluation over fixed states in one domain, given as a map from
+    copy index to State: one evaluator per probe set-up and, over interned
+    formulas, every closed node already evaluated. Build one per state; it
+    answers every formula asked of that state. Over interned
     formulas the set-ups come from the table, which keeps them across
     contexts; a raw formula's context builds its own."""
 
     def __init__(
         self,
-        views: Mapping[int | None, State],
+        states: Mapping[int | None, State],
         domain: EvalDomain,
         interned: Interned | None = None,
     ):
-        made: dict[int, _View] = {}
-        self.views = {k: made.setdefault(id(s), _View(s)) for k, s in views.items()}
-        self.states = views
+        self.states = states
         self.domain = domain
         self.interned = interned
         self.memo: dict[object, Any] = {}

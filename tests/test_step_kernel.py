@@ -23,7 +23,7 @@ import pytest
 import gseqa
 from gseqa import runtime, validator
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
-from gseqa.errors import GseqaError, MachineInvalid
+from gseqa.errors import GseqaError, MachineInvalid, Unrepresentable
 from gseqa.logic import And, Signature, SymbolDecl, nodes, parse_formula
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet
 from gseqa.runtime import Budget, Failed, Terminated, dump_trace, load, run
@@ -69,7 +69,7 @@ def _nested():
 # E collects ordered pairs of inputs below 5, and Out holds the inputs
 # with an E-predecessor. Both witnesses read E under open variables, from
 # set-ups with different quantifier ranges (E's relation has rank 0, Out's
-# set rank 1) over the one view of the state.
+# set rank 1) over the one state.
 RELATION = {
     "In": "In(x)",
     "E": "E(x1, x2) | (In(x1) & x1 < x2 & In(x2) & x2 < 5)",
@@ -428,6 +428,29 @@ def test_a_step_never_reads_the_whole_states_support(machines, monkeypatch):
     for vm in machines.values():
         for state in sample_states(vm.spec, random.Random(7), count=4):
             apply_transition(vm, state)
+
+
+def test_a_step_refuses_stored_tuples_of_the_wrong_width():
+    # the atom E(x1, x2) checks the width of every tuple stored under E on
+    # the step path too, and the error names the part whose witness read it
+    sigma = Signature([SymbolDecl("E", "Relation", 2)])
+    witnesses = {"In": "In(x)", "Out": "Out(x)", "E": "E(x1, x2)"}
+    vm = check_machine(
+        MachineSpec(
+            kappa=OMEGA,
+            sigma=sigma,
+            flavor=GSEQA,
+            tauWitnesses={k: parse_formula(v, sigma) for k, v in witnesses.items()},
+            defaultWitnesses={"E": parse_formula("false", sigma)},
+        ),
+        sample_size=8,
+    )
+    empty = OrdinalSet.finite()
+    state = State.make(OMEGA, {"In": empty, "Out": empty, "E": {(1,)}})
+    with pytest.raises(Unrepresentable) as info:
+        apply_transition(vm, state)
+    assert info.value.symbol == "E"
+    assert str(info.value) == "value of 'E': 'E' holds (1,), which is not a 2-tuple"
 
 
 def _reference_or_error(vm, state, domain):
