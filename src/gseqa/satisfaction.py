@@ -72,13 +72,17 @@ directly and builds one evaluator per probe set-up. Its caller hands it
 each formula's largest anchor: a public entry takes the top of its
 states' support and the formula's literals, a machine's step each part's
 footprint values and literals. A set-up's candidates and quantifier
-values are immutable sequences; an interned table builds them and their
-patterns once for all its contexts, and a raw formula's context builds
-its own. One reader per value kind decodes a table's set bits, lowest
-first: defined_set and defined_relation check their arguments and call
-it, and a machine's step calls it on each part's table, or takes a
-constant's one set bit. Each node kind's semantics is written once, as a
-method of the one evaluator class, and two dispatchers reach it:
+values are immutable sequences. A machine's interned table builds them
+and their patterns once for all its contexts, and so does one table
+shared by every raw sentence's context, where the differential workload
+meets 81 set-ups in 10 000 contexts a round; a raw defined_set or
+defined_relation context builds its own, so that candidates sized by a
+state's support are not kept past the call. One reader per value kind
+decodes a table's set bits, lowest first: defined_set and
+defined_relation check their arguments and call it, and a machine's step
+calls it on each part's table, or takes a constant's one set bit. Each
+node kind's semantics is written once, as a method of the one evaluator
+class, and two dispatchers reach it:
 
 * A raw formula is interpreted node by node; this is what sat, sat2,
   defined_set and defined_relation do. Its static facts are folded on
@@ -723,7 +727,14 @@ class _Evaluator:
     # -- the interpreter ---------------------------------------------------
 
     def eval(self, f: Formula) -> Any:
-        if isinstance(f, Apply):
+        kind = type(f)
+        if kind is And or kind is Or or kind is Implies or kind is Iff:
+            left = self.eval(f.left)
+            settled = self.settle(kind, left)
+            if settled is not None:
+                return settled
+            return self.combine(kind, left, self.eval(f.right))
+        if kind is Apply:
             if f.name == MEMBERSHIP:
                 return self.less(self.term(f.args[0]), self.term(f.args[1]))
             state = self.state(f.copy)
@@ -731,28 +742,23 @@ class _Evaluator:
             if len(args) == 1:
                 return self.unary(state, f.name, args[0])
             return self.nary(state, f.name, args)
-        if isinstance(f, Equal):
-            return self.equal(self.term(f.left), self.term(f.right))
-        if isinstance(f, Truth):
-            return f.value
-        if isinstance(f, Not):
+        if kind is Not:
             return self.negate(self.eval(f.body))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            kind, left = type(f), self.eval(f.left)
-            settled = self.settle(kind, left)
-            if settled is not None:
-                return settled
-            return self.combine(kind, left, self.eval(f.right))
-        if isinstance(f, (Exists, Forall)):
+        if kind is Exists or kind is Forall:
             return self.quantify(f, None, self.eval, f.body)
+        if kind is Equal:
+            return self.equal(self.term(f.left), self.term(f.right))
+        if kind is Truth:
+            return f.value
         raise TypeError(f"not a formula: {f!r}")
 
     def term(self, t: Term) -> Any:
-        if isinstance(t, Var):
+        kind = type(t)
+        if kind is Var:
             return self.var(t.name)
-        if isinstance(t, Const):
+        if kind is Const:
             return self.constant(t.name, t.copy)
-        if isinstance(t, OrdinalLiteral):
+        if kind is OrdinalLiteral:
             return self.literal(t.value)
         raise TypeError(f"not a term: {t!r}")
 
@@ -772,16 +778,58 @@ def _check_omega_ok(states: Mapping[int | None, State]) -> None:
 # for 2^42 bits and end in a bare MemoryError.
 _MAX_CELLS = 1 << 24
 
-# how many times the longest quantifier range it has built a table keeps
-# in candidates; the bridge workload's machines need 42 to keep every
-# anchor they meet
+# how many times the longest quantifier range it has built a set-up table
+# keeps in candidates, or in a sentence's quantifier values; the bridge
+# workload's machines need 42 to keep every anchor they meet
 _KEPT = 64
 
 # A node's closure: its value under an evaluator.
 _Closure = Callable[[_Evaluator], Any]
 
 
-class Interned:
+class _SetupTable:
+    """Probe set-ups (see _setup_values), each built once and shared by
+    every context that asks for it, with the patterns its evaluators build
+    on it. A machine's interned table is one, for its steps; _SENTENCES is
+    the one for raw sentences, whose set-ups hold quantifier values but
+    no candidates.
+
+    Set-ups are kept until they would hold more than _KEPT times the
+    longest quantifier range built, counting a set-up's candidates, or
+    its quantifier values when it has none; then every set-up is dropped
+    and keeping starts over. A set-up's patterns are keyed by kind and
+    axis lengths, which its formulas bound, and each holds a bit per cell
+    of the axes it spans, or for the masks that widen a value, one such
+    pattern per halving step. So a long run that meets ever new anchors
+    holds a fixed multiple of its largest set-up, while a machine whose
+    runs revisit the same anchors, as the bridge workload's do, builds
+    each set-up once."""
+
+    def __init__(self) -> None:
+        self._setups: dict[tuple, _Setup] = {}
+        self._held = 0  # the elements that _setups counts, as above
+        self._longest = 0  # the most quantifier values of any set-up built
+
+    def setup(self, domain: EvalDomain, anchor_max: int, rank: int, reps: int) -> _Setup:
+        key = (domain, anchor_max, rank, reps)
+        setup = self._setups.get(key)
+        if setup is None:
+            setup = _Setup(*_setup_values(domain, anchor_max, rank, reps), {})
+            self._longest = max(self._longest, len(setup.quant_values))
+            held = len(setup.quant_values if setup.candidates is None else setup.candidates)
+            self._held += held
+            if self._held > _KEPT * self._longest:
+                self._setups.clear()
+                self._held = held
+            self._setups[key] = setup
+        return setup
+
+
+# the set-ups of every raw sentence's context
+_SENTENCES = _SetupTable()
+
+
+class Interned(_SetupTable):
     """Formulas hash-consed into one table: structurally equal subformulas
     become one object (Filliatre & Conchon, "Type-safe modular
     hash-consing", ML Workshop 2006). Each node carries its static facts,
@@ -791,16 +839,14 @@ class Interned:
     with its facts and closure, per node the table lacks. An EvalContext
     built with the table evaluates the formulas it returned, and only those.
 
-    The table also keeps the probe set-ups its contexts ask for (see
-    setup), so that a machine's steps do not rebuild them, or the patterns
-    built on them, state after state."""
+    The table is also a set-up table (see _SetupTable) for its contexts,
+    so that a machine's steps do not rebuild their probe set-ups, or the
+    patterns built on them, state after state."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._nodes: dict[object, Node] = {}
         self.closures: dict[int, _Closure] = {}
-        self._setups: dict[tuple, _Setup] = {}
-        self._held = 0  # the candidates in _setups, counted in elements
-        self._longest = 0  # the most quantifier values of any set-up built
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -837,32 +883,6 @@ class Interned:
             self.closures[id(node)] = self._compile(node)
             self._nodes[key] = node
         return node
-
-    def setup(self, domain: EvalDomain, anchor_max: int, rank: int, reps: int) -> _Setup:
-        """One probe set-up (see _setup_values), built once and shared by
-        every context that asks for it.
-
-        Set-ups are kept until their candidates would hold more than _KEPT
-        times the longest quantifier range built; then every set-up is
-        dropped and keeping starts over. A set-up's patterns are keyed by
-        kind and axis lengths, which the table's formulas bound, and each
-        holds a bit per cell of the axes it spans, or for the masks that
-        widen a value, one such pattern per halving step. So a long
-        run that meets ever new anchors holds a fixed multiple of its
-        largest set-up, while a machine whose runs revisit the same
-        anchors, as the bridge workload's do, builds each set-up once."""
-        key = (domain, anchor_max, rank, reps)
-        setup = self._setups.get(key)
-        if setup is None:
-            setup = _Setup(*_setup_values(domain, anchor_max, rank, reps), {})
-            self._longest = max(self._longest, len(setup.quant_values))
-            if setup.candidates is not None:
-                self._held += len(setup.candidates)
-                if self._held > _KEPT * self._longest:
-                    self._setups.clear()
-                    self._held = len(setup.candidates)
-            self._setups[key] = setup
-        return setup
 
     def _compile(self, node: Node) -> _Closure:
         """The node's closure. A closed formula node's closure computes it
@@ -930,9 +950,10 @@ class EvalContext:
     """Evaluation over fixed states in one domain, given as a map from
     copy index to State: one evaluator per probe set-up and, over interned
     formulas, every closed node already evaluated. Build one per state; it
-    answers every formula asked of that state. Over interned
-    formulas the set-ups come from the table, which keeps them across
-    contexts; a raw formula's context builds its own."""
+    answers every formula asked of that state. Over interned formulas the
+    set-ups come from the table, which keeps them across contexts; a raw
+    sentence's come from _SENTENCES, which every raw sentence shares, and
+    a raw defined_set's or defined_relation's are built here."""
 
     def __init__(
         self,
@@ -966,7 +987,8 @@ class EvalContext:
         """The evaluator and the candidates for one anchor maximum, rank
         and number of far representatives, built once per context. The
         set-up (see _setup_values) comes from the interned table when there
-        is one, and is built here otherwise.
+        is one, from _SENTENCES for a raw sentence (no representatives, so
+        no candidates), and is built here otherwise.
         """
         key = (anchor_max, rank, reps)
         setup = self._setups.get(key)
@@ -974,10 +996,12 @@ class EvalContext:
             return setup
         if self.domain.is_omega:
             _check_omega_ok(self.states)
-        if self.interned is None:
-            made = _Setup(*_setup_values(self.domain, anchor_max, rank, reps), {})
-        else:
+        if self.interned is not None:
             made = self.interned.setup(self.domain, anchor_max, rank, reps)
+        elif not reps:
+            made = _SENTENCES.setup(self.domain, anchor_max, rank, reps)
+        else:
+            made = _Setup(*_setup_values(self.domain, anchor_max, rank, reps), {})
         setup = self._setups[key] = (_Evaluator(self, anchor_max, made), made.candidates)
         return setup
 

@@ -718,12 +718,15 @@ def _semantic_issues(
                 )
             )
 
+    # one footprint memo for every sample: a part's value and its errors
+    # follow from its key, so a hit was evaluated without error before
+    sampled = replace(transition, memo={})
     rng = random.Random(SAMPLE_SEED)
     for state in sample_states(spec, rng, count=sample_size):
         if not models_tci(state, spec.sigma, tci).ok:
             continue
         try:
-            _step(transition, state, domain)
+            _step(sampled, state, domain)
         except (D6Violation, Unrepresentable, ThresholdViolation, Unsupported) as exc:
             detail = exc.detail if isinstance(exc, D6Violation) else str(exc)
             issues.append(

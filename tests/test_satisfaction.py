@@ -540,7 +540,7 @@ def _deep_bytes(obj, seen: set) -> int:
     return size
 
 
-def _held_bytes(table: Interned) -> int:
+def _held_bytes(table: satisfaction._SetupTable) -> int:
     """The bytes that the table's set-ups hold: candidates, quantifier
     ranges and every pattern kept with them."""
     seen: set = set()
@@ -561,6 +561,109 @@ def test_a_table_holds_a_fixed_multiple_of_its_largest_set_up():
             EvalContext.single(state, omega, table).defined_set(g, "x")
         largest = _deep_bytes(table.setup(omega, top, 0, 3), set())
         assert _held_bytes(table) <= 2 * (satisfaction._KEPT + 3) * largest
+
+
+def _sentence_table(monkeypatch) -> satisfaction._SetupTable:
+    """An empty table in place of the one that raw sentences share."""
+    table = satisfaction._SetupTable()
+    monkeypatch.setattr(satisfaction, "_SENTENCES", table)
+    return table
+
+
+def test_a_table_of_sentence_set_ups_holds_a_fixed_multiple_of_its_largest(monkeypatch):
+    # A sentence's set-up has quantifier values and patterns but no
+    # candidates; a table that counted only candidates kept all 800 set-ups
+    # here, about 222 MB, and the shared table would never clear.
+    shared = _sentence_table(monkeypatch)
+    interned = Interned()
+    f = P("exists y. In(y) & (forall z. z < y -> ~In(z))")
+    g = interned.add(f)
+    omega = EvalDomain.omega()
+    for k in range(1, 801):
+        state = State.make(OMEGA, {"In": OrdinalSet.finite({k})})
+        assert EvalContext.single(state, omega, interned).sentence(g)
+        assert sat(f, state, omega)
+        if k in (400, 800):
+            for table in (interned, shared):
+                largest = _deep_bytes(table.setup(omega, k, 2, 0), set())
+                assert _held_bytes(table) <= 2 * (satisfaction._KEPT + 3) * largest
+
+
+def test_raw_sentences_with_one_set_up_key_share_its_patterns(monkeypatch):
+    table = _sentence_table(monkeypatch)
+    setups = []
+    init = satisfaction._Evaluator.__init__
+
+    def spy(ev, ctx, anchor_max, setup):
+        setups.append(setup)
+        init(ev, ctx, anchor_max, setup)
+
+    monkeypatch.setattr(satisfaction._Evaluator, "__init__", spy)
+    f = P("exists y. In(y) & (forall z. z < y -> ~In(z))")
+    omega = EvalDomain.omega()
+    # equal domain, support top and rank: one set-up key
+    assert sat(f, State.make(OMEGA, {"In": OrdinalSet.finite({2, 5})}), omega)
+    built = dict(setups[0].patterns)
+    assert sat(f, State.make(OMEGA, {"In": OrdinalSet.finite({5})}), omega)
+    # another support top is another key
+    assert sat(f, State.make(OMEGA, {"In": OrdinalSet.finite({6})}), omega)
+    first, second, third = setups
+    assert first is second and third is not first
+    assert list(table._setups.values()) == [first, third]
+    assert built and second.patterns.keys() == built.keys()
+    assert all(second.patterns[key] is value for key, value in built.items())
+
+
+def test_a_raw_defined_set_leaves_the_sentence_table_unchanged(monkeypatch):
+    # its candidates are sized by the state's support, so they are not kept
+    table = _sentence_table(monkeypatch)
+    s = base_state()
+    for domain in (EvalDomain.omega(), EvalDomain.surrogate(8)):
+        sat(P("exists y. In(y) & y < h"), s, domain)
+    before, held = dict(table._setups), table._held
+    for domain in (EvalDomain.omega(), EvalDomain.surrogate(8)):
+        defined_set(P("In(x) & (exists y. x < y)"), s, domain, "x")
+        defined_relation(P("E(x, y)"), s, domain, ("x", "y"))
+    assert table._setups.keys() == before.keys() and table._held == held
+    assert all(table._setups[key] is setup for key, setup in before.items())
+
+
+def test_sentence_verdicts_do_not_depend_on_the_shared_tables_warmth(monkeypatch):
+    # criterion 1's sentences at w and at every surrogate size up to nine
+    # past the bound (below it, a verdict may depend on the size), once on
+    # one table kept warm throughout and once on a table emptied before
+    # each call
+    rng = random.Random(2718)
+    calls = []
+    for i in range(300):
+        states = (random_state(rng), random_state(rng)) if i % 2 else (random_state(rng),)
+        f = random_formula(rng, rank=3, guarded=True)
+        if i % 2:
+            f = stamp_random_copies(f, rng)
+        b = threshold_bound(f, *states)
+        for domain in (EvalDomain.omega(), *map(EvalDomain.surrogate, range(1, b + 9))):
+            calls.append((f, states, domain))
+
+    def verdict(f, states, domain):
+        return sat2(f, states, domain) if len(states) == 2 else sat(f, states[0], domain)
+
+    warm = _sentence_table(monkeypatch)
+    warm_verdicts = [verdict(*call) for call in calls]
+    assert len(warm._setups) < len(calls)
+    cold_verdicts = []
+    for call in calls:
+        _sentence_table(monkeypatch)
+        cold_verdicts.append(verdict(*call))
+    assert warm_verdicts == cold_verdicts
+
+
+def test_the_interpreter_refuses_what_is_not_a_formula_or_a_term(monkeypatch):
+    _sentence_table(monkeypatch)
+    ev, _ = EvalContext.single(base_state(), EvalDomain.omega())._setup(0, 0, 0)
+    with pytest.raises(TypeError, match="not a formula: Var"):
+        ev.eval(Var("x"))
+    with pytest.raises(TypeError, match="not a term: Truth"):
+        ev.term(Truth(True))
 
 
 def test_threshold_bound_shape():

@@ -494,6 +494,31 @@ def test_sampled_states_respect_pins():
         assert s.constant("c") == 4
 
 
+def test_admission_steps_its_samples_under_one_footprint_memo(monkeypatch):
+    # c is pinned, so every sample gives the parts that read c alone one
+    # footprint: each is evaluated once, not once per sample
+    sigma = BASE.extend([SymbolDecl("c", "Constant")])
+    spec = machine(
+        sigma,
+        tau={"In": "In(x)", "Out": "x = c", "c": "x = c"},
+        defaults={"c": "x = 4"},
+        flavor=GSEQAP,
+        params={"c": OrdinalNotation.from_int(4)},
+    )
+    calls: dict[int, int] = {}
+    part_value = validator._part_value
+
+    def counted(ctx, part, anchor, state):
+        calls[id(part)] = calls.get(id(part), 0) + 1
+        return part_value(ctx, part, anchor, state)
+
+    monkeypatch.setattr(validator, "_part_value", counted)
+    vm = check_machine(spec)
+    counts = {p.decl.name: calls[id(p)] for p in vm._transition.parts}
+    assert counts["Out"] == counts["c"] == 1
+    assert 1 < counts["In"] <= 64
+
+
 def test_sampled_states_fit_finite_universe():
     spec = machine(
         tau={"In": "In(x)", "Out": "Out(x)"}, kappa=OrdinalNotation.from_int(5)
