@@ -75,14 +75,15 @@ footprint values and literals. A set-up's candidates and quantifier
 values are immutable sequences. A machine's interned table builds them
 and their patterns once for all its contexts, and so does one table
 shared by every raw sentence's context, where the differential workload
-meets 81 set-ups in 10 000 contexts a round; a raw defined_set or
-defined_relation context builds its own, so that candidates sized by a
-state's support are not kept past the call. One reader per value kind
-decodes a table's set bits, lowest first: defined_set and
-defined_relation check their arguments and call it, and a machine's step
-calls it on each part's table, or takes a constant's one set bit. Each
-node kind's semantics is written once, as a method of the one evaluator
-class, and two dispatchers reach it:
+meets 81 set-ups in 10 000 contexts a round; both drop their set-ups once
+the patterns pass a fixed number of bits (see Interned.setup). A raw
+defined_set or defined_relation context builds its own, so that
+candidates sized by a state's support are not kept past the call. One
+reader per value kind decodes a table's set bits, lowest first:
+defined_set and defined_relation check their arguments and call it, and
+a machine's step calls it on each part's table, or takes a constant's one
+set bit. Each node kind's semantics is written once, as a method of the
+one evaluator class, and two dispatchers reach it:
 
 * A raw formula is interpreted node by node; this is what sat, sat2,
   defined_set and defined_relation do. Its static facts are folded on
@@ -110,7 +111,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     NotClosed,
@@ -236,15 +237,18 @@ def _setup_values(
     return range(top + _slack(rank) + 1), candidates
 
 
-class _Setup(NamedTuple):
-    """One probe set-up: the values its quantifiers range over, the
-    candidates of its truth tables' variables, and what its evaluators
-    build once for the set-up (axes and patterns; see _Evaluator), keyed
-    by kind and axis lengths."""
+class _Setup:
+    """One probe set-up (see _setup_values): the values its quantifiers
+    range over, the candidates of its truth tables' variables, and what
+    its evaluators build once for the set-up (axes and patterns; see
+    _Evaluator), keyed by kind and axis lengths, with their bits."""
 
-    quant_values: range
-    candidates: tuple[int, ...] | range | None
-    patterns: dict[tuple, Any]
+    __slots__ = ("quant_values", "candidates", "patterns", "cells")
+
+    def __init__(self, domain: EvalDomain, anchor_max: int, rank: int, reps: int):
+        self.quant_values, self.candidates = _setup_values(domain, anchor_max, rank, reps)
+        self.patterns: dict[tuple, Any] = {}
+        self.cells = 0  # the bits of the patterns, counted as each is stored
 
 
 def _depth_checked(method: Callable) -> Callable:
@@ -378,6 +382,7 @@ class _Evaluator:
         self.anchor_max = anchor_max
         # the range [0, n) that every quantifier runs over
         self.quant_values = setup.quant_values
+        self.setup = setup
         self.patterns = setup.patterns
         # the probe set-up, which with a node's identity keys its memo entry
         self.scope = (anchor_max, len(self.quant_values))
@@ -406,9 +411,16 @@ class _Evaluator:
         key = ("axis", len(self.bound), len(values))
         axis = self.patterns.get(key)
         if axis is None:
-            axis = self.patterns[key] = _Axis(len(self.bound), values)
+            axis = self._keep(key, _Axis(len(self.bound), values), 2 * len(values))
         self.bound[var] = axis
         return axis
+
+    def _keep(self, key: tuple, pattern: Any, cells: int) -> Any:
+        """Keep a pattern of the given bits with the set-up, for every
+        evaluator on it, and count them (see Interned.setup)."""
+        self.patterns[key] = pattern
+        self.setup.cells += cells
+        return pattern
 
     def _check_cells(self, what: str, reads: int, cells: int) -> None:
         """Raise Unsupported when a table would pass _MAX_CELLS cells,
@@ -482,7 +494,7 @@ class _Evaluator:
                         groups * 2 * half * stride + half * width
                     )
                 steps.append((mask, half * (stride - width)))
-            self.patterns[key] = steps
+            self._keep(key, steps, sum(mask.bit_length() for mask, _ in steps))
         return steps
 
     # -- the semantics of terms --------------------------------------------
@@ -553,7 +565,7 @@ class _Evaluator:
                 else:
                     row = low.full ^ ((1 << low.below(value + 1)) - 1)
                 rows.append(row)
-            bits = self.patterns[key] = _rows(rows, low.size)
+            bits = self._keep(key, _rows(rows, low.size), low.size * high.size)
         return bits, x.bit | y.bit, (1 << low.size * high.size) - 1
 
     def unary(self, state: State, name: str, arg: Any) -> Any:
@@ -721,7 +733,7 @@ class _Evaluator:
                     if not block:
                         break
                 rows.append(block)
-            mask = self.patterns[key] = (_rows(rows, cells), len(rows))
+            mask = self._keep(key, (_rows(rows, cells), len(rows)), cells * len(rows))
         return mask
 
     # -- the interpreter ---------------------------------------------------
@@ -775,61 +787,22 @@ def _check_omega_ok(states: Mapping[int | None, State]) -> None:
 # The most cells a bitset over two or more axes may have: 2 MiB of bits.
 # The largest table of the test suite and the benchmark has 2 744 000
 # cells. Without a cap, at w a state whose support reaches 2^21 would ask
-# for 2^42 bits and end in a bare MemoryError.
+# for 2^42 bits and end in a bare MemoryError. It is also the most bits
+# that the patterns a table keeps may hold between them (see
+# Interned.setup).
 _MAX_CELLS = 1 << 24
 
-# how many times the longest quantifier range it has built a set-up table
-# keeps in candidates, or in a sentence's quantifier values; the bridge
-# workload's machines need 42 to keep every anchor they meet
+# A table keeps candidates, or a sentence set-up's quantifier values, up
+# to this many times the longest quantifier range it has built since it
+# was last emptied; the bridge workload's machines need 42 to keep every
+# anchor they meet.
 _KEPT = 64
 
 # A node's closure: its value under an evaluator.
 _Closure = Callable[[_Evaluator], Any]
 
 
-class _SetupTable:
-    """Probe set-ups (see _setup_values), each built once and shared by
-    every context that asks for it, with the patterns its evaluators build
-    on it. A machine's interned table is one, for its steps; _SENTENCES is
-    the one for raw sentences, whose set-ups hold quantifier values but
-    no candidates.
-
-    Set-ups are kept until they would hold more than _KEPT times the
-    longest quantifier range built, counting a set-up's candidates, or
-    its quantifier values when it has none; then every set-up is dropped
-    and keeping starts over. A set-up's patterns are keyed by kind and
-    axis lengths, which its formulas bound, and each holds a bit per cell
-    of the axes it spans, or for the masks that widen a value, one such
-    pattern per halving step. So a long run that meets ever new anchors
-    holds a fixed multiple of its largest set-up, while a machine whose
-    runs revisit the same anchors, as the bridge workload's do, builds
-    each set-up once."""
-
-    def __init__(self) -> None:
-        self._setups: dict[tuple, _Setup] = {}
-        self._held = 0  # the elements that _setups counts, as above
-        self._longest = 0  # the most quantifier values of any set-up built
-
-    def setup(self, domain: EvalDomain, anchor_max: int, rank: int, reps: int) -> _Setup:
-        key = (domain, anchor_max, rank, reps)
-        setup = self._setups.get(key)
-        if setup is None:
-            setup = _Setup(*_setup_values(domain, anchor_max, rank, reps), {})
-            self._longest = max(self._longest, len(setup.quant_values))
-            held = len(setup.quant_values if setup.candidates is None else setup.candidates)
-            self._held += held
-            if self._held > _KEPT * self._longest:
-                self._setups.clear()
-                self._held = held
-            self._setups[key] = setup
-        return setup
-
-
-# the set-ups of every raw sentence's context
-_SENTENCES = _SetupTable()
-
-
-class Interned(_SetupTable):
+class Interned:
     """Formulas hash-consed into one table: structurally equal subformulas
     become one object (Filliatre & Conchon, "Type-safe modular
     hash-consing", ML Workshop 2006). Each node carries its static facts,
@@ -839,14 +812,17 @@ class Interned(_SetupTable):
     with its facts and closure, per node the table lacks. An EvalContext
     built with the table evaluates the formulas it returned, and only those.
 
-    The table is also a set-up table (see _SetupTable) for its contexts,
-    so that a machine's steps do not rebuild their probe set-ups, or the
-    patterns built on them, state after state."""
+    The table also keeps the probe set-ups its contexts ask for (see
+    setup), so that a machine's steps do not rebuild them, or the patterns
+    built on them, state after state. One table with no formulas,
+    _SENTENCES, keeps the set-ups of every raw sentence's context."""
 
     def __init__(self) -> None:
-        super().__init__()
         self._nodes: dict[object, Node] = {}
         self.closures: dict[int, _Closure] = {}
+        self._setups: dict[tuple, _Setup] = {}
+        self._held = 0  # the candidates, or a sentence's quantifier values, in _setups
+        self._longest = 0  # the most quantifier values of a set-up built since
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -883,6 +859,39 @@ class Interned(_SetupTable):
             self.closures[id(node)] = self._compile(node)
             self._nodes[key] = node
         return node
+
+    def setup(self, domain: EvalDomain, anchor_max: int, rank: int, reps: int) -> _Setup:
+        """One probe set-up (see _setup_values), built once and shared by
+        every context that asks for it.
+
+        Set-ups are kept until a new one would pass either of two budgets;
+        then every set-up is dropped and keeping starts over. Their
+        candidates, or a sentence set-up's quantifier values, may number
+        _KEPT times the longest quantifier range built since, so a long run
+        that meets ever new anchors holds a fixed multiple of its largest
+        set-up. And the patterns kept with them (see _Evaluator), counted
+        in bits as each is stored, may hold _MAX_CELLS bits, 2 MiB: a
+        pattern over the axes of a sentence at anchor a has about a^2 bits
+        or more, so a table that outlives its callers, as _SENTENCES does,
+        keeps few set-ups at large anchors. A machine whose runs revisit
+        the same anchors, as the bridge workload's do, builds each set-up
+        once; so does a differential round, whose 81 set-ups hold 1.4
+        million bits."""
+        key = (domain, anchor_max, rank, reps)
+        setup = self._setups.get(key)
+        if setup is None:
+            setup = _Setup(domain, anchor_max, rank, reps)
+            longest = len(setup.quant_values)
+            held = longest if setup.candidates is None else len(setup.candidates)
+            self._held += held
+            self._longest = max(self._longest, longest)
+            # a copy of the set-ups, which another thread's call may clear
+            kept = tuple(self._setups.values())
+            if self._held > _KEPT * self._longest or sum(k.cells for k in kept) > _MAX_CELLS:
+                self._setups.clear()
+                self._held, self._longest = held, longest
+            self._setups[key] = setup
+        return setup
 
     def _compile(self, node: Node) -> _Closure:
         """The node's closure. A closed formula node's closure computes it
@@ -946,6 +955,10 @@ class Interned(_SetupTable):
         return memo
 
 
+# the set-ups of every raw sentence's context
+_SENTENCES = Interned()
+
+
 class EvalContext:
     """Evaluation over fixed states in one domain, given as a map from
     copy index to State: one evaluator per probe set-up and, over interned
@@ -1001,7 +1014,7 @@ class EvalContext:
         elif not reps:
             made = _SENTENCES.setup(self.domain, anchor_max, rank, reps)
         else:
-            made = _Setup(*_setup_values(self.domain, anchor_max, rank, reps), {})
+            made = _Setup(self.domain, anchor_max, rank, reps)
         setup = self._setups[key] = (_Evaluator(self, anchor_max, made), made.candidates)
         return setup
 

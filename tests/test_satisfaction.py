@@ -540,7 +540,7 @@ def _deep_bytes(obj, seen: set) -> int:
     return size
 
 
-def _held_bytes(table: satisfaction._SetupTable) -> int:
+def _held_bytes(table: Interned) -> int:
     """The bytes that the table's set-ups hold: candidates, quantifier
     ranges and every pattern kept with them."""
     seen: set = set()
@@ -563,9 +563,9 @@ def test_a_table_holds_a_fixed_multiple_of_its_largest_set_up():
         assert _held_bytes(table) <= 2 * (satisfaction._KEPT + 3) * largest
 
 
-def _sentence_table(monkeypatch) -> satisfaction._SetupTable:
+def _sentence_table(monkeypatch) -> Interned:
     """An empty table in place of the one that raw sentences share."""
-    table = satisfaction._SetupTable()
+    table = Interned()
     monkeypatch.setattr(satisfaction, "_SENTENCES", table)
     return table
 
@@ -587,6 +587,26 @@ def test_a_table_of_sentence_set_ups_holds_a_fixed_multiple_of_its_largest(monke
             for table in (interned, shared):
                 largest = _deep_bytes(table.setup(omega, k, 2, 0), set())
                 assert _held_bytes(table) <= 2 * (satisfaction._KEPT + 3) * largest
+
+
+def test_the_sentence_table_keeps_few_set_ups_at_large_anchors(monkeypatch):
+    # A pattern over a sentence's axes grows with the square of its anchor:
+    # each set-up here holds about 6 MB. Counted by quantifier values, the
+    # table kept all 40 set-ups, 243 MB, for the life of the process, where
+    # a context that built its own set-up kept none past the call. Counting
+    # pattern bits, it keeps its newest set-up and at most _MAX_CELLS bits
+    # more; and one sentence at a far larger anchor, which counts its
+    # quantifier values, no longer leaves that count's budget out of reach.
+    table = _sentence_table(monkeypatch)
+    omega = EvalDomain.omega()
+    far = State.make(OMEGA, {"In": OrdinalSet.finite({1 << 24})})
+    assert not sat(P("In(0)"), far, omega)
+    state = State.make(OMEGA, {"In": OrdinalSet.finite({1})})
+    for c in range(2000, 2040):
+        assert sat(P(f"exists x. exists y. x < y & y < {c}"), state, omega)
+    largest = max(_deep_bytes(setup, set()) for setup in table._setups.values())
+    assert _held_bytes(table) <= largest + satisfaction._MAX_CELLS // 4
+    assert table._longest < 2100
 
 
 def test_raw_sentences_with_one_set_up_key_share_its_patterns(monkeypatch):
