@@ -72,18 +72,17 @@ directly and builds one evaluator per probe set-up. Its caller hands it
 each formula's largest anchor: a public entry takes the top of its
 states' support and the formula's literals, a machine's step each part's
 footprint values and literals. A set-up's candidates and quantifier
-values are immutable sequences. A machine's interned table builds them
-and their patterns once for all its contexts, and so does one table
-shared by every raw sentence's context, where the differential workload
-meets 81 set-ups in 10 000 contexts a round; both drop their set-ups once
-the patterns pass a fixed number of bits (see Interned.setup). A raw
-defined_set or defined_relation context builds its own, so that
-candidates sized by a state's support are not kept past the call. One
-reader per value kind decodes a table's set bits, lowest first:
-defined_set and defined_relation check their arguments and call it, and
-a machine's step calls it on each part's table, or takes a constant's one
-set bit. Each node kind's semantics is written once, as a method of the
-one evaluator class, and two dispatchers reach it:
+values are immutable and hold a few ints each, so only its patterns grow
+with the support. One table builds each set-up and its patterns once for
+all its contexts: a machine's interned table, or the one that contexts
+over raw formulas share, where the differential workload meets 81
+set-ups in 10 000 contexts a round. Both drop their set-ups once these
+pass a fixed number of bits (see Interned.setup). One reader per value
+kind decodes a table's set bits, lowest first: defined_set and
+defined_relation check their arguments and call it, and a machine's step
+calls it on each part's table, or takes a constant's one set bit. Each
+node kind's semantics is written once, as a method of the one evaluator
+class, and two dispatchers reach it:
 
 * A raw formula is interpreted node by node; this is what sat, sat2,
   defined_set and defined_relation do. Its static facts are folded on
@@ -111,7 +110,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     NotClosed,
@@ -216,39 +216,62 @@ def _bound(anchor_max: int, rank: int) -> int:
 
 def _setup_values(
     domain: EvalDomain, anchor_max: int, rank: int, reps: int
-) -> tuple[range, tuple[int, ...] | range | None]:
+) -> tuple[range, range | _Candidates | None]:
     """The quantifier values and the candidates of one probe set-up.
 
     A surrogate's quantifier values and candidates are its whole universe.
     At w the candidates are [0, B] followed by reps far representatives,
     each 2^rank + 2 beyond the one before, and the quantifiers range up to
     the last of them plus the slack of the rank. A sentence asks for no
-    representatives and gets no candidates. Both are immutable, so a
-    set-up can be shared.
+    representatives and gets no candidates. Both are immutable and hold a
+    few ints whatever B is, so a set-up can be shared. A candidate before
+    the far representatives is its own index, which the readers rely on.
     """
     if not domain.is_omega:
         universe = range(domain.size)
         return universe, universe if reps else None
     if not reps:
         return range(anchor_max + _slack(rank) + 1), None
-    bound, margin = _bound(anchor_max, rank), _margin(rank)
-    top = bound + margin * reps
-    candidates = (*range(bound + 1), *range(bound + margin, top + 1, margin))
-    return range(top + _slack(rank) + 1), candidates
+    candidates = _Candidates(_bound(anchor_max, rank), _margin(rank), reps)
+    return range(candidates[-1] + _slack(rank) + 1), candidates
+
+
+class _Candidates(Sequence):
+    """The candidates at w, [0, bound] followed by reps far representatives
+    margin apart, each computed when it is read."""
+
+    __slots__ = ("bound", "margin", "size")
+
+    def __init__(self, bound: int, margin: int, reps: int):
+        self.bound, self.margin, self.size = bound, margin, bound + 1 + reps
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> int:
+        if not -self.size <= i < self.size:
+            raise IndexError("candidate index out of range")
+        i %= self.size
+        return i if i <= self.bound else self.bound + (i - self.bound) * self.margin
+
+    def __iter__(self) -> Iterator[int]:
+        step = self.margin
+        return chain(range(self.bound + 1), range(self.bound + step, self[-1] + 1, step))
 
 
 class _Setup:
     """One probe set-up (see _setup_values): the values its quantifiers
     range over, the candidates of its truth tables' variables, and what
     its evaluators build once for the set-up (axes and patterns; see
-    _Evaluator), keyed by kind and axis lengths, with their bits."""
+    _Evaluator), keyed by kind and axis lengths, and the bits it holds:
+    one per quantifier value, and each pattern's as it is stored."""
 
     __slots__ = ("quant_values", "candidates", "patterns", "cells")
 
     def __init__(self, domain: EvalDomain, anchor_max: int, rank: int, reps: int):
         self.quant_values, self.candidates = _setup_values(domain, anchor_max, rank, reps)
         self.patterns: dict[tuple, Any] = {}
-        self.cells = 0  # the bits of the patterns, counted as each is stored
+        self.cells = len(self.quant_values)
 
 
 def _depth_checked(method: Callable) -> Callable:
@@ -787,16 +810,9 @@ def _check_omega_ok(states: Mapping[int | None, State]) -> None:
 # The most cells a bitset over two or more axes may have: 2 MiB of bits.
 # The largest table of the test suite and the benchmark has 2 744 000
 # cells. Without a cap, at w a state whose support reaches 2^21 would ask
-# for 2^42 bits and end in a bare MemoryError. It is also the most bits
-# that the patterns a table keeps may hold between them (see
-# Interned.setup).
+# for 2^42 bits and end in a bare MemoryError. It also bounds the bits
+# of the set-ups that a table keeps (see Interned.setup).
 _MAX_CELLS = 1 << 24
-
-# A table keeps candidates, or a sentence set-up's quantifier values, up
-# to this many times the longest quantifier range it has built since it
-# was last emptied; the bridge workload's machines need 42 to keep every
-# anchor they meet.
-_KEPT = 64
 
 # A node's closure: its value under an evaluator.
 _Closure = Callable[[_Evaluator], Any]
@@ -814,15 +830,13 @@ class Interned:
 
     The table also keeps the probe set-ups its contexts ask for (see
     setup), so that a machine's steps do not rebuild them, or the patterns
-    built on them, state after state. One table with no formulas,
-    _SENTENCES, keeps the set-ups of every raw sentence's context."""
+    built on them, state after state. One table with no formulas, _RAW,
+    keeps the set-ups of every context over raw formulas."""
 
     def __init__(self) -> None:
         self._nodes: dict[object, Node] = {}
         self.closures: dict[int, _Closure] = {}
         self._setups: dict[tuple, _Setup] = {}
-        self._held = 0  # the candidates, or a sentence's quantifier values, in _setups
-        self._longest = 0  # the most quantifier values of a set-up built since
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -864,32 +878,20 @@ class Interned:
         """One probe set-up (see _setup_values), built once and shared by
         every context that asks for it.
 
-        Set-ups are kept until a new one would pass either of two budgets;
-        then every set-up is dropped and keeping starts over. Their
-        candidates, or a sentence set-up's quantifier values, may number
-        _KEPT times the longest quantifier range built since, so a long run
-        that meets ever new anchors holds a fixed multiple of its largest
-        set-up. And the patterns kept with them (see _Evaluator), counted
-        in bits as each is stored, may hold _MAX_CELLS bits, 2 MiB: a
-        pattern over the axes of a sentence at anchor a has about a^2 bits
-        or more, so a table that outlives its callers, as _SENTENCES does,
-        keeps few set-ups at large anchors. A machine whose runs revisit
-        the same anchors, as the bridge workload's do, builds each set-up
-        once; so does a differential round, whose 81 set-ups hold 1.4
-        million bits."""
+        Set-ups are kept until a new one would take the bits they hold (see
+        _Setup) past _MAX_CELLS, 2 MiB; then every set-up is dropped. A
+        pattern over a sentence's axes at anchor a has about a^2 bits or
+        more, so a table that outlives its callers, as _RAW does, keeps few
+        set-ups at large anchors. A machine whose runs revisit the same
+        anchors, as the bridge workload's do, builds each set-up once; so
+        does a differential round, whose 81 set-ups hold 1.4 million bits."""
         key = (domain, anchor_max, rank, reps)
         setup = self._setups.get(key)
         if setup is None:
             setup = _Setup(domain, anchor_max, rank, reps)
-            longest = len(setup.quant_values)
-            held = longest if setup.candidates is None else len(setup.candidates)
-            self._held += held
-            self._longest = max(self._longest, longest)
-            # a copy of the set-ups, which another thread's call may clear
-            kept = tuple(self._setups.values())
-            if self._held > _KEPT * self._longest or sum(k.cells for k in kept) > _MAX_CELLS:
+            # summed over a copy, as another thread's call may clear them
+            if setup.cells + sum(k.cells for k in tuple(self._setups.values())) > _MAX_CELLS:
                 self._setups.clear()
-                self._held, self._longest = held, longest
             self._setups[key] = setup
         return setup
 
@@ -955,18 +957,16 @@ class Interned:
         return memo
 
 
-# the set-ups of every raw sentence's context
-_SENTENCES = Interned()
+# the set-ups of every context over raw formulas
+_RAW = Interned()
 
 
 class EvalContext:
     """Evaluation over fixed states in one domain, given as a map from
     copy index to State: one evaluator per probe set-up and, over interned
     formulas, every closed node already evaluated. Build one per state; it
-    answers every formula asked of that state. Over interned formulas the
-    set-ups come from the table, which keeps them across contexts; a raw
-    sentence's come from _SENTENCES, which every raw sentence shares, and
-    a raw defined_set's or defined_relation's are built here."""
+    answers every formula asked of that state. Its set-ups come from a
+    table that keeps them across contexts: the interned one, or _RAW."""
 
     def __init__(
         self,
@@ -998,23 +998,17 @@ class EvalContext:
         self, anchor_max: int, rank: int, reps: int
     ) -> tuple[_Evaluator, Sequence[int] | None]:
         """The evaluator and the candidates for one anchor maximum, rank
-        and number of far representatives, built once per context. The
-        set-up (see _setup_values) comes from the interned table when there
-        is one, from _SENTENCES for a raw sentence (no representatives, so
-        no candidates), and is built here otherwise.
-        """
+        and number of far representatives, built once per context on a
+        set-up from the interned table, if there is one, or from _RAW."""
         key = (anchor_max, rank, reps)
         setup = self._setups.get(key)
         if setup is not None:
             return setup
         if self.domain.is_omega:
             _check_omega_ok(self.states)
-        if self.interned is not None:
-            made = self.interned.setup(self.domain, anchor_max, rank, reps)
-        elif not reps:
-            made = _SENTENCES.setup(self.domain, anchor_max, rank, reps)
-        else:
-            made = _Setup(self.domain, anchor_max, rank, reps)
+        # an empty interned table is falsy, so test for None
+        table = _RAW if self.interned is None else self.interned
+        made = table.setup(self.domain, anchor_max, rank, reps)
         setup = self._setups[key] = (_Evaluator(self, anchor_max, made), made.candidates)
         return setup
 
@@ -1104,17 +1098,17 @@ class EvalContext:
         """The set a one-variable table with three far representatives
         defines: cofinite when all three hold, an error when they differ."""
         if not self.domain.is_omega:
-            return OrdinalSet.finite([candidates[i] for i in _positions(bits)])
+            return OrdinalSet.finite(_positions(bits))
         head = len(candidates) - 3
         tail = bits >> head
         if tail and tail != 7:
             raise ThresholdViolation(
-                f"tail representatives at {list(candidates[head:])} disagree for "
+                f"tail representatives at {[candidates[i] for i in (-3, -2, -1)]} disagree for "
                 f"{formula!r}; the evaluation bound did not stabilise this formula"
             )
         if tail:
             bits = ~bits
-        members = [candidates[i] for i in _positions(bits & ((1 << head) - 1))]
+        members = _positions(bits & ((1 << head) - 1))
         return OrdinalSet.cofinite(members) if tail else OrdinalSet.finite(members)
 
     def _read_relation(
@@ -1136,7 +1130,7 @@ class EvalContext:
             row = []
             for _ in range(k):
                 p, i = divmod(p, n)
-                row.append(candidates[i])
+                row.append(i)
             rows.append(tuple(row))
         return frozenset(rows)
 

@@ -84,14 +84,17 @@ def parse_machine(text: str) -> MachineSpec:
                 raise ParseError(f"line {lineno}: symbol kind must be one of {_KINDS}")
             try:
                 decls.append(SymbolDecl(name, kind, int(arity) if arity else 0))
+                Signature(decls)  # the signature so far, so that a clash names its line
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
         elif section == "params":
-            name, _, value = line.partition("=")
-            if not _:
+            name, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or not name:
                 raise ParseError(f"line {lineno}: expected 'name = ordinal'")
+            if name in params:
+                raise ParseError(f"line {lineno}: duplicate parameter {name!r}")
             try:
-                params[name.strip()] = parse_ordinal(value.strip())
+                params[name] = parse_ordinal(value)
             except (ParseError, ValueError) as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
         else:
@@ -102,10 +105,7 @@ def parse_machine(text: str) -> MachineSpec:
     for field, value in (("kappa", kappa), ("flavor", flavor)):
         if value is None:
             raise ParseError(f"machine file is missing its {field} section")
-    try:
-        sigma = Signature(decls)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    sigma = Signature(decls)
 
     parsed: dict[str, dict[str, object]] = {"default": {}, "tau": {}}
     for kind in ("default", "tau"):

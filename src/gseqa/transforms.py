@@ -205,21 +205,26 @@ def parse_tm(text: str) -> TmSpec:
     and `final:` markers (defaulting to the first and last listed name),
     an optional `params:` line of naturals, and one row per transition:
     `(state, bit) -> (state, bit, L|R)`, `(state, bit) -> oracle-read(yes,
-    no)` or `(state, bit) -> jump(i, state)`. Header keys are read
-    case-insensitively. States are renumbered so the initial state is
-    index 0 and the final state the last index.
+    no)` or `(state, bit) -> jump(i, state)`. Each header appears at most
+    once, its key read case-insensitively. States are renumbered so the
+    initial state is index 0 and the final state the last index.
     """
     names: list[str] = []
     initial: str | None = None
     final: str | None = None
     params: list[int] = []
     raw: list[tuple[int, re.Match[str]]] = []
+    headers: set[str] = set()
     for ln, content in enumerate(text.splitlines(), start=1):
         line = content.split("#", 1)[0].strip()
         if not line:
             continue
         key, colon, value = line.partition(":")
         key = key.lower()
+        if colon and key in ("states", "initial", "final", "params"):
+            if key in headers:
+                raise ParseError(f"line {ln}: second '{key}:' header")
+            headers.add(key)
         if colon and key == "states":
             names = value.split()
         elif colon and key == "initial":

@@ -479,11 +479,11 @@ def _part_value(ctx: EvalContext, part: _Part, anchor: int, state: State) -> obj
     bits, candidates = ctx._truth_table(body, rank, anchor, variables, 3)
     if decl.kind == "Relation":
         return ctx._read_set(bits, candidates, body)
-    # a constant's value is its one set bit, unless a far representative holds it
+    # a constant's value is its one set bit's index, unless a far representative holds it
     head = len(candidates) - 3 if ctx.domain.is_omega else len(candidates)
     top = bits.bit_length() - 1
     if 0 <= top < head and bits == 1 << top:
-        return candidates[top]
+        return top
     defined = ctx._read_set(bits, candidates, body)
     what = f"a set of size {len(defined.elements)}" if defined.is_finite else "a cofinite set"
     raise D6Violation(state, decl.name, f"witness defines {what} rather than one value")

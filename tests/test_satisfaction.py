@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,13 @@ from corpus_tools import (
     stamp_random_copies,
 )
 from gseqa import OMEGA, OrdinalSet, satisfaction
-from gseqa.errors import MissingSymbol, NotClosed, Unrepresentable, Unsupported
+from gseqa.errors import (
+    MissingSymbol,
+    NotClosed,
+    ThresholdViolation,
+    Unrepresentable,
+    Unsupported,
+)
 from gseqa.logic import (
     MEMBERSHIP,
     And,
@@ -425,6 +432,23 @@ def test_a_closed_table_past_the_cell_cap_is_unsupported_at_once(text):
         assert time.perf_counter() - start < 1
 
 
+def test_a_support_near_two_to_the_21_builds_no_candidate_per_element():
+    # at w each candidate of [0, B] is computed when it is read; a tuple of
+    # them took about 0.1 s and a 103 MB peak here
+    far = 1 << 21
+    state = State.make(OMEGA, {"R": OrdinalSet.finite({3, far}), "E": {(far, far)}})
+    omega = EvalDomain.omega()
+    tracemalloc.start()
+    try:
+        got = defined_set(P("R(x)"), state, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(got) == "{3,2097152}" and peak < 10 * 2**20
+    with pytest.raises(Unsupported, match=r"^the formula over x, y needs a table of \d+ cells"):
+        defined_relation(P("true"), state, omega, ("x", "y"))
+
+
 def _rowwise_pair(less, x, y):
     """_pair's pattern built as it was before rows were joined in one
     pass: each row ORed into the bits so far."""
@@ -498,6 +522,19 @@ def test_patterns_match_a_row_by_row_build(domain, anchor_max, rank, reps):
                     assert ev._bound_mask(own, reads, cells, body_rank) == want
 
 
+@pytest.mark.parametrize("anchor_max, rank, reps", [(0, 0, 1), (3, 1, 3), (40, 3, 3)])
+def test_candidates_at_w_read_as_a_tuple_of_them_would(anchor_max, rank, reps):
+    _, candidates = satisfaction._setup_values(EvalDomain.omega(), anchor_max, rank, reps)
+    bound, margin = satisfaction._bound(anchor_max, rank), satisfaction._margin(rank)
+    want = (*range(bound + 1), *range(bound + margin, bound + margin * reps + 1, margin))
+    every = range(-len(want), len(want))
+    assert len(candidates) == len(want) and tuple(candidates) == want
+    assert [candidates[i] for i in every] == [want[i] for i in every]
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            candidates[i]
+
+
 def test_a_pattern_near_the_cell_cap_is_built_in_under_two_seconds():
     # x < y over about 4 000 candidates each, 16 million cells: OR-ing its
     # rows into the bits one at a time took 4.4 s on a 2-core VM
@@ -507,7 +544,7 @@ def test_a_pattern_near_the_cell_cap_is_built_in_under_two_seconds():
 
 
 def test_contexts_on_one_table_share_read_only_set_up_arrays():
-    # a set-up's candidates and quantifier values are a tuple and a range,
+    # a set-up's candidates and quantifier values are read-only sequences,
     # which nothing can write to, and its patterns are built once for both
     table = Interned()
     g = table.add(P("In(x) & (exists y. x < y)"))
@@ -547,34 +584,43 @@ def _held_bytes(table: Interned) -> int:
     return sum(_deep_bytes(setup, seen) for setup in table._setups.values())
 
 
-def test_a_table_holds_a_fixed_multiple_of_its_largest_set_up():
-    # Stepping ever new anchors keeps at most _KEPT times the longest
-    # quantifier range in candidates, and one set-up past the budget. A
-    # table that kept every anchor would hold about 200 times its largest
-    # set-up after 800 anchors.
-    table = Interned()
-    g = table.add(P("In(x)"))
-    omega = EvalDomain.omega()
-    for top in (400, 800):
-        for k in range(1, top + 1):
-            state = State.make(OMEGA, {"In": OrdinalSet.finite({k})})
-            EvalContext.single(state, omega, table).defined_set(g, "x")
-        largest = _deep_bytes(table.setup(omega, top, 0, 3), set())
-        assert _held_bytes(table) <= 2 * (satisfaction._KEPT + 3) * largest
+def _within_the_bit_budget(table: Interned) -> bool:
+    """Whether the table holds at most its newest set-up and _MAX_CELLS
+    bits more, read in bytes with room for twice the bits."""
+    newest = list(table._setups.values())[-1]
+    return _held_bytes(table) <= _deep_bytes(newest, set()) + satisfaction._MAX_CELLS // 4
 
 
-def _sentence_table(monkeypatch) -> Interned:
-    """An empty table in place of the one that raw sentences share."""
+def _raw_table(monkeypatch) -> Interned:
+    """An empty table in place of the one that raw formulas share."""
     table = Interned()
-    monkeypatch.setattr(satisfaction, "_SENTENCES", table)
+    monkeypatch.setattr(satisfaction, "_RAW", table)
     return table
 
 
-def test_a_table_of_sentence_set_ups_holds_a_fixed_multiple_of_its_largest(monkeypatch):
+# about 2 k^2 bits of patterns at anchor k: x < y and y's probe bound
+NEXT_MEMBER = "In(x) & (exists y. x < y)"
+
+
+def test_a_machine_table_keeps_its_newest_set_up_and_the_bit_budget():
+    # Stepping ever new anchors, the table empties when its set-ups would
+    # pass _MAX_CELLS bits. A table that kept every anchor would hold about
+    # 27 MB here, and 2 MB of bits is about 4 MB of set-ups.
+    table = Interned()
+    g = table.add(P(NEXT_MEMBER))
+    omega = EvalDomain.omega()
+    for k in range(1, 601):
+        state = State.make(OMEGA, {"In": OrdinalSet.finite({k})})
+        assert EvalContext.single(state, omega, table).defined_set(g, "x").elements == {k}
+        if k in (300, 600):
+            assert _within_the_bit_budget(table)
+
+
+def test_a_table_of_sentence_set_ups_keeps_its_newest_and_the_bit_budget(monkeypatch):
     # A sentence's set-up has quantifier values and patterns but no
-    # candidates; a table that counted only candidates kept all 800 set-ups
-    # here, about 222 MB, and the shared table would never clear.
-    shared = _sentence_table(monkeypatch)
+    # candidates; at anchors 1..800 a table that never emptied kept all 800
+    # set-ups, about 222 MB.
+    shared = _raw_table(monkeypatch)
     interned = Interned()
     f = P("exists y. In(y) & (forall z. z < y -> ~In(z))")
     g = interned.add(f)
@@ -584,33 +630,38 @@ def test_a_table_of_sentence_set_ups_holds_a_fixed_multiple_of_its_largest(monke
         assert EvalContext.single(state, omega, interned).sentence(g)
         assert sat(f, state, omega)
         if k in (400, 800):
-            for table in (interned, shared):
-                largest = _deep_bytes(table.setup(omega, k, 2, 0), set())
-                assert _held_bytes(table) <= 2 * (satisfaction._KEPT + 3) * largest
+            assert _within_the_bit_budget(interned) and _within_the_bit_budget(shared)
 
 
 def test_the_sentence_table_keeps_few_set_ups_at_large_anchors(monkeypatch):
     # A pattern over a sentence's axes grows with the square of its anchor:
-    # each set-up here holds about 6 MB. Counted by quantifier values, the
-    # table kept all 40 set-ups, 243 MB, for the life of the process, where
-    # a context that built its own set-up kept none past the call. Counting
-    # pattern bits, it keeps its newest set-up and at most _MAX_CELLS bits
-    # more; and one sentence at a far larger anchor, which counts its
-    # quantifier values, no longer leaves that count's budget out of reach.
-    table = _sentence_table(monkeypatch)
+    # each set-up here holds about 6 MB. Kept by any rule that does not
+    # count pattern bits, the 40 set-ups held 243 MB for the life of the
+    # process. A sentence at a far larger anchor counts its quantifier
+    # values, more than _MAX_CELLS of them, so the next set-up drops it.
+    table = _raw_table(monkeypatch)
     omega = EvalDomain.omega()
     far = State.make(OMEGA, {"In": OrdinalSet.finite({1 << 24})})
     assert not sat(P("In(0)"), far, omega)
     state = State.make(OMEGA, {"In": OrdinalSet.finite({1})})
     for c in range(2000, 2040):
         assert sat(P(f"exists x. exists y. x < y & y < {c}"), state, omega)
-    largest = max(_deep_bytes(setup, set()) for setup in table._setups.values())
-    assert _held_bytes(table) <= largest + satisfaction._MAX_CELLS // 4
-    assert table._longest < 2100
+    assert _within_the_bit_budget(table)
+    assert all(len(setup.quant_values) < 2100 for setup in table._setups.values())
+
+
+def test_a_set_up_without_patterns_counts_its_quantifier_values(monkeypatch):
+    # a rank-0 sentence builds no pattern, but its set-up counts one bit
+    # per quantifier value, so set-ups at far anchors do not pile up
+    table = _raw_table(monkeypatch)
+    omega = EvalDomain.omega()
+    for k in range(1, 9):
+        assert not sat(P("In(0)"), State.make(OMEGA, {"In": OrdinalSet.finite({k << 22})}), omega)
+    assert len(table._setups) == 1
 
 
 def test_raw_sentences_with_one_set_up_key_share_its_patterns(monkeypatch):
-    table = _sentence_table(monkeypatch)
+    table = _raw_table(monkeypatch)
     setups = []
     init = satisfaction._Evaluator.__init__
 
@@ -634,25 +685,34 @@ def test_raw_sentences_with_one_set_up_key_share_its_patterns(monkeypatch):
     assert all(second.patterns[key] is value for key, value in built.items())
 
 
-def test_a_raw_defined_set_leaves_the_sentence_table_unchanged(monkeypatch):
-    # its candidates are sized by the state's support, so they are not kept
-    table = _sentence_table(monkeypatch)
-    s = base_state()
-    for domain in (EvalDomain.omega(), EvalDomain.surrogate(8)):
-        sat(P("exists y. In(y) & y < h"), s, domain)
-    before, held = dict(table._setups), table._held
-    for domain in (EvalDomain.omega(), EvalDomain.surrogate(8)):
-        defined_set(P("In(x) & (exists y. x < y)"), s, domain, "x")
-        defined_relation(P("E(x, y)"), s, domain, ("x", "y"))
-    assert table._setups.keys() == before.keys() and table._held == held
-    assert all(table._setups[key] is setup for key, setup in before.items())
+def test_raw_defined_sets_and_relations_share_set_ups_within_the_bit_budget(monkeypatch):
+    # their candidates hold a few ints whatever the support, so the raw
+    # table keeps their set-ups as it keeps a sentence's: a second call
+    # with the same key builds none, and ever new anchors stay in budget
+    table = _raw_table(monkeypatch)
+    omega = EvalDomain.omega()
+    between = P("x < y & E(x, y)")
+
+    def answer(k):
+        state = State.make(OMEGA, {"In": OrdinalSet.finite({k}), "E": {(0, k)}})
+        assert defined_set(P(NEXT_MEMBER), state, omega, "x").elements == {k}
+        assert defined_relation(between, state, omega, ("x", "y")) == {(0, k)}
+
+    answer(1)
+    kept = dict(table._setups)
+    answer(1)
+    assert len(kept) == 2 and table._setups == kept
+    for k in range(2, 601):
+        answer(k)
+        if k in (300, 600):
+            assert _within_the_bit_budget(table)
 
 
 def test_sentence_verdicts_do_not_depend_on_the_shared_tables_warmth(monkeypatch):
-    # criterion 1's sentences at w and at every surrogate size up to nine
-    # past the bound (below it, a verdict may depend on the size), once on
-    # one table kept warm throughout and once on a table emptied before
-    # each call
+    # criterion 1's sentences, and raw defined sets and relations of
+    # formulas like them, at w and at every surrogate size up to nine past
+    # the bound (below it, a verdict may depend on the size), once on one
+    # table kept warm throughout and once on a table emptied before each call
     rng = random.Random(2718)
     calls = []
     for i in range(300):
@@ -662,23 +722,38 @@ def test_sentence_verdicts_do_not_depend_on_the_shared_tables_warmth(monkeypatch
             f = stamp_random_copies(f, rng)
         b = threshold_bound(f, *states)
         for domain in (EvalDomain.omega(), *map(EvalDomain.surrogate, range(1, b + 9))):
-            calls.append((f, states, domain))
+            calls.append((f, states, domain, ()))
+    for variables in [("x",)] * 60 + [("x", "y")] * 60:
+        state = random_state(rng)
+        f = random_formula(rng, rank=2, guarded=True, scope=list(variables))
+        b = threshold_bound(f, state)
+        for domain in (EvalDomain.omega(), *map(EvalDomain.surrogate, range(1, b + 9))):
+            calls.append((f, (state,), domain, variables))
 
-    def verdict(f, states, domain):
-        return sat2(f, states, domain) if len(states) == 2 else sat(f, states[0], domain)
+    def verdict(f, states, domain, variables):
+        if len(states) == 2:
+            return sat2(f, states, domain)
+        if not variables:
+            return sat(f, states[0], domain)
+        try:
+            if len(variables) == 1:
+                return defined_set(f, states[0], domain, variables[0])
+            return defined_relation(f, states[0], domain, variables)
+        except (ThresholdViolation, Unrepresentable) as exc:
+            return type(exc), str(exc)
 
-    warm = _sentence_table(monkeypatch)
+    warm = _raw_table(monkeypatch)
     warm_verdicts = [verdict(*call) for call in calls]
     assert len(warm._setups) < len(calls)
     cold_verdicts = []
     for call in calls:
-        _sentence_table(monkeypatch)
+        _raw_table(monkeypatch)
         cold_verdicts.append(verdict(*call))
     assert warm_verdicts == cold_verdicts
 
 
 def test_the_interpreter_refuses_what_is_not_a_formula_or_a_term(monkeypatch):
-    _sentence_table(monkeypatch)
+    _raw_table(monkeypatch)
     ev, _ = EvalContext.single(base_state(), EvalDomain.omega())._setup(0, 0, 0)
     with pytest.raises(TypeError, match="not a formula: Var"):
         ev.eval(Var("x"))

@@ -148,6 +148,24 @@ class TestRejections:
         with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
             parse_machine(text)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("params:\n  c = 0\n  c = 3\n", "line 8: duplicate parameter 'c'"),
+            ("params:\n  = 5\n", "line 7: expected 'name = ordinal'"),
+            ("  h: Relation/1\n", "line 6: cannot redeclare 'h'"),
+        ],
+        ids=["repeated parameter", "parameter without a name", "conflicting redeclaration"],
+    )
+    def test_a_bad_listing_entry_names_its_line(self, extra, message):
+        text = HANDWRITTEN.replace("  h: Constant\n", "  h: Constant\n" + extra)
+        with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+            parse_machine(text)
+
+    def test_an_equal_redeclaration_is_accepted(self):
+        again = HANDWRITTEN.replace("  h: Constant\n", "  h: Constant\n  h: Constant\n")
+        assert parse_machine(again) == parse_machine(HANDWRITTEN)
+
     def test_indented_line_outside_any_section(self):
         with pytest.raises(ParseError, match="outside a section"):
             parse_machine("  h: Constant\n" + HANDWRITTEN)

@@ -91,6 +91,17 @@ class TestTableFormat:
         with pytest.raises(ParseError, match="line 3"):
             parse_tm(text)
 
+    @pytest.mark.parametrize(
+        "header", ["states: q0 q1 halt", "initial: q1", "final: q1", "params: 3", "STATES: a b"]
+    )
+    def test_a_repeated_header_names_its_line(self, header):
+        # the later header used to replace the earlier one
+        text = "states: a b\ninitial: a\nfinal: b\nparams: 2\n(a, 0) -> (b, 0, R)\n"
+        text += header + "\n(a, 1) -> (b, 1, R)\n"
+        key = header.partition(":")[0].lower()
+        with pytest.raises(ParseError, match=rf"^line 6: second '{key}:' header$"):
+            parse_tm(text)
+
     def test_incomplete_table_rejected(self):
         with pytest.raises(ParseError, match="no rule"):
             parse_tm("states: a b\n(a, 0) -> (b, 0, R)\n")
