@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import string
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
@@ -496,9 +497,12 @@ def is_binary(f: Formula) -> bool:
 # parsing
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<op><->|->|[()~&|=<,.@])|(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*))"
-)
+# _tokenize checks a text with one linear sub of tokens and whitespace; one
+# starred match of the token grammar would backtrack exponentially on junk.
+_TOKEN = r"<->|->|[()~&|=<,.@]|\d+|[A-Za-z_][A-Za-z0-9_']*"
+_TOKEN_RE = re.compile(_TOKEN)
+_TOKEN_OR_SPACE_RE = re.compile(_TOKEN + r"|\s+")
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
 # token -> (node type, precedence, groups to the right); higher binds tighter
 _BINARY: dict[str, tuple[type, int, bool]] = {
@@ -521,22 +525,20 @@ def _excerpt(text: str, where: int) -> str:
     return f"at position {where} in {head}{text[start:end]!r}{tail}"
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) for each token, ending with an end token. A
-    token's position is that of its first character, past any whitespace."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()
-            if rest:
-                where = len(text) - len(rest)
-                raise ParseError(f"unexpected character {rest[0]!r} {_excerpt(text, where)}")
-            break
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """Each token's text, ending with the empty end token. A number token
+    is all decimal digits (str.isdecimal, the class the pattern reads), a
+    name starts with a letter or '_'. Positions are worked out only for an
+    error."""
+    if _TOKEN_OR_SPACE_RE.sub("", text):
+        where = 0
+        for m in _TOKEN_OR_SPACE_RE.finditer(text):
+            if m.start() != where:
+                break
+            where = m.end()
+        raise ParseError(f"unexpected character {text[where]!r} {_excerpt(text, where)}")
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
@@ -550,50 +552,45 @@ class _Parser:
 
     def error(self, msg: str, at: int | None = None) -> ParseError:
         """A ParseError at the token with index at, the current one by
-        default (see _excerpt)."""
-        where = self.tokens[self.i if at is None else at][2]
-        return ParseError(f"{msg} {_excerpt(self.text, where)}")
+        default (see _excerpt), placed at the token's first character."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        return ParseError(f"{msg} {_excerpt(self.text, starts[self.i if at is None else at])}")
 
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.i][:2]
-
-    def take(self) -> tuple[str, str]:
-        kind, val = self.peek()
-        if kind == "end":
+    def take(self) -> str:
+        token = self.tokens[self.i]
+        if not token:
             raise self.error("unexpected end of input")
         self.i += 1
-        return kind, val
+        return token
 
     def expect(self, value: str) -> None:
-        if not self.at(value):
+        if self.tokens[self.i] != value:
             raise self.error(f"expected {value!r}")
         self.i += 1
-
-    def at(self, value: str) -> bool:
-        return self.tokens[self.i][1] == value
 
     def formula(self, floor: int = 0) -> Formula:
         """Operands joined by binary connectives of precedence floor or more."""
         f = self.unary()
-        while (entry := _BINARY.get(self.peek()[1])) and entry[1] >= floor:
+        while (entry := _BINARY.get(self.tokens[self.i])) and entry[1] >= floor:
             node, prec, right = entry
             self.i += 1
             f = node(f, self.formula(prec if right else prec + 1))
         return f
 
     def unary(self) -> Formula:
-        if self.at("~"):
-            self.take()
+        token = self.tokens[self.i]
+        if token == "~":
+            self.i += 1
             return Not(self.unary())
-        if self.peek()[1] in ("forall", "exists"):
+        if token in ("forall", "exists"):
             return self.quantified()
         return self.atom()
 
     def quantified(self) -> Formula:
-        _, quant = self.take()
+        quant = self.take()
         at = self.i
-        kind, name = self.take()
-        if kind != "ident" or name in _RESERVED:
+        name = self.take()
+        if name[0] not in _IDENT_START or name in _RESERVED:
             raise self.error("expected a variable name after quantifier", at)
         if name in self.sigma:
             raise self.error(f"variable {name!r} shadows a signature symbol", at)
@@ -602,37 +599,40 @@ class _Parser:
         return Forall(name, body) if quant == "forall" else Exists(name, body)
 
     def atom(self) -> Formula:
-        kind, val = self.peek()
-        if kind == "end":
+        val = self.tokens[self.i]
+        if not val:
             raise self.error("expected a formula")
         if val == "(":
-            self.take()
+            self.i += 1
             f = self.formula()
             self.expect(")")
             return f
         if val in ("true", "false"):
-            self.take()
+            self.i += 1
             return Truth(val == "true")
-        if kind == "ident" and val in self.sigma and self.sigma.decl(val).kind == "Relation":
-            return self.relation_atom()
+        # a signature read from a file may hold a name like "12", which is no name token
+        if val in self.sigma and val[0] in _IDENT_START:
+            if self.sigma.decl(val).kind == "Relation":
+                return self.relation_atom()
         left = self.term()
-        if self.at("="):
-            self.take()
+        op = self.tokens[self.i]
+        if op == "=":
+            self.i += 1
             return Equal(left, self.term())
-        if self.at("<"):
-            self.take()
+        if op == "<":
+            self.i += 1
             return Apply(MEMBERSHIP, (left, self.term()), None)
         raise self.error("expected '=' or '<' after term")
 
     def relation_atom(self) -> Formula:
         """A relation's atom, whose argument list must hold its arity.
         Membership is shared between the copies and takes no copy suffix."""
-        _, name = self.take()
+        name = self.take()
         copy = None if name == MEMBERSHIP else self.copy_suffix(name)
         self.expect("(")
         args = [self.term()]
-        while self.at(","):
-            self.take()
+        while self.tokens[self.i] == ",":
+            self.i += 1
             args.append(self.term())
         self.expect(")")
         arity = self.sigma.decl(name).arity
@@ -641,22 +641,22 @@ class _Parser:
         return Apply(name, tuple(args), copy)
 
     def copy_suffix(self, name: str) -> int | None:
-        if self.at("@"):
-            self.take()
-            kind, val = self.take()
-            if kind != "num" or val not in ("0", "1"):
+        if self.tokens[self.i] == "@":
+            self.i += 1
+            index = self.take()
+            if index not in ("0", "1"):
                 raise self.error("copy index must be 0 or 1", self.i - 1)
-            return int(val)
+            return int(index)
         if self.doubled:
             raise self.error(f"symbol {name!r} needs a copy index in doubled mode")
         return None
 
     def term(self) -> Term:
         at = self.i
-        kind, val = self.take()
-        if kind == "num":
+        val = self.take()
+        if val.isdecimal():
             return OrdinalLiteral(OrdinalNotation.from_int(int(val)))
-        if kind != "ident":
+        if val[0] not in _IDENT_START:
             raise self.error(f"expected a term, got {val!r}", at)
         if val == "w":
             return OrdinalLiteral(OMEGA)
@@ -683,7 +683,7 @@ def parse_formula(text: str, sigma: Signature, doubled: bool = False) -> Formula
         f = p.formula()
     except RecursionError:
         raise p.error("formula is nested too deeply") from None
-    if p.peek()[0] != "end":
+    if p.tokens[p.i]:
         raise p.error("trailing input")
     return f
 

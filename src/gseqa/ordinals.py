@@ -206,7 +206,7 @@ class OrdinalSet:
     def __post_init__(self) -> None:
         if self.kind not in ("finite", "cofinite"):
             raise ValueError(f"bad OrdinalSet kind {self.kind!r}")
-        if any(e < 0 for e in self.elements):
+        if self.elements and min(self.elements) < 0:
             raise ValueError("OrdinalSet elements must be naturals")
 
     @staticmethod
@@ -300,7 +300,7 @@ def parse_ordinal_set(text: str) -> OrdinalSet:
     elements: set[int] = set()
     if body:
         for chunk in body.split(","):
-            if not chunk.isdigit():
+            if not chunk.isdecimal():
                 raise ParseError(f"bad set element {chunk!r} in {text!r}")
             elements.add(int(chunk))
     return OrdinalSet.cofinite(elements) if cofinite else OrdinalSet.finite(elements)

@@ -61,6 +61,8 @@ def parse_machine(text: str) -> MachineSpec:
                     raise ParseError(f"line {lineno}: unknown section {key!r}")
                 brace = key
                 continue
+            if {"kappa": kappa, "flavor": flavor}.get(key) is not None:
+                raise ParseError(f"line {lineno}: second '{key}:' line")
             if key == "kappa":
                 try:
                     kappa = parse_ordinal(rest)

@@ -294,7 +294,8 @@ def _parse_tuple_set(text: str) -> frozenset[tuple[int, ...]]:
         if len(items) == 2 and items[1] == "":
             items.pop()  # the one-tuple form (1,)
         tuples.append(tuple(_natural(x) for x in items))
-    return frozenset(tuples)
+    # built twice, as State.make does, so it iterates (and errors) in its order
+    return frozenset([*frozenset(tuples)])
 
 
 _READERS = dict(zip(_HEADS.values(), (_natural, parse_ordinal_set, _parse_tuple_set)))
@@ -305,7 +306,8 @@ def parse_state(text: str) -> State:
     a second header and a name given twice, under one kind or under two,
     naming the line or item at fault."""
     kappa = None
-    values: dict[str, Value] = {}
+    groups: dict[str, list[tuple[str, Value]]] = {head: [] for head in _READERS}
+    names: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -324,16 +326,19 @@ def parse_state(text: str) -> State:
         head, sep, rest = line.partition(":")
         if not sep or head not in _READERS:
             raise ParseError(f"unrecognised snapshot line {line!r}")
+        read, group = _READERS[head], groups[head]
         for item in rest.split():
             k, _, val = item.partition("=")
             if not k:
                 raise ParseError(f"{head} item {item!r} has no name")
-            if k in values:
+            if k in names:
                 raise ParseError(f"{head} item {item!r} repeats the name {k!r}")
+            names.add(k)
             try:
-                values[k] = _READERS[head](val)
+                group.append((k, read(val)))
             except ParseError as exc:
                 raise ParseError(f"{head} item {item!r}: {exc}") from None
     if kappa is None:
         raise ParseError("snapshot missing the 'state kappa=...' header")
-    return State.make(kappa, values)
+    # State.items order: kind by kind, by name within a kind (names are distinct)
+    return State(kappa, tuple([item for group in groups.values() for item in sorted(group)]))

@@ -223,3 +223,24 @@ def stamp_random_copies(f: Formula, rng: random.Random) -> Formula:
     if isinstance(f, (Exists, Forall)):
         return type(f)(f.var, stamp_random_copies(f.body, rng))
     raise TypeError(f)
+
+
+# ---------------------------------------------------------------------------
+# mutated text
+
+# What an edit writes: the readers' own characters, whitespace of several
+# kinds (a tab, a newline, an em space), decimal digits outside ASCII (an
+# Arabic-Indic three), a superscript two (a digit but not a decimal), and
+# characters that no reader accepts.
+EDIT_CHARS = "xyzhtREIOnwc0123(),{}<>-=~&|.@:_' \t\n ٣²$#%é"
+
+
+def mutate(text: str, rng: random.Random, edits: int) -> str:
+    """The text after `edits` random single-character edits: each deletes,
+    inserts or replaces one character, inserting from EDIT_CHARS."""
+    for _ in range(edits):
+        i = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3) if i < len(text) else 1
+        keep = text[i + 1 :] if kind != 1 else text[i:]
+        text = text[:i] + ("" if kind == 0 else rng.choice(EDIT_CHARS)) + keep
+    return text

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +208,13 @@ def test_parse_errors_quote_an_excerpt_of_a_long_text():
         ("forall   In. In(x)", "variable 'In' shadows a signature symbol at position 9"),
         ("exists  3. In(x)", "expected a variable name after quantifier at position 8"),
         ("In(x)  $", "unexpected character '$' at position 7 in 'In(x)  $'"),
+        ("In(x) &\t)", "expected a term, got ')' at position 8"),
+        ("In(x)\n\nIn(x)", "trailing input at position 7"),
+        ("In(x) |     =", "expected a term, got '=' at position 12"),
+        ("exists\u2003In. In(x)", "variable 'In' shadows a signature symbol at position 7"),
+        ("In(x) <-> <-> In(x)", "expected a term, got '<->' at position 10"),
+        ("x < \u0663\u0663 \u0663", "trailing input at position 7"),
+        ("In(x)\t\u2003$", "unexpected character '$' at position 7"),
     ],
 )
 def test_a_parse_error_points_at_the_offending_token(text, message):
@@ -214,6 +222,40 @@ def test_a_parse_error_points_at_the_offending_token(text, message):
     with pytest.raises(ParseError) as exc:
         parse_formula(text, SIGMA)
     assert str(exc.value).startswith(message)
+
+
+def _stray(text: str) -> str:
+    """The tokenizer's message for the first '$' in a text of over 80
+    characters."""
+    where = text.index("$")
+    tail = "..." if where + 30 < len(text) else ""
+    excerpt = f"...{text[where - 30:where + 30]!r}{tail}"
+    return f"unexpected character '$' at position {where} in {excerpt}"
+
+
+# Malformed texts on which a validator that matched the whole text against
+# a starred token grammar would backtrack exponentially: every name, number
+# and run of them splits in many ways before the stray '$'.
+MALFORMED = {
+    "5000 primed names": "x'" * 5000 + " $",
+    "2000 conjuncts": "In(x) & " * 2000 + "$",
+    "one long name": "forall " + "x" * 3000 + ". In(" + "y1" * 2000 + ") $",
+    "one long number": "x < " + "9" * 4000 + "$ = 1",
+    "a mutated formula": (
+        "forall x. (In(x) <-> exists y. (E(x, y) & y < h1 & ~(exists z. "
+        "(z < y & In(z)))) | Out_x'' = 12 & forall z. (E(z, x) -> R(z))) "
+        "& exists yy'. E(yy', t) & t1x2y3 = h2a3b4c5 -> x10y20z30w40 $ = 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_stray_character_is_found_in_linear_time(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text, SIGMA)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == _stray(text)
 
 
 def test_doubled_mode_requires_copies():

@@ -264,6 +264,14 @@ def test_set_parse_and_format():
         parse_ordinal_set("1,2")
 
 
+def test_a_set_element_is_read_in_any_decimal_digits_and_no_other():
+    # the Arabic-Indic three is a decimal digit; the superscript two is a
+    # digit that int does not read
+    assert parse_ordinal_set("{٣,1}") == OrdinalSet.finite({1, 3})
+    with pytest.raises(ParseError, match=r"^bad set element '1²' in '\{0,1²\}'$"):
+        parse_ordinal_set("{0,1²}")
+
+
 def test_members_below_and_support_bound():
     s = OrdinalSet.cofinite({0, 2})
     assert list(s.members_below(6)) == [1, 3, 4, 5]

@@ -1,19 +1,26 @@
 """Every text reader fails on malformed input with a GseqaError, never with
 a bare ValueError, KeyError or IndexError. The texts are short strings
 over each reader's own vocabulary: its pieces strung together, or a
-well-formed sample with a slice replaced by pieces."""
+well-formed sample with a slice replaced by pieces. A seeded corpus of
+printed random formulas and states, each with a few single-character
+edits, pins the same contract for the formula and state readers, and that
+what they do read prints back to itself."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gseqa.errors import GseqaError
-from gseqa.logic import Signature, SymbolDecl, parse_formula
+from gseqa.logic import Signature, SymbolDecl, format_formula, parse_formula
 from gseqa.ordinals import parse_ordinal, parse_ordinal_set
 from gseqa.specfiles import parse_machine
-from gseqa.states import parse_state
+from gseqa.states import format_state, parse_state
+
+from corpus_tools import CORPUS_SIGMA, mutate, random_formula, random_state, stamp_random_copies
 from gseqa.transforms import parse_tm
 
 SIGMA = Signature(
@@ -127,3 +134,46 @@ def test_a_reader_raises_nothing_but_gseqa_errors(reader, data):
         read(text)
     except GseqaError:
         pass
+
+
+def _mutated(seed: int, count: int) -> tuple[list[tuple[str, bool]], list[str]]:
+    """count printed random formulas (every third doubled) and count
+    printed random states, each after 0 to 3 single-character edits."""
+    rng = random.Random(seed)
+    formulas = []
+    for i in range(count):
+        f = random_formula(rng)
+        if doubled := i % 3 == 0:
+            f = stamp_random_copies(f, rng)
+        formulas.append((mutate(format_formula(f), rng, rng.randrange(4)), doubled))
+    snapshots = [
+        mutate(format_state(random_state(rng)), rng, rng.randrange(4)) for _ in range(count)
+    ]
+    return formulas, snapshots
+
+
+FORMULA_TEXTS, STATE_TEXTS = _mutated(30, 3000)
+
+
+def test_a_mutated_formula_reads_as_itself_printed_or_fails_cleanly():
+    read = []
+    for text, doubled in FORMULA_TEXTS:
+        try:
+            f = parse_formula(text, CORPUS_SIGMA, doubled=doubled)
+        except GseqaError:
+            continue
+        assert parse_formula(format_formula(f), CORPUS_SIGMA, doubled=doubled) == f, text
+        read.append(text)
+    assert 0.2 < len(read) / len(FORMULA_TEXTS) < 0.8
+
+
+def test_a_mutated_state_reads_as_itself_printed_or_fails_cleanly():
+    read = []
+    for text in STATE_TEXTS:
+        try:
+            s = parse_state(text)
+        except GseqaError:
+            continue
+        assert parse_state(format_state(s)) == s, text
+        read.append(text)
+    assert 0.2 < len(read) / len(STATE_TEXTS) < 0.8

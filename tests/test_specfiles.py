@@ -162,6 +162,20 @@ class TestRejections:
         with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
             parse_machine(text)
 
+    @pytest.mark.parametrize(
+        "again, message",
+        [
+            ("kappa: 5\n", "line 4: second 'kappa:' line"),
+            ("flavor: gseqap\n", "line 4: second 'flavor:' line"),
+        ],
+        ids=["kappa", "flavor"],
+    )
+    def test_a_repeated_header_line_names_its_line(self, again, message):
+        # the later line used to replace the first without a word
+        text = HANDWRITTEN.replace("signature:\n", again + "signature:\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+            parse_machine(text)
+
     def test_an_equal_redeclaration_is_accepted(self):
         again = HANDWRITTEN.replace("  h: Constant\n", "  h: Constant\n  h: Constant\n")
         assert parse_machine(again) == parse_machine(HANDWRITTEN)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -191,6 +192,33 @@ def test_parse_state_names_the_bad_item(line, item):
 def test_parse_state_refuses_what_it_would_drop(text, named):
     with pytest.raises(ParseError, match=re.escape(repr(named))):
         parse_state(text)
+
+
+BAD_SET = "{" + ",".join("5x00" if i == 5000 else str(i) for i in range(10_000)) + "}"
+BAD_TUPLES = "{" + ",".join(f"({i},{'5x01' if i == 5000 else i + 1})" for i in range(10_000)) + "}"
+LONG = {
+    "a set with one bad element": (
+        f"unary: R={BAD_SET}",
+        f"unary item {'R=' + BAD_SET!r}: bad set element '5x00' in {BAD_SET!r}",
+    ),
+    "a tuple set with one bad tuple": (
+        f"nary: E={BAD_TUPLES}",
+        f"nary item {'E=' + BAD_TUPLES!r}: expected a natural number, got '5x01'",
+    ),
+    "10 000 constants, one bad": (
+        "constants: " + " ".join(f"c{i}={'9x' if i == 5000 else i}" for i in range(10_000)),
+        "constants item 'c5000=9x': expected a natural number, got '9x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("line, message", LONG.values(), ids=LONG.keys())
+def test_a_long_snapshot_line_fails_in_linear_time(line, message):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_state(f"state kappa=w\n{line}")
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == message
 
 
 def test_parse_state_reads_one_tuples_in_both_forms():
