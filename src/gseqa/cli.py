@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from .alpharef import Halted, parse_alpha_program, run_alpha_machine, simulate_alpha_as_gseqap
 from .errors import GseqaError, MachineInvalid, ParseError
 from .ordinals import format_ordinal_set, parse_ordinal, parse_ordinal_set
-from .runtime import Budget, OutOfBudget, Terminated, dump_trace, run
+from .runtime import Budget, OutOfBudget, Terminated, _outcome_line, dump_trace, run
 from .specfiles import format_machine, parse_machine
 from .states import format_state
 from .transforms import compile_tm, compose, dovetail, flip, lift, parse_tm
@@ -95,7 +95,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if isinstance(outcome, OutOfBudget):
         print(f"out of budget: {outcome.reason}", file=sys.stderr)
         return 2
-    print(f"{type(outcome).__name__}: {outcome}", file=sys.stderr)
+    print(_outcome_line(outcome).replace("\t", ": ", 1), file=sys.stderr)
     return 1
 
 

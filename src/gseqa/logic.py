@@ -136,6 +136,9 @@ class Signature:
                 raise ValueError(f"cannot redeclare {d.name!r}")
             if d.name in _RESERVED:
                 raise ValueError(f"{d.name!r} is reserved")
+            # a name that is not one name token could not be read back from text
+            if not _NAME_RE.fullmatch(d.name):
+                raise ValueError(f"{d.name!r} is not a name ({_NAME_RE.pattern})")
             self._decls[d.name] = d
 
     def __contains__(self, name: str) -> bool:
@@ -499,7 +502,8 @@ def is_binary(f: Formula) -> bool:
 
 # _tokenize checks a text with one linear sub of tokens and whitespace; one
 # starred match of the token grammar would backtrack exponentially on junk.
-_TOKEN = r"<->|->|[()~&|=<,.@]|\d+|[A-Za-z_][A-Za-z0-9_']*"
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_TOKEN = r"<->|->|[()~&|=<,.@]|\d+|" + _NAME_RE.pattern
 _TOKEN_RE = re.compile(_TOKEN)
 _TOKEN_OR_SPACE_RE = re.compile(_TOKEN + r"|\s+")
 _IDENT_START = frozenset(string.ascii_letters + "_")
@@ -610,10 +614,8 @@ class _Parser:
         if val in ("true", "false"):
             self.i += 1
             return Truth(val == "true")
-        # a signature read from a file may hold a name like "12", which is no name token
-        if val in self.sigma and val[0] in _IDENT_START:
-            if self.sigma.decl(val).kind == "Relation":
-                return self.relation_atom()
+        if val in self.sigma and self.sigma.decl(val).kind == "Relation":
+            return self.relation_atom()
         left = self.term()
         op = self.tokens[self.i]
         if op == "=":

@@ -67,22 +67,22 @@ forall y. ((exists z. y = z) | R(w)) is true, where a larger universe
 evaluates R(w) and raises Unsupported for the infinite literal. No value
 differs; only an error that the skipped arm would raise goes unseen.
 
-Every entry evaluates through an EvalContext, which reads its states
-directly and builds one evaluator per probe set-up. Its caller hands it
-each formula's largest anchor: a public entry takes the top of its
-states' support and the formula's literals, a machine's step each part's
-footprint values and literals. A set-up's candidates and quantifier
-values are immutable and hold a few ints each, so only its patterns grow
-with the support. One table builds each set-up and its patterns once for
-all its contexts: a machine's interned table, or the one that contexts
-over raw formulas share, where the differential workload meets 81
-set-ups in 10 000 contexts a round. Both drop their set-ups once these
-pass a fixed number of bits (see Interned.setup). One reader per value
-kind decodes a table's set bits, lowest first: defined_set and
-defined_relation check their arguments and call it, and a machine's step
-calls it on each part's table, or takes a constant's one set bit. Each
-node kind's semantics is written once, as a method of the one evaluator
-class, and two dispatchers reach it:
+Every entry evaluates through an EvalContext, one per state, which reads
+its states directly and switches in place to each truth table's probe
+set-up. Its caller hands it each formula's largest anchor: a public entry
+takes the top of its states' support and the formula's literals, a
+machine's step each part's footprint values and literals. A set-up's
+candidates and quantifier values are immutable and hold a few ints each,
+so only its patterns grow with the support. One table builds each set-up
+and its patterns once for all its contexts: a machine's interned table,
+or the one that contexts over raw formulas share, where the differential
+workload meets 81 set-ups in 10 000 contexts a round. Both drop their
+set-ups once these pass a fixed number of bits (see Interned.setup). One
+reader per value kind decodes a table's set bits, lowest first, and no
+other module reads them: defined_set and defined_relation check their
+arguments and call it, and a machine's step calls it on each part's
+table. Each node kind's semantics is written once, as a method of
+EvalContext, and two dispatchers reach it:
 
 * A raw formula is interpreted node by node; this is what sat, sat2,
   defined_set and defined_relation do. Its static facts are folded on
@@ -262,8 +262,8 @@ class _Candidates(Sequence):
 class _Setup:
     """One probe set-up (see _setup_values): the values its quantifiers
     range over, the candidates of its truth tables' variables, and what
-    its evaluators build once for the set-up (axes and patterns; see
-    _Evaluator), keyed by kind and axis lengths, and the bits it holds:
+    its contexts build once for the set-up (axes and patterns; see
+    EvalContext), keyed by kind and axis lengths, and the bits it holds:
     one per quantifier value, and each pattern's as it is stored."""
 
     __slots__ = ("quant_values", "candidates", "patterns", "cells")
@@ -376,8 +376,15 @@ class _Axis:
         return (((1 << hi - lo) - 1) << lo if lo < hi else 0), self.bit, self.full
 
 
-class _Evaluator:
-    """The semantics of each node kind for one probe set-up.
+class EvalContext:
+    """Evaluation over fixed states in one domain, given as a map from
+    copy index to State: the semantics of each node kind, under one probe
+    set-up at a time. Build one per state; it answers every formula asked
+    of that state and, over interned formulas, computes each closed node
+    once. Its set-ups, with the patterns that depend only on a set-up and
+    the axes (x = y, x < y, the bound masks and the shift masks that widen
+    a value), come from a table that keeps them across contexts: the
+    interned one, or _RAW. An atom reads its copy's State directly.
 
     A closed node's value is a plain int or bool. An open formula is a
     triple (bits, reads, full): reads has bit d set when an atom it
@@ -387,32 +394,56 @@ class _Evaluator:
     full is the all-ones pattern of those cells. An open term is a bound
     variable's _Axis. Operands that read different depths are widened to
     the union before they combine.
-    Patterns that depend only on the set-up and the axes (x = y, x < y,
-    the bound masks and the shift masks that widen a value) are kept in
-    the set-up's patterns, shared by every context on it. An atom reads
-    its copy's State directly, on each call.
 
-    Two dispatchers reach the semantics: eval interprets a raw formula
-    node by node, and an interned formula's closures (see
-    Interned._compile) call them directly and keep each closed node's
-    value in the context's memo. Each dispatcher is the faster one for its
-    traffic; see the module docstring."""
+    Two dispatchers reach the semantics (see the module docstring): eval
+    interprets a raw formula node by node, and an interned formula's
+    closures (see Interned._compile) call them directly and keep each
+    closed node's value in the memo."""
 
-    def __init__(self, ctx: "EvalContext", anchor_max: int, setup: _Setup):
-        self.states = ctx.states
-        self.domain = ctx.domain
-        self.memo = ctx.memo
-        self.anchor_max = anchor_max
-        # the range [0, n) that every quantifier runs over
-        self.quant_values = setup.quant_values
-        self.setup = setup
-        self.patterns = setup.patterns
-        # the probe set-up, which with a node's identity keys its memo entry
-        self.scope = (anchor_max, len(self.quant_values))
+    def __init__(
+        self,
+        states: Mapping[int | None, State],
+        domain: EvalDomain,
+        interned: Interned | None = None,
+    ):
+        self.states = states
+        self.domain = domain
+        self.interned = interned
+        self.memo: dict[object, Any] = {}
+        # the probe set-up in use and its key, (anchor max, rank, reps), which
+        # with a node's identity keys a quantified node's memo entry; see _use
+        self.key: tuple[int, int, int] | None = None
+        self.setup: _Setup | None = None
+        self.anchor_max = 0
         # each bound variable's axis, outermost first
         self.bound: dict[str, _Axis] = {}
 
+    @staticmethod
+    def single(
+        state: State, domain: EvalDomain, interned: Interned | None = None
+    ) -> "EvalContext":
+        """A context for one state, read by bare and copy-0 references."""
+        return EvalContext({None: state, 0: state}, domain, interned)
+
     # -- plumbing ----------------------------------------------------------
+
+    def _use(self, anchor_max: int, rank: int, reps: int) -> Sequence[int] | None:
+        """Switch to the probe set-up of one anchor maximum, rank and number
+        of far representatives, from the interned table or _RAW, unless it
+        is in use, and return its candidates. The first switch at w checks
+        that every state's universe is infinite."""
+        key = (anchor_max, rank, reps)
+        if key != self.key:
+            if self.key is None and self.domain.is_omega:
+                for s in self.states.values():
+                    if s.kappa.is_finite:
+                        raise Unsupported("Omega evaluation needs an infinite universe; "
+                                          f"this state has kappa = {s.kappa}")
+            # an empty interned table is falsy, so test for None
+            table = _RAW if self.interned is None else self.interned
+            self.setup = table.setup(self.domain, anchor_max, rank, reps)
+            self.key, self.anchor_max = key, anchor_max
+        return self.setup.candidates
 
     def state(self, copy: int | None) -> State:
         try:
@@ -432,7 +463,7 @@ class _Evaluator:
         if var in self.bound:
             raise Unsupported(f"rebinding of {var!r} inside its own scope")
         key = ("axis", len(self.bound), len(values))
-        axis = self.patterns.get(key)
+        axis = self.setup.patterns.get(key)
         if axis is None:
             axis = self._keep(key, _Axis(len(self.bound), values), 2 * len(values))
         self.bound[var] = axis
@@ -440,8 +471,8 @@ class _Evaluator:
 
     def _keep(self, key: tuple, pattern: Any, cells: int) -> Any:
         """Keep a pattern of the given bits with the set-up, for every
-        evaluator on it, and count them (see Interned.setup)."""
-        self.patterns[key] = pattern
+        context on it, and count them (see Interned.setup)."""
+        self.setup.patterns[key] = pattern
         self.setup.cells += cells
         return pattern
 
@@ -501,7 +532,7 @@ class _Evaluator:
         block h at h * width, to h * width * factor: from the highest bit
         of h down, the blocks with that bit set move together."""
         key = ("spread", width, factor, count)
-        steps = self.patterns.get(key)
+        steps = self.setup.patterns.get(key)
         if steps is None:
             steps = []
             stride = width * factor
@@ -573,7 +604,7 @@ class _Evaluator:
         # the shallower axis is the lower digit
         low, high = (x, y) if x.depth < y.depth else (y, x)
         key = ("pair", less, x is low, low.size, high.size)
-        bits = self.patterns.get(key)
+        bits = self.setup.patterns.get(key)
         if bits is None:
             what = "the comparison " + ("'<'" if less else "'='")
             self._check_cells(what, x.bit | y.bit, low.size * high.size)
@@ -692,7 +723,7 @@ class _Evaluator:
         the complement of the OR of the body's complement. The result is a
         closed bool when no other depth is read, or when the other read
         depths have one cell between them."""
-        own = self.bind(f.var, self.quant_values)
+        own = self.bind(f.var, self.setup.quant_values)
         try:
             value = body(arg)
         finally:
@@ -736,7 +767,7 @@ class _Evaluator:
             return (1 << count) - 1, count
         axes = [a for a in self.bound.values() if reads & a.bit]
         key = ("mask", margin, *(a.size for a in axes))
-        mask = self.patterns.get(key)
+        mask = self.setup.patterns.get(key)
         if mask is None:
             self._check_cells("a quantifier's probe bound", reads, cells * own.size)
             rows = []
@@ -797,14 +828,147 @@ class _Evaluator:
             return self.literal(t.value)
         raise TypeError(f"not a term: {t!r}")
 
+    # -- the entries -------------------------------------------------------
 
-def _check_omega_ok(states: Mapping[int | None, State]) -> None:
-    for s in states.values():
-        if s.kappa.is_finite:
-            raise Unsupported(
-                "Omega evaluation needs an infinite universe; this state has "
-                f"kappa = {s.kappa}"
+    def _anchor(self, literals: frozenset[OrdinalNotation]) -> int:
+        """A public entry's largest anchor: its states' support top and the
+        formula's finite literals at w, 0 on a surrogate (see _truth_table)."""
+        if not self.domain.is_omega:
+            return 0
+        return _anchor_max(literals, _support_max(self.states.values()))
+
+    def _truth_table(
+        self,
+        formula: Formula,
+        rank: int,
+        anchor_max: int,
+        variables: tuple[str, ...] = (),
+        reps: int = 0,
+    ) -> tuple[Any, Sequence[int] | None]:
+        """The formula's truth table and the candidates its variables range
+        over. rank is the formula's quantifier rank and anchor_max its
+        largest anchor, which the caller works out: a public entry from its
+        states' support (see _anchor), a step from each part's footprint
+        (see validator), and 0 on a surrogate, which probes its whole universe.
+
+        With variables, the table is a bitset over len(candidates) ** k
+        cells for k variables: bit i is the truth at the candidates whose
+        indices are the digits of i in base len(candidates), the first
+        variable's the lowest. A value that reads no variable is all ones
+        or zero. Variables come with reps > 0 far representatives (see
+        _setup_values). With no variables the table is a single truth
+        value and the candidates are None.
+        """
+        candidates = self._use(anchor_max, rank, reps)
+        try:
+            for x in variables:
+                self.bind(x, candidates)
+            if self.interned is None:
+                value = self.eval(formula)
+            else:
+                value = self.interned.closures[id(formula)](self)
+            every = (1 << len(variables)) - 1
+            if type(value) is tuple:
+                value = value[0] if value[1] == every else self._widen(value, every)[0]
+            elif variables:
+                cells = len(candidates) ** len(variables)
+                if len(variables) > 1:
+                    self._check_cells("the formula", every, cells)
+                value = (1 << cells) - 1 if value else 0
+        finally:
+            self.bound.clear()
+        return value, candidates
+
+    @_depth_checked
+    def sentence(self, formula: Formula) -> bool:
+        """Truth of a sentence."""
+        free, rank, literals = static_facts(formula)
+        if free:
+            raise NotClosed(f"free variables {sorted(free)} in sentence")
+        return bool(self._truth_table(formula, rank, self._anchor(literals))[0])
+
+    @_depth_checked
+    def defined_set(self, formula: Formula, var: str | None = None) -> OrdinalSet:
+        """The set a one-free-variable formula defines; see defined_set."""
+        fv, rank, literals = static_facts(formula)
+        if var is None:
+            if len(fv) != 1:
+                raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
+            var = next(iter(fv))
+        elif fv - {var}:
+            raise NotClosed(f"extra free variables {sorted(fv - {var})}")
+        bits, candidates = self._truth_table(formula, rank, self._anchor(literals), (var,), 3)
+        return self._read_set(bits, candidates, formula)
+
+    @_depth_checked
+    def defined_relation(
+        self, formula: Formula, variables: tuple[str, ...] | None = None
+    ) -> frozenset[tuple[int, ...]]:
+        """The finite relation a formula defines; see defined_relation."""
+        fv, rank, literals = static_facts(formula)
+        if variables is None:
+            variables = tuple(sorted(fv))
+        if not fv <= set(variables):
+            raise NotClosed(
+                f"variable list {variables} misses free variables {sorted(fv - set(variables))}"
             )
+        if not variables:
+            raise NotClosed("defined_relation needs at least one variable")
+        bits, candidates = self._truth_table(
+            formula, rank, self._anchor(literals), tuple(variables), 1
+        )
+        return self._read_relation(bits, candidates, variables)
+
+    def _read_set(self, bits: int, candidates: Sequence[int], formula: Formula) -> OrdinalSet:
+        """The set a one-variable table with three far representatives
+        defines: cofinite when all three hold, an error when they differ."""
+        if not self.domain.is_omega:
+            return OrdinalSet.finite(_positions(bits))
+        head = len(candidates) - 3
+        tail = bits >> head
+        if tail and tail != 7:
+            raise ThresholdViolation(
+                f"tail representatives at {[candidates[i] for i in (-3, -2, -1)]} disagree for "
+                f"{formula!r}; the evaluation bound did not stabilise this formula"
+            )
+        if tail:
+            bits = ~bits
+        members = _positions(bits & ((1 << head) - 1))
+        return OrdinalSet.cofinite(members) if tail else OrdinalSet.finite(members)
+
+    def _read_constant(
+        self, bits: int, candidates: Sequence[int], formula: Formula
+    ) -> int | OrdinalSet:
+        """The one element a table for _read_set defines: its one set bit's
+        index, unless a far representative holds it; else the set defined."""
+        head = len(candidates) - 3 if self.domain.is_omega else len(candidates)
+        top = bits.bit_length() - 1
+        if 0 <= top < head and bits == 1 << top:
+            return top
+        return self._read_set(bits, candidates, formula)
+
+    def _read_relation(
+        self, bits: int, candidates: Sequence[int], variables: Sequence[str]
+    ) -> frozenset[tuple[int, ...]]:
+        """The tuples a table with one far representative defines; at w one
+        that holds at the representative is infinite and Unrepresentable."""
+        n, k = len(candidates), len(variables)
+        if self.domain.is_omega:
+            for i, x in enumerate(variables):
+                # the cells whose i-th variable is the far representative
+                far = ((1 << n**i) - 1) << (n - 1) * n**i
+                if bits & _tile(far, n ** (i + 1), n ** (k - 1 - i)):
+                    raise Unrepresentable(
+                        f"formula defines an infinite relation (true at {x} = {candidates[-1]})"
+                    )
+        rows = []
+        for p in _positions(bits):
+            row = []
+            for _ in range(k):
+                p, i = divmod(p, n)
+                row.append(i)
+            rows.append(tuple(row))
+        return frozenset(rows)
 
 
 # The most cells a bitset over two or more axes may have: 2 MiB of bits.
@@ -814,8 +978,8 @@ def _check_omega_ok(states: Mapping[int | None, State]) -> None:
 # of the set-ups that a table keeps (see Interned.setup).
 _MAX_CELLS = 1 << 24
 
-# A node's closure: its value under an evaluator.
-_Closure = Callable[[_Evaluator], Any]
+# A node's closure: its value under a context.
+_Closure = Callable[[EvalContext], Any]
 
 
 class Interned:
@@ -898,60 +1062,60 @@ class Interned:
     def _compile(self, node: Node) -> _Closure:
         """The node's closure. A closed formula node's closure computes it
         once per context, keyed by the node's identity and, when it holds
-        a quantifier, also by the anchor maximum and candidate count,
-        which fix the probe bounds, and by the variables bound around it,
-        which decide whether it rebinds one."""
+        a quantifier, also by the context's set-up key, which fixes the
+        probe bounds, and by the variables bound around it, which decide
+        whether it rebinds one."""
         c = [self.closures[id(k)] for k in children(node)]
         if isinstance(node, Var):
             name = node.name
-            return lambda ev: ev.var(name)
+            return lambda ctx: ctx.var(name)
         if isinstance(node, Const):
             name, copy = node.name, node.copy
-            return lambda ev: ev.constant(name, copy)
+            return lambda ctx: ctx.constant(name, copy)
         if isinstance(node, OrdinalLiteral):
             value = node.value
-            return lambda ev: ev.literal(value)
+            return lambda ctx: ctx.literal(value)
         if isinstance(node, Truth):
             value = node.value
-            return lambda ev: value
+            return lambda ctx: value
         fn: _Closure
         if isinstance(node, Apply):
             name, copy = node.name, node.copy
             if name == MEMBERSHIP:
                 a, b = c
-                fn = lambda ev: ev.less(a(ev), b(ev))
+                fn = lambda ctx: ctx.less(a(ctx), b(ctx))
             elif len(c) == 1:
                 (a,) = c
-                fn = lambda ev: ev.unary(ev.state(copy), name, a(ev))
+                fn = lambda ctx: ctx.unary(ctx.state(copy), name, a(ctx))
             else:
-                fn = lambda ev: ev.nary(ev.state(copy), name, [a(ev) for a in c])
+                fn = lambda ctx: ctx.nary(ctx.state(copy), name, [a(ctx) for a in c])
         elif isinstance(node, Equal):
             a, b = c
-            fn = lambda ev: ev.equal(a(ev), b(ev))
+            fn = lambda ctx: ctx.equal(a(ctx), b(ctx))
         elif isinstance(node, Not):
             (a,) = c
-            fn = lambda ev: ev.negate(a(ev))
+            fn = lambda ctx: ctx.negate(a(ctx))
         elif isinstance(node, (And, Or, Implies, Iff)):
             kind, (a, b) = type(node), c
 
-            def fn(ev: _Evaluator) -> Any:
-                left = a(ev)
-                settled = ev.settle(kind, left)
-                return ev.combine(kind, left, b(ev)) if settled is None else settled
+            def fn(ctx: EvalContext) -> Any:
+                left = a(ctx)
+                settled = ctx.settle(kind, left)
+                return ctx.combine(kind, left, b(ctx)) if settled is None else settled
 
         else:
             (a,), body_rank = c, quantifier_rank(node.body)
-            fn = lambda ev: ev.quantify(node, body_rank, a, ev)
+            fn = lambda ctx: ctx.quantify(node, body_rank, a, ctx)
         free, rank, _ = static_facts(node)
         if free:
             return fn
         nid = id(node)
 
-        def memo(ev: _Evaluator) -> Any:
-            key = (nid, ev.scope, tuple(ev.bound)) if rank else nid
-            value = ev.memo.get(key)
+        def memo(ctx: EvalContext) -> Any:
+            key = (nid, ctx.key, tuple(ctx.bound)) if rank else nid
+            value = ctx.memo.get(key)
             if value is None:
-                value = ev.memo[key] = fn(ev)
+                value = ctx.memo[key] = fn(ctx)
             return value
 
         return memo
@@ -959,180 +1123,6 @@ class Interned:
 
 # the set-ups of every context over raw formulas
 _RAW = Interned()
-
-
-class EvalContext:
-    """Evaluation over fixed states in one domain, given as a map from
-    copy index to State: one evaluator per probe set-up and, over interned
-    formulas, every closed node already evaluated. Build one per state; it
-    answers every formula asked of that state. Its set-ups come from a
-    table that keeps them across contexts: the interned one, or _RAW."""
-
-    def __init__(
-        self,
-        states: Mapping[int | None, State],
-        domain: EvalDomain,
-        interned: Interned | None = None,
-    ):
-        self.states = states
-        self.domain = domain
-        self.interned = interned
-        self.memo: dict[object, Any] = {}
-        self._setups: dict[tuple[int, int, int], tuple[_Evaluator, Sequence[int] | None]] = {}
-
-    @staticmethod
-    def single(
-        state: State, domain: EvalDomain, interned: Interned | None = None
-    ) -> "EvalContext":
-        """A context for one state, read by bare and copy-0 references."""
-        return EvalContext({None: state, 0: state}, domain, interned)
-
-    def _anchor(self, literals: frozenset[OrdinalNotation]) -> int:
-        """A public entry's largest anchor: its states' support top and the
-        formula's finite literals at w, 0 on a surrogate (see _truth_table)."""
-        if not self.domain.is_omega:
-            return 0
-        return _anchor_max(literals, _support_max(self.states.values()))
-
-    def _setup(
-        self, anchor_max: int, rank: int, reps: int
-    ) -> tuple[_Evaluator, Sequence[int] | None]:
-        """The evaluator and the candidates for one anchor maximum, rank
-        and number of far representatives, built once per context on a
-        set-up from the interned table, if there is one, or from _RAW."""
-        key = (anchor_max, rank, reps)
-        setup = self._setups.get(key)
-        if setup is not None:
-            return setup
-        if self.domain.is_omega:
-            _check_omega_ok(self.states)
-        # an empty interned table is falsy, so test for None
-        table = _RAW if self.interned is None else self.interned
-        made = table.setup(self.domain, anchor_max, rank, reps)
-        setup = self._setups[key] = (_Evaluator(self, anchor_max, made), made.candidates)
-        return setup
-
-    def _truth_table(
-        self,
-        formula: Formula,
-        rank: int,
-        anchor_max: int,
-        variables: tuple[str, ...] = (),
-        reps: int = 0,
-    ) -> tuple[Any, Sequence[int] | None]:
-        """The formula's truth table and the candidates its variables range
-        over. rank is the formula's quantifier rank and anchor_max its
-        largest anchor, which the caller works out: a public entry from its
-        states' support (see _anchor), a step from each part's footprint
-        (see validator), and 0 on a surrogate, which probes its whole universe.
-
-        With variables, the table is a bitset over len(candidates) ** k
-        cells for k variables: bit i is the truth at the candidates whose
-        indices are the digits of i in base len(candidates), the first
-        variable's the lowest. A value that reads no variable is all ones
-        or zero. Variables come with reps > 0 far representatives (see
-        _setup_values). With no variables the table is a single truth
-        value and the candidates are None.
-        """
-        ev, candidates = self._setup(anchor_max, rank, reps)
-        try:
-            for x in variables:
-                ev.bind(x, candidates)
-            if self.interned is None:
-                value = ev.eval(formula)
-            else:
-                value = self.interned.closures[id(formula)](ev)
-            every = (1 << len(variables)) - 1
-            if type(value) is tuple:
-                value = value[0] if value[1] == every else ev._widen(value, every)[0]
-            elif variables:
-                cells = len(candidates) ** len(variables)
-                if len(variables) > 1:
-                    ev._check_cells("the formula", every, cells)
-                value = (1 << cells) - 1 if value else 0
-        finally:
-            ev.bound.clear()
-        return value, candidates
-
-    @_depth_checked
-    def sentence(self, formula: Formula) -> bool:
-        """Truth of a sentence."""
-        free, rank, literals = static_facts(formula)
-        if free:
-            raise NotClosed(f"free variables {sorted(free)} in sentence")
-        return bool(self._truth_table(formula, rank, self._anchor(literals))[0])
-
-    @_depth_checked
-    def defined_set(self, formula: Formula, var: str | None = None) -> OrdinalSet:
-        """The set a one-free-variable formula defines; see defined_set."""
-        fv, rank, literals = static_facts(formula)
-        if var is None:
-            if len(fv) != 1:
-                raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
-            var = next(iter(fv))
-        elif fv - {var}:
-            raise NotClosed(f"extra free variables {sorted(fv - {var})}")
-        bits, candidates = self._truth_table(formula, rank, self._anchor(literals), (var,), 3)
-        return self._read_set(bits, candidates, formula)
-
-    @_depth_checked
-    def defined_relation(
-        self, formula: Formula, variables: tuple[str, ...] | None = None
-    ) -> frozenset[tuple[int, ...]]:
-        """The finite relation a formula defines; see defined_relation."""
-        fv, rank, literals = static_facts(formula)
-        if variables is None:
-            variables = tuple(sorted(fv))
-        if not fv <= set(variables):
-            raise NotClosed(
-                f"variable list {variables} misses free variables {sorted(fv - set(variables))}"
-            )
-        if not variables:
-            raise NotClosed("defined_relation needs at least one variable")
-        bits, candidates = self._truth_table(
-            formula, rank, self._anchor(literals), tuple(variables), 1
-        )
-        return self._read_relation(bits, candidates, variables)
-
-    def _read_set(self, bits: int, candidates: Sequence[int], formula: Formula) -> OrdinalSet:
-        """The set a one-variable table with three far representatives
-        defines: cofinite when all three hold, an error when they differ."""
-        if not self.domain.is_omega:
-            return OrdinalSet.finite(_positions(bits))
-        head = len(candidates) - 3
-        tail = bits >> head
-        if tail and tail != 7:
-            raise ThresholdViolation(
-                f"tail representatives at {[candidates[i] for i in (-3, -2, -1)]} disagree for "
-                f"{formula!r}; the evaluation bound did not stabilise this formula"
-            )
-        if tail:
-            bits = ~bits
-        members = _positions(bits & ((1 << head) - 1))
-        return OrdinalSet.cofinite(members) if tail else OrdinalSet.finite(members)
-
-    def _read_relation(
-        self, bits: int, candidates: Sequence[int], variables: Sequence[str]
-    ) -> frozenset[tuple[int, ...]]:
-        """The tuples a table with one far representative defines; at w one
-        that holds at the representative is infinite and Unrepresentable."""
-        n, k = len(candidates), len(variables)
-        if self.domain.is_omega:
-            for i, x in enumerate(variables):
-                # the cells whose i-th variable is the far representative
-                far = ((1 << n**i) - 1) << (n - 1) * n**i
-                if bits & _tile(far, n ** (i + 1), n ** (k - 1 - i)):
-                    raise Unrepresentable(
-                        f"formula defines an infinite relation (true at {x} = {candidates[-1]})"
-                    )
-        rows = []
-        for p in _positions(bits):
-            row = []
-            for _ in range(k):
-                p, i = divmod(p, n)
-                row.append(i)
-            rows.append(tuple(row))
-        return frozenset(rows)
 
 
 def sat(formula: Formula, state: State, domain: EvalDomain) -> bool:

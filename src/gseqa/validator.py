@@ -445,8 +445,9 @@ def _evaluate_parts(
 ) -> dict[str, object]:
     """The value each witness defines over the state, by symbol name, in
     the parts' order. Each part comes with its largest anchor at w, which
-    fixes its probes; parts with equal anchors share one evaluator and its
-    closed-node memo.
+    fixes its probes. Every part is evaluated under the state's one context
+    and its closed-node memo; the context switches set-ups between parts
+    whose anchors, ranks or far representatives differ.
     interned is the table the part bodies come from, if they were
     compiled. An evaluation error names the part's symbol."""
     ctx = EvalContext.single(state, domain, interned)
@@ -479,13 +480,10 @@ def _part_value(ctx: EvalContext, part: _Part, anchor: int, state: State) -> obj
     bits, candidates = ctx._truth_table(body, rank, anchor, variables, 3)
     if decl.kind == "Relation":
         return ctx._read_set(bits, candidates, body)
-    # a constant's value is its one set bit's index, unless a far representative holds it
-    head = len(candidates) - 3 if ctx.domain.is_omega else len(candidates)
-    top = bits.bit_length() - 1
-    if 0 <= top < head and bits == 1 << top:
-        return top
-    defined = ctx._read_set(bits, candidates, body)
-    what = f"a set of size {len(defined.elements)}" if defined.is_finite else "a cofinite set"
+    value = ctx._read_constant(bits, candidates, body)
+    if type(value) is int:
+        return value
+    what = f"a set of size {len(value.elements)}" if value.is_finite else "a cofinite set"
     raise D6Violation(state, decl.name, f"witness defines {what} rather than one value")
 
 

@@ -131,6 +131,32 @@ class TestRun:
         )
         assert code == 1
 
+    def test_a_failed_run_prints_its_reason_as_the_trace_does(self, machine, capsys):
+        code = main(
+            ["run", str(machine), "--input", "{3}", "--budget", "120", "--mode", "short"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "Failed: NotShort: the clock would reach w at the universe bound"
+
+    def test_an_unresolved_limit_prints_the_limit_as_the_trace_does(self, tmp_path, capsys):
+        # h walks down from 50 one step at a time, so 40 steps show no tail
+        sigma = Signature([SymbolDecl("h", "Constant")])
+        pred = "(in(x, h) & (forall y. (in(y, h) -> (y = x | in(y, x))))) | (h = 0 & x = 0)"
+        tau = {"In": "In(x)", "Out": "Out(x)", "h": pred}
+        spec = MachineSpec(
+            kappa=OMEGA,
+            sigma=sigma,
+            flavor=GSEQA,
+            tauWitnesses={k: parse_formula(v, sigma) for k, v in tau.items()},
+            defaultWitnesses={"h": parse_formula("x = 50", sigma)},
+        )
+        path = tmp_path / "staircase.gsa"
+        path.write_text(format_machine(spec))
+        code = main(["run", str(path), "--input", "{}", "--budget", "40", "--limit-jumps", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "LimitUnresolved: w"
+
     def test_trace_file(self, machine, tmp_path, capsys):
         out = tmp_path / "run.trace"
         code = main(

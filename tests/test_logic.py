@@ -87,6 +87,20 @@ def test_signature_rejects_redeclaration_and_reserved():
     Signature([SymbolDecl("In", "Relation", 1, "In")])
 
 
+@pytest.mark.parametrize("name", ["a b", "12", "1x", "x-y", "é", "x\n", ""])
+def test_signature_refuses_a_name_that_is_not_one_name_token(name):
+    # a state over such a name prints text that no reader reads back
+    with pytest.raises(ValueError, match="is not a name"):
+        Signature([SymbolDecl(name, "Relation", 1)])
+
+
+def test_every_name_token_is_a_symbol_name_that_formulas_read_back():
+    names = ["x'", "_", "_a1", "Zz9'"]
+    sigma = Signature([SymbolDecl(n, "Relation", 1) for n in names])
+    for n in names:
+        assert parse_formula(f"{n}(0)", sigma) == rel(n, lit(0))
+
+
 def test_parse_simple_atoms():
     assert parse_formula("x < y", SIGMA) == Apply("in", (Var("x"), Var("y")), None)
     assert parse_formula("in(x, y)", SIGMA) == parse_formula("x<y", SIGMA)

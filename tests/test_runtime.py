@@ -168,6 +168,64 @@ def test_unclassifiable_history_returns_none():
     assert record.cell("h").kind == "Unknown"
 
 
+def st_pairs(history_of_pairs, n=60):
+    """n stages of a state with a binary relation E, stage i holding the
+    tuples that history_of_pairs(i) gives."""
+    return [
+        State.make(W, {"In": OrdinalSet.finite(), "Out": OrdinalSet.finite(),
+                       "E": frozenset(history_of_pairs(i))})
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "present, kind, installed",
+    [
+        (lambda i: True, "Stable", True),
+        (lambda i: i % 2 == 0, "RecurrentMin", False),
+        (lambda i: i >= 3, "Stable", True),
+        (lambda i: i % 3 != 2, "RecurrentMin", False),
+    ],
+    ids=["held throughout", "every other stage", "arrives at stage 3", "missing every third"],
+)
+def test_limit_of_a_binary_relation_classifies_each_tuple(present, kind, installed):
+    lim, record = limit_state(st_pairs(lambda i: {(0, 1)} if present(i) else set()), W, W)
+    (cell,) = record.cells
+    assert (cell.symbol, cell.cell, cell.kind, cell.value) == ("E", (0, 1), kind, int(installed))
+    assert lim.tuples("E") == (frozenset({(0, 1)}) if installed else frozenset())
+
+
+def test_limit_of_a_binary_relation_over_a_period():
+    history = st_pairs(lambda i: {(0, 1)} | ({(2, 3)} if i % 2 == 0 else set()))
+    lim, record = limit_state(history, W, W, period=2)
+    cells = {c.cell: (c.kind, c.value) for c in record.cells if c.symbol == "E"}
+    assert cells == {(0, 1): ("Stable", 1), (2, 3): ("Periodic", 0)}
+    assert lim.tuples("E") == {(0, 1)}
+
+
+def test_a_binary_relation_crosses_the_limit():
+    sigma = BASE.extend([SymbolDecl("c", "Constant"), SymbolDecl("E", "Relation", 2)])
+    vm = build(
+        {
+            "In": "In(x)",
+            "Out": "Out(x)",
+            "c": "in(c, x) & (forall y. (in(y, x) -> (in(y, c) | y = c)))",
+            "E": "E(x1, x2) | (x1 = 0 & x2 = 1)",
+        },
+        {"c": "x = 0", "E": "x1 < x1"},
+        sigma,
+    )
+    trace = run(vm, OrdinalSet.finite(), Budget(20, 1))
+    assert isinstance(trace.outcome, OutOfBudget) and trace.final_stamp == parse_ordinal("w+20")
+    (record,) = trace.limitRecords
+    assert [(c.symbol, c.cell, c.kind, c.value) for c in record.cells] == [
+        ("c", None, "Unbounded", 0),
+        ("E", (0, 1), "Stable", 1),
+    ]
+    at_w = dict(trace.snapshots)[W]
+    assert at_w.tuples("E") == {(0, 1)} and at_w.constant("c") == 0
+
+
 def test_empty_history_rejected():
     with pytest.raises(ValueError):
         limit_state([], W, W)

@@ -21,6 +21,7 @@ from corpus_tools import (
 )
 from gseqa import OMEGA, OrdinalSet, satisfaction
 from gseqa.errors import (
+    MachineInvalid,
     MissingSymbol,
     NotClosed,
     ThresholdViolation,
@@ -59,6 +60,7 @@ from gseqa.satisfaction import (
     threshold_bound,
 )
 from gseqa.states import State, parse_state
+from gseqa.validator import GSEQA, MachineSpec, check_machine
 
 
 def P(text: str, doubled: bool = False):
@@ -510,16 +512,16 @@ def test_patterns_match_a_row_by_row_build(domain, anchor_max, rank, reps):
         for inner in (candidates, quant_values):
             # a new context builds its set-up's patterns afresh
             ctx = EvalContext.single(State.make(OMEGA, {}), domain)
-            ev, _ = ctx._setup(anchor_max, rank, reps)
-            x, y = ev.bind("x", outer), ev.bind("y", inner)
+            ctx._use(anchor_max, rank, reps)
+            x, y = ctx.bind("x", outer), ctx.bind("y", inner)
             for less, left, right in [(True, x, y), (True, y, x), (False, x, y), (False, y, x)]:
-                assert ev._pair(less, left, right)[0] == _rowwise_pair(less, left, right)
+                assert ctx._pair(less, left, right)[0] == _rowwise_pair(less, left, right)
             own = satisfaction._Axis(2, quant_values)
             for reads in (x.bit, y.bit, x.bit | y.bit):
                 cells = (x.size if reads & x.bit else 1) * (y.size if reads & y.bit else 1)
                 for body_rank in range(rank + 1):
-                    want = _rowwise_bound_mask(ev, own, reads, cells, body_rank)
-                    assert ev._bound_mask(own, reads, cells, body_rank) == want
+                    want = _rowwise_bound_mask(ctx, own, reads, cells, body_rank)
+                    assert ctx._bound_mask(own, reads, cells, body_rank) == want
 
 
 @pytest.mark.parametrize("anchor_max, rank, reps", [(0, 0, 1), (3, 1, 3), (40, 3, 3)])
@@ -553,10 +555,12 @@ def test_contexts_on_one_table_share_read_only_set_up_arrays():
     first.defined_set(g, "x")
     built = dict(table.setup(omega, 3, 1, 3).patterns)
     second.defined_set(g, "x")
-    (ev1, candidates1), (ev2, candidates2) = (ctx._setups[(3, 1, 3)] for ctx in (first, second))
-    assert candidates1 is candidates2 and ev1.quant_values is ev2.quant_values
-    assert ev1.patterns is ev2.patterns and built and ev2.patterns == built
-    for values in (candidates1, ev1.quant_values):
+    assert first.key == second.key == (3, 1, 3)
+    candidates1, candidates2 = (ctx.setup.candidates for ctx in (first, second))
+    one, two = first.setup, second.setup
+    assert candidates1 is candidates2 and one.quant_values is two.quant_values
+    assert one.patterns is two.patterns and built and two.patterns == built
+    for values in (candidates1, one.quant_values):
         with pytest.raises(TypeError, match="does not support item assignment"):
             values[0] = 1
 
@@ -663,13 +667,14 @@ def test_a_set_up_without_patterns_counts_its_quantifier_values(monkeypatch):
 def test_raw_sentences_with_one_set_up_key_share_its_patterns(monkeypatch):
     table = _raw_table(monkeypatch)
     setups = []
-    init = satisfaction._Evaluator.__init__
+    use = EvalContext._use
 
-    def spy(ev, ctx, anchor_max, setup):
-        setups.append(setup)
-        init(ev, ctx, anchor_max, setup)
+    def spy(ctx, *key):
+        candidates = use(ctx, *key)
+        setups.append(ctx.setup)
+        return candidates
 
-    monkeypatch.setattr(satisfaction._Evaluator, "__init__", spy)
+    monkeypatch.setattr(EvalContext, "_use", spy)
     f = P("exists y. In(y) & (forall z. z < y -> ~In(z))")
     omega = EvalDomain.omega()
     # equal domain, support top and rank: one set-up key
@@ -754,11 +759,40 @@ def test_sentence_verdicts_do_not_depend_on_the_shared_tables_warmth(monkeypatch
 
 def test_the_interpreter_refuses_what_is_not_a_formula_or_a_term(monkeypatch):
     _raw_table(monkeypatch)
-    ev, _ = EvalContext.single(base_state(), EvalDomain.omega())._setup(0, 0, 0)
+    ctx = EvalContext.single(base_state(), EvalDomain.omega())
+    ctx._use(0, 0, 0)
     with pytest.raises(TypeError, match="not a formula: Var"):
-        ev.eval(Var("x"))
+        ctx.eval(Var("x"))
     with pytest.raises(TypeError, match="not a term: Truth"):
-        ev.term(Truth(True))
+        ctx.term(Truth(True))
+
+
+def test_the_tail_check_fires_when_the_bound_is_too_small(monkeypatch):
+    """A planted defect: B halved, so that the far representatives lie
+    within the anchors' reach, where they can disagree. _read_set must
+    then raise, for a public entry and for a step at admission. The
+    formulas compare x with h: unary masks a relation's elements to the
+    dense candidate prefix, so an atom such as In(x) cannot split the far
+    representatives, even with a wrong bound."""
+    monkeypatch.setattr(satisfaction, "_bound", lambda anchor_max, rank: anchor_max // 2)
+    # set-ups kept from earlier calls hold candidates built with the true bound
+    _raw_table(monkeypatch)
+    omega = EvalDomain.omega()
+    with pytest.raises(ThresholdViolation, match=r"tail representatives at \[10, 13, 16\] disagree"):
+        defined_set(P("x < h"), State.make(OMEGA, {"h": 15}), omega)
+    sigma = Signature([SymbolDecl("h", "Constant"), SymbolDecl("R", "Relation", 1)])
+    tau = {"In": "In(x)", "Out": "Out(x)", "h": "x = h", "R": "x < h"}
+    spec = MachineSpec(
+        kappa=OMEGA,
+        sigma=sigma,
+        flavor=GSEQA,
+        tauWitnesses={k: parse_formula(v, sigma) for k, v in tau.items()},
+        defaultWitnesses={"h": parse_formula("x = 0", sigma), "R": parse_formula("x < 0", sigma)},
+    )
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec)
+    (issue,) = info.value.issues
+    assert str(issue).startswith("ThresholdViolation: symbol=h: tail representatives at")
 
 
 def test_threshold_bound_shape():

@@ -176,6 +176,18 @@ class TestRejections:
         with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
             parse_machine(text)
 
+    @pytest.mark.parametrize(
+        "entry, name",
+        [("a b: Relation/1", "a b"), ("12: Constant", "12")],
+        ids=["a name with a space", "a number"],
+    )
+    def test_a_symbol_that_no_formula_can_name_is_refused_on_its_line(self, entry, name):
+        # a machine with 'a b' was admitted, and its states printed as
+        # 'unary: ... a b={}', which parse_state refused
+        text = HANDWRITTEN.replace("  h: Constant\n", f"  h: Constant\n  {entry}\n")
+        with pytest.raises(ParseError, match=rf"^line 6: '{name}' is not a name"):
+            parse_machine(text)
+
     def test_an_equal_redeclaration_is_accepted(self):
         again = HANDWRITTEN.replace("  h: Constant\n", "  h: Constant\n  h: Constant\n")
         assert parse_machine(again) == parse_machine(HANDWRITTEN)
