@@ -73,11 +73,12 @@ set-up. Its caller hands it each formula's largest anchor: a public entry
 takes the top of its states' support and the formula's literals, a
 machine's step each part's footprint values and literals. A set-up's
 candidates and quantifier values are immutable and hold a few ints each,
-so only its patterns grow with the support. One table builds each set-up
-and its patterns once for all its contexts: a machine's interned table,
-or the one that contexts over raw formulas share, where the differential
-workload meets 81 set-ups in 10 000 contexts a round. Both drop their
-set-ups once these pass a fixed number of bits (see Interned.setup). One
+so only its patterns grow with the support. A set-up depends on its key
+alone, never on the formulas or the machine it serves, so one table per
+process builds each set-up and its patterns once for every context: the
+differential workload meets 81 set-ups in 10 000 contexts a round, and
+the bridge workload's machines share theirs. The table drops its set-ups
+once these pass a fixed number of bits (see _setup). One
 reader per value kind decodes a table's set bits, lowest first, and no
 other module reads them: defined_set and defined_relation check their
 arguments and call it, and a machine's step calls it on each part's
@@ -98,9 +99,11 @@ EvalContext, and two dispatchers reach it:
 * A machine's transition is compiled once, at admission: its witness
   bodies are interned into one table (Interned), so structurally equal
   subformulas are one object, whose static facts are folded from its
-  children's stored ones and whose closure is built from theirs. A step
-  runs every witness's closures under one context for the state, which
-  computes each closed node once, however many witnesses share it.
+  children's stored ones and whose closure, stored on it likewise, is
+  built from theirs; any context runs a formula's closure when it has
+  one. A step runs every witness's closures under one context for the
+  state, which computes each closed node once, however many witnesses
+  share it.
   Running the interned bodies through the interpreter with the same memo
   made the benchmark's bridge and constructions workloads 10-20% slower.
 """
@@ -381,10 +384,11 @@ class EvalContext:
     copy index to State: the semantics of each node kind, under one probe
     set-up at a time. Build one per state; it answers every formula asked
     of that state and, over interned formulas, computes each closed node
-    once. Its set-ups, with the patterns that depend only on a set-up and
-    the axes (x = y, x < y, the bound masks and the shift masks that widen
-    a value), come from a table that keeps them across contexts: the
-    interned one, or _RAW. An atom reads its copy's State directly.
+    once. It is given its states and its domain, nothing more. Its
+    set-ups, with the patterns that depend only on a set-up and the axes
+    (x = y, x < y, the bound masks and the shift masks that widen a
+    value), come from the one table that keeps them across the contexts
+    of the process (see _setup). An atom reads its copy's State directly.
 
     A closed node's value is a plain int or bool. An open formula is a
     triple (bits, reads, full): reads has bit d set when an atom it
@@ -396,19 +400,13 @@ class EvalContext:
     the union before they combine.
 
     Two dispatchers reach the semantics (see the module docstring): eval
-    interprets a raw formula node by node, and an interned formula's
-    closures (see Interned._compile) call them directly and keep each
-    closed node's value in the memo."""
+    interprets a raw formula node by node, and the closures that an
+    interned formula carries (see _compile) call them directly and keep
+    each closed node's value in the memo."""
 
-    def __init__(
-        self,
-        states: Mapping[int | None, State],
-        domain: EvalDomain,
-        interned: Interned | None = None,
-    ):
+    def __init__(self, states: Mapping[int | None, State], domain: EvalDomain):
         self.states = states
         self.domain = domain
-        self.interned = interned
         self.memo: dict[object, Any] = {}
         # the probe set-up in use and its key, (anchor max, rank, reps), which
         # with a node's identity keys a quantified node's memo entry; see _use
@@ -419,19 +417,17 @@ class EvalContext:
         self.bound: dict[str, _Axis] = {}
 
     @staticmethod
-    def single(
-        state: State, domain: EvalDomain, interned: Interned | None = None
-    ) -> "EvalContext":
+    def single(state: State, domain: EvalDomain) -> "EvalContext":
         """A context for one state, read by bare and copy-0 references."""
-        return EvalContext({None: state, 0: state}, domain, interned)
+        return EvalContext({None: state, 0: state}, domain)
 
     # -- plumbing ----------------------------------------------------------
 
     def _use(self, anchor_max: int, rank: int, reps: int) -> Sequence[int] | None:
         """Switch to the probe set-up of one anchor maximum, rank and number
-        of far representatives, from the interned table or _RAW, unless it
-        is in use, and return its candidates. The first switch at w checks
-        that every state's universe is infinite."""
+        of far representatives (see _setup), unless it is in use, and
+        return its candidates. The first switch at w checks that every
+        state's universe is infinite."""
         key = (anchor_max, rank, reps)
         if key != self.key:
             if self.key is None and self.domain.is_omega:
@@ -439,9 +435,7 @@ class EvalContext:
                     if s.kappa.is_finite:
                         raise Unsupported("Omega evaluation needs an infinite universe; "
                                           f"this state has kappa = {s.kappa}")
-            # an empty interned table is falsy, so test for None
-            table = _RAW if self.interned is None else self.interned
-            self.setup = table.setup(self.domain, anchor_max, rank, reps)
+            self.setup = _setup(self.domain, anchor_max, rank, reps)
             self.key, self.anchor_max = key, anchor_max
         return self.setup.candidates
 
@@ -471,7 +465,7 @@ class EvalContext:
 
     def _keep(self, key: tuple, pattern: Any, cells: int) -> Any:
         """Keep a pattern of the given bits with the set-up, for every
-        context on it, and count them (see Interned.setup)."""
+        context on it, and count them (see _setup)."""
         self.setup.patterns[key] = pattern
         self.setup.cells += cells
         return pattern
@@ -857,16 +851,15 @@ class EvalContext:
         variable's the lowest. A value that reads no variable is all ones
         or zero. Variables come with reps > 0 far representatives (see
         _setup_values). With no variables the table is a single truth
-        value and the candidates are None.
+        value and the candidates are None. A formula that carries a
+        closure, as an interned node does, runs it; any other is interpreted.
         """
         candidates = self._use(anchor_max, rank, reps)
         try:
             for x in variables:
                 self.bind(x, candidates)
-            if self.interned is None:
-                value = self.eval(formula)
-            else:
-                value = self.interned.closures[id(formula)](self)
+            closure = getattr(formula, "_closure", None)
+            value = self.eval(formula) if closure is None else closure(self)
             every = (1 << len(variables)) - 1
             if type(value) is tuple:
                 value = value[0] if value[1] == every else self._widen(value, every)[0]
@@ -975,8 +968,33 @@ class EvalContext:
 # The largest table of the test suite and the benchmark has 2 744 000
 # cells. Without a cap, at w a state whose support reaches 2^21 would ask
 # for 2^42 bits and end in a bare MemoryError. It also bounds the bits
-# of the set-ups that a table keeps (see Interned.setup).
+# of the set-ups that _SETUPS keeps (see _setup).
 _MAX_CELLS = 1 << 24
+
+# the probe set-ups of every context, by (domain, anchor max, rank, reps)
+_SETUPS: dict[tuple, _Setup] = {}
+
+
+def _setup(domain: EvalDomain, anchor_max: int, rank: int, reps: int) -> _Setup:
+    """One probe set-up (see _setup_values), built once and shared by every
+    context that asks for it, whatever it evaluates.
+
+    Set-ups are kept until a new one would take the bits they hold (see
+    _Setup) past _MAX_CELLS, 2 MiB; then every set-up is dropped. A pattern
+    over a sentence's axes at anchor a has about a^2 bits or more, so few
+    set-ups at large anchors are kept. The machines of a bridge round,
+    whose runs revisit the same anchors, build each set-up once between
+    them; so does a differential round, whose 81 set-ups hold 1.4 Mbit."""
+    key = (domain, anchor_max, rank, reps)
+    setup = _SETUPS.get(key)
+    if setup is None:
+        setup = _Setup(domain, anchor_max, rank, reps)
+        # summed over a copy, as another thread's call may clear them
+        if setup.cells + sum(k.cells for k in tuple(_SETUPS.values())) > _MAX_CELLS:
+            _SETUPS.clear()
+        _SETUPS[key] = setup
+    return setup
+
 
 # A node's closure: its value under a context.
 _Closure = Callable[[EvalContext], Any]
@@ -986,21 +1004,15 @@ class Interned:
     """Formulas hash-consed into one table: structurally equal subformulas
     become one object (Filliatre & Conchon, "Type-safe modular
     hash-consing", ML Workshop 2006). Each node carries its static facts,
-    folded from its children's (logic.static_facts), and the table keeps,
-    keyed by identity, a closure built from its children's closures. Adding
-    a formula takes one table lookup per tree node and one construction,
-    with its facts and closure, per node the table lacks. An EvalContext
-    built with the table evaluates the formulas it returned, and only those.
-
-    The table also keeps the probe set-ups its contexts ask for (see
-    setup), so that a machine's steps do not rebuild them, or the patterns
-    built on them, state after state. One table with no formulas, _RAW,
-    keeps the set-ups of every context over raw formulas."""
+    folded from its children's (logic.static_facts), and its closure, built
+    from its children's closures; both are stored on the node, outside its
+    fields. Adding a formula takes one table lookup per tree node and one
+    construction, with its facts and closure, per node the table lacks. Any
+    EvalContext runs an interned formula's closure (see
+    EvalContext._truth_table); the table is needed only to add to it."""
 
     def __init__(self) -> None:
         self._nodes: dict[object, Node] = {}
-        self.closures: dict[int, _Closure] = {}
-        self._setups: dict[tuple, _Setup] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -1034,95 +1046,71 @@ class Interned:
                 node = Const(formula.name, stamp)
             else:
                 node = _with_children(formula, kids) if kids else formula
-            self.closures[id(node)] = self._compile(node)
+            object.__setattr__(node, "_closure", _compile(node))
             self._nodes[key] = node
         return node
 
-    def setup(self, domain: EvalDomain, anchor_max: int, rank: int, reps: int) -> _Setup:
-        """One probe set-up (see _setup_values), built once and shared by
-        every context that asks for it.
 
-        Set-ups are kept until a new one would take the bits they hold (see
-        _Setup) past _MAX_CELLS, 2 MiB; then every set-up is dropped. A
-        pattern over a sentence's axes at anchor a has about a^2 bits or
-        more, so a table that outlives its callers, as _RAW does, keeps few
-        set-ups at large anchors. A machine whose runs revisit the same
-        anchors, as the bridge workload's do, builds each set-up once; so
-        does a differential round, whose 81 set-ups hold 1.4 million bits."""
-        key = (domain, anchor_max, rank, reps)
-        setup = self._setups.get(key)
-        if setup is None:
-            setup = _Setup(domain, anchor_max, rank, reps)
-            # summed over a copy, as another thread's call may clear them
-            if setup.cells + sum(k.cells for k in tuple(self._setups.values())) > _MAX_CELLS:
-                self._setups.clear()
-            self._setups[key] = setup
-        return setup
-
-    def _compile(self, node: Node) -> _Closure:
-        """The node's closure. A closed formula node's closure computes it
-        once per context, keyed by the node's identity and, when it holds
-        a quantifier, also by the context's set-up key, which fixes the
-        probe bounds, and by the variables bound around it, which decide
-        whether it rebinds one."""
-        c = [self.closures[id(k)] for k in children(node)]
-        if isinstance(node, Var):
-            name = node.name
-            return lambda ctx: ctx.var(name)
-        if isinstance(node, Const):
-            name, copy = node.name, node.copy
-            return lambda ctx: ctx.constant(name, copy)
-        if isinstance(node, OrdinalLiteral):
-            value = node.value
-            return lambda ctx: ctx.literal(value)
-        if isinstance(node, Truth):
-            value = node.value
-            return lambda ctx: value
-        fn: _Closure
-        if isinstance(node, Apply):
-            name, copy = node.name, node.copy
-            if name == MEMBERSHIP:
-                a, b = c
-                fn = lambda ctx: ctx.less(a(ctx), b(ctx))
-            elif len(c) == 1:
-                (a,) = c
-                fn = lambda ctx: ctx.unary(ctx.state(copy), name, a(ctx))
-            else:
-                fn = lambda ctx: ctx.nary(ctx.state(copy), name, [a(ctx) for a in c])
-        elif isinstance(node, Equal):
+def _compile(node: Node) -> _Closure:
+    """The node's closure. A closed formula node's closure computes it
+    once per context, keyed by the node's identity and, when it holds
+    a quantifier, also by the context's set-up key, which fixes the
+    probe bounds, and by the variables bound around it, which decide
+    whether it rebinds one."""
+    c = [k._closure for k in children(node)]
+    if isinstance(node, Var):
+        name = node.name
+        return lambda ctx: ctx.var(name)
+    if isinstance(node, Const):
+        name, copy = node.name, node.copy
+        return lambda ctx: ctx.constant(name, copy)
+    if isinstance(node, OrdinalLiteral):
+        value = node.value
+        return lambda ctx: ctx.literal(value)
+    if isinstance(node, Truth):
+        value = node.value
+        return lambda ctx: value
+    fn: _Closure
+    if isinstance(node, Apply):
+        name, copy = node.name, node.copy
+        if name == MEMBERSHIP:
             a, b = c
-            fn = lambda ctx: ctx.equal(a(ctx), b(ctx))
-        elif isinstance(node, Not):
+            fn = lambda ctx: ctx.less(a(ctx), b(ctx))
+        elif len(c) == 1:
             (a,) = c
-            fn = lambda ctx: ctx.negate(a(ctx))
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            kind, (a, b) = type(node), c
-
-            def fn(ctx: EvalContext) -> Any:
-                left = a(ctx)
-                settled = ctx.settle(kind, left)
-                return ctx.combine(kind, left, b(ctx)) if settled is None else settled
-
+            fn = lambda ctx: ctx.unary(ctx.state(copy), name, a(ctx))
         else:
-            (a,), body_rank = c, quantifier_rank(node.body)
-            fn = lambda ctx: ctx.quantify(node, body_rank, a, ctx)
-        free, rank, _ = static_facts(node)
-        if free:
-            return fn
-        nid = id(node)
+            fn = lambda ctx: ctx.nary(ctx.state(copy), name, [a(ctx) for a in c])
+    elif isinstance(node, Equal):
+        a, b = c
+        fn = lambda ctx: ctx.equal(a(ctx), b(ctx))
+    elif isinstance(node, Not):
+        (a,) = c
+        fn = lambda ctx: ctx.negate(a(ctx))
+    elif isinstance(node, (And, Or, Implies, Iff)):
+        kind, (a, b) = type(node), c
 
-        def memo(ctx: EvalContext) -> Any:
-            key = (nid, ctx.key, tuple(ctx.bound)) if rank else nid
-            value = ctx.memo.get(key)
-            if value is None:
-                value = ctx.memo[key] = fn(ctx)
-            return value
+        def fn(ctx: EvalContext) -> Any:
+            left = a(ctx)
+            settled = ctx.settle(kind, left)
+            return ctx.combine(kind, left, b(ctx)) if settled is None else settled
 
-        return memo
+    else:
+        (a,), body_rank = c, quantifier_rank(node.body)
+        fn = lambda ctx: ctx.quantify(node, body_rank, a, ctx)
+    free, rank, _ = static_facts(node)
+    if free:
+        return fn
+    nid = id(node)
 
+    def memo(ctx: EvalContext) -> Any:
+        key = (nid, ctx.key, tuple(ctx.bound)) if rank else nid
+        value = ctx.memo.get(key)
+        if value is None:
+            value = ctx.memo[key] = fn(ctx)
+        return value
 
-# the set-ups of every context over raw formulas
-_RAW = Interned()
+    return memo
 
 
 def sat(formula: Formula, state: State, domain: EvalDomain) -> bool:

@@ -192,7 +192,8 @@ class TciVerdict:
 def models_tci(state: State, sigma: Signature, tci: Tci) -> TciVerdict:
     """Does the state satisfy the typing constraint over this signature?
 
-    Checks the universe bound, that every interpreted symbol is declared,
+    Checks the universe bound, that every interpreted symbol is declared
+    with the kind of its value (a tuple set only for an arity of 2 or more),
     within range and (for tuples) of its arity, and that pinned parameter
     constants hold exactly their pinned value (reported as ParameterMismatch).
     """
@@ -211,7 +212,7 @@ def models_tci(state: State, sigma: Signature, tci: Tci) -> TciVerdict:
         elif kind is OrdinalSet:
             fits = d is not None and d.kind == "Relation" and d.arity == 1
         else:
-            fits = d is not None and d.kind != "Constant"
+            fits = d is not None and d.kind == "Relation" and d.arity > 1
         if not fits:
             reasons.append(f"BadConstraint: {name!r} is not a declared {_KINDS[kind]}")
             continue

@@ -146,6 +146,10 @@ class TmSpec:
         n = len(self.states)
         if n < 1:
             raise ValueError("a machine needs at least one state")
+        for name in self.states:
+            # a row of the text form names a state by one \w+ token (see _RULE_RE)
+            if not re.fullmatch(r"\w+", name):
+                raise ValueError(f"state name {name!r} is not one \\w+ token")
         if len(set(self.states)) != n:
             raise ValueError("duplicate state names")
         seen: set[tuple[int, int]] = set()
@@ -227,6 +231,9 @@ def parse_tm(text: str) -> TmSpec:
             headers.add(key)
         if colon and key == "states":
             names = value.split()
+            for name in names:
+                if not re.fullmatch(r"\w+", name):
+                    raise ParseError(f"line {ln}: state name {name!r} is not one \\w+ token")
         elif colon and key == "initial":
             initial = value.strip()
         elif colon and key == "final":

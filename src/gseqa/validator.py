@@ -156,10 +156,9 @@ class _Part:
 @dataclass(frozen=True)
 class _Transition:
     """The transition compiled once at admission: the witness parts with
-    their bodies interned into one table, so that a step evaluates each
-    closed subformula the witnesses share once per state, and takes its
-    probe set-ups and their patterns from the table rather than building
-    them anew.
+    their bodies interned into one table, so that each body carries its
+    closure and a step evaluates each closed subformula the witnesses
+    share once per state.
 
     order holds the parts' names in State.items order, so that a step
     builds its successor's items without a sort or a check. With the
@@ -169,21 +168,15 @@ class _Transition:
     """
 
     parts: tuple[_Part, ...]
-    interned: Interned
     order: tuple[str, ...]
     memo: dict[tuple, object] | None = None
 
 
-def _compile(parts: list[_Part], interned: Interned) -> _Transition:
-    """The transition over parts whose bodies the table already holds."""
-    return _Transition(
-        tuple(parts),
-        interned,
-        # constants, then unary relations, then tuple sets, each by name
-        tuple(p.decl.name for p in sorted(parts, key=lambda p: (
-            p.decl.kind != "Constant", p.decl.arity > 1, p.decl.name
-        ))),
-    )
+def _compile(parts: list[_Part]) -> _Transition:
+    """The transition over parts whose bodies are interned, their names
+    ordered as State.items is: constants, unary relations, tuple sets."""
+    order = sorted(parts, key=lambda p: (p.decl.kind != "Constant", p.decl.arity > 1, p.decl.name))
+    return _Transition(tuple(parts), tuple(p.decl.name for p in order))
 
 
 def _memoised(vm: ValidatedMachine) -> ValidatedMachine:
@@ -438,19 +431,16 @@ def domain_for(kappa: OrdinalNotation) -> EvalDomain | None:
 
 
 def _evaluate_parts(
-    parts: Sequence[tuple[_Part, int]],
-    state: State,
-    domain: EvalDomain,
-    interned: Interned | None = None,
+    parts: Sequence[tuple[_Part, int]], state: State, domain: EvalDomain
 ) -> dict[str, object]:
     """The value each witness defines over the state, by symbol name, in
     the parts' order. Each part comes with its largest anchor at w, which
     fixes its probes. Every part is evaluated under the state's one context
     and its closed-node memo; the context switches set-ups between parts
-    whose anchors, ranks or far representatives differ.
-    interned is the table the part bodies come from, if they were
-    compiled. An evaluation error names the part's symbol."""
-    ctx = EvalContext.single(state, domain, interned)
+    whose anchors, ranks or far representatives differ. A body runs its
+    closure when it carries one (see EvalContext._truth_table). An
+    evaluation error names the part's symbol."""
+    ctx = EvalContext.single(state, domain)
     values: dict[str, object] = {}
     for part, anchor in parts:
         try:
@@ -521,7 +511,7 @@ def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
         else:
             values[part.decl.name] = value
     if missed:
-        fresh = _evaluate_parts(missed, state, domain, transition.interned)
+        fresh = _evaluate_parts(missed, state, domain)
         for (part, _), key in zip(missed, keys):
             values[part.decl.name] = memo[key] = fresh[part.decl.name]
     return State(state.kappa, tuple([(name, values[name]) for name in transition.order]))
@@ -659,8 +649,7 @@ def check_machine(
                     )
                 )
 
-    interned = Interned()
-    tau_parts, tau_issues = _collect_tau(spec, interned)
+    tau_parts, tau_issues = _collect_tau(spec, Interned())
     default_parts, default_issues = _collect_default(spec)
     issues.extend(tau_issues)
     issues.extend(default_issues)
@@ -668,7 +657,7 @@ def check_machine(
     if not issues:
         schema = "GSeqAP" if spec.flavor == GSEQAP else "GSeqA"
         tci = Tci(spec.kappa, schema, tuple(sorted(spec.params.items())))
-        transition = _compile(tau_parts, interned)
+        transition = _compile(tau_parts)
         start = None
         domain = domain_for(spec.kappa)
         if domain is not None:

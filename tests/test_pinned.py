@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from gseqa import satisfaction
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
 from gseqa.logic import format_formula
 from gseqa.ordinals import OrdinalNotation, OrdinalSet
@@ -153,3 +154,21 @@ def test_a_step_builds_the_items_that_state_make_would(machines):
                 successor = _step(transition, state, domain)
                 assert successor.items == State.make(state.kappa, dict(successor.items)).items
                 assert hash(successor) == hash(parse_state(format_state(successor)))
+
+
+def test_a_step_does_not_depend_on_the_set_up_tables_warmth(machines, monkeypatch):
+    # Every state the runs reach steps to one successor with the process's
+    # set-up table warm, after every machine ran, and with it emptied
+    # before each step.
+    visited = []
+    for name, elements, steps in RUNS:
+        vm = machines[name]
+        budget = Budget(maxSuccessorStepsPerSegment=steps, maxLimitJumps=2, snapshotPolicy="all")
+        trace = run(vm, OrdinalSet.finite(elements), budget)
+        visited += [(vm, state) for _, state in trace.snapshots]
+    warm = [_step(vm._transition, state, domain_for(vm.kappa)) for vm, state in visited]
+    cold = []
+    for vm, state in visited:
+        monkeypatch.setattr(satisfaction, "_SETUPS", {})
+        cold.append(_step(vm._transition, state, domain_for(vm.kappa)))
+    assert warm == cold

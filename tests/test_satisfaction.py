@@ -376,7 +376,7 @@ def test_a_wide_atom_over_one_bound_variable_is_evaluated():
         state = State.make(OMEGA, {"T": {stored}})
         formula = parse_formula(text, sigma)
         assert sat(formula, state, omega) is want
-        assert EvalContext.single(state, omega, table).sentence(table.add(formula)) is want
+        assert EvalContext.single(state, omega).sentence(table.add(formula)) is want
 
 
 # Each sentence asks, at w, for a bitset over two axes of about 2^21
@@ -405,7 +405,7 @@ def test_a_table_past_the_cell_cap_is_unsupported_at_once(text, node):
     formula = parse_formula(text, sigma)
     entries = [
         lambda: sat(formula, state, omega),
-        lambda: EvalContext.single(state, omega, table).sentence(table.add(formula)),
+        lambda: EvalContext.single(state, omega).sentence(table.add(formula)),
     ]
     for entry in entries:
         start = time.perf_counter()
@@ -423,7 +423,7 @@ def test_a_closed_table_past_the_cell_cap_is_unsupported_at_once(text):
     formula = parse_formula(text, sigma)
     entries = [
         lambda: defined_relation(formula, state, omega, ("x", "y")),
-        lambda: EvalContext.single(state, omega, table).defined_relation(
+        lambda: EvalContext.single(state, omega).defined_relation(
             table.add(formula), ("x", "y")
         ),
     ]
@@ -551,9 +551,9 @@ def test_contexts_on_one_table_share_read_only_set_up_arrays():
     table = Interned()
     g = table.add(P("In(x) & (exists y. x < y)"))
     s, omega = base_state(), EvalDomain.omega()
-    first, second = (EvalContext.single(s, omega, table) for _ in range(2))
+    first, second = (EvalContext.single(s, omega) for _ in range(2))
     first.defined_set(g, "x")
-    built = dict(table.setup(omega, 3, 1, 3).patterns)
+    built = dict(satisfaction._setup(omega, 3, 1, 3).patterns)
     second.defined_set(g, "x")
     assert first.key == second.key == (3, 1, 3)
     candidates1, candidates2 = (ctx.setup.candidates for ctx in (first, second))
@@ -581,24 +581,24 @@ def _deep_bytes(obj, seen: set) -> int:
     return size
 
 
-def _held_bytes(table: Interned) -> int:
+def _held_bytes(table: dict) -> int:
     """The bytes that the table's set-ups hold: candidates, quantifier
     ranges and every pattern kept with them."""
     seen: set = set()
-    return sum(_deep_bytes(setup, seen) for setup in table._setups.values())
+    return sum(_deep_bytes(setup, seen) for setup in table.values())
 
 
-def _within_the_bit_budget(table: Interned) -> bool:
+def _within_the_bit_budget(table: dict) -> bool:
     """Whether the table holds at most its newest set-up and _MAX_CELLS
     bits more, read in bytes with room for twice the bits."""
-    newest = list(table._setups.values())[-1]
+    newest = list(table.values())[-1]
     return _held_bytes(table) <= _deep_bytes(newest, set()) + satisfaction._MAX_CELLS // 4
 
 
-def _raw_table(monkeypatch) -> Interned:
-    """An empty table in place of the one that raw formulas share."""
-    table = Interned()
-    monkeypatch.setattr(satisfaction, "_RAW", table)
+def _setup_table(monkeypatch) -> dict:
+    """An empty table in place of the process's table of set-ups."""
+    table: dict = {}
+    monkeypatch.setattr(satisfaction, "_SETUPS", table)
     return table
 
 
@@ -606,35 +606,34 @@ def _raw_table(monkeypatch) -> Interned:
 NEXT_MEMBER = "In(x) & (exists y. x < y)"
 
 
-def test_a_machine_table_keeps_its_newest_set_up_and_the_bit_budget():
+def test_a_machine_table_keeps_its_newest_set_up_and_the_bit_budget(monkeypatch):
     # Stepping ever new anchors, the table empties when its set-ups would
     # pass _MAX_CELLS bits. A table that kept every anchor would hold about
     # 27 MB here, and 2 MB of bits is about 4 MB of set-ups.
-    table = Interned()
-    g = table.add(P(NEXT_MEMBER))
+    setups = _setup_table(monkeypatch)
+    g = Interned().add(P(NEXT_MEMBER))
     omega = EvalDomain.omega()
     for k in range(1, 601):
         state = State.make(OMEGA, {"In": OrdinalSet.finite({k})})
-        assert EvalContext.single(state, omega, table).defined_set(g, "x").elements == {k}
+        assert EvalContext.single(state, omega).defined_set(g, "x").elements == {k}
         if k in (300, 600):
-            assert _within_the_bit_budget(table)
+            assert _within_the_bit_budget(setups)
 
 
 def test_a_table_of_sentence_set_ups_keeps_its_newest_and_the_bit_budget(monkeypatch):
     # A sentence's set-up has quantifier values and patterns but no
     # candidates; at anchors 1..800 a table that never emptied kept all 800
     # set-ups, about 222 MB.
-    shared = _raw_table(monkeypatch)
-    interned = Interned()
+    shared = _setup_table(monkeypatch)
     f = P("exists y. In(y) & (forall z. z < y -> ~In(z))")
-    g = interned.add(f)
+    g = Interned().add(f)
     omega = EvalDomain.omega()
     for k in range(1, 801):
         state = State.make(OMEGA, {"In": OrdinalSet.finite({k})})
-        assert EvalContext.single(state, omega, interned).sentence(g)
+        assert EvalContext.single(state, omega).sentence(g)
         assert sat(f, state, omega)
         if k in (400, 800):
-            assert _within_the_bit_budget(interned) and _within_the_bit_budget(shared)
+            assert _within_the_bit_budget(shared)
 
 
 def test_the_sentence_table_keeps_few_set_ups_at_large_anchors(monkeypatch):
@@ -643,7 +642,7 @@ def test_the_sentence_table_keeps_few_set_ups_at_large_anchors(monkeypatch):
     # count pattern bits, the 40 set-ups held 243 MB for the life of the
     # process. A sentence at a far larger anchor counts its quantifier
     # values, more than _MAX_CELLS of them, so the next set-up drops it.
-    table = _raw_table(monkeypatch)
+    table = _setup_table(monkeypatch)
     omega = EvalDomain.omega()
     far = State.make(OMEGA, {"In": OrdinalSet.finite({1 << 24})})
     assert not sat(P("In(0)"), far, omega)
@@ -651,21 +650,21 @@ def test_the_sentence_table_keeps_few_set_ups_at_large_anchors(monkeypatch):
     for c in range(2000, 2040):
         assert sat(P(f"exists x. exists y. x < y & y < {c}"), state, omega)
     assert _within_the_bit_budget(table)
-    assert all(len(setup.quant_values) < 2100 for setup in table._setups.values())
+    assert all(len(setup.quant_values) < 2100 for setup in table.values())
 
 
 def test_a_set_up_without_patterns_counts_its_quantifier_values(monkeypatch):
     # a rank-0 sentence builds no pattern, but its set-up counts one bit
     # per quantifier value, so set-ups at far anchors do not pile up
-    table = _raw_table(monkeypatch)
+    table = _setup_table(monkeypatch)
     omega = EvalDomain.omega()
     for k in range(1, 9):
         assert not sat(P("In(0)"), State.make(OMEGA, {"In": OrdinalSet.finite({k << 22})}), omega)
-    assert len(table._setups) == 1
+    assert len(table) == 1
 
 
 def test_raw_sentences_with_one_set_up_key_share_its_patterns(monkeypatch):
-    table = _raw_table(monkeypatch)
+    table = _setup_table(monkeypatch)
     setups = []
     use = EvalContext._use
 
@@ -685,16 +684,16 @@ def test_raw_sentences_with_one_set_up_key_share_its_patterns(monkeypatch):
     assert sat(f, State.make(OMEGA, {"In": OrdinalSet.finite({6})}), omega)
     first, second, third = setups
     assert first is second and third is not first
-    assert list(table._setups.values()) == [first, third]
+    assert list(table.values()) == [first, third]
     assert built and second.patterns.keys() == built.keys()
     assert all(second.patterns[key] is value for key, value in built.items())
 
 
 def test_raw_defined_sets_and_relations_share_set_ups_within_the_bit_budget(monkeypatch):
-    # their candidates hold a few ints whatever the support, so the raw
+    # their candidates hold a few ints whatever the support, so the
     # table keeps their set-ups as it keeps a sentence's: a second call
     # with the same key builds none, and ever new anchors stay in budget
-    table = _raw_table(monkeypatch)
+    table = _setup_table(monkeypatch)
     omega = EvalDomain.omega()
     between = P("x < y & E(x, y)")
 
@@ -704,9 +703,9 @@ def test_raw_defined_sets_and_relations_share_set_ups_within_the_bit_budget(monk
         assert defined_relation(between, state, omega, ("x", "y")) == {(0, k)}
 
     answer(1)
-    kept = dict(table._setups)
+    kept = dict(table)
     answer(1)
-    assert len(kept) == 2 and table._setups == kept
+    assert len(kept) == 2 and table == kept
     for k in range(2, 601):
         answer(k)
         if k in (300, 600):
@@ -747,18 +746,18 @@ def test_sentence_verdicts_do_not_depend_on_the_shared_tables_warmth(monkeypatch
         except (ThresholdViolation, Unrepresentable) as exc:
             return type(exc), str(exc)
 
-    warm = _raw_table(monkeypatch)
+    warm = _setup_table(monkeypatch)
     warm_verdicts = [verdict(*call) for call in calls]
-    assert len(warm._setups) < len(calls)
+    assert len(warm) < len(calls)
     cold_verdicts = []
     for call in calls:
-        _raw_table(monkeypatch)
+        _setup_table(monkeypatch)
         cold_verdicts.append(verdict(*call))
     assert warm_verdicts == cold_verdicts
 
 
 def test_the_interpreter_refuses_what_is_not_a_formula_or_a_term(monkeypatch):
-    _raw_table(monkeypatch)
+    _setup_table(monkeypatch)
     ctx = EvalContext.single(base_state(), EvalDomain.omega())
     ctx._use(0, 0, 0)
     with pytest.raises(TypeError, match="not a formula: Var"):
@@ -776,7 +775,7 @@ def test_the_tail_check_fires_when_the_bound_is_too_small(monkeypatch):
     representatives, even with a wrong bound."""
     monkeypatch.setattr(satisfaction, "_bound", lambda anchor_max, rank: anchor_max // 2)
     # set-ups kept from earlier calls hold candidates built with the true bound
-    _raw_table(monkeypatch)
+    _setup_table(monkeypatch)
     omega = EvalDomain.omega()
     with pytest.raises(ThresholdViolation, match=r"tail representatives at \[10, 13, 16\] disagree"):
         defined_set(P("x < h"), State.make(OMEGA, {"h": 15}), omega)
@@ -862,7 +861,7 @@ def test_closed_sentences_agree_with_brute_oracle(f, seed):
     compiled = table.add(f)
     for domain in (EvalDomain.omega(), EvalDomain.surrogate(3), EvalDomain.surrogate(16)):
         assert sat(f, state, domain) is want
-        assert EvalContext.single(state, domain, table).sentence(compiled) is want
+        assert EvalContext.single(state, domain).sentence(compiled) is want
 
 
 # -- membership atoms against the oracle, pointwise --------------------------
@@ -928,7 +927,7 @@ def _set_and_relation_paths(fx, fxy, state, domain):
     then on the interned one."""
     table = Interned()
     gx, gxy = table.add(fx), table.add(fxy)
-    ctx = EvalContext.single(state, domain, table)
+    ctx = EvalContext.single(state, domain)
     for set_of, relation_of in (
         (lambda: defined_set(fx, state, domain, "x"), lambda: defined_relation(fxy, state, domain, ("x", "y"))),
         (lambda: ctx.defined_set(gx, "x"), lambda: ctx.defined_relation(gxy, ("x", "y"))),
@@ -1065,10 +1064,10 @@ def test_nested_sentences_agree_with_brute_oracle_and_across_the_bound(f, seed):
         want = brute_sat(f, views, n)
         domain = EvalDomain.surrogate(n)
         assert sat(f, state, domain) is want
-        assert EvalContext.single(state, domain, table).sentence(g) is want
+        assert EvalContext.single(state, domain).sentence(g) is want
     omega = EvalDomain.omega()
     at_w = sat(f, state, omega)
-    assert EvalContext.single(state, omega, table).sentence(g) is at_w
+    assert EvalContext.single(state, omega).sentence(g) is at_w
     b = threshold_bound(f, state)
     for n in range(b, b + 9):
         assert sat(f, state, EvalDomain.surrogate(n)) is at_w, n
@@ -1086,7 +1085,7 @@ def test_nested_defined_sets_agree_with_brute_oracle(f, seed):
         domain = EvalDomain.surrogate(n)
         want = {a for a in range(n) if brute_sat(f, views, n, {"w": a})}
         assert set(defined_set(f, state, domain, "w").members_below(n)) == want
-        assert set(EvalContext.single(state, domain, table).defined_set(g, "w").members_below(n)) == want
+        assert set(EvalContext.single(state, domain).defined_set(g, "w").members_below(n)) == want
 
 
 # -- connective order: compiled closures against the interpreter -------------
@@ -1113,7 +1112,7 @@ def _raw_and_compiled(f):
     table = Interned()
     g = table.add(f)
     raw = _outcome(lambda: defined_set(f, s, omega, "x"))
-    compiled = _outcome(lambda: EvalContext.single(s, omega, table).defined_set(g, "x"))
+    compiled = _outcome(lambda: EvalContext.single(s, omega).defined_set(g, "x"))
     return raw, compiled
 
 
@@ -1141,7 +1140,7 @@ def test_one_element_universe_settles_on_a_quantifier_that_reads_an_outer_variab
     table = Interned()
     g = table.add(f)
     assert sat(f, s, EvalDomain.surrogate(1)) is True
-    assert EvalContext.single(s, EvalDomain.surrogate(1), table).sentence(g) is True
+    assert EvalContext.single(s, EvalDomain.surrogate(1)).sentence(g) is True
     with pytest.raises(Unsupported, match="infinite literal"):
         sat(f, s, EvalDomain.surrogate(2))
 

@@ -116,6 +116,17 @@ def test_models_tci_rejects_tuples_of_the_wrong_arity():
     )
 
 
+def test_models_tci_rejects_a_unary_relation_held_as_tuples():
+    # a step reads In as a set, so a state holding it as tuples fails there
+    sigma = Signature([SymbolDecl("E", "Relation", 2)])
+    s = parse_state("state kappa=w\nnary: In={(1,)} Out={} E={}")
+    verdict = models_tci(s, sigma, Tci(OMEGA, "GSeqA"))
+    assert verdict.reasons == (
+        "BadConstraint: 'In' is not a declared relation",
+        "BadConstraint: 'Out' is not a declared relation",
+    )
+
+
 def test_gseqa_schema_cannot_pin():
     with pytest.raises(ValueError):
         Tci(OMEGA, "GSeqA", (("h", OrdinalNotation.from_int(3)),))

@@ -21,13 +21,21 @@ from pathlib import Path
 import pytest
 
 import gseqa
-from gseqa import runtime, validator
+from gseqa import runtime, satisfaction, validator
 from gseqa.alpharef import parse_alpha_program, simulate_alpha_as_gseqap
 from gseqa.errors import GseqaError, MachineInvalid, Unrepresentable
-from gseqa.logic import And, Signature, SymbolDecl, nodes, parse_formula
+from gseqa.logic import TRUE, And, Signature, SymbolDecl, format_formula, nodes, parse_formula
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet
 from gseqa.runtime import Budget, Failed, Terminated, dump_trace, load, run
-from gseqa.satisfaction import EvalDomain, defined_relation, defined_set, sat2
+from gseqa.satisfaction import (
+    EvalContext,
+    EvalDomain,
+    Interned,
+    defined_relation,
+    defined_set,
+    sat,
+    sat2,
+)
 from gseqa.states import State
 from gseqa.transforms import compile_tm, compose, dovetail, flip, lift
 from gseqa.validator import (
@@ -222,7 +230,66 @@ def test_bridge_witnesses_share_their_row_guards(machines):
     ]
     assert guards[0] & guards[1] & guards[2]
     total = sum(len(list(nodes(body))) for body in bodies.values())
-    assert len(transition.interned) * 4 < total
+    interned = {id(node) for body in bodies.values() for node in nodes(body)}
+    assert len(interned) * 4 < total
+
+
+def test_a_step_runs_closures_and_the_entries_interpret_raw_formulas(machines, monkeypatch):
+    # A compiled body carries its closure, which a step runs; a raw copy of
+    # it carries none, so the public entries interpret it. A dispatcher that
+    # mixed the two up would pass every other test and only run slower.
+    vm = machines["bridge"]
+    interpreted = []
+    interpret = EvalContext.eval
+
+    def spy(ctx, f):
+        interpreted.append(f)
+        return interpret(ctx, f)
+
+    monkeypatch.setattr(EvalContext, "eval", spy)
+    budget = Budget(maxSuccessorStepsPerSegment=48, maxLimitJumps=1, snapshotPolicy="all")
+    trace = run(vm, OrdinalSet.finite({2}), budget)
+    assert len(trace.snapshots) > 10 and not interpreted
+    raw = dataclasses.replace(vm, _transition=dataclasses.replace(vm._transition, parts=tuple(
+        dataclasses.replace(p, body=parse_formula(format_formula(p.body), vm.sigma, doubled=True))
+        for p in vm._transition.parts
+    )))
+    domain = domain_for(vm.kappa)
+    for _, state in trace.snapshots:
+        assert reference_step(raw, state, domain) == apply_transition(vm, state, domain)
+    assert interpreted
+    interpreted.clear()
+    # an interned leaf carries a closure as well, and answers as the interpreter
+    Interned().add(TRUE)
+    assert sat(TRUE, trace.snapshots[0][1], domain) is True
+    assert not interpreted
+    assert sat(parse_formula("exists x. In(x)", vm.sigma), trace.snapshots[0][1], domain)
+    assert interpreted
+
+
+def test_machines_that_ask_for_one_set_up_share_it(machines, monkeypatch):
+    # a set-up depends on its key alone, so the process keeps one per key,
+    # whichever machine asked for it first
+    monkeypatch.setattr(satisfaction, "_SETUPS", {})
+    use = EvalContext._use
+    asked: dict = {}
+
+    def spy(ctx, *key):
+        candidates = use(ctx, *key)
+        asked.setdefault(key, []).append(ctx.setup)
+        return candidates
+
+    monkeypatch.setattr(EvalContext, "_use", spy)
+    budget = Budget(maxSuccessorStepsPerSegment=12, maxLimitJumps=1)
+    keys = []
+    for name in ("bridge", "compile"):
+        asked.clear()
+        run(machines[name], OrdinalSet.finite({2}), budget)
+        keys.append(dict(asked))
+    shared = keys[0].keys() & keys[1].keys()
+    assert shared
+    for key in shared:
+        assert len({id(setup) for setup in keys[0][key] + keys[1][key]}) == 1, key
 
 
 def test_shared_closed_node_still_refuses_to_rebind_a_variable():

@@ -119,6 +119,16 @@ class TestTableFormat:
         with pytest.raises(ValueError, match="duplicate"):
             TmSpec(("a", "b"), rules)
 
+    def test_a_state_name_no_row_can_name_is_refused(self):
+        rules = (TmRule(0, 0, 1, 0, "R"), TmRule(0, 1, 1, 1, "R"))
+        # format_tm used to write a table that parse_tm refused
+        with pytest.raises(ValueError, match=r"state name 's 0' is not one \\w\+ token"):
+            TmSpec(("s 0", "done"), rules)
+        # parse_tm used to refuse each row naming do-ne for its shape
+        text = "states: s0 do-ne\n(s0, 0) -> (do-ne, 0, R)\n(s0, 1) -> (do-ne, 1, R)\n"
+        with pytest.raises(ParseError, match=r"^line 1: state name 'do-ne' is not one"):
+            parse_tm(text)
+
     def test_rule_for_final_state_rejected(self):
         with pytest.raises(ValueError):
             TmSpec(
