@@ -111,7 +111,7 @@ EvalContext, and two dispatchers reach it:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from bisect import bisect_left
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -1044,8 +1044,8 @@ class Interned:
                 node = Apply(formula.name, kids, stamp)
             elif kind is Const:
                 node = Const(formula.name, stamp)
-            else:
-                node = _with_children(formula, kids) if kids else formula
+            else:  # a fresh leaf, so no closure lands on the caller's object
+                node = _with_children(formula, kids) if kids else replace(formula)
             object.__setattr__(node, "_closure", _compile(node))
             self._nodes[key] = node
         return node

@@ -147,8 +147,7 @@ class TmSpec:
         if n < 1:
             raise ValueError("a machine needs at least one state")
         for name in self.states:
-            # a row of the text form names a state by one \w+ token (see _RULE_RE)
-            if not re.fullmatch(r"\w+", name):
+            if not _STATE_NAME_RE.fullmatch(name):
                 raise ValueError(f"state name {name!r} is not one \\w+ token")
         if len(set(self.states)) != n:
             raise ValueError("duplicate state names")
@@ -193,6 +192,7 @@ class TmSpec:
         raise KeyError((state, read))
 
 
+_STATE_NAME_RE = re.compile(r"\w+")  # the token by which a row names a state
 _RULE_RE = re.compile(
     r"\(\s*(?P<src>\w+)\s*,\s*(?P<bit>[01])\s*\)\s*->\s*(?:"
     r"\(\s*(?P<target>\w+)\s*,\s*(?P<write>[01])\s*,\s*(?P<move>[LR])\s*\)"
@@ -232,7 +232,7 @@ def parse_tm(text: str) -> TmSpec:
         if colon and key == "states":
             names = value.split()
             for name in names:
-                if not re.fullmatch(r"\w+", name):
+                if not _STATE_NAME_RE.fullmatch(name):
                     raise ParseError(f"line {ln}: state name {name!r} is not one \\w+ token")
         elif colon and key == "initial":
             initial = value.strip()
