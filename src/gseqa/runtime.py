@@ -19,7 +19,7 @@ from typing import Sequence, Union
 from .errors import GseqaError, Unrepresentable, Unsupported
 from .ordinals import OrdinalNotation, OrdinalSet, ZERO, next_limit
 from .states import State
-from .validator import ValidatedMachine, _memoised, apply_transition, domain_for
+from .validator import ValidatedMachine, apply_transition, domain_for
 
 # How many trailing values the fallback classifier may trust when the
 # full history shows no certified pattern.
@@ -357,8 +357,9 @@ def run(
     mode "short" demands the run finish below the universe bound and
     fails with NotShort the moment the clock would reach it. The trace
     carries every cell change, the snapshots the policy asked for, one
-    record per limit crossing, and the outcome. Within the run a part
-    whose footprint and anchor repeat reuses its value (see validator).
+    record per limit crossing, and the outcome. Every successor step gets
+    the run's one footprint memo, so a part whose footprint values repeat
+    reuses its value (see validator), and no run starts warm.
     """
     if mode not in ("full", "short"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -367,9 +368,7 @@ def run(
         raise Unsupported(f"no evaluation domain for kappa = {vm.kappa}")
 
     trace = RunTrace(machine=vm.spec.name, input=A)
-    # this run's footprint memo rides on a copy of the machine, so it
-    # dies with the run
-    stepper = _memoised(vm)
+    memo: dict[tuple, object] = {}
     snap_all = budget.snapshotPolicy == "all"
     seen_run: dict[State, OrdinalNotation] = {}
     # the open segment's states in stage order, each with its position
@@ -403,7 +402,7 @@ def run(
     while outcome is None:
         if period is None and len(segment) <= budget.maxSuccessorStepsPerSegment:
             try:
-                nxt = apply_transition(stepper, state, domain)
+                nxt = apply_transition(vm, state, domain, memo)
             except GseqaError as exc:
                 outcome = Failed(f"{type(exc).__name__}: {exc}")
                 continue

@@ -61,7 +61,7 @@ def _value_bound(value: Value) -> int:
 
 
 # each kind's name, in the order of its group in State.items
-_KINDS = {int: "constant", OrdinalSet: "unary relation", frozenset: "relation"}
+_KINDS = {int: "constant", OrdinalSet: "unary relation", frozenset: "relation of arity 2 or more"}
 _RANK = {kind: i for i, kind in enumerate(_KINDS)}
 
 

@@ -54,7 +54,6 @@ from .logic import (
     v,
 )
 from .ordinals import OMEGA, OrdinalNotation
-from .satisfaction import Interned
 from .validator import (
     GSEQA,
     GSEQAP,
@@ -445,7 +444,7 @@ def _fresh(base: str, taken: set[str]) -> str:
 
 
 def _tau_parts(spec: MachineSpec) -> list[_Part]:
-    parts, issues = _collect_tau(spec, Interned())
+    parts, issues = _collect_tau(spec)
     if issues:
         raise MachineInvalid(issues)
     return parts

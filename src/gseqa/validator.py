@@ -17,20 +17,22 @@ maximum, the larger of the top of its footprint values' support and the
 body's own literals. The threshold argument (see satisfaction) holds for
 the structure cut down to the symbols a formula reads, so that anchor
 serves as well as the whole state's, and a symbol that no witness reads
-moves no probe. A run therefore keys each part's value by (part,
+moves no probe. A step therefore keys each part's value by (part,
 footprint values) and looks the key up before evaluating, which is the
 memo by dependencies of self-adjusting computation (Acar, Blelloch and
 Harper, "Adaptive functional programming", POPL 2002). The key fixes
 the whole computation, the anchor included, so a hit returns bit for
 bit what evaluation would return; and since only values are stored,
 every check that can raise, the tail representatives' among them, still
-runs once per distinct key.
+runs once per distinct key. A step is a function of its state alone, so
+the memo belongs to whoever steps: a run keeps one for all its steps,
+and admission one for its samples; the machine holds none.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NoReturn, Sequence
 
 from .errors import (
@@ -67,7 +69,7 @@ from .logic import (
 )
 from .ordinals import OMEGA, OrdinalNotation, OrdinalSet
 from .satisfaction import EvalContext, EvalDomain, Interned, _anchor_max
-from .states import State, Tci, _value_bound, models_tci
+from .states import State, Tci, _value_bound
 
 GSEQA = "gseqa"
 GSEQAP = "gseqap"
@@ -123,13 +125,20 @@ class ValidatedMachine:
     start is the state every run begins from before its input is
     installed: each default's value over the bare order, with In and Out
     empty. It is None when kappa has no evaluation domain.
+
+    _parts are the transition's witness parts, their bodies interned into
+    one table, so that each body carries its closure and a step evaluates
+    each closed subformula the witnesses share once per state. _order
+    holds their names in State.items order, so that a step builds its
+    successor's items without a sort or a check.
     """
 
     spec: MachineSpec
     phi_tau: Formula
     tci: Tci
-    _transition: "_Transition" = field(compare=False, repr=False)
     start: State | None = field(compare=False, repr=False)
+    _parts: tuple[_Part, ...] = field(compare=False, repr=False)
+    _order: tuple[str, ...] = field(compare=False, repr=False)
 
     @property
     def kappa(self) -> OrdinalNotation:
@@ -151,39 +160,6 @@ class _Part:
     body: Formula
     footprint: tuple[str, ...] = ()
     literal_top: int = 0
-
-
-@dataclass(frozen=True)
-class _Transition:
-    """The transition compiled once at admission: the witness parts with
-    their bodies interned into one table, so that each body carries its
-    closure and a step evaluates each closed subformula the witnesses
-    share once per state.
-
-    order holds the parts' names in State.items order, so that a step
-    builds its successor's items without a sort or a check. With the
-    part's index, its footprint values key the part's value in memo; they
-    also fix the anchor it is evaluated from. run gives each call a memo
-    of its own (see _memoised); a step without one keys into a fresh one.
-    """
-
-    parts: tuple[_Part, ...]
-    order: tuple[str, ...]
-    memo: dict[tuple, object] | None = None
-
-
-def _compile(parts: list[_Part]) -> _Transition:
-    """The transition over parts whose bodies are interned, their names
-    ordered as State.items is: constants, unary relations, tuple sets."""
-    order = sorted(parts, key=lambda p: (p.decl.kind != "Constant", p.decl.arity > 1, p.decl.name))
-    return _Transition(tuple(parts), tuple(p.decl.name for p in order))
-
-
-def _memoised(vm: ValidatedMachine) -> ValidatedMachine:
-    """A copy of the machine whose steps look each part up in a fresh
-    footprint memo before evaluating it. run steps one per call, so the
-    memo dies with the run and no later run starts warm."""
-    return replace(vm, _transition=replace(vm._transition, memo={}))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +310,10 @@ def _raise_first(issues: list[ValidationIssue], fallback: type[GseqaError]) -> N
     raise cls(str(first))
 
 
-def _collect_tau(spec: MachineSpec, table: Interned) -> tuple[list[_Part], list[ValidationIssue]]:
-    """The transition parts, their bodies interned into the table, and the issues."""
+def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]:
+    """The transition parts, their bodies interned into one table of their
+    own, and the issues."""
+    table = Interned()
     parts: list[_Part] = []
     issues: list[ValidationIssue] = []
     declared = set(spec.sigma.names())
@@ -398,7 +376,7 @@ def check_bounded(spec: MachineSpec) -> Formula:
     a universally closed biconditional pinning the symbol's copy-1
     interpretation to its copy-0 witness.
     """
-    parts, issues = _collect_tau(spec, Interned())
+    parts, issues = _collect_tau(spec)
     if issues:
         _raise_first(issues, NotBounded)
     return _assemble(parts, 1)
@@ -430,66 +408,53 @@ def domain_for(kappa: OrdinalNotation) -> EvalDomain | None:
     return None
 
 
-def _evaluate_parts(
-    parts: Sequence[tuple[_Part, int]], state: State, domain: EvalDomain
-) -> dict[str, object]:
-    """The value each witness defines over the state, by symbol name, in
-    the parts' order. Each part comes with its largest anchor at w, which
-    fixes its probes. Every part is evaluated under the state's one context
-    and its closed-node memo; the context switches set-ups between parts
-    whose anchors, ranks or far representatives differ. A body runs its
-    closure when it carries one (see EvalContext._truth_table). An
-    evaluation error names the part's symbol."""
-    ctx = EvalContext.single(state, domain)
-    values: dict[str, object] = {}
-    for part, anchor in parts:
-        try:
-            values[part.decl.name] = _part_value(ctx, part, anchor, state)
-            continue
-        except RecursionError:
-            error: GseqaError = Unsupported("formula is nested too deeply to evaluate")
-        except Unrepresentable as exc:
-            error = Unrepresentable(f"value of {part.decl.name!r}: {exc}")
-        except (ThresholdViolation, Unsupported) as exc:
-            error = exc
-        error.symbol = part.decl.name
-        raise error
-    return values
-
-
 def _part_value(ctx: EvalContext, part: _Part, anchor: int, state: State) -> object:
     """One part's value, read straight off its truth table, whose probes
     start from the given largest anchor; admission put the body's free
-    variables among the part's. Raises D6Violation when a constant's
-    witness pins no single value."""
+    variables among the part's. An evaluation error names the part's
+    symbol; D6Violation is raised when a constant's witness pins no
+    single value."""
     decl, body, variables = part.decl, part.body, part.variables
-    rank = quantifier_rank(body)
-    if decl.arity > 1:
-        bits, candidates = ctx._truth_table(body, rank, anchor, variables, 1)
-        return ctx._read_relation(bits, candidates, variables)
-    bits, candidates = ctx._truth_table(body, rank, anchor, variables, 3)
-    if decl.kind == "Relation":
-        return ctx._read_set(bits, candidates, body)
-    value = ctx._read_constant(bits, candidates, body)
-    if type(value) is int:
-        return value
-    what = f"a set of size {len(value.elements)}" if value.is_finite else "a cofinite set"
-    raise D6Violation(state, decl.name, f"witness defines {what} rather than one value")
+    try:
+        rank = quantifier_rank(body)
+        if decl.arity > 1:
+            bits, candidates = ctx._truth_table(body, rank, anchor, variables, 1)
+            return ctx._read_relation(bits, candidates, variables)
+        bits, candidates = ctx._truth_table(body, rank, anchor, variables, 3)
+        if decl.kind == "Relation":
+            return ctx._read_set(bits, candidates, body)
+        value = ctx._read_constant(bits, candidates, body)
+    except RecursionError:
+        error: GseqaError = Unsupported("formula is nested too deeply to evaluate")
+    except Unrepresentable as exc:
+        error = Unrepresentable(f"value of {decl.name!r}: {exc}")
+    except (ThresholdViolation, Unsupported) as exc:
+        error = exc
+    else:
+        if type(value) is int:
+            return value
+        what = f"a set of size {len(value.elements)}" if value.is_finite else "a cofinite set"
+        raise D6Violation(state, decl.name, f"witness defines {what} rather than one value")
+    error.symbol = decl.name
+    raise error
 
 
-def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
-    """The successor state, its items in the order fixed at admission. Each
-    part's key (see _Transition) is read from the state's map one name at
-    a time, and only the parts that miss the memo are evaluated, under
-    one context, each anchored at w on its literal_top and its key's
-    values (a surrogate takes no anchor; see EvalContext._truth_table); a
-    state that lacks a symbol fails there, memo or not."""
-    memo = {} if transition.memo is None else transition.memo
+def _part_values(
+    parts: Sequence[_Part], state: State, domain: EvalDomain, memo: dict[tuple, object]
+) -> dict[str, object]:
+    """The value each witness defines over the state, by symbol name, in
+    the parts' order. A part's key, its index and its footprint values
+    read from the state's map one name at a time, is looked up in memo. A
+    miss is evaluated at once and stored, anchored at w on the part's
+    literal_top and its key's values (a surrogate takes no anchor; see
+    EvalContext._truth_table), under the state's one context, which is
+    built at the first miss and switches set-ups between parts. A state
+    that lacks a symbol fails at the first part that reads it."""
     omega = domain.is_omega
     read = state.by_name.__getitem__
+    ctx = None
     values: dict[str, object] = {}
-    missed, keys = [], []
-    for i, part in enumerate(transition.parts):
+    for i, part in enumerate(parts):
         try:
             key = (i, *map(read, part.footprint))
         except KeyError:
@@ -506,28 +471,30 @@ def _step(transition: _Transition, state: State, domain: EvalDomain) -> State:
                     top = v if type(v) is int else _value_bound(v) - 1
                     if top > anchor:
                         anchor = top
-            missed.append((part, anchor))
-            keys.append(key)
-        else:
-            values[part.decl.name] = value
-    if missed:
-        fresh = _evaluate_parts(missed, state, domain)
-        for (part, _), key in zip(missed, keys):
-            values[part.decl.name] = memo[key] = fresh[part.decl.name]
-    return State(state.kappa, tuple([(name, values[name]) for name in transition.order]))
+            if ctx is None:
+                ctx = EvalContext.single(state, domain)
+            value = memo[key] = _part_value(ctx, part, anchor, state)
+        values[part.decl.name] = value
+    return values
 
 
 def apply_transition(
     vm: ValidatedMachine,
     state: State,
     domain: EvalDomain | None = None,
+    memo: dict[tuple, object] | None = None,
 ) -> State:
-    """One successor step: each symbol's next interpretation from its witness."""
+    """One successor step: each symbol's next interpretation from its
+    witness, the items in the order fixed at admission. memo maps each
+    part's key to its value (see _part_values); a run passes one for all
+    its steps, and None steps under a fresh one. The memo never changes
+    a result, only how many parts are evaluated."""
     if domain is None:
         domain = domain_for(vm.kappa)
         if domain is None:
             raise Unsupported(f"no evaluation domain for kappa = {vm.kappa}")
-    return _step(vm._transition, state, domain)
+    values = _part_values(vm._parts, state, domain, {} if memo is None else memo)
+    return State(state.kappa, tuple([(name, values[name]) for name in vm._order]))
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +520,11 @@ def sample_states(
     Support is kept below the given bound (clamped to a finite universe
     when there is one); at scale w roughly a third of the unary sets come
     out cofinite so the complement-heavy paths get exercised too.
+
+    When kappa is finite or w and every pin lies below it, as admission
+    demands before it steps a sample, every state models the machine's
+    tci: each symbol holds a value of its declared kind and arity, below
+    a finite kappa, and every pin is finite and honoured.
     """
     if spec.kappa.is_finite:
         bound = min(bound, spec.kappa.to_int())
@@ -649,7 +621,7 @@ def check_machine(
                     )
                 )
 
-    tau_parts, tau_issues = _collect_tau(spec, Interned())
+    tau_parts, tau_issues = _collect_tau(spec)
     default_parts, default_issues = _collect_default(spec)
     issues.extend(tau_issues)
     issues.extend(default_issues)
@@ -657,23 +629,23 @@ def check_machine(
     if not issues:
         schema = "GSeqAP" if spec.flavor == GSEQAP else "GSeqA"
         tci = Tci(spec.kappa, schema, tuple(sorted(spec.params.items())))
-        transition = _compile(tau_parts)
         start = None
         domain = domain_for(spec.kappa)
         if domain is not None:
-            issues, start = _semantic_issues(spec, tci, transition, default_parts,
-                                             domain, sample_size)
+            issues, start = _semantic_issues(spec, tau_parts, default_parts, domain, sample_size)
 
     if issues:
         raise MachineInvalid(issues)
 
-    return ValidatedMachine(spec, _assemble(tau_parts, 1), tci, transition, start)
+    # the parts' names in State.items order: constants, unary relations, tuple sets
+    order = sorted(tau_parts, key=lambda p: (p.decl.kind != "Constant", p.decl.arity > 1, p.decl.name))
+    return ValidatedMachine(spec, _assemble(tau_parts, 1), tci, start,
+                            tuple(tau_parts), tuple(p.decl.name for p in order))
 
 
 def _semantic_issues(
     spec: MachineSpec,
-    tci: Tci,
-    transition: _Transition,
+    tau_parts: list[_Part],
     default_parts: list[_Part],
     domain: EvalDomain,
     sample_size: int,
@@ -686,9 +658,9 @@ def _semantic_issues(
     start = None
     values: dict[str, object] = {}
     try:
-        # a default reads membership alone, so only its literals anchor it
-        anchored = [(part, part.literal_top if domain.is_omega else 0) for part in default_parts]
-        values = _evaluate_parts(anchored, blank, domain)
+        # a default reads membership alone: its footprint is empty, so
+        # only its literals anchor it
+        values = _part_values(default_parts, blank, domain, {})
     except D6Violation as exc:
         issues.append(ValidationIssue("BadConstraint", exc.detail, symbol=exc.symbol))
     except (Unrepresentable, ThresholdViolation, Unsupported) as exc:
@@ -707,13 +679,11 @@ def _semantic_issues(
 
     # one footprint memo for every sample: a part's value and its errors
     # follow from its key, so a hit was evaluated without error before
-    sampled = replace(transition, memo={})
+    memo: dict[tuple, object] = {}
     rng = random.Random(SAMPLE_SEED)
     for state in sample_states(spec, rng, count=sample_size):
-        if not models_tci(state, spec.sigma, tci).ok:
-            continue
         try:
-            _step(sampled, state, domain)
+            _part_values(tau_parts, state, domain, memo)
         except (D6Violation, Unrepresentable, ThresholdViolation, Unsupported) as exc:
             detail = exc.detail if isinstance(exc, D6Violation) else str(exc)
             issues.append(

@@ -30,7 +30,6 @@ from gseqa.logic import (
 from gseqa.ordinals import OMEGA, OrdinalNotation, parse_ordinal
 from gseqa.specfiles import parse_machine
 from gseqa.transforms import TmSpec, compile_tm, compose, dovetail, flip, lift
-from gseqa.satisfaction import Interned
 from gseqa.validator import GSEQAP, MachineSpec, _collect_default, _collect_tau, check_machine
 from test_logic import reference_facts
 from tm_tools import EVEN_HALTING, WRITER, generated_halting_tms
@@ -100,9 +99,9 @@ SPECS = _specs()
 @pytest.mark.parametrize("name", list(SPECS))
 def test_the_interned_table_agrees_with_tree_walks(name):
     spec = SPECS[name]
-    transition = check_machine(spec, allow_finite_kappa=spec.kappa.is_finite, sample_size=4)._transition
+    vm = check_machine(spec, allow_finite_kappa=spec.kappa.is_finite, sample_size=4)
     distinct, interned = set(), set()
-    for part in transition.parts:
+    for part in vm._parts:
         tree = parse_formula(format_formula(part.body), spec.sigma, doubled=True)
         assert tree == part.body
         assert static_facts(part.body) == reference_facts(tree)
@@ -116,7 +115,7 @@ def test_the_interned_table_agrees_with_tree_walks(name):
 def test_each_part_keeps_its_largest_literal():
     seen = set()
     for spec in SPECS.values():
-        tau, _ = _collect_tau(spec, Interned())
+        tau, _ = _collect_tau(spec)
         defaults, _ = _collect_default(spec)
         for part in tau + defaults:
             finite = [

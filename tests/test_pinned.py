@@ -20,7 +20,7 @@ from gseqa.runtime import Budget, dump_trace, run
 from gseqa.specfiles import format_machine
 from gseqa.states import State, format_state, parse_state
 from gseqa.transforms import compile_tm, compose, dovetail, flip, lift
-from gseqa.validator import _memoised, _step, check_machine, check_simple, domain_for
+from gseqa.validator import apply_transition, check_machine, check_simple, domain_for
 from tm_tools import EVEN_HALTING, WRITER
 
 # The two oracle-machine programs of acceptance criterion 9.
@@ -149,9 +149,9 @@ def test_a_step_builds_the_items_that_state_make_would(machines):
         budget = Budget(maxSuccessorStepsPerSegment=steps, maxLimitJumps=2, snapshotPolicy="all")
         trace = run(vm, OrdinalSet.finite(elements), budget)
         domain = domain_for(vm.kappa)
-        for transition in (vm._transition, _memoised(vm)._transition):
+        for memo in (None, {}):
             for _, state in trace.snapshots:
-                successor = _step(transition, state, domain)
+                successor = apply_transition(vm, state, domain, memo)
                 assert successor.items == State.make(state.kappa, dict(successor.items)).items
                 assert hash(successor) == hash(parse_state(format_state(successor)))
 
@@ -166,9 +166,9 @@ def test_a_step_does_not_depend_on_the_set_up_tables_warmth(machines, monkeypatc
         budget = Budget(maxSuccessorStepsPerSegment=steps, maxLimitJumps=2, snapshotPolicy="all")
         trace = run(vm, OrdinalSet.finite(elements), budget)
         visited += [(vm, state) for _, state in trace.snapshots]
-    warm = [_step(vm._transition, state, domain_for(vm.kappa)) for vm, state in visited]
+    warm = [apply_transition(vm, state) for vm, state in visited]
     cold = []
     for vm, state in visited:
         monkeypatch.setattr(satisfaction, "_SETUPS", {})
-        cold.append(_step(vm._transition, state, domain_for(vm.kappa)))
+        cold.append(apply_transition(vm, state))
     assert warm == cold

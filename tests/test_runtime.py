@@ -168,6 +168,16 @@ def test_unclassifiable_history_returns_none():
     assert record.cell("h").kind == "Unknown"
 
 
+def test_an_unclassifiable_polarity_leaves_the_limit_unresolved():
+    # Out is cofinite at every stage but two, the last of them two stages
+    # before the end: no pattern fits, so the polarity cell is Unknown
+    polarity = [1] * 100 + [0] + [1] * 97 + [0, 1]
+    history = [st(out=OrdinalSet.cofinite() if p else OrdinalSet.finite()) for p in polarity]
+    lim, record = limit_state(history, W, W)
+    assert lim is None
+    assert [(c.symbol, c.cell, c.kind) for c in record.cells] == [("Out", "polarity", "Unknown")]
+
+
 def st_pairs(history_of_pairs, n=60):
     """n stages of a state with a binary relation E, stage i holding the
     tuples that history_of_pairs(i) gives."""

@@ -298,6 +298,8 @@ def test_defined_set_needs_one_variable():
         defined_set(P("E(x, y)"), s, EvalDomain.omega())
     with pytest.raises(NotClosed):
         defined_set(P("exists x. In(x)"), s, EvalDomain.omega())
+    with pytest.raises(NotClosed, match=r"extra free variables \['y'\]"):
+        defined_set(P("E(x, y)"), s, EvalDomain.omega(), var="x")
 
 
 def test_defined_set_agrees_with_pointwise_oracle_on_random_corpus():
@@ -338,6 +340,19 @@ def test_defined_relation_finite():
     )
     swapped = defined_relation(f, s, EvalDomain.omega(), ("y", "x"))
     assert swapped == frozenset({(2, 1)})
+
+
+def test_defined_relation_orders_its_tuples_alphabetically_by_default():
+    s = State.make(OMEGA, {"E": {(1, 2), (3, 0)}})
+    assert defined_relation(P("E(y, x)"), s, EvalDomain.omega()) == {(0, 3), (2, 1)}
+
+
+def test_defined_relation_needs_every_free_variable_listed():
+    s = base_state()
+    with pytest.raises(NotClosed, match=r"misses free variables \['y'\]"):
+        defined_relation(P("E(x, y)"), s, EvalDomain.omega(), ("x",))
+    with pytest.raises(NotClosed, match="at least one variable"):
+        defined_relation(P("true"), s, EvalDomain.omega(), ())
 
 
 def test_defined_relation_infinite_is_refused():

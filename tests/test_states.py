@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gseqa import OMEGA, OrdinalNotation, OrdinalSet, parse_ordinal
-from gseqa.errors import ParseError
+from gseqa.errors import MissingSymbol, ParseError
 from gseqa.logic import Signature, SymbolDecl
 from gseqa.states import (
     State,
@@ -95,6 +95,8 @@ def test_models_tci_parameter_pinning():
     )
     assert not bad.ok
     assert any("ParameterMismatch" in r for r in bad.reasons)
+    missing = State.make(OMEGA, {"In": OrdinalSet.finite(), "Out": OrdinalSet.finite()})
+    assert models_tci(missing, SIGMA, tci).reasons == ("ParameterMismatch: h missing, pinned to 3",)
 
 
 def test_models_tci_undeclared_symbol():
@@ -122,9 +124,15 @@ def test_models_tci_rejects_a_unary_relation_held_as_tuples():
     s = parse_state("state kappa=w\nnary: In={(1,)} Out={} E={}")
     verdict = models_tci(s, sigma, Tci(OMEGA, "GSeqA"))
     assert verdict.reasons == (
-        "BadConstraint: 'In' is not a declared relation",
-        "BadConstraint: 'Out' is not a declared relation",
+        "BadConstraint: 'In' is not a declared relation of arity 2 or more",
+        "BadConstraint: 'Out' is not a declared relation of arity 2 or more",
     )
+    # the same kind words the error for a unary relation read as tuples
+    unary = State.make(OMEGA, {"E": OrdinalSet.finite({1})})
+    with pytest.raises(MissingSymbol) as info:
+        unary.tuples("E")
+    assert str(info.value) == "no relation of arity 2 or more 'E' in state"
+    assert info.value.symbol == "E"
 
 
 def test_gseqa_schema_cannot_pin():

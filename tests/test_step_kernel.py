@@ -41,7 +41,6 @@ from gseqa.transforms import compile_tm, compose, dovetail, flip, lift
 from gseqa.validator import (
     GSEQA,
     MachineSpec,
-    _memoised,
     apply_transition,
     check_machine,
     domain_for,
@@ -120,21 +119,21 @@ def machines():
     }
 
 
-# transition id -> (transition, raw witness bodies by symbol name)
+# parts id -> (parts, raw witness bodies by symbol name)
 _RAW_WITNESSES: dict = {}
 
 
 def raw_witnesses(vm):
     """The machine's normalised witness bodies, re-read from their text, so
     they share no node, and no closure, with the compiled step."""
-    transition = vm._transition
-    kept = _RAW_WITNESSES.get(id(transition))
-    if kept is None or kept[0] is not transition:
+    parts = vm._parts
+    kept = _RAW_WITNESSES.get(id(parts))
+    if kept is None or kept[0] is not parts:
         bodies = {
             p.decl.name: parse_formula(format_formula(p.body), vm.sigma, doubled=True)
-            for p in transition.parts
+            for p in parts
         }
-        kept = _RAW_WITNESSES[id(transition)] = (transition, bodies)
+        kept = _RAW_WITNESSES[id(parts)] = (parts, bodies)
     return kept[1]
 
 
@@ -235,8 +234,7 @@ def test_short_debug_run_agrees_with_phi_tau(machines, name, elements):
 
 
 def test_bridge_witnesses_share_their_row_guards(machines):
-    transition = machines["bridge"]._transition
-    bodies = {p.decl.name: p.body for p in transition.parts}
+    bodies = {p.decl.name: p.body for p in machines["bridge"]._parts}
     seen = {}
     for body in bodies.values():
         for node in nodes(body):
@@ -360,6 +358,14 @@ def _breaking(kind):
     return check_machine(spec, sample_size=0)
 
 
+def _without_memo(monkeypatch):
+    """Make run step every state under a fresh memo, dropping its own."""
+    step = runtime.apply_transition
+    monkeypatch.setattr(
+        runtime, "apply_transition", lambda vm, state, domain, memo=None: step(vm, state, domain)
+    )
+
+
 def _count_evaluations(monkeypatch):
     """A one-element list that counts the parts evaluated from now on."""
     count = [0]
@@ -408,8 +414,8 @@ def test_memoised_run_writes_the_reference_trace(memo_machines, monkeypatch, nam
     count = _count_evaluations(monkeypatch)
     memoised = [dump_trace(run(vm, OrdinalSet.finite(A), budget)) for A in inputs]
     evaluated = count[0]
-    # the reference steps the machine itself, whose transition has no memo
-    monkeypatch.setattr(runtime, "_memoised", lambda vm: vm)
+    # the reference steps every state under a fresh memo
+    _without_memo(monkeypatch)
     reference = [dump_trace(run(vm, OrdinalSet.finite(A), budget)) for A in inputs]
     assert memoised == reference
     assert evaluated <= count[0] - evaluated
@@ -417,9 +423,9 @@ def test_memoised_run_writes_the_reference_trace(memo_machines, monkeypatch, nam
         assert reference[0].splitlines()[-1].startswith(f"outcome\tFailed\t{FAILURES[name]}")
 
 
-def _step_or_error(vm, state, domain):
+def _step_or_error(vm, state, domain, memo=None):
     try:
-        return apply_transition(vm, state, domain)
+        return apply_transition(vm, state, domain, memo)
     except GseqaError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -445,9 +451,9 @@ def test_a_hit_needs_every_footprint_value(memo_machines, name, inputs):
         for symbol, value in state.items:
             for other in pool[symbol] - {value}:
                 changed = state.with_updates({symbol: other})
-                stepper = _memoised(vm)
-                _step_or_error(stepper, state, domain)
-                got = _step_or_error(stepper, changed, domain)
+                memo = {}
+                _step_or_error(vm, state, domain, memo)
+                got = _step_or_error(vm, changed, domain, memo)
                 assert got == _step_or_error(vm, changed, domain), symbol
 
 
@@ -459,13 +465,38 @@ def test_the_memo_lives_on_the_run(monkeypatch):
     evaluated = []
     for memo in (True, True, False):
         if not memo:
-            monkeypatch.setattr(runtime, "_memoised", lambda vm: vm)
+            _without_memo(monkeypatch)
         before = count[0]
         run(vm, OrdinalSet.finite({2}), Budget(60, 1))
         evaluated.append(count[0] - before)
     # the second run starts as cold as the first, and both reused values
     assert evaluated[0] == evaluated[1] < evaluated[2]
-    assert vm._transition.memo is None
+
+
+def test_a_step_builds_a_context_only_when_a_part_misses(machines, monkeypatch):
+    # Stepping a state twice under one memo builds one context, then none.
+    # A state with a new In gives every part a new key, and its misses
+    # share one context.
+    vm = machines["relation"]
+    built = []
+    single = EvalContext.single
+
+    def spy(state, domain):
+        built.append(state)
+        return single(state, domain)
+
+    monkeypatch.setattr(EvalContext, "single", staticmethod(spy))
+    count = _count_evaluations(monkeypatch)
+    state = load(vm, OrdinalSet.finite({1, 3}))
+    memo = {}
+    contexts, evaluated = [], []
+    for step in (state, state, state.with_updates({"In": OrdinalSet.finite({1, 4})})):
+        before = len(built), count[0]
+        apply_transition(vm, step, memo=memo)
+        contexts.append(len(built) - before[0])
+        evaluated.append(count[0] - before[1])
+    assert contexts == [1, 0, 1]
+    assert evaluated == [3, 0, 3]
 
 
 def test_a_symbol_no_witness_reads_is_not_in_the_key(machines, monkeypatch):
@@ -474,7 +505,7 @@ def test_a_symbol_no_witness_reads_is_not_in_the_key(machines, monkeypatch):
     # its own footprint: Out = {9} lifts the state's support top from 3
     # to 9, but not the top of what any part reads.
     vm = machines["nested"]
-    stepper = _memoised(vm)
+    memo = {}
     count = _count_evaluations(monkeypatch)
     domain = EvalDomain.omega()
     evaluated = []
@@ -483,7 +514,7 @@ def test_a_symbol_no_witness_reads_is_not_in_the_key(machines, monkeypatch):
             OMEGA, {"In": OrdinalSet.finite({1, 3}), "Out": OrdinalSet.finite(out)}
         )
         before = count[0]
-        stepped = apply_transition(stepper, state, domain)
+        stepped = apply_transition(vm, state, domain, memo)
         evaluated.append(count[0] - before)
         assert stepped == reference_step(vm, state, domain)
     assert evaluated == [2, 0, 0]
@@ -554,9 +585,9 @@ def test_every_visited_state_steps_as_the_public_entries_do(memo_machines, name,
     domain = domain_for(vm.kappa)
     for A in inputs:
         trace = run(vm, OrdinalSet.finite(A), Budget(40, 1, snapshotPolicy="all"))
-        stepper = _memoised(vm)
+        memo = {}
         for _, state in trace.snapshots:
-            got = _step_or_error(stepper, state, domain)
+            got = _step_or_error(vm, state, domain, memo)
             want = _reference_or_error(vm, state, domain)
             if isinstance(got, str):
                 assert isinstance(want, type), (got, state)

@@ -181,7 +181,7 @@ class TestTableFormat:
 class TestCompileTm:
     def test_input_witness_is_the_copy(self):
         vm = check_machine(compile_tm(EVEN_HALTING))
-        (part,) = [p for p in vm._transition.parts if p.decl.name == "In"]
+        (part,) = [p for p in vm._parts if p.decl.name == "In"]
         assert part.body == Apply("In", (Var("x"),), 0)
 
     def test_one_state_table_copies_and_stops(self):

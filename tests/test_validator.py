@@ -32,10 +32,11 @@ from gseqa import (
 )
 from gseqa.logic import And, Apply, Const, Equal, Exists, Not, Or, Var, format_formula, with_copy
 from gseqa.runtime import Budget, Failed, run
-from gseqa.satisfaction import Interned
-from gseqa.states import parse_state
+from gseqa.states import models_tci, parse_state
 from gseqa import validator
 from gseqa.validator import GSEQA, GSEQAP, MachineSpec
+from test_pinned import _constructions
+from test_step_kernel import _specs
 
 W = OMEGA
 BASE = Signature()
@@ -71,7 +72,7 @@ def test_check_bounded_assembles_biconditionals():
     phi = check_bounded(bitflip())
     vm = check_machine(bitflip())
     assert vm.phi_tau == phi
-    bodies = {p.decl.name: p.body for p in vm._transition.parts}
+    bodies = {p.decl.name: p.body for p in vm._parts}
     assert set(bodies) == {"In", "Out"}
     assert bodies["In"] == with_copy(parse_formula("~In(x)", BASE), 0)
     assert bodies["Out"] == with_copy(parse_formula("Out(x)", BASE), 0)
@@ -81,7 +82,7 @@ def test_check_bounded_renames_single_variable():
     sigma = BASE
     spec = machine(tau={"In": "In(y)", "Out": "Out(x)"})
     vm = check_machine(spec)
-    (part,) = [p for p in vm._transition.parts if p.decl.name == "In"]
+    (part,) = [p for p in vm._parts if p.decl.name == "In"]
     assert part.body == with_copy(parse_formula("In(x)", sigma), 0)
 
 
@@ -340,7 +341,7 @@ def test_the_first_defect_is_reported_on_shared_subformulas():
         "E": And(Apply("E", (x1, Var("x2"))), Or(Exists("z", Apply("h", (Var("z"),))), Equal(x1, Const("E")))),
     }
     spec = MachineSpec(OMEGA, sigma, GSEQA, {}, tau, {})
-    parts, issues = validator._collect_tau(spec, Interned())
+    parts, issues = validator._collect_tau(spec)
     assert [str(issue) for issue in issues] == [
         "NotBounded: symbol=In: references E@1",
         "ArityMismatch: symbol=Out: undeclared relation 'g'",
@@ -436,12 +437,12 @@ def test_default_values_use_bare_order_only():
 @pytest.mark.parametrize("items", ["In={1} Out={} R={}", "In={1} Out={} R={} h={}"])
 def test_a_step_names_the_symbol_the_state_lacks(items):
     # the constant h is missing, or held as a unary relation; the step
-    # fails the same way with and without the footprint memo
+    # fails the same way with a fresh footprint memo and with a run's
     vm = check_machine(defaults_machine())
     state = parse_state(f"state kappa=w\nunary: {items}")
-    for stepper in (vm, validator._memoised(vm)):
+    for memo in (None, {}):
         with pytest.raises(MissingSymbol, match="'h'") as exc:
-            apply_transition(stepper, state)
+            apply_transition(vm, state, memo=memo)
         assert exc.value.symbol == "h"
 
 
@@ -449,11 +450,11 @@ def test_a_step_names_a_symbol_only_a_later_part_reads():
     # R is read by the last part alone: every earlier part's key is read
     # from the state before R's is, and R is still the symbol named
     vm = check_machine(defaults_machine())
-    assert [p.footprint for p in vm._transition.parts] == [("In",), ("Out",), ("h",), ("R",)]
+    assert [p.footprint for p in vm._parts] == [("In",), ("Out",), ("h",), ("R",)]
     state = parse_state("state kappa=w\nconstants: h=1\nunary: In={1} Out={}")
-    for stepper in (vm, validator._memoised(vm)):
+    for memo in (None, {}):
         with pytest.raises(MissingSymbol, match="'R'") as exc:
-            apply_transition(stepper, state)
+            apply_transition(vm, state, memo=memo)
         assert exc.value.symbol == "R"
 
 
@@ -465,7 +466,7 @@ def test_load_evaluates_no_default(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("defaults evaluated after admission")
 
-    monkeypatch.setattr(validator, "_evaluate_parts", refuse)
+    monkeypatch.setattr(validator, "_part_values", refuse)
     monkeypatch.setattr(validator, "_collect_default", refuse)
     assert load(vm, A) == before
 
@@ -514,9 +515,20 @@ def test_admission_steps_its_samples_under_one_footprint_memo(monkeypatch):
 
     monkeypatch.setattr(validator, "_part_value", counted)
     vm = check_machine(spec)
-    counts = {p.decl.name: calls[id(p)] for p in vm._transition.parts}
+    counts = {p.decl.name: calls[id(p)] for p in vm._parts}
     assert counts["Out"] == counts["c"] == 1
     assert 1 < counts["In"] <= 64
+
+
+def test_every_sampled_state_models_its_machines_tci():
+    # admission steps every sample it draws without checking it: each one
+    # must already model the machine's tci
+    specs = [*_constructions().values(), *_specs().values()]
+    for spec in specs:
+        vm = check_machine(spec, allow_finite_kappa=True, sample_size=0)
+        for state in sample_states(spec, random.Random(validator.SAMPLE_SEED)):
+            verdict = models_tci(state, spec.sigma, vm.tci)
+            assert verdict.ok, (spec.name, verdict.reasons)
 
 
 def test_sampled_states_fit_finite_universe():
