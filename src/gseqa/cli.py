@@ -129,12 +129,12 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            r = range(int(lo), int(hi))
-        else:
-            r = range(int(lo))
+        bounds = [int(lo), int(hi)] if sep else [int(lo)]
+        if min(bounds) < 0:
+            raise ValueError
     except ValueError:
         raise GseqaError(f"--inputs wants N or A..B, got {text!r}")
+    r = range(*bounds)
     if len(r) == 0:
         raise GseqaError(f"--inputs names an empty range: {text!r}")
     return r

@@ -107,7 +107,9 @@ class OrdinalNotation:
         return self.terms == other.terms
 
     def __lt__(self, other: "OrdinalNotation") -> bool:
-        return ord_compare(self, other) < 0
+        # CNF terms run from the largest exponent down, so the ordinals'
+        # order is their terms' tuple order
+        return self.terms < other.terms
 
     def __hash__(self) -> int:
         return hash(self.terms)
@@ -135,14 +137,7 @@ OMEGA = OrdinalNotation(((1, 1),))
 
 def ord_compare(a: OrdinalNotation, b: OrdinalNotation) -> int:
     """Three-way comparison: -1, 0, or 1 as a <, =, > b."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea != eb:
-            return 1 if ea > eb else -1
-        if ca != cb:
-            return 1 if ca > cb else -1
-    if len(a.terms) != len(b.terms):
-        return 1 if len(a.terms) > len(b.terms) else -1
-    return 0
+    return (a.terms > b.terms) - (a.terms < b.terms)
 
 
 def next_limit(a: OrdinalNotation) -> OrdinalNotation:

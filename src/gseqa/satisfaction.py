@@ -68,34 +68,36 @@ evaluates R(w) and raises Unsupported for the infinite literal. No value
 differs; only an error that the skipped arm would raise goes unseen.
 
 Every entry evaluates through an EvalContext, one per state, which reads
-its states directly and switches in place to each truth table's probe
-set-up. Its caller hands it each formula's largest anchor: a public entry
-takes the top of its states' support and the formula's literals, a
-machine's step each part's footprint values and literals. A set-up's
-candidates and quantifier values are immutable and hold a few ints each,
-so only its patterns grow with the support. A set-up depends on its key
-alone, never on the formulas or the machine it serves, so one table per
-process builds each set-up and its patterns once for every context: the
-differential workload meets 81 set-ups in 10 000 contexts a round, and
-the bridge workload's machines share theirs. The table drops its set-ups
-once these pass a fixed number of bits (see _setup). One
-reader per value kind decodes a table's set bits, lowest first, and no
-other module reads them: defined_set and defined_relation check their
-arguments and call it, and a machine's step calls it on each part's
-table. Each node kind's semantics is written once, as a method of
-EvalContext, and two dispatchers reach it:
+its states directly, and through its one method read: it switches the
+context in place to a truth table's probe set-up, evaluates the table and
+decodes it as the kind of value asked for, a truth value, a set, one
+element or a relation. The kind alone fixes how many far representatives
+the candidates end in, and one reader per kind decodes the set bits,
+lowest first, so how a bit's index maps back to a candidate is known to
+this module alone. sat, sat2, defined_set and defined_relation check their
+arguments and call read, anchored on the top of their states' support and
+the formula's literals; a machine's step calls it for each part, anchored
+on the part's footprint values and literals. A set-up's candidates and
+quantifier values are immutable and hold a few ints each, so only its
+patterns grow with the support. A set-up depends on its key alone, never
+on the formulas or the machine it serves, so one table per process builds
+each set-up and its patterns once for every context: the differential
+workload meets 81 set-ups in 10 000 contexts a round, and the bridge
+workload's machines share theirs. The table drops its set-ups once these
+pass a fixed number of bits (see _setup). Each node kind's semantics is
+written once, as a method of EvalContext, and the formula picks which of
+two dispatchers reaches it:
 
-* A raw formula is interpreted node by node; this is what sat, sat2,
-  defined_set and defined_relation do. Its static facts are folded on
-  the first call and stored on each of its nodes (logic.static_facts),
-  so the benchmark's ten evaluations of one differential sentence walk
-  it once, and at w each quantifier reads its body's stored rank. It is
-  not compiled, because a raw formula is evaluated a few times at most
-  and compiling it would cost more than it saves: interning every
-  sentence of the differential workload walks 112 200 nodes, where the
-  interpreter, which skips the arms that a settled connective does not
-  need, reaches 51 220, and the workload took almost three times as
-  long.
+* A raw formula, as the public entries are usually given, is interpreted
+  node by node. Its static facts are folded on the first call and stored
+  on each of its nodes (logic.static_facts), so the benchmark's ten
+  evaluations of one differential sentence walk it once, and at w each
+  quantifier reads its body's stored rank. It is not compiled, because a
+  raw formula is evaluated a few times at most and compiling it would
+  cost more than it saves: interning every sentence of the differential
+  workload walks 112 200 nodes, where the interpreter, which skips the
+  arms that a settled connective does not need, reaches 51 220, and the
+  workload took almost three times as long.
 * A machine's transition is compiled once, at admission: its witness
   bodies are interned into one table (Interned), so structurally equal
   subformulas are one object, whose static facts are folded from its
@@ -382,9 +384,11 @@ class _Axis:
 class EvalContext:
     """Evaluation over fixed states in one domain, given as a map from
     copy index to State: the semantics of each node kind, under one probe
-    set-up at a time. Build one per state; it answers every formula asked
-    of that state and, over interned formulas, computes each closed node
-    once. It is given its states and its domain, nothing more. Its
+    set-up at a time. Build one per state; read, its one entry, answers
+    every formula asked of that state as a value of the kind asked for
+    and, over interned formulas, computes each closed node once. No other
+    module reads the set-ups, tables or readers behind it. It is given
+    its states and its domain, nothing more. Its
     set-ups, with the patterns that depend only on a set-up and the axes
     (x = y, x < y, the bound masks and the shift masks that widen a
     value), come from the one table that keeps them across the contexts
@@ -822,39 +826,38 @@ class EvalContext:
             return self.literal(t.value)
         raise TypeError(f"not a term: {t!r}")
 
-    # -- the entries -------------------------------------------------------
+    # -- the entry ---------------------------------------------------------
 
     def _anchor(self, literals: frozenset[OrdinalNotation]) -> int:
         """A public entry's largest anchor: its states' support top and the
-        formula's finite literals at w, 0 on a surrogate (see _truth_table)."""
+        formula's finite literals at w, 0 on a surrogate (see read)."""
         if not self.domain.is_omega:
             return 0
         return _anchor_max(literals, _support_max(self.states.values()))
 
-    def _truth_table(
+    def read(
         self,
+        kind: type,
         formula: Formula,
         rank: int,
         anchor_max: int,
         variables: tuple[str, ...] = (),
-        reps: int = 0,
-    ) -> tuple[Any, Sequence[int] | None]:
-        """The formula's truth table and the candidates its variables range
-        over. rank is the formula's quantifier rank and anchor_max its
-        largest anchor, which the caller works out: a public entry from its
-        states' support (see _anchor), a step from each part's footprint
-        (see validator), and 0 on a surrogate, which probes its whole universe.
-
-        With variables, the table is a bitset over len(candidates) ** k
-        cells for k variables: bit i is the truth at the candidates whose
-        indices are the digits of i in base len(candidates), the first
-        variable's the lowest. A value that reads no variable is all ones
-        or zero. Variables come with reps > 0 far representatives (see
-        _setup_values). With no variables the table is a single truth
-        value and the candidates are None. A formula that carries a
-        closure, as an interned node does, runs it; any other is interpreted.
-        """
-        candidates = self._use(anchor_max, rank, reps)
+    ) -> Any:
+        """The value of the given kind that the formula defines over the
+        variables: a bool for a sentence, an OrdinalSet, a frozenset of
+        tuples for a relation, or an int for one element, the one set bit
+        before the far representatives; any other table of that kind is
+        read as the set, for the caller to refuse. The kind alone fixes the
+        far representatives (see _REPS). rank is the formula's quantifier
+        rank and anchor_max its largest anchor, which the caller works out:
+        a public entry from its states (see _anchor), a step from each
+        part's footprint (see validator), 0 on a surrogate, which probes
+        its whole universe. A formula that carries a closure, as an
+        interned node does, runs it; any other is interpreted. Over k
+        variables the table has len(candidates) ** k cells, bit i the truth
+        at the candidates whose indices are the digits of i in base
+        len(candidates), the first variable's the lowest."""
+        candidates = self._use(anchor_max, rank, _REPS[kind])
         try:
             for x in variables:
                 self.bind(x, candidates)
@@ -870,53 +873,24 @@ class EvalContext:
                 value = (1 << cells) - 1 if value else 0
         finally:
             self.bound.clear()
-        return value, candidates
+        if kind is bool:
+            return bool(value)
+        if kind is frozenset:
+            return self._read_relation(value, variables)
+        if kind is int:
+            # the fast path that every constant part's miss takes
+            head = len(candidates) - 3 if self.domain.is_omega else len(candidates)
+            top = value.bit_length() - 1
+            if 0 <= top < head and value == 1 << top:
+                return top
+        return self._read_set(value, formula)
 
-    @_depth_checked
-    def sentence(self, formula: Formula) -> bool:
-        """Truth of a sentence."""
-        free, rank, literals = static_facts(formula)
-        if free:
-            raise NotClosed(f"free variables {sorted(free)} in sentence")
-        return bool(self._truth_table(formula, rank, self._anchor(literals))[0])
-
-    @_depth_checked
-    def defined_set(self, formula: Formula, var: str | None = None) -> OrdinalSet:
-        """The set a one-free-variable formula defines; see defined_set."""
-        fv, rank, literals = static_facts(formula)
-        if var is None:
-            if len(fv) != 1:
-                raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
-            var = next(iter(fv))
-        elif fv - {var}:
-            raise NotClosed(f"extra free variables {sorted(fv - {var})}")
-        bits, candidates = self._truth_table(formula, rank, self._anchor(literals), (var,), 3)
-        return self._read_set(bits, candidates, formula)
-
-    @_depth_checked
-    def defined_relation(
-        self, formula: Formula, variables: tuple[str, ...] | None = None
-    ) -> frozenset[tuple[int, ...]]:
-        """The finite relation a formula defines; see defined_relation."""
-        fv, rank, literals = static_facts(formula)
-        if variables is None:
-            variables = tuple(sorted(fv))
-        if not fv <= set(variables):
-            raise NotClosed(
-                f"variable list {variables} misses free variables {sorted(fv - set(variables))}"
-            )
-        if not variables:
-            raise NotClosed("defined_relation needs at least one variable")
-        bits, candidates = self._truth_table(
-            formula, rank, self._anchor(literals), tuple(variables), 1
-        )
-        return self._read_relation(bits, candidates, variables)
-
-    def _read_set(self, bits: int, candidates: Sequence[int], formula: Formula) -> OrdinalSet:
+    def _read_set(self, bits: int, formula: Formula) -> OrdinalSet:
         """The set a one-variable table with three far representatives
         defines: cofinite when all three hold, an error when they differ."""
         if not self.domain.is_omega:
             return OrdinalSet.finite(_positions(bits))
+        candidates = self.setup.candidates
         head = len(candidates) - 3
         tail = bits >> head
         if tail and tail != 7:
@@ -929,22 +903,10 @@ class EvalContext:
         members = _positions(bits & ((1 << head) - 1))
         return OrdinalSet.cofinite(members) if tail else OrdinalSet.finite(members)
 
-    def _read_constant(
-        self, bits: int, candidates: Sequence[int], formula: Formula
-    ) -> int | OrdinalSet:
-        """The one element a table for _read_set defines: its one set bit's
-        index, unless a far representative holds it; else the set defined."""
-        head = len(candidates) - 3 if self.domain.is_omega else len(candidates)
-        top = bits.bit_length() - 1
-        if 0 <= top < head and bits == 1 << top:
-            return top
-        return self._read_set(bits, candidates, formula)
-
-    def _read_relation(
-        self, bits: int, candidates: Sequence[int], variables: Sequence[str]
-    ) -> frozenset[tuple[int, ...]]:
+    def _read_relation(self, bits: int, variables: Sequence[str]) -> frozenset[tuple[int, ...]]:
         """The tuples a table with one far representative defines; at w one
         that holds at the representative is infinite and Unrepresentable."""
+        candidates = self.setup.candidates
         n, k = len(candidates), len(variables)
         if self.domain.is_omega:
             for i, x in enumerate(variables):
@@ -963,6 +925,11 @@ class EvalContext:
             rows.append(tuple(row))
         return frozenset(rows)
 
+
+# The far representatives that each kind of value's candidates end in (see
+# _setup_values): none for a sentence, three that must agree for a set or
+# an element, one at which no tuple may hold for a relation.
+_REPS = {bool: 0, OrdinalSet: 3, int: 3, frozenset: 1}
 
 # The most cells a bitset over two or more axes may have: 2 MiB of bits.
 # The largest table of the test suite and the benchmark has 2 744 000
@@ -1009,7 +976,7 @@ class Interned:
     fields. Adding a formula takes one table lookup per tree node and one
     construction, with its facts and closure, per node the table lacks. Any
     EvalContext runs an interned formula's closure (see
-    EvalContext._truth_table); the table is needed only to add to it."""
+    EvalContext.read); the table is needed only to add to it."""
 
     def __init__(self) -> None:
         self._nodes: dict[object, Node] = {}
@@ -1113,23 +1080,34 @@ def _compile(node: Node) -> _Closure:
     return memo
 
 
+@_depth_checked
 def sat(formula: Formula, state: State, domain: EvalDomain) -> bool:
     """Truth of a sentence in one state.
 
     Copy-0 references are allowed and read the same state, so transition
     witnesses can be tested directly; copy-1 references are rejected.
     """
-    return EvalContext.single(state, domain).sentence(formula)
+    free, rank, literals = static_facts(formula)
+    if free:
+        raise NotClosed(f"free variables {sorted(free)} in sentence")
+    ctx = EvalContext.single(state, domain)
+    return ctx.read(bool, formula, rank, ctx._anchor(literals))
 
 
+@_depth_checked
 def sat2(
     formula: Formula, states: tuple[State, State], domain: EvalDomain
 ) -> bool:
     """Truth of a binary sentence over a pair of states (copy 0, copy 1)."""
+    free, rank, literals = static_facts(formula)
+    if free:
+        raise NotClosed(f"free variables {sorted(free)} in sentence")
     s1, s2 = states
-    return EvalContext({0: s1, 1: s2}, domain).sentence(formula)
+    ctx = EvalContext({0: s1, 1: s2}, domain)
+    return ctx.read(bool, formula, rank, ctx._anchor(literals))
 
 
+@_depth_checked
 def defined_set(
     formula: Formula, state: State, domain: EvalDomain, var: str | None = None
 ) -> OrdinalSet:
@@ -1140,9 +1118,18 @@ def defined_set(
     must agree; if they do not, the bound was not actually stable and
     ThresholdViolation is raised rather than returning a guess.
     """
-    return EvalContext.single(state, domain).defined_set(formula, var)
+    fv, rank, literals = static_facts(formula)
+    if var is None:
+        if len(fv) != 1:
+            raise NotClosed(f"need exactly one free variable, got {sorted(fv)}")
+        var = next(iter(fv))
+    elif fv - {var}:
+        raise NotClosed(f"extra free variables {sorted(fv - {var})}")
+    ctx = EvalContext.single(state, domain)
+    return ctx.read(OrdinalSet, formula, rank, ctx._anchor(literals), (var,))
 
 
+@_depth_checked
 def defined_relation(
     formula: Formula,
     state: State,
@@ -1155,4 +1142,14 @@ def defined_relation(
     omitted). A definable relation that meets the far representatives,
     and so would be infinite, raises Unrepresentable.
     """
-    return EvalContext.single(state, domain).defined_relation(formula, variables)
+    fv, rank, literals = static_facts(formula)
+    if variables is None:
+        variables = tuple(sorted(fv))
+    if not fv <= set(variables):
+        raise NotClosed(
+            f"variable list {variables} misses free variables {sorted(fv - set(variables))}"
+        )
+    if not variables:
+        raise NotClosed("defined_relation needs at least one variable")
+    ctx = EvalContext.single(state, domain)
+    return ctx.read(frozenset, formula, rank, ctx._anchor(literals), tuple(variables))

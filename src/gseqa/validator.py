@@ -414,16 +414,10 @@ def _part_value(ctx: EvalContext, part: _Part, anchor: int, state: State) -> obj
     variables among the part's. An evaluation error names the part's
     symbol; D6Violation is raised when a constant's witness pins no
     single value."""
-    decl, body, variables = part.decl, part.body, part.variables
+    decl, body = part.decl, part.body
+    kind = frozenset if decl.arity > 1 else OrdinalSet if decl.kind == "Relation" else int
     try:
-        rank = quantifier_rank(body)
-        if decl.arity > 1:
-            bits, candidates = ctx._truth_table(body, rank, anchor, variables, 1)
-            return ctx._read_relation(bits, candidates, variables)
-        bits, candidates = ctx._truth_table(body, rank, anchor, variables, 3)
-        if decl.kind == "Relation":
-            return ctx._read_set(bits, candidates, body)
-        value = ctx._read_constant(bits, candidates, body)
+        value = ctx.read(kind, body, quantifier_rank(body), anchor, part.variables)
     except RecursionError:
         error: GseqaError = Unsupported("formula is nested too deeply to evaluate")
     except Unrepresentable as exc:
@@ -431,7 +425,7 @@ def _part_value(ctx: EvalContext, part: _Part, anchor: int, state: State) -> obj
     except (ThresholdViolation, Unsupported) as exc:
         error = exc
     else:
-        if type(value) is int:
+        if kind is not int or type(value) is int:
             return value
         what = f"a set of size {len(value.elements)}" if value.is_finite else "a cofinite set"
         raise D6Violation(state, decl.name, f"witness defines {what} rather than one value")
@@ -447,7 +441,7 @@ def _part_values(
     read from the state's map one name at a time, is looked up in memo. A
     miss is evaluated at once and stored, anchored at w on the part's
     literal_top and its key's values (a surrogate takes no anchor; see
-    EvalContext._truth_table), under the state's one context, which is
+    EvalContext.read), under the state's one context, which is
     built at the first miss and switches set-ups between parts. A state
     that lacks a symbol fails at the first part that reads it."""
     omega = domain.is_omega

@@ -283,6 +283,11 @@ class TestCrosscheck:
         assert main(["crosscheck", str(program), "--inputs", "nope"]) == 1
         assert main(["crosscheck", str(program), "--inputs", "5..5"]) == 1
 
+    @pytest.mark.parametrize("inputs", ["-1..3", "2..-1", "-3"])
+    def test_negative_bound_is_refused_naming_the_flag(self, program, capsys, inputs):
+        assert main(["crosscheck", str(program), f"--inputs={inputs}"]) == 1
+        assert f"error: --inputs wants N or A..B, got {inputs!r}" in capsys.readouterr().err
+
     def test_zero_budget_is_an_error(self, program, capsys):
         assert main(["crosscheck", str(program), "--inputs", "3", "--budget", "0"]) == 1
         assert "error: --budget must be a positive integer" in capsys.readouterr().err

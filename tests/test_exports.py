@@ -76,3 +76,21 @@ def test_every_traced_layer_exists():
         if not hasattr(importlib.import_module(f"gseqa.{module}"), function):
             missing.append(f"{module}.{function}")
     assert missing == []
+
+
+def test_no_module_but_satisfaction_reads_the_evaluators_private_names():
+    """How a truth table's bits map back to candidates is known to
+    satisfaction alone: other modules reach EvalContext through its public
+    names, never through one that starts with an underscore."""
+    from gseqa.satisfaction import EvalContext
+
+    private = {n for n in vars(EvalContext) if n.startswith("_") and not n.startswith("__")}
+    assert private
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "satisfaction.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                reads.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert reads == []

@@ -391,7 +391,7 @@ def test_a_wide_atom_over_one_bound_variable_is_evaluated():
         state = State.make(OMEGA, {"T": {stored}})
         formula = parse_formula(text, sigma)
         assert sat(formula, state, omega) is want
-        assert EvalContext.single(state, omega).sentence(table.add(formula)) is want
+        assert sat(table.add(formula), state, omega) is want
 
 
 # Each sentence asks, at w, for a bitset over two axes of about 2^21
@@ -420,7 +420,7 @@ def test_a_table_past_the_cell_cap_is_unsupported_at_once(text, node):
     formula = parse_formula(text, sigma)
     entries = [
         lambda: sat(formula, state, omega),
-        lambda: EvalContext.single(state, omega).sentence(table.add(formula)),
+        lambda: sat(table.add(formula), state, omega),
     ]
     for entry in entries:
         start = time.perf_counter()
@@ -438,9 +438,7 @@ def test_a_closed_table_past_the_cell_cap_is_unsupported_at_once(text):
     formula = parse_formula(text, sigma)
     entries = [
         lambda: defined_relation(formula, state, omega, ("x", "y")),
-        lambda: EvalContext.single(state, omega).defined_relation(
-            table.add(formula), ("x", "y")
-        ),
+        lambda: defined_relation(table.add(formula), state, omega, ("x", "y")),
     ]
     for entry in entries:
         start = time.perf_counter()
@@ -567,9 +565,9 @@ def test_contexts_on_one_table_share_read_only_set_up_arrays():
     g = table.add(P("In(x) & (exists y. x < y)"))
     s, omega = base_state(), EvalDomain.omega()
     first, second = (EvalContext.single(s, omega) for _ in range(2))
-    first.defined_set(g, "x")
+    first.read(OrdinalSet, g, 1, 3, ("x",))
     built = dict(satisfaction._setup(omega, 3, 1, 3).patterns)
-    second.defined_set(g, "x")
+    second.read(OrdinalSet, g, 1, 3, ("x",))
     assert first.key == second.key == (3, 1, 3)
     candidates1, candidates2 = (ctx.setup.candidates for ctx in (first, second))
     one, two = first.setup, second.setup
@@ -630,7 +628,7 @@ def test_a_machine_table_keeps_its_newest_set_up_and_the_bit_budget(monkeypatch)
     omega = EvalDomain.omega()
     for k in range(1, 601):
         state = State.make(OMEGA, {"In": OrdinalSet.finite({k})})
-        assert EvalContext.single(state, omega).defined_set(g, "x").elements == {k}
+        assert defined_set(g, state, omega, "x").elements == {k}
         if k in (300, 600):
             assert _within_the_bit_budget(setups)
 
@@ -645,7 +643,7 @@ def test_a_table_of_sentence_set_ups_keeps_its_newest_and_the_bit_budget(monkeyp
     omega = EvalDomain.omega()
     for k in range(1, 801):
         state = State.make(OMEGA, {"In": OrdinalSet.finite({k})})
-        assert EvalContext.single(state, omega).sentence(g)
+        assert sat(g, state, omega)
         assert sat(f, state, omega)
         if k in (400, 800):
             assert _within_the_bit_budget(shared)
@@ -876,7 +874,7 @@ def test_closed_sentences_agree_with_brute_oracle(f, seed):
     compiled = table.add(f)
     for domain in (EvalDomain.omega(), EvalDomain.surrogate(3), EvalDomain.surrogate(16)):
         assert sat(f, state, domain) is want
-        assert EvalContext.single(state, domain).sentence(compiled) is want
+        assert sat(compiled, state, domain) is want
 
 
 # -- membership atoms against the oracle, pointwise --------------------------
@@ -941,17 +939,12 @@ def _set_and_relation_paths(fx, fxy, state, domain):
     """(defined set, defined relation or its error type) on the raw path,
     then on the interned one."""
     table = Interned()
-    gx, gxy = table.add(fx), table.add(fxy)
-    ctx = EvalContext.single(state, domain)
-    for set_of, relation_of in (
-        (lambda: defined_set(fx, state, domain, "x"), lambda: defined_relation(fxy, state, domain, ("x", "y"))),
-        (lambda: ctx.defined_set(gx, "x"), lambda: ctx.defined_relation(gxy, ("x", "y"))),
-    ):
+    for one, two in ((fx, fxy), (table.add(fx), table.add(fxy))):
         try:
-            relation = relation_of()
+            relation = defined_relation(two, state, domain, ("x", "y"))
         except Unrepresentable:
             relation = Unrepresentable
-        yield set_of(), relation
+        yield defined_set(one, state, domain, "x"), relation
 
 
 def _check_against_the_oracle(fx, fxy, state, domains):
@@ -1079,10 +1072,10 @@ def test_nested_sentences_agree_with_brute_oracle_and_across_the_bound(f, seed):
         want = brute_sat(f, views, n)
         domain = EvalDomain.surrogate(n)
         assert sat(f, state, domain) is want
-        assert EvalContext.single(state, domain).sentence(g) is want
+        assert sat(g, state, domain) is want
     omega = EvalDomain.omega()
     at_w = sat(f, state, omega)
-    assert EvalContext.single(state, omega).sentence(g) is at_w
+    assert sat(g, state, omega) is at_w
     b = threshold_bound(f, state)
     for n in range(b, b + 9):
         assert sat(f, state, EvalDomain.surrogate(n)) is at_w, n
@@ -1100,7 +1093,7 @@ def test_nested_defined_sets_agree_with_brute_oracle(f, seed):
         domain = EvalDomain.surrogate(n)
         want = {a for a in range(n) if brute_sat(f, views, n, {"w": a})}
         assert set(defined_set(f, state, domain, "w").members_below(n)) == want
-        assert set(EvalContext.single(state, domain).defined_set(g, "w").members_below(n)) == want
+        assert set(defined_set(g, state, domain, "w").members_below(n)) == want
 
 
 # -- connective order: compiled closures against the interpreter -------------
@@ -1127,7 +1120,7 @@ def _raw_and_compiled(f):
     table = Interned()
     g = table.add(f)
     raw = _outcome(lambda: defined_set(f, s, omega, "x"))
-    compiled = _outcome(lambda: EvalContext.single(s, omega).defined_set(g, "x"))
+    compiled = _outcome(lambda: defined_set(g, s, omega, "x"))
     return raw, compiled
 
 
@@ -1155,7 +1148,7 @@ def test_one_element_universe_settles_on_a_quantifier_that_reads_an_outer_variab
     table = Interned()
     g = table.add(f)
     assert sat(f, s, EvalDomain.surrogate(1)) is True
-    assert EvalContext.single(s, EvalDomain.surrogate(1)).sentence(g) is True
+    assert sat(g, s, EvalDomain.surrogate(1)) is True
     with pytest.raises(Unsupported, match="infinite literal"):
         sat(f, s, EvalDomain.surrogate(2))
 

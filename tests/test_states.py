@@ -80,11 +80,14 @@ def test_models_tci_universe_mismatch():
 def test_models_tci_range_under_finite_surrogate():
     s = State.make(
         OrdinalNotation.from_int(4),
-        {"h": 9, "In": OrdinalSet.finite({1}), "Out": OrdinalSet.finite()},
+        {"h": 9, "In": OrdinalSet.finite({1, 4}), "Out": OrdinalSet.finite()},
     )
     verdict = models_tci(s, SIGMA, Tci(OrdinalNotation.from_int(4), "GSeqA"))
     assert not verdict.ok
-    assert any("range" in r for r in verdict.reasons)
+    assert verdict.reasons == (
+        "range: constant h = 9 not below 4",
+        "range: In mentions elements at or above 4",
+    )
 
 
 def test_models_tci_parameter_pinning():
@@ -97,6 +100,13 @@ def test_models_tci_parameter_pinning():
     assert any("ParameterMismatch" in r for r in bad.reasons)
     missing = State.make(OMEGA, {"In": OrdinalSet.finite(), "Out": OrdinalSet.finite()})
     assert models_tci(missing, SIGMA, tci).reasons == ("ParameterMismatch: h missing, pinned to 3",)
+    # no stored natural equals an infinite pin: only a state without h passes
+    tall = parse_ordinal("w*2")
+    held = State.make(tall, {"h": 3, "In": OrdinalSet.finite(), "Out": OrdinalSet.finite()})
+    infinite = Tci(tall, "GSeqAP", (("h", OMEGA),))
+    assert models_tci(held, SIGMA, infinite).reasons == ("ParameterMismatch: h pinned to w",)
+    without = State.make(tall, {"In": OrdinalSet.finite(), "Out": OrdinalSet.finite()})
+    assert models_tci(without, SIGMA, infinite).ok
 
 
 def test_models_tci_undeclared_symbol():

@@ -102,6 +102,18 @@ class TestTableFormat:
         with pytest.raises(ParseError, match=rf"^line 6: second '{key}:' header$"):
             parse_tm(text)
 
+    @pytest.mark.parametrize(
+        "markers, error",
+        [
+            ("initial: q", "initial state 'q' is not listed"),
+            ("final: q", "final state 'q' is not listed"),
+            ("initial: a\nfinal: a", "initial and final markers name the same state"),
+        ],
+    )
+    def test_a_marker_must_name_a_listed_state_of_its_own(self, markers, error):
+        with pytest.raises(ParseError, match=rf"^{error}$"):
+            parse_tm(f"states: a b\n{markers}\n")
+
     def test_incomplete_table_rejected(self):
         with pytest.raises(ParseError, match="no rule"):
             parse_tm("states: a b\n(a, 0) -> (b, 0, R)\n")
@@ -395,6 +407,11 @@ class TestDovetail:
         m = compile_tm(WRITER)
         with pytest.raises(Unsupported, match="table"):
             dovetail(compose(m, m))
+
+    def test_needs_the_first_limit(self):
+        tall = lift(compile_tm(EVEN_HALTING), parse_ordinal("w*2"))
+        with pytest.raises(Unsupported, match="^dovetailing is defined at the first limit only$"):
+            dovetail(tall)
 
     def test_collects_halting_candidates_at_the_limit(self):
         vm = check_machine(dovetail(compile_tm(EVEN_HALTING)))

@@ -1,5 +1,6 @@
 """Machine admission and witness assembly."""
 
+import dataclasses
 import random
 
 import pytest
@@ -30,13 +31,28 @@ from gseqa import (
     sample_states,
     sat2,
 )
-from gseqa.logic import And, Apply, Const, Equal, Exists, Not, Or, Var, format_formula, with_copy
+from gseqa.logic import (
+    MEMBERSHIP,
+    And,
+    Apply,
+    Const,
+    Equal,
+    Exists,
+    Not,
+    Or,
+    OrdinalLiteral,
+    Var,
+    format_formula,
+    with_copy,
+)
 from gseqa.runtime import Budget, Failed, run
 from gseqa.states import models_tci, parse_state
 from gseqa import validator
+from gseqa.transforms import compile_tm
 from gseqa.validator import GSEQA, GSEQAP, MachineSpec
 from test_pinned import _constructions
 from test_step_kernel import _specs
+from tm_tools import EVEN_HALTING
 
 W = OMEGA
 BASE = Signature()
@@ -386,6 +402,53 @@ def test_a_sample_state_failure_keeps_its_kind_and_names_its_symbol(case):
         assert trace.outcome.reason.startswith(f"{kind}: {detail}")
 
 
+H = BASE.extend([SymbolDecl("h", "Constant")])
+H_TAU = {"In": "In(x)", "Out": "Out(x)", "h": "x = h"}
+X = Var("x")
+
+# Each spec has one defect, which admission reports in these words. The
+# parser refuses a wrong arity and reads an undeclared name as a variable,
+# so those two witnesses are built as trees.
+DEFECTS = {
+    "arity": (
+        dataclasses.replace(
+            bitflip(), tauWitnesses={"In": Apply("In", (X, X)), "Out": Apply("Out", (X,))}
+        ),
+        "ArityMismatch: symbol=In: 'In' has arity 1, applied to 2",
+    ),
+    "undeclared constant": (
+        dataclasses.replace(
+            bitflip(), tauWitnesses={"In": Apply("In", (X,)), "Out": Equal(X, Const("k"))}
+        ),
+        "ArityMismatch: symbol=Out: 'k' is not a declared constant",
+    ),
+    "copy index in a default": (
+        dataclasses.replace(
+            machine(H, H_TAU),
+            defaultWitnesses={"h": Apply(MEMBERSHIP, (X, OrdinalLiteral(3)), 0)},
+        ),
+        "NotSimple: symbol=h: copy indices have no place in a default",
+    ),
+    "no default": (machine(H, H_TAU), "NotSimple: symbol=h: no default witness"),
+    "empty universe": (
+        machine(tau={"In": "In(x)", "Out": "Out(x)"}, kappa=OrdinalNotation.from_int(0)),
+        "NonLimitKappa: empty universe",
+    ),
+    "unknown flavor": (
+        machine(tau={"In": "In(x)", "Out": "Out(x)"}, flavor="gseqb"),
+        "BadConstraint: unknown flavor 'gseqb'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DEFECTS))
+def test_each_admission_defect_is_reported_in_its_words(case):
+    spec, issue = DEFECTS[case]
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec, allow_finite_kappa=True)
+    assert [str(i) for i in info.value.issues] == [issue]
+
+
 def test_issue_reports_are_deterministic():
     spec = machine(tau={"In": "In@1(x)"})
     grab = lambda: [str(i) for i in pytest.raises(MachineInvalid, check_machine, spec).value.issues]
@@ -477,6 +540,18 @@ def test_load_without_an_evaluation_domain_is_unsupported():
     assert vm.start is None
     with pytest.raises(Unsupported, match=r"kappa = w\*2"):
         load(vm, OrdinalSet.finite({1}))
+
+
+def test_a_run_and_a_step_without_an_evaluation_domain_are_unsupported():
+    # admitted, but w*2 has no evaluation domain, so no state can be stepped
+    vm = check_machine(lift(compile_tm(EVEN_HALTING), parse_ordinal("w*2")))
+    budget = Budget(maxSuccessorStepsPerSegment=5, maxLimitJumps=1)
+    for attempt in (
+        lambda: run(vm, OrdinalSet.finite({2}), budget),
+        lambda: apply_transition(vm, State.make(vm.kappa, {})),
+    ):
+        with pytest.raises(Unsupported, match=r"^no evaluation domain for kappa = w\*2$"):
+            attempt()
 
 
 # --- sampling ----------------------------------------------------------------
