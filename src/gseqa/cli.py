@@ -61,12 +61,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        vm = _load_machine(args.file, args.allow_finite_kappa)
-        A = parse_ordinal_set(args.input)
-    except (ParseError, MachineInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    vm = _load_machine(args.file, args.allow_finite_kappa)
+    A = parse_ordinal_set(args.input)
     if args.limit_jumps <= 0:
         raise GseqaError(f"--limit-jumps must be a positive integer, got {args.limit_jumps}")
     budget = Budget(
@@ -100,26 +96,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    try:
-        if args.kind in ("compile-tm", "dovetail"):
-            with open(args.inputs[0], encoding="utf-8") as fh:
-                table = parse_tm(fh.read())
-            built = compile_tm(table)
-            if args.kind == "dovetail":
-                built = dovetail(built)
-        elif args.kind == "compose":
-            a = _load_machine(args.inputs[0], args.allow_finite_kappa)
-            b = _load_machine(args.inputs[1], args.allow_finite_kappa)
-            built = compose(a.spec, b.spec)
-        elif args.kind == "flip":
-            built = flip(_load_machine(args.inputs[0], args.allow_finite_kappa).spec)
-        else:  # lift
-            base = _load_machine(args.inputs[0], args.allow_finite_kappa)
-            built = lift(base.spec, parse_ordinal(args.inputs[1]))
-        check_machine(built, allow_finite_kappa=True)
-    except (GseqaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.kind in ("compile-tm", "dovetail"):
+        with open(args.inputs[0], encoding="utf-8") as fh:
+            table = parse_tm(fh.read())
+        built = compile_tm(table)
+        if args.kind == "dovetail":
+            built = dovetail(built)
+    elif args.kind == "compose":
+        a = _load_machine(args.inputs[0], args.allow_finite_kappa)
+        b = _load_machine(args.inputs[1], args.allow_finite_kappa)
+        built = compose(a.spec, b.spec)
+    elif args.kind == "flip":
+        built = flip(_load_machine(args.inputs[0], args.allow_finite_kappa).spec)
+    else:  # lift
+        base = _load_machine(args.inputs[0], args.allow_finite_kappa)
+        built = lift(base.spec, parse_ordinal(args.inputs[1]))
+    check_machine(built, allow_finite_kappa=True)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(format_machine(built))
     print(f"wrote {args.output}: {built.flavor} machine over kappa {built.kappa}")
@@ -141,13 +133,9 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    try:
-        with open(args.program, encoding="utf-8") as fh:
-            prog = parse_alpha_program(fh.read())
-        inputs = _parse_range(args.inputs)
-    except (GseqaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.program, encoding="utf-8") as fh:
+        prog = parse_alpha_program(fh.read())
+    inputs = _parse_range(args.inputs)
     steps = _steps(args.budget)
     vm = check_machine(simulate_alpha_as_gseqap(prog))
     budget = Budget(maxSuccessorStepsPerSegment=steps, maxLimitJumps=1)

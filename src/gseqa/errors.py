@@ -69,6 +69,10 @@ class NotBounded(GseqaError):
         self.detail = detail
 
 
+class MissingDistinguished(NotBounded):
+    """In or Out has no transition witness."""
+
+
 class NotSimple(GseqaError):
     """A default witness failed the simplicity requirements."""
 
@@ -108,9 +112,12 @@ class BadLift(GseqaError):
 class ValidationIssue:
     """One defect found while checking a machine specification.
 
-    kind is a stable tag (MissingDistinguished, BadConstraint, NonLimitKappa,
-    NotBounded, NotSimple, ArityMismatch, D6Violation, ...); symbol and state
-    are filled in when the defect is localised to one.
+    kind is a stable tag: the name of the error that reports the defect
+    (MissingDistinguished, NotBounded, NotSimple, ArityMismatch,
+    D6Violation, Unrepresentable, ThresholdViolation, Unsupported), or
+    NonLimitKappa or BadConstraint, which no error raises (a default
+    that pins no single value is a BadConstraint); symbol and state are
+    filled in when the defect is localised to one.
     """
 
     kind: str

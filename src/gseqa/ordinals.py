@@ -106,7 +106,9 @@ class OrdinalNotation:
             return NotImplemented
         return self.terms == other.terms
 
-    def __lt__(self, other: "OrdinalNotation") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, OrdinalNotation):
+            return NotImplemented
         # CNF terms run from the largest exponent down, so the ordinals'
         # order is their terms' tuple order
         return self.terms < other.terms

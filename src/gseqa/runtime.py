@@ -276,12 +276,7 @@ def _limit_cell(
     inferior below the universe bound and the rule's fallback applies.
     """
     tc = classify_tail(values, period=period)
-    if tc.kind == "Unknown":
-        value = None
-    elif tc.kind == "Unbounded":
-        value = 0
-    else:
-        value = tc.value
+    value = 0 if tc.kind == "Unbounded" else tc.value
     cells.append(CellClass(symbol, cell, tc.kind, value, tc.verified))
     return value
 

@@ -23,7 +23,7 @@ from .ordinals import (
     parse_ordinal,
     parse_ordinal_set,
 )
-from .logic import Signature
+from .logic import Signature, SymbolDecl
 
 __all__ = [
     "State",
@@ -47,6 +47,13 @@ def _kind(value: object) -> type:
     if isinstance(value, OrdinalSet):
         return OrdinalSet
     return int if isinstance(value, numbers.Integral) else frozenset
+
+
+def _declared_kind(decl: SymbolDecl) -> type:
+    """The kind of value a declared symbol holds, as _kind names it: int
+    for a constant, OrdinalSet for a unary relation, frozenset for a wider
+    one."""
+    return int if decl.kind == "Constant" else OrdinalSet if decl.arity == 1 else frozenset
 
 
 def _value_bound(value: Value) -> int:
@@ -207,13 +214,7 @@ def models_tci(state: State, sigma: Signature, tci: Tci) -> TciVerdict:
     for name, value in state.items:
         d = declared.get(name)
         kind = _kind(value)
-        if kind is int:
-            fits = d is not None and d.kind == "Constant"
-        elif kind is OrdinalSet:
-            fits = d is not None and d.kind == "Relation" and d.arity == 1
-        else:
-            fits = d is not None and d.kind == "Relation" and d.arity > 1
-        if not fits:
+        if d is None or _declared_kind(d) is not kind:
             reasons.append(f"BadConstraint: {name!r} is not a declared {_KINDS[kind]}")
             continue
         if kind is frozenset:

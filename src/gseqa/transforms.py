@@ -63,6 +63,7 @@ from .validator import (
     _collect_default,
     _collect_tau,
     _head,
+    _issue,
 )
 
 __all__ = [
@@ -444,16 +445,16 @@ def _fresh(base: str, taken: set[str]) -> str:
 
 
 def _tau_parts(spec: MachineSpec) -> list[_Part]:
-    parts, issues = _collect_tau(spec)
-    if issues:
-        raise MachineInvalid(issues)
+    parts, errors = _collect_tau(spec)
+    if errors:
+        raise MachineInvalid([_issue(e) for e in errors])
     return parts
 
 
 def _default_parts(spec: MachineSpec) -> dict[str, _Part]:
-    parts, issues = _collect_default(spec)
-    if issues:
-        raise MachineInvalid(issues)
+    parts, errors = _collect_default(spec)
+    if errors:
+        raise MachineInvalid([_issue(e) for e in errors])
     return {p.decl.name: p for p in parts}
 
 

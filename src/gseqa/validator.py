@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 from .errors import (
     ArityMismatch,
     D6Violation,
     GseqaError,
     MachineInvalid,
+    MissingDistinguished,
     NotBounded,
     NotSimple,
     ThresholdViolation,
@@ -69,7 +70,7 @@ from .logic import (
 )
 from .ordinals import OMEGA, OrdinalNotation, OrdinalSet
 from .satisfaction import EvalContext, EvalDomain, Interned, _anchor_max
-from .states import State, Tci, _value_bound
+from .states import _RANK, State, Tci, _declared_kind, _value_bound
 
 GSEQA = "gseqa"
 GSEQAP = "gseqap"
@@ -126,11 +127,11 @@ class ValidatedMachine:
     installed: each default's value over the bare order, with In and Out
     empty. It is None when kappa has no evaluation domain.
 
-    _parts are the transition's witness parts, their bodies interned into
-    one table, so that each body carries its closure and a step evaluates
-    each closed subformula the witnesses share once per state. _order
-    holds their names in State.items order, so that a step builds its
-    successor's items without a sort or a check.
+    _parts are the transition's witness parts in State.items order, their
+    bodies interned into one table, so that each body carries its closure
+    and a step evaluates each closed subformula the witnesses share once
+    per state, and builds its successor's items in the order it reads
+    them.
     """
 
     spec: MachineSpec
@@ -138,7 +139,6 @@ class ValidatedMachine:
     tci: Tci
     start: State | None = field(compare=False, repr=False)
     _parts: tuple[_Part, ...] = field(compare=False, repr=False)
-    _order: tuple[str, ...] = field(compare=False, repr=False)
 
     @property
     def kappa(self) -> OrdinalNotation:
@@ -160,6 +160,11 @@ class _Part:
     body: Formula
     footprint: tuple[str, ...] = ()
     literal_top: int = 0
+
+    @property
+    def kind(self) -> type:
+        """The kind of value the witness defines (see states._declared_kind)."""
+        return _declared_kind(self.decl)
 
 
 # ---------------------------------------------------------------------------
@@ -278,115 +283,91 @@ def _assemble(parts: list[_Part], copy: int | None) -> Formula:
     return land(*psis) if psis else Truth(True)
 
 
-def _too_deep(name: str) -> ValidationIssue:
-    """The witness outgrew the recursion limit of the formula analyses."""
-    return ValidationIssue(
-        "Unsupported", "witness is nested too deeply to analyse", symbol=name
-    )
+# what a witness that outgrew the recursion limit of the formula analyses raises
+_TOO_DEEP = "witness is nested too deeply to analyse"
 
 
-def _issue(exc: NotBounded | NotSimple | ArityMismatch, name: str) -> ValidationIssue:
-    """The issue for a witness that failed normalisation. It keeps only the
-    detail, so that raising it again does not repeat the prefix."""
-    detail = exc.detail if isinstance(exc, (NotBounded, NotSimple)) else str(exc)
-    return ValidationIssue(type(exc).__name__, detail, symbol=name)
+def _issue(exc: GseqaError, kind: str | None = None, state: State | None = None) -> ValidationIssue:
+    """The issue that reports an error, under the given kind or its type's
+    name, naming its symbol. Its detail leaves out the prefix that
+    NotBounded, NotSimple and D6Violation put before it."""
+    detail = exc.detail if isinstance(exc, (NotBounded, NotSimple, D6Violation)) else str(exc)
+    return ValidationIssue(kind or type(exc).__name__, detail, exc.symbol, state)
 
 
-_ISSUE_TYPES = {
-    "ArityMismatch": ArityMismatch,
-    "NotBounded": NotBounded,
-    "NotSimple": NotSimple,
-    "Unsupported": Unsupported,
-}
-
-
-def _raise_first(issues: list[ValidationIssue], fallback: type[GseqaError]) -> NoReturn:
-    """Raise the first issue under its own type; a kind with no type of its
-    own (MissingDistinguished) is raised as the fallback."""
-    first = issues[0]
-    cls = _ISSUE_TYPES.get(first.kind, fallback)
-    if cls in (NotBounded, NotSimple):
-        raise cls(first.symbol or "?", first.detail)
-    raise cls(str(first))
-
-
-def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]:
-    """The transition parts, their bodies interned into one table of their
-    own, and the issues."""
+def _collect_tau(spec: MachineSpec) -> tuple[list[_Part], list[GseqaError]]:
+    """The transition parts in declaration order, their bodies interned
+    into one table of their own, and the errors met, each naming its
+    symbol."""
     table = Interned()
     parts: list[_Part] = []
-    issues: list[ValidationIssue] = []
+    errors: list[GseqaError] = []
     declared = set(spec.sigma.names())
     for name in spec.tauWitnesses:
         if name not in declared or name == MEMBERSHIP:
-            issues.append(
-                ValidationIssue(
-                    "NotBounded", "witness for a symbol outside the signature",
-                    symbol=name,
-                )
-            )
+            errors.append(NotBounded(name, "witness for a symbol outside the signature"))
     for decl in spec.sigma.doubled_symbols():
         formula = spec.tauWitnesses.get(decl.name)
         if formula is None:
-            kind = "MissingDistinguished" if decl.distinguished != "None" else "NotBounded"
-            issues.append(ValidationIssue(kind, "no transition witness", symbol=decl.name))
+            missing = MissingDistinguished if decl.distinguished != "None" else NotBounded
+            errors.append(missing(decl.name, "no transition witness"))
             continue
         try:
             parts.append(_normalize_tau(decl, formula, spec.sigma, table))
+            continue
         except (NotBounded, ArityMismatch) as exc:
-            issues.append(_issue(exc, decl.name))
+            error: GseqaError = exc
         except RecursionError:
-            issues.append(_too_deep(decl.name))
-    return parts, issues
+            error = Unsupported(_TOO_DEEP)
+        error.symbol = decl.name
+        errors.append(error)
+    return parts, errors
 
 
-def _collect_default(spec: MachineSpec) -> tuple[list[_Part], list[ValidationIssue]]:
+def _collect_default(spec: MachineSpec) -> tuple[list[_Part], list[GseqaError]]:
     parts: list[_Part] = []
-    issues: list[ValidationIssue] = []
+    errors: list[GseqaError] = []
     needed = {d.name for d in spec.sigma.extras()}
     for name in spec.defaultWitnesses:
         if name not in needed:
-            issues.append(
-                ValidationIssue(
-                    "NotSimple",
-                    "default given for a symbol whose initial value is fixed",
-                    symbol=name,
-                )
-            )
+            errors.append(NotSimple(name, "default given for a symbol whose initial value is fixed"))
     for decl in spec.sigma.extras():
         formula = spec.defaultWitnesses.get(decl.name)
         if formula is None:
-            issues.append(
-                ValidationIssue("NotSimple", "no default witness", symbol=decl.name)
-            )
+            errors.append(NotSimple(decl.name, "no default witness"))
             continue
         try:
             parts.append(_normalize_default(decl, formula, spec.sigma))
+            continue
         except (NotSimple, ArityMismatch) as exc:
-            issues.append(_issue(exc, decl.name))
+            error: GseqaError = exc
         except RecursionError:
-            issues.append(_too_deep(decl.name))
-    return parts, issues
+            error = Unsupported(_TOO_DEEP)
+        error.symbol = decl.name
+        errors.append(error)
+    return parts, errors
 
 
 def check_bounded(spec: MachineSpec) -> Formula:
-    """Assemble the transition sentence, or raise why it cannot be built.
+    """Assemble the transition sentence, or raise the first defect that
+    stops it, naming its symbol.
 
     The result is the conjunction, over every non-membership symbol, of
     a universally closed biconditional pinning the symbol's copy-1
     interpretation to its copy-0 witness.
     """
-    parts, issues = _collect_tau(spec)
-    if issues:
-        _raise_first(issues, NotBounded)
+    parts, errors = _collect_tau(spec)
+    if errors:
+        raise errors[0]
     return _assemble(parts, 1)
 
 
 def check_simple(spec: MachineSpec) -> Formula:
-    """Assemble the default sentence, or raise why it cannot be built."""
-    parts, issues = _collect_default(spec)
-    if issues:
-        _raise_first(issues, NotSimple)
+    """Assemble the default sentence, or raise the first defect that stops
+    it, naming its symbol."""
+    parts, errors = _collect_default(spec)
+    if errors:
+        raise errors[0]
     return _assemble(parts, None)
 
 
@@ -414,8 +395,7 @@ def _part_value(ctx: EvalContext, part: _Part, anchor: int, state: State) -> obj
     variables among the part's. An evaluation error names the part's
     symbol; D6Violation is raised when a constant's witness pins no
     single value."""
-    decl, body = part.decl, part.body
-    kind = frozenset if decl.arity > 1 else OrdinalSet if decl.kind == "Relation" else int
+    decl, body, kind = part.decl, part.body, part.kind
     try:
         value = ctx.read(kind, body, quantifier_rank(body), anchor, part.variables)
     except RecursionError:
@@ -488,7 +468,7 @@ def apply_transition(
         if domain is None:
             raise Unsupported(f"no evaluation domain for kappa = {vm.kappa}")
     values = _part_values(vm._parts, state, domain, {} if memo is None else memo)
-    return State(state.kappa, tuple([(name, values[name]) for name in vm._order]))
+    return State(state.kappa, tuple(values.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +477,9 @@ def apply_transition(
 
 def _blank_state(spec: MachineSpec) -> State:
     """Every symbol but membership at its empty value."""
+    empty = {int: 0, OrdinalSet: OrdinalSet.finite(), frozenset: frozenset()}
     return State.make(spec.kappa, {
-        d.name: 0 if d.kind == "Constant" else OrdinalSet.finite() if d.arity == 1 else frozenset()
-        for d in spec.sigma.doubled_symbols()
+        d.name: empty[_declared_kind(d)] for d in spec.sigma.doubled_symbols()
     })
 
 
@@ -529,9 +509,10 @@ def sample_states(
     for _ in range(count):
         values: dict[str, object] = {}
         for decl in spec.sigma.doubled_symbols():
-            if decl.kind == "Constant":
+            kind = _declared_kind(decl)
+            if kind is int:
                 values[decl.name] = pinned.get(decl.name, rng.randrange(bound))
-            elif decl.kind == "Relation" and decl.arity == 1:
+            elif kind is OrdinalSet:
                 support = frozenset(i for i in range(bound) if rng.random() < 0.3)
                 if cofinite_ok and rng.random() < 0.3:
                     values[decl.name] = OrdinalSet.cofinite(support)
@@ -599,26 +580,18 @@ def check_machine(
             )
         for name, value in spec.params.items():
             if name not in spec.sigma or spec.sigma.decl(name).kind != "Constant":
-                issues.append(
-                    ValidationIssue(
-                        "BadConstraint",
-                        "only declared constants can be pinned",
-                        symbol=name,
-                    )
-                )
+                detail = "only declared constants can be pinned"
+            elif not isinstance(value, OrdinalNotation):
+                detail = f"pinned value {value!r} is not an OrdinalNotation"
             elif not value < spec.kappa:
-                issues.append(
-                    ValidationIssue(
-                        "BadConstraint",
-                        f"pinned value {value} is not below kappa = {spec.kappa}",
-                        symbol=name,
-                    )
-                )
+                detail = f"pinned value {value} is not below kappa = {spec.kappa}"
+            else:
+                continue
+            issues.append(ValidationIssue("BadConstraint", detail, symbol=name))
 
-    tau_parts, tau_issues = _collect_tau(spec)
-    default_parts, default_issues = _collect_default(spec)
-    issues.extend(tau_issues)
-    issues.extend(default_issues)
+    tau_parts, tau_errors = _collect_tau(spec)
+    default_parts, default_errors = _collect_default(spec)
+    issues.extend(map(_issue, tau_errors + default_errors))
 
     if not issues:
         schema = "GSeqAP" if spec.flavor == GSEQAP else "GSeqA"
@@ -631,10 +604,10 @@ def check_machine(
     if issues:
         raise MachineInvalid(issues)
 
-    # the parts' names in State.items order: constants, unary relations, tuple sets
-    order = sorted(tau_parts, key=lambda p: (p.decl.kind != "Constant", p.decl.arity > 1, p.decl.name))
-    return ValidatedMachine(spec, _assemble(tau_parts, 1), tci, start,
-                            tuple(tau_parts), tuple(p.decl.name for p in order))
+    # phi_tau conjoins the parts in declaration order, a step reads them in
+    # State.items order: constants, unary relations, tuple sets, each by name
+    parts = sorted(tau_parts, key=lambda p: (_RANK[p.kind], p.decl.name))
+    return ValidatedMachine(spec, _assemble(tau_parts, 1), tci, start, tuple(parts))
 
 
 def _semantic_issues(
@@ -656,9 +629,9 @@ def _semantic_issues(
         # only its literals anchor it
         values = _part_values(default_parts, blank, domain, {})
     except D6Violation as exc:
-        issues.append(ValidationIssue("BadConstraint", exc.detail, symbol=exc.symbol))
+        issues.append(_issue(exc, "BadConstraint"))
     except (Unrepresentable, ThresholdViolation, Unsupported) as exc:
-        issues.append(ValidationIssue(type(exc).__name__, str(exc), symbol=exc.symbol))
+        issues.append(_issue(exc))
     else:
         start = blank.with_updates(values)
     for name, value in spec.params.items():
@@ -679,9 +652,6 @@ def _semantic_issues(
         try:
             _part_values(tau_parts, state, domain, memo)
         except (D6Violation, Unrepresentable, ThresholdViolation, Unsupported) as exc:
-            detail = exc.detail if isinstance(exc, D6Violation) else str(exc)
-            issues.append(
-                ValidationIssue(type(exc).__name__, detail, symbol=exc.symbol, state=state)
-            )
+            issues.append(_issue(exc, state=state))
             break
     return issues, start

@@ -172,6 +172,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nope.gsa" in err
 
+    def test_a_malformed_input_is_an_error(self, machine, capsys):
+        assert main(["run", str(machine), "--input", "{1,"]) == 1
+        assert capsys.readouterr().err == "error: bad set literal '{1,'\n"
+
+    def test_a_machine_that_fails_admission_is_an_error(self, tmp_path, machine, capsys):
+        bad = tmp_path / "bad.gsa"
+        bad.write_text(machine.read_text().replace("In: In(x)", "In: In@1(x)"))
+        assert main(["run", str(bad), "--input", "{1}"]) == 1
+        assert capsys.readouterr().err == "error: NotBounded: symbol=In: references In@1\n"
+
     def test_warnings_and_unverified_limits_are_printed(self, tmp_path, capsys):
         # In flips forever, so a later limit repeats an earlier stage; h
         # climbs to 90 and stays there while g keeps climbing, so the

@@ -7,6 +7,8 @@ than against the closed form it is implemented with.
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,3 +279,12 @@ def test_members_below_and_support_bound():
     assert list(s.members_below(6)) == [1, 3, 4, 5]
     assert s.support_bound() == 3
     assert OrdinalSet.finite().support_bound() == 0
+
+
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_an_ordinal_is_not_ordered_against_another_type(compare):
+    # the comparison is refused as Python refuses 1 < "a", not with an
+    # AttributeError from inside the notation
+    with pytest.raises(TypeError, match="not supported between instances of"):
+        compare(OrdinalNotation.from_int(1), 3)
+    assert OrdinalNotation.from_int(1) != 1

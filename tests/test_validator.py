@@ -10,6 +10,7 @@ from gseqa import (
     D6Violation,
     EvalDomain,
     MachineInvalid,
+    MissingDistinguished,
     MissingSymbol,
     NotBounded,
     NotSimple,
@@ -116,6 +117,21 @@ def test_missing_witness_is_not_bounded():
     with pytest.raises(NotBounded) as info:
         check_bounded(spec)
     assert info.value.symbol == "R"
+    assert type(info.value) is NotBounded
+
+
+def test_a_missing_out_is_missing_distinguished():
+    spec = machine(tau={"In": "In(x)"})
+    with pytest.raises(MissingDistinguished) as info:
+        check_bounded(spec)
+    assert isinstance(info.value, NotBounded)
+    assert info.value.symbol == "Out"
+    assert str(info.value) == "witness for 'Out' is not bounded: no transition witness"
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec)
+    assert [str(i) for i in info.value.issues] == [
+        "MissingDistinguished: symbol=Out: no transition witness"
+    ]
 
 
 def test_witness_for_unknown_symbol_rejected():
@@ -140,8 +156,18 @@ def test_wrong_variable_count_is_arity_mismatch():
         tau={"In": "In(x)", "Out": "Out(x)", "E": "in(x1, x2) & in(x2, x3)"},
         defaults={"E": "false"},
     )
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch) as info:
         check_bounded(bad)
+    assert info.value.symbol == "E"
+    assert str(info.value) == "witness for 'E' uses variables ['x1', 'x2', 'x3'], expected ('x1', 'x2')"
+
+
+def test_check_simple_raises_an_arity_mismatch_as_itself():
+    spec = machine(H, H_TAU, defaults={"h": "x1 = 0 & x2 = 0"})
+    with pytest.raises(ArityMismatch) as info:
+        check_simple(spec)
+    assert info.value.symbol == "h"
+    assert str(info.value) == "witness for 'h' uses variables ['x1', 'x2'], expected ('x',)"
 
 
 CAPTURES = {
@@ -320,6 +346,22 @@ def test_default_must_match_pin():
     assert any(i.kind == "BadConstraint" for i in info.value.issues)
 
 
+def test_a_pin_that_is_not_an_ordinal_is_a_bad_constraint():
+    sigma = BASE.extend([SymbolDecl("c", "Constant")])
+    spec = machine(
+        sigma,
+        tau={"In": "In(x)", "Out": "Out(x)", "c": "x = c"},
+        defaults={"c": "x = 3"},
+        flavor=GSEQAP,
+        params={"c": 3},
+    )
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec)
+    assert [str(i) for i in info.value.issues] == [
+        "BadConstraint: symbol=c: pinned value 3 is not an OrdinalNotation"
+    ]
+
+
 def test_too_deep_witness_is_reported_by_symbol():
     # 1 500 flat conjuncts parse fine but overflow the recursive analyses.
     sigma = BASE.extend([SymbolDecl("h", "Constant")])
@@ -333,10 +375,10 @@ def test_too_deep_witness_is_reported_by_symbol():
     issues = [(i.kind, i.symbol) for i in info.value.issues]
     assert issues == [("Unsupported", "Out"), ("Unsupported", "h")]
     # the witnesses are bounded and simple, only too deep to analyse
-    with pytest.raises(Unsupported, match="symbol=Out: witness is nested too deeply"):
-        check_bounded(spec)
-    with pytest.raises(Unsupported, match="symbol=h: witness is nested too deeply"):
-        check_simple(spec)
+    for check, symbol in ((check_bounded, "Out"), (check_simple, "h")):
+        with pytest.raises(Unsupported, match="^witness is nested too deeply to analyse$") as exc:
+            check(spec)
+        assert exc.value.symbol == symbol
 
 
 def test_the_first_defect_is_reported_on_shared_subformulas():
@@ -357,8 +399,8 @@ def test_the_first_defect_is_reported_on_shared_subformulas():
         "E": And(Apply("E", (x1, Var("x2"))), Or(Exists("z", Apply("h", (Var("z"),))), Equal(x1, Const("E")))),
     }
     spec = MachineSpec(OMEGA, sigma, GSEQA, {}, tau, {})
-    parts, issues = validator._collect_tau(spec)
-    assert [str(issue) for issue in issues] == [
+    parts, errors = validator._collect_tau(spec)
+    assert [str(validator._issue(error)) for error in errors] == [
         "NotBounded: symbol=In: references E@1",
         "ArityMismatch: symbol=Out: undeclared relation 'g'",
         "ArityMismatch: symbol=E: 'h' is a constant, not a relation",
@@ -513,7 +555,7 @@ def test_a_step_names_a_symbol_only_a_later_part_reads():
     # R is read by the last part alone: every earlier part's key is read
     # from the state before R's is, and R is still the symbol named
     vm = check_machine(defaults_machine())
-    assert [p.footprint for p in vm._parts] == [("In",), ("Out",), ("h",), ("R",)]
+    assert [p.footprint for p in vm._parts] == [("h",), ("In",), ("Out",), ("R",)]
     state = parse_state("state kappa=w\nconstants: h=1\nunary: In={1} Out={}")
     for memo in (None, {}):
         with pytest.raises(MissingSymbol, match="'R'") as exc:
