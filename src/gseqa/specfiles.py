@@ -84,6 +84,8 @@ def parse_machine(text: str) -> MachineSpec:
             kind, _, arity = kind.partition("/")
             if kind not in _KINDS:
                 raise ParseError(f"line {lineno}: symbol kind must be one of {_KINDS}")
+            if arity and not arity.isdecimal():
+                raise ParseError(f"line {lineno}: arity must be a natural, got {arity!r}")
             try:
                 decls.append(SymbolDecl(name, kind, int(arity) if arity else 0))
                 Signature(decls)  # the signature so far, so that a clash names its line

@@ -185,6 +185,9 @@ class Tci:
             raise ValueError(f"bad schema {self.schema!r}")
         if self.schema == "GSeqA" and self.params:
             raise ValueError("GSeqA constraints cannot pin parameters")
+        for name, value in self.params:
+            if not isinstance(value, OrdinalNotation):
+                raise ValueError(f"{name}: pinned value {value!r} is not an OrdinalNotation")
 
     def pinned(self) -> dict[str, OrdinalNotation]:
         return dict(self.params)

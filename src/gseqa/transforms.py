@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 from .errors import BadLift, KappaMismatch, MachineInvalid, ParseError, Unsupported
@@ -239,10 +240,10 @@ def parse_tm(text: str) -> TmSpec:
         elif colon and key == "final":
             final = value.strip()
         elif colon and key == "params":
-            try:
-                params = [int(p) for p in value.split()]
-            except ValueError:
-                raise ParseError(f"line {ln}: parameters must be naturals") from None
+            for p in value.split():
+                if not p.isdecimal():
+                    raise ParseError(f"line {ln}: parameters must be naturals, got {p!r}")
+            params = [int(p) for p in value.split()]
         elif (m := _RULE_RE.match(line)) is not None:
             raw.append((ln, m))
         else:
@@ -424,8 +425,9 @@ def _renamed(part: _Part, mapping: dict[str, str]) -> _Part:
     return _Part(decl, part.variables, map_formula(part.body, rename))
 
 
-def _relativize(f: Formula, bound: Term) -> Formula:
-    """Restrict every quantifier to values below the bound."""
+def _below(part: _Part, bound: Term) -> Formula:
+    """The part's body with every quantifier restricted to values below the
+    bound, and each witness variable kept below it too."""
 
     def restrict(node: Node) -> Node:
         if isinstance(node, Forall):
@@ -434,7 +436,8 @@ def _relativize(f: Formula, bound: Term) -> Formula:
             return Exists(node.var, And(lt(Var(node.var), bound), node.body))
         return node
 
-    return map_formula(f, restrict)
+    body = map_formula(part.body, restrict)
+    return land(body, *[lt(Var(n), bound) for n in part.variables])
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -444,15 +447,10 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
-def _tau_parts(spec: MachineSpec) -> list[_Part]:
-    parts, errors = _collect_tau(spec)
-    if errors:
-        raise MachineInvalid([_issue(e) for e in errors])
-    return parts
-
-
-def _default_parts(spec: MachineSpec) -> dict[str, _Part]:
-    parts, errors = _collect_default(spec)
+def _parts(collect: Callable, spec: MachineSpec) -> dict[str, _Part]:
+    """One collector's parts by symbol, in declaration order, or
+    MachineInvalid with every defect it met."""
+    parts, errors = collect(spec)
     if errors:
         raise MachineInvalid([_issue(e) for e in errors])
     return {p.decl.name: p for p in parts}
@@ -467,7 +465,7 @@ def _formula_vars(f: Formula) -> set[str]:
     }
 
 
-def _phases(flag: str, parts: list[_Part]) -> tuple[Formula, Formula, Formula]:
+def _phases(flag: str, parts: Collection[_Part]) -> tuple[Formula, Formula, Formula]:
     """Guards for a machine that steps like parts while the flag constant
     is 0: the flag test, run (the step would change the state) and hand
     (it would not).
@@ -590,17 +588,15 @@ def compose(m1: MachineSpec, m2: MachineSpec) -> MachineSpec:
         )
     ren1 = {d.name: d.name + "_1" for d in m1.sigma.extras()}
     ren2 = {d.name: d.name + "_2" for d in m2.sigma.extras()}
-    parts1 = [_renamed(p, ren1) for p in _tau_parts(m1)]
-    parts2 = [_renamed(p, ren2) for p in _tau_parts(m2)]
+    # In and Out are shared, so they keep their names
+    body1 = {ren1.get(n, n): _renamed(p, ren1) for n, p in _parts(_collect_tau, m1).items()}
+    body2 = {ren2.get(n, n): _renamed(p, ren2) for n, p in _parts(_collect_tau, m2).items()}
 
-    g0, run1, hand = _phases("g", parts1)
+    g0, run1, hand = _phases("g", body1.values())
     g1 = eq(cst("g"), lit(1))
     idle = lnot(lor(g0, g1))
 
     tau: dict[str, Formula] = {}
-    # In and Out are shared, so they keep their names
-    body1 = {p.decl.name: p for p in parts1}
-    body2 = {p.decl.name: p for p in parts2}
     tau["In"] = lor(
         land(run1, body1["In"].body),
         land(hand, rel("Out", X)),
@@ -626,7 +622,7 @@ def compose(m1: MachineSpec, m2: MachineSpec) -> MachineSpec:
 
     defaults: dict[str, Formula] = {"g": eq(X, lit(0))}
     for spec, ren in ((m1, ren1), (m2, ren2)):
-        for name, part in _default_parts(spec).items():
+        for name, part in _parts(_collect_default, spec).items():
             defaults[ren[name]] = part.body
     decls = [
         dataclasses.replace(d, name=ren1[d.name]) for d in m1.sigma.extras()
@@ -656,15 +652,15 @@ def flip(m: MachineSpec) -> MachineSpec:
     A fresh flag starts at 0 and the machine steps exactly like m. When
     m's state would stop changing, one extra step replaces Out with its
     complement and raises the flag, after which everything is frozen.
+    The flip halts exactly when m does, so it keeps m's source table.
     """
     flag = _fresh("f", set(m.sigma.names()))
-    parts = _tau_parts(m)
-    f0, run, hand = _phases(flag, parts)
+    parts = _parts(_collect_tau, m)
+    f0, run, hand = _phases(flag, parts.values())
     froze = lnot(f0)
 
     tau: dict[str, Formula] = {}
-    for part in parts:
-        name = part.decl.name
+    for name, part in parts.items():
         if name == "Out":
             tau[name] = lor(
                 land(run, part.body),
@@ -679,7 +675,7 @@ def flip(m: MachineSpec) -> MachineSpec:
         land(froze, eq(X, cst(flag))),
     )
 
-    defaults = {name: p.body for name, p in _default_parts(m).items()}
+    defaults = {name: p.body for name, p in _parts(_collect_default, m).items()}
     defaults[flag] = eq(X, lit(0))
     sigma = m.sigma.extend([SymbolDecl(flag, "Constant")])
     return MachineSpec(
@@ -706,6 +702,7 @@ def lift(m: MachineSpec, kappa2: OrdinalNotation | int) -> MachineSpec:
     trims In to [0, c); afterwards every step is m's step with all
     quantifiers bounded by c and every written cell kept below c, so the
     run below c is exactly m's run and everything at or above c stays 0.
+    That run need not halt when m's source table does, so it is not kept.
     """
     if isinstance(kappa2, int):
         kappa2 = OrdinalNotation.from_int(kappa2)
@@ -716,40 +713,31 @@ def lift(m: MachineSpec, kappa2: OrdinalNotation | int) -> MachineSpec:
     d = _fresh("d", taken | {c})
     bound = cst(c)
 
-    parts = _tau_parts(m)
-    dparts = _default_parts(m)
+    parts = _parts(_collect_tau, m)
+    dparts = _parts(_collect_default, m)
     consts = [dc for dc in m.sigma.extras() if dc.kind == "Constant"]
     inrange = land(*[lt(cst(dc.name), bound) for dc in consts])
     boot = eq(cst(d), lit(0))
     run = lnot(boot)
 
-    def below(part: _Part, body: Formula) -> Formula:
-        return land(_relativize(body, bound), *[lt(Var(n), bound) for n in part.variables])
-
     tau: dict[str, Formula] = {}
-    for part in parts:
-        name = part.decl.name
+    for name, part in parts.items():
         if name == "In":
             boot_val: Formula = land(rel("In", X), lt(X, bound))
         elif name == "Out":
             boot_val = lt(X, lit(0))
         else:
-            boot_val = below(dparts[name], dparts[name].body)
+            boot_val = _below(dparts[name], bound)
         tau[name] = lor(
             land(boot, boot_val),
-            land(run, inrange, below(part, part.body)),
+            land(run, inrange, _below(part, bound)),
             land(run, lnot(inrange), _head(part, None)),
         )
     tau[d] = lor(land(boot, eq(X, lit(1))), land(run, eq(X, cst(d))))
     tau[c] = eq(X, cst(c))
 
     old_bound = lit(m.kappa)
-    defaults: dict[str, Formula] = {}
-    for name, part in dparts.items():
-        defaults[name] = land(
-            _relativize(part.body, old_bound),
-            *[lt(Var(n), old_bound) for n in part.variables],
-        )
+    defaults = {name: _below(part, old_bound) for name, part in dparts.items()}
     defaults[d] = eq(X, lit(0))
     defaults[c] = eq(X, old_bound)
 
@@ -766,7 +754,6 @@ def lift(m: MachineSpec, kappa2: OrdinalNotation | int) -> MachineSpec:
         tauWitnesses=tau,
         defaultWitnesses=defaults,
         name=f"lift({m.name})",
-        program=m.program,
     )
 
 
@@ -778,8 +765,8 @@ def dovetail(m: MachineSpec) -> MachineSpec:
     """Build the machine whose output is the set of candidates on which
     m's source table halts.
 
-    Requires a machine carrying its rule table (as compile_tm outputs
-    do). Work proceeds in rounds numbered by a counter c0: in round r
+    Requires a machine over w that carries its rule table (compile_tm's
+    outputs and their flips). Work proceeds in rounds numbered by a counter c0: in round r
     every candidate not yet known to halt, up to r, is run from scratch
     on the work tape W for up to r table steps (c1 holds the candidate,
     c2 the step count, ih and it the inner head and state). Candidates
@@ -791,14 +778,13 @@ def dovetail(m: MachineSpec) -> MachineSpec:
     the round counter has returned to 0; a state with a live round but
     d = 0 is unreachable and freezes.
     """
-    table = m.program
-    if not isinstance(table, TmSpec):
+    if m.kappa != OMEGA:
+        raise Unsupported("dovetailing is defined at the first limit only")
+    t = m.program
+    if not isinstance(t, TmSpec):
         raise Unsupported(
             "dovetailing needs the machine's source table; compile one first"
         )
-    if m.kappa != OMEGA:
-        raise Unsupported("dovetailing is defined at the first limit only")
-    t = table
 
     zero = lit(0)
     fresh_start = land(eq(cst("c0"), zero), eq(cst("d"), zero))
@@ -892,5 +878,4 @@ def dovetail(m: MachineSpec) -> MachineSpec:
         tauWitnesses=tau,
         defaultWitnesses=defaults,
         name=f"dovetail({m.name})",
-        program=t,
     )

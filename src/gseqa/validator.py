@@ -93,8 +93,9 @@ class MachineSpec:
     admissible under the "gseqap" flavor.
 
     name and program are bookkeeping: name labels traces, program keeps
-    the source table a compiled machine came from so later constructions
-    can reuse it. Neither takes part in equality.
+    the source table of a machine that halts exactly when that table
+    halts (compile_tm's outputs and their flips), so that dovetail can
+    read its halting set. Neither takes part in equality.
     """
 
     kappa: OrdinalNotation
@@ -503,6 +504,9 @@ def sample_states(
     if spec.kappa.is_finite:
         bound = min(bound, spec.kappa.to_int())
     cofinite_ok = not spec.kappa.is_finite
+    for name, val in spec.params.items():
+        if not isinstance(val, OrdinalNotation):
+            raise ValueError(f"{name}: pinned value {val!r} is not an OrdinalNotation")
     pinned = {name: val.to_int() for name, val in spec.params.items()
               if val.is_finite}
     states = []
@@ -610,6 +614,20 @@ def check_machine(
     return ValidatedMachine(spec, _assemble(tau_parts, 1), tci, start, tuple(parts))
 
 
+def _moved_pins(
+    spec: MachineSpec, values: dict[str, object], what: str, state: State | None = None
+) -> list[ValidationIssue]:
+    """A BadConstraint naming the symbol for each finite pin whose value
+    differs from the one given, which `what` names in the detail."""
+    return [
+        ValidationIssue(
+            "BadConstraint", f"{what} {values[name]} disagrees with pin {pin}", name, state
+        )
+        for name, pin in spec.params.items()
+        if name in values and pin.is_finite and values[name] != pin.to_int()
+    ]
+
+
 def _semantic_issues(
     spec: MachineSpec,
     tau_parts: list[_Part],
@@ -634,15 +652,7 @@ def _semantic_issues(
         issues.append(_issue(exc))
     else:
         start = blank.with_updates(values)
-    for name, value in spec.params.items():
-        if name in values and value.is_finite and values[name] != value.to_int():
-            issues.append(
-                ValidationIssue(
-                    "BadConstraint",
-                    f"default value {values[name]} disagrees with pin {value}",
-                    symbol=name,
-                )
-            )
+    issues += _moved_pins(spec, values, "default value")
 
     # one footprint memo for every sample: a part's value and its errors
     # follow from its key, so a hit was evaluated without error before
@@ -650,8 +660,12 @@ def _semantic_issues(
     rng = random.Random(SAMPLE_SEED)
     for state in sample_states(spec, rng, count=sample_size):
         try:
-            _part_values(tau_parts, state, domain, memo)
+            successor = _part_values(tau_parts, state, domain, memo)
         except (D6Violation, Unrepresentable, ThresholdViolation, Unsupported) as exc:
             issues.append(_issue(exc, state=state))
+            break
+        moved = _moved_pins(spec, successor, "next value", state)
+        if moved:
+            issues += moved
             break
     return issues, start

@@ -188,6 +188,14 @@ class TestRejections:
         with pytest.raises(ParseError, match=rf"^line 6: '{name}' is not a name"):
             parse_machine(text)
 
+    @pytest.mark.parametrize("arity", ["+2", "1_0", "-1"])
+    def test_an_arity_that_is_not_a_natural_names_its_line(self, arity):
+        # int() read +2 as 2 and 1_0 as 10
+        text = HANDWRITTEN.replace("  h: Constant\n", f"  h: Constant\n  E: Relation/{arity}\n")
+        message = f"line 6: arity must be a natural, got '{arity}'"
+        with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+            parse_machine(text)
+
     def test_an_equal_redeclaration_is_accepted(self):
         again = HANDWRITTEN.replace("  h: Constant\n", "  h: Constant\n  h: Constant\n")
         assert parse_machine(again) == parse_machine(HANDWRITTEN)

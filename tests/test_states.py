@@ -150,6 +150,12 @@ def test_gseqa_schema_cannot_pin():
         Tci(OMEGA, "GSeqA", (("h", OrdinalNotation.from_int(3)),))
 
 
+def test_a_pin_that_is_not_an_ordinal_is_refused():
+    # models_tci used to die on it with a bare AttributeError
+    with pytest.raises(ValueError, match="^c: pinned value 3 is not an OrdinalNotation$"):
+        Tci(OMEGA, "GSeqAP", (("c", 3),))
+
+
 def test_snapshot_roundtrip_exact():
     s = sample_state()
     text = format_state(s)

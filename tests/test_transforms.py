@@ -4,6 +4,7 @@ the machine combinators against brute-force two-stage oracles."""
 from __future__ import annotations
 
 import dataclasses
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -17,7 +18,14 @@ from tm_tools import (
     halting_steps,
     simulate_tm,
 )
-from gseqa.errors import BadLift, GseqaError, KappaMismatch, ParseError, Unsupported
+from gseqa.errors import (
+    BadLift,
+    GseqaError,
+    KappaMismatch,
+    MachineInvalid,
+    ParseError,
+    Unsupported,
+)
 from gseqa.logic import Apply, Signature, Var, parse_formula
 from gseqa.ordinals import OMEGA, OrdinalNotation, OrdinalSet, parse_ordinal
 from gseqa.runtime import Budget, OutOfBudget, Terminated, run, unload
@@ -113,6 +121,14 @@ class TestTableFormat:
     def test_a_marker_must_name_a_listed_state_of_its_own(self, markers, error):
         with pytest.raises(ParseError, match=rf"^{error}$"):
             parse_tm(f"states: a b\n{markers}\n")
+
+    @pytest.mark.parametrize("param", ["+3", "1_0", "-1"])
+    def test_a_parameter_that_is_not_a_natural_names_its_line(self, param):
+        # int() read +3 as 3 and 1_0 as 10, and -1 failed without a line
+        text = f"states: a b\nparams: 2 {param}\n(a, 0) -> (b, 0, R)\n(a, 1) -> (b, 1, R)\n"
+        message = f"line 2: parameters must be naturals, got '{param}'"
+        with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+            parse_tm(text)
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(ParseError, match="no rule"):
@@ -359,6 +375,44 @@ class TestLift:
 
 
 # ---------------------------------------------------------------------------
+# refusals
+
+
+CONSTRUCTIONS = {
+    "compose": lambda m: compose(m, m),
+    "flip": flip,
+    "lift": lambda m: lift(m, parse_ordinal("w*2")),
+}
+# WRITER's machine with one defect: a step witness that reads an undeclared
+# relation, or a default that reads more than membership
+DEFECTS = {
+    "step": (
+        "tauWitnesses",
+        "Out",
+        Apply("R", (Var("x"),)),
+        "ArityMismatch: symbol=Out: undeclared relation 'R'",
+    ),
+    "default": (
+        "defaultWitnesses",
+        "h",
+        Apply("In", (Var("x"),)),
+        "NotSimple: symbol=h: mentions 'In'; only membership is allowed",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(DEFECTS))
+@pytest.mark.parametrize("kind", list(CONSTRUCTIONS))
+def test_a_construction_refuses_a_defective_spec_naming_the_symbol(kind, defect):
+    field, symbol, body, issue = DEFECTS[defect]
+    m = compile_tm(WRITER)
+    bad = dataclasses.replace(m, **{field: {**getattr(m, field), symbol: body}})
+    with pytest.raises(MachineInvalid) as info:
+        CONSTRUCTIONS[kind](bad)
+    assert [str(i) for i in info.value.issues] == [issue]
+
+
+# ---------------------------------------------------------------------------
 # long witnesses
 
 
@@ -412,6 +466,28 @@ class TestDovetail:
         tall = lift(compile_tm(EVEN_HALTING), parse_ordinal("w*2"))
         with pytest.raises(Unsupported, match="^dovetailing is defined at the first limit only$"):
             dovetail(tall)
+
+    def test_a_lift_has_no_source_table(self):
+        # the lifted run can outlast the table's: on {8} the table halts in
+        # 9 steps, while lift(m6, w) runs out of a 400-step budget
+        m6 = dataclasses.replace(compile_tm(EVEN_HALTING), kappa=OrdinalNotation.from_int(6))
+        lifted = lift(m6, OMEGA)
+        budget = Budget(maxSuccessorStepsPerSegment=400, maxLimitJumps=1)
+        assert halting_steps(EVEN_HALTING, {8}, cap=100) is not None
+        trace = run(check_machine(lifted), OrdinalSet.finite({8}), budget)
+        assert isinstance(trace.outcome, OutOfBudget)
+        with pytest.raises(Unsupported, match="source table"):
+            dovetail(lifted)
+
+    def test_a_dovetailer_has_no_source_table(self):
+        # the dovetailer reads no input, so it does not halt when its table does
+        with pytest.raises(Unsupported, match="source table"):
+            dovetail(dovetail(compile_tm(EVEN_HALTING)))
+
+    def test_a_flip_keeps_its_source_table(self):
+        m = compile_tm(EVEN_HALTING)
+        assert flip(m).program == EVEN_HALTING
+        assert dovetail(flip(m)) == dovetail(m)
 
     def test_collects_halting_candidates_at_the_limit(self):
         vm = check_machine(dovetail(compile_tm(EVEN_HALTING)))

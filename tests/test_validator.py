@@ -362,6 +362,40 @@ def test_a_pin_that_is_not_an_ordinal_is_a_bad_constraint():
     ]
 
 
+def test_a_default_that_moves_a_pin_is_named_in_its_words():
+    sigma = BASE.extend([SymbolDecl("c", "Constant")])
+    spec = machine(
+        sigma,
+        tau={"In": "In(x)", "Out": "Out(x)", "c": "x = c"},
+        defaults={"c": "x = 2"},
+        flavor=GSEQAP,
+        params={"c": OrdinalNotation.from_int(3)},
+    )
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec)
+    (issue,) = info.value.issues
+    assert str(issue) == "BadConstraint: symbol=c: default value 2 disagrees with pin 3"
+    assert issue.state is None
+
+
+def test_a_step_that_moves_a_pin_is_named_with_its_sample():
+    # such a machine used to be admitted, and its run reached c = 4,
+    # which models_tci refuses
+    sigma = BASE.extend([SymbolDecl("c", "Constant")])
+    spec = machine(
+        sigma,
+        tau={"In": "In(x)", "Out": "Out(x) | x = c", "c": "x = 4"},
+        defaults={"c": "x = 3"},
+        flavor=GSEQAP,
+        params={"c": OrdinalNotation.from_int(3)},
+    )
+    with pytest.raises(MachineInvalid) as info:
+        check_machine(spec)
+    (issue,) = info.value.issues
+    assert str(issue) == "BadConstraint: symbol=c: next value 4 disagrees with pin 3"
+    assert issue.state.constant("c") == 3
+
+
 def test_too_deep_witness_is_reported_by_symbol():
     # 1 500 flat conjuncts parse fine but overflow the recursive analyses.
     sigma = BASE.extend([SymbolDecl("h", "Constant")])
@@ -610,6 +644,15 @@ def test_sampled_states_respect_pins():
     )
     for s in sample_states(spec, random.Random(7), count=20):
         assert s.constant("c") == 4
+
+
+def test_sampling_refuses_a_pin_that_is_not_an_ordinal():
+    sigma = BASE.extend([SymbolDecl("c", "Constant")])
+    spec = machine(
+        sigma, tau={"In": "In(x)", "Out": "Out(x)", "c": "x = c"}, flavor=GSEQAP, params={"c": 3}
+    )
+    with pytest.raises(ValueError, match="^c: pinned value 3 is not an OrdinalNotation$"):
+        sample_states(spec, random.Random(7))
 
 
 def test_admission_steps_its_samples_under_one_footprint_memo(monkeypatch):
